@@ -1,37 +1,20 @@
-"""Deterministic LoS components and random Rician/Rayleigh channel draws.
+"""Deterministic LoS components and Rician mixing weights of the links.
 
 The two-hop link is transmitter -> surface (H1, N-by-M) and surface -> user
 (h2, length N), both Rician; the direct transmitter -> user link g (length M)
-is Rayleigh. Scatter entries are CN(0, 1): real and imaginary parts each
-N(0, 1/2).
+is Rayleigh. Scatter entries are CN(0, 1). A hop with Rician factor K is
+w_los * (LoS component) + w_sc * (scatter), with the weights below.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import (arrival_phase_offsets, departure_phase_offsets,
                      ula_steering, upa_steering)
 from .config import SystemConfig
-
-
-def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) array of the given shape, one generator call per draw."""
-    z = rng.standard_normal(tuple(shape) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-
-
-def sample_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one Monte Carlo sample.
-
-    Philox keyed by (master_seed, index): any subset of samples can be drawn
-    in any order, on any worker, and produce identical values.
-    """
-    return np.random.Generator(np.random.Philox(key=[master_seed, index]))
 
 
 def los_bs_to_ris(cfg: SystemConfig) -> np.ndarray:
@@ -62,51 +45,3 @@ def rician_mixing_weights(K: float) -> tuple[float, float]:
     if math.isinf(K):
         return 1.0, 0.0
     return math.sqrt(K / (K + 1.0)), math.sqrt(1.0 / (K + 1.0))
-
-
-@dataclass
-class ChannelRealization:
-    """One random draw of the three links plus a reproducibility tag."""
-
-    H1: np.ndarray   # (N, M) transmitter -> surface
-    h2: np.ndarray   # (N,)  surface -> user
-    g: np.ndarray    # (M,)  transmitter -> user
-    seed_tag: str = ""
-
-
-def sample_channels(cfg: SystemConfig, rng: np.random.Generator,
-                    los: tuple[np.ndarray, np.ndarray] | None = None,
-                    seed_tag: str = "") -> ChannelRealization:
-    """Draw one Rician realization of (H1, h2, g) from the given stream.
-
-    The draw order is fixed (H1 scatter, then h2 scatter, then g) so a stream
-    determines the realization bit-for-bit. los optionally carries
-    precomputed (los_bs_to_ris, los_ris_to_user) to avoid rebuilding them in
-    sampling loops.
-    """
-    H1_los, h2_los = los if los is not None else (los_bs_to_ris(cfg),
-                                                  los_ris_to_user(cfg))
-    w1_los, w1_sc = rician_mixing_weights(cfg.K1)
-    w2_los, w2_sc = rician_mixing_weights(cfg.K2)
-    H1 = w1_los * H1_los + w1_sc * complex_normal(rng, (cfg.N, cfg.M))
-    h2 = w2_los * h2_los + w2_sc * complex_normal(rng, (cfg.N,))
-    g = complex_normal(rng, (cfg.M,))
-    return ChannelRealization(H1=H1, h2=h2, g=g, seed_tag=seed_tag)
-
-
-def dump_realization_csv(real: ChannelRealization, path) -> None:
-    """Debug dump: every entry of H1, h2, g as real/imag rows.
-
-    Columns: matrix name, its dimensions, zero-based (row, col), re, im.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["matrix", "rows", "cols", "row", "col", "re", "im"])
-        for name, mat in (("H1", real.H1), ("h2", real.h2[None, :]),
-                          ("g", real.g[None, :])):
-            rows, cols = mat.shape
-            for r in range(rows):
-                for c in range(cols):
-                    v = mat[r, c]
-                    writer.writerow([name, rows, cols, r, c,
-                                     repr(float(v.real)), repr(float(v.imag))])

@@ -14,10 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import los_bs_to_ris, los_ris_to_user, sample_channels, sample_stream
+from .channel import rician_mixing_weights
 from .config import SystemConfig
-from .phases import (PhaseAssignment, coherence_factor, effective_cascade,
-                     los_cascade_gain)
+from .phases import PhaseAssignment, coherence_factor, los_cascade_gain
+
+# Monte Carlo samples are drawn in chunks of this many consecutive indices,
+# chunk c from the Philox stream keyed (master_seed, c). A chunk's values do
+# not depend on how many samples a run asks for beyond it, and memory stays
+# bounded at any sample count.
+MC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,31 +103,73 @@ def se_bound_gap(cfg: SystemConfig) -> SeGap:
                  asymptote=asymptote)
 
 
+def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
+                 num_samples: int, master_seed: int):
+    """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2), one array per chunk.
+
+    The rate depends on the channels only through that squared norm, which
+    is drawn from its exact law instead of from the N-by-M matrices. With
+    f = (per-element phase factor) * los_bs_to_ris[:, 0] (|f_n| = 1), the
+    rank-one LoS hop gives h2 Phi H1_los = sqrt(N) * alpha * a_tx^T where
+    alpha = sum_n h2_n f_n / sqrt(N) ~ CN(alpha0, w2_sc^2). The law of
+    |alpha|^2 depends on alpha0 only through |alpha0|^2, which is
+    w2_los^2 * los_cascade_gain / (N * M). The rest of h2, orthogonal to
+    conj(f), is independent of alpha, and its squared norm is
+    (w2_sc^2 / 2) * chi'^2(2(N-1), 2 * perp / w2_sc^2), where
+    perp = w2_los^2 * N - |alpha0|^2 is the squared norm of the LoS part of
+    that rest. Given h2, the scattered hop and g add CN(0, sigma2 I_M) with
+    sigma2 = w1_sc^2 * ||h2||^2 + 1, so
+    ||v||^2 = (sigma2 / 2) * chi'^2(2M, 2 * w1_los^2 * N * M * |alpha|^2 / sigma2).
+    Each sample costs one complex normal and at most two chi-square draws.
+    """
+    w1_los, w1_sc = rician_mixing_weights(cfg.K1)
+    w2_los, w2_sc = rician_mixing_weights(cfg.K2)
+    alpha0_sq = w2_los ** 2 * los_cascade_gain(cfg, assignment) / (cfg.N * cfg.M)
+    alpha0 = math.sqrt(alpha0_sq)
+    perp = max(0.0, w2_los ** 2 * cfg.N - alpha0_sq)
+    los_gain = 2.0 * w1_los ** 2 * cfg.N * cfg.M
+    snr = cfg.P / cfg.sigma_w2
+    for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
+        size = min(MC_CHUNK, num_samples - start)
+        rng = np.random.Generator(np.random.Philox(key=[master_seed, chunk]))
+        z = rng.standard_normal((size, 2)) * (w2_sc * math.sqrt(0.5))
+        alpha_sq = (alpha0 + z[:, 0]) ** 2 + z[:, 1] ** 2
+        if cfg.N == 1:          # nothing of h2 is orthogonal to f
+            h2_sq = alpha_sq
+        elif w2_sc == 0.0:      # pure-LoS hop: the orthogonal part is fixed
+            h2_sq = alpha_sq + perp
+        else:
+            h2_sq = alpha_sq + 0.5 * w2_sc ** 2 * rng.noncentral_chisquare(
+                2 * (cfg.N - 1), 2.0 * perp / w2_sc ** 2, size)
+        sigma2 = w1_sc ** 2 * h2_sq + 1.0
+        v_sq = 0.5 * sigma2 * rng.noncentral_chisquare(
+            2 * cfg.M, los_gain * alpha_sq / sigma2)
+        yield np.log2(1.0 + snr * v_sq)
+
+
 def monte_carlo_se(cfg: SystemConfig, assignment: PhaseAssignment,
                    num_samples: int, master_seed: int) -> tuple[float, float]:
     """Sample-mean ergodic SE and its standard error, in bits.
 
-    Sample i draws from the counter-based stream keyed by (master_seed, i),
-    so the result is independent of evaluation order and worker count. The
-    reduction is a single pairwise-summed mean over the per-sample values.
-    Maximum-ratio transmission is folded in analytically: the rate of sample
-    i is log2(1 + snr * ||h2 Phi H1 + g||^2).
+    Maximum-ratio transmission is folded in analytically: the rate of a
+    sample is log2(1 + snr * ||h2 Phi H1 + g||^2), drawn as in _rate_chunks.
+    The result is a pure function of (cfg, assignment, num_samples,
+    master_seed), independent of evaluation order and worker count. Chunk
+    means and squared deviations are merged in chunk order (Chan et al.).
     """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    los = (los_bs_to_ris(cfg), los_ris_to_user(cfg))
-    snr = cfg.P / cfg.sigma_w2
-    vals = np.empty(num_samples)
-    for i in range(num_samples):
-        rng = sample_stream(master_seed, i)
-        real = sample_channels(cfg, rng, los=los,
-                               seed_tag=f"{master_seed}:{i}")
-        v = effective_cascade(cfg, assignment, real.h2, real.H1) + real.g
-        vals[i] = np.log2(1.0 + snr * (v * v.conjugate()).real.sum())
-    mean = float(np.mean(vals))
+    count, mean, sq_dev = 0, 0.0, 0.0
+    for rates in _rate_chunks(cfg, assignment, num_samples, master_seed):
+        chunk_mean = float(np.mean(rates))
+        delta = chunk_mean - mean
+        sq_dev += (float(np.sum((rates - chunk_mean) ** 2))
+                   + delta ** 2 * count * rates.size / (count + rates.size))
+        count += rates.size
+        mean += delta * (rates.size / count)
     if num_samples < 2:
         return mean, 0.0
-    return mean, float(np.std(vals, ddof=1) / math.sqrt(num_samples))
+    return mean, math.sqrt(sq_dev / (count - 1) / count)
 
 
 @dataclass(frozen=True)

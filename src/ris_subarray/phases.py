@@ -108,22 +108,6 @@ def los_cascade_gain(cfg: SystemConfig, assignment: PhaseAssignment) -> float:
     return float((z * z.conjugate()).real * cfg.M)
 
 
-def effective_cascade(cfg: SystemConfig, assignment: PhaseAssignment,
-                      h2: np.ndarray, H1: np.ndarray) -> np.ndarray:
-    """Cascade h2 through the phased surface into H1 without an N-by-N matrix.
-
-    Each length-L segment of h2 is scaled by its subarray's phase factor and
-    the result is multiplied into H1, giving the length-M effective channel.
-    """
-    phases = _checked_phases(cfg, assignment)
-    if h2.shape != (cfg.N,):
-        raise ValueError(f"h2 must have shape ({cfg.N},), got {h2.shape}")
-    if H1.shape != (cfg.N, cfg.M):
-        raise ValueError(f"H1 must have shape ({cfg.N}, {cfg.M}), got {H1.shape}")
-    scale = np.repeat(np.exp(1j * phases), cfg.L)
-    return (h2 * scale) @ H1
-
-
 def _checked_phases(cfg: SystemConfig, assignment: PhaseAssignment) -> np.ndarray:
     phases = assignment.phases
     if phases.shape != (cfg.Q,):

@@ -1,5 +1,8 @@
 """Shared fixtures-by-hand for the test suite.
 
+The per-element channel sampler at the end is the independent oracle for the
+sufficient-statistic Monte Carlo sampler in ris_subarray.metrics.
+
 reference_config() is the evaluation setup used throughout: 64 transmit
 antennas, a 32x32 surface in 2x2 subarrays, half-wavelength spacings, and the
 fixed angle tuple whose phase slopes are p1 = -pi*sqrt(3)/2 and
@@ -7,10 +10,13 @@ p2 = -pi*(sqrt(3)+1)/8.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ris_subarray import Angles, SystemConfig, validate_config
+from ris_subarray import (Angles, SystemConfig, los_bs_to_ris, los_ris_to_user,
+                          rician_mixing_weights, validate_config)
+from ris_subarray.phases import _checked_phases
 
 REF_ANGLES = Angles(
     theta_d1=math.pi / 2,
@@ -61,3 +67,66 @@ def random_config(rng: np.random.Generator, max_m: int = 16,
 def dense_phase_matrix(cfg, assignment) -> np.ndarray:
     """Independent oracle: the full N-by-N block-diagonal phase matrix."""
     return np.kron(np.diag(np.exp(1j * assignment.phases)), np.eye(cfg.L))
+
+
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """CN(0, 1) array of the given shape, one generator call per draw."""
+    z = rng.standard_normal(tuple(shape) + (2,))
+    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+
+
+def sample_stream(master_seed: int, index: int) -> np.random.Generator:
+    """Counter-based stream for one oracle sample, keyed (master_seed, index)."""
+    return np.random.Generator(np.random.Philox(key=[master_seed, index]))
+
+
+@dataclass
+class ChannelRealization:
+    """One random draw of the three links."""
+
+    H1: np.ndarray   # (N, M) transmitter -> surface
+    h2: np.ndarray   # (N,)  surface -> user
+    g: np.ndarray    # (M,)  transmitter -> user
+
+
+def sample_channels(cfg: SystemConfig, rng: np.random.Generator
+                    ) -> ChannelRealization:
+    """Draw one Rician realization of (H1, h2, g), entry by entry.
+
+    The draw order is fixed (H1 scatter, then h2 scatter, then g) so a stream
+    determines the realization bit-for-bit.
+    """
+    w1_los, w1_sc = rician_mixing_weights(cfg.K1)
+    w2_los, w2_sc = rician_mixing_weights(cfg.K2)
+    H1 = w1_los * los_bs_to_ris(cfg) + w1_sc * complex_normal(rng, (cfg.N, cfg.M))
+    h2 = w2_los * los_ris_to_user(cfg) + w2_sc * complex_normal(rng, (cfg.N,))
+    g = complex_normal(rng, (cfg.M,))
+    return ChannelRealization(H1=H1, h2=h2, g=g)
+
+
+def effective_cascade(cfg: SystemConfig, assignment, h2: np.ndarray,
+                      H1: np.ndarray) -> np.ndarray:
+    """Cascade h2 through the phased surface into H1 without an N-by-N matrix.
+
+    Each length-L segment of h2 is scaled by its subarray's phase factor and
+    the result is multiplied into H1, giving the length-M effective channel.
+    """
+    phases = _checked_phases(cfg, assignment)
+    if h2.shape != (cfg.N,):
+        raise ValueError(f"h2 must have shape ({cfg.N},), got {h2.shape}")
+    if H1.shape != (cfg.N, cfg.M):
+        raise ValueError(f"H1 must have shape ({cfg.N}, {cfg.M}), got {H1.shape}")
+    scale = np.repeat(np.exp(1j * phases), cfg.L)
+    return (h2 * scale) @ H1
+
+
+def oracle_rates(cfg: SystemConfig, assignment, num_samples: int,
+                 master_seed: int) -> np.ndarray:
+    """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2) from full draws."""
+    snr = cfg.P / cfg.sigma_w2
+    rates = np.empty(num_samples)
+    for i in range(num_samples):
+        real = sample_channels(cfg, sample_stream(master_seed, i))
+        v = effective_cascade(cfg, assignment, real.h2, real.H1) + real.g
+        rates[i] = np.log2(1.0 + snr * (v * v.conjugate()).real.sum())
+    return rates

@@ -3,10 +3,10 @@
 Each test covers one release criterion and prints a single PASS line when it
 holds (run with -s to see them). The Monte Carlo runs reuse one module-scoped
 set of realizations so the Jensen checks see exactly the runs the bound-gap
-check used. ACCEPT_SEED is frozen: the true Jensen gap at 10k samples is only
-a few standard errors wide, so the strict below-the-bound clause holds for
-most seeds but not all; the frozen one was verified to satisfy it for all
-four runs.
+check used. Each run has 10^7 samples, which puts the true Jensen gap at
+about 6.5 standard errors for the element scheme at K=100 and at 15-51 at the
+other points, so the strict below-the-bound clause holds at any seed with
+overwhelming probability; it is checked at three.
 """
 
 import math
@@ -26,8 +26,8 @@ from ris_subarray import (PowerConstants, coherence_factor,
 
 from helpers import random_config, reference_config, small_config
 
-ACCEPT_SEED = 3  # frozen after scouting the strict clause in criterion 2
-MC_SAMPLES = 10_000
+MC_SEEDS = (1, 2, 3)
+MC_SAMPLES = 10_000_000
 
 
 def _ok(num: int, name: str) -> None:
@@ -36,16 +36,17 @@ def _ok(num: int, name: str) -> None:
 
 @pytest.fixture(scope="module")
 def mc_runs():
-    """(scheme, K) -> (mc_mean, mc_stderr, upper_bound) at full scale."""
+    """(scheme, K, seed) -> (mc_mean, mc_stderr, upper_bound) at full scale."""
     runs = {}
     for scheme in ("subarray", "element"):
         for k in (10.0, 100.0):
             cfg = reference_config(K1=k, K2=k)
             if scheme == "element":
                 cfg = validate_config(replace(cfg, Lx=1, Ly=1))
-            mc, stderr = monte_carlo_se(cfg, optimal_phases(cfg), MC_SAMPLES,
-                                        master_seed=ACCEPT_SEED)
-            runs[(scheme, k)] = (mc, stderr, max_se_upper_bound(cfg))
+            for seed in MC_SEEDS:
+                mc, stderr = monte_carlo_se(cfg, optimal_phases(cfg),
+                                            MC_SAMPLES, master_seed=seed)
+                runs[(scheme, k, seed)] = (mc, stderr, max_se_upper_bound(cfg))
     return runs
 
 
@@ -61,9 +62,10 @@ def test_criterion_02_bound_gap_and_mc_tracking(mc_runs):
     cfg = reference_config(K1=100.0, K2=100.0)
     gap = max_se_upper_bound_element(cfg) - max_se_upper_bound(cfg)
     assert abs(gap - 2.40) <= 0.1
-    for (scheme, k), (mc, stderr, ub) in mc_runs.items():
-        assert mc <= ub, f"{scheme} K={k}: mc {mc} above bound {ub}"
-        assert ub - mc <= 1.0, f"{scheme} K={k}: bound loose by {ub - mc}"
+    for (scheme, k, seed), (mc, stderr, ub) in mc_runs.items():
+        where = f"{scheme} K={k} seed={seed}"
+        assert mc <= ub, f"{where}: mc {mc} above bound {ub}"
+        assert ub - mc <= 1.0, f"{where}: bound loose by {ub - mc}"
     _ok(2, "bound-gap-and-mc-tracking")
 
 
@@ -126,8 +128,8 @@ def test_criterion_06_special_cases():
 
 
 def test_criterion_07_jensen_dominance(mc_runs):
-    violations = [(scheme, k) for (scheme, k), (mc, stderr, ub)
-                  in mc_runs.items() if mc > ub + 3.0 * stderr]
+    violations = [key for key, (mc, stderr, ub) in mc_runs.items()
+                  if mc > ub + 3.0 * stderr]
     assert violations == []
     _ok(7, "jensen-dominance")
 

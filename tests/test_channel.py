@@ -1,15 +1,14 @@
-import csv
 import math
 
 import numpy as np
 import pytest
 
 from ris_subarray import (arrival_phase_offsets, departure_phase_offsets,
-                          dump_realization_csv, los_bs_to_ris, los_ris_to_user,
-                          rician_mixing_weights, sample_channels, sample_stream,
+                          los_bs_to_ris, los_ris_to_user, rician_mixing_weights,
                           ula_steering, upa_steering)
 
-from helpers import random_config, reference_config, small_config
+from helpers import (random_config, reference_config, sample_channels,
+                     sample_stream, small_config)
 
 SEED = 90210
 
@@ -107,27 +106,3 @@ def test_direct_link_power_is_unit():
         real = sample_channels(cfg, sample_stream(SEED + 3, i))
         acc += np.abs(real.g) ** 2
     assert np.mean(acc / 5000) == pytest.approx(1.0, abs=0.05)
-
-
-def test_seed_tag_passthrough():
-    cfg = small_config()
-    real = sample_channels(cfg, sample_stream(0, 0), seed_tag="0:0")
-    assert real.seed_tag == "0:0"
-
-
-def test_dump_realization_csv(tmp_path):
-    cfg = small_config(M=3)
-    real = sample_channels(cfg, sample_stream(SEED + 4, 0))
-    path = tmp_path / "real.csv"
-    dump_realization_csv(real, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["matrix", "rows", "cols", "row", "col", "re", "im"]
-    body = rows[1:]
-    assert len(body) == cfg.N * cfg.M + cfg.N + cfg.M
-    first = body[0]
-    assert first[0] == "H1" and (first[1], first[2]) == (str(cfg.N), str(cfg.M))
-    assert float(first[5]) == real.H1[0, 0].real
-    assert float(first[6]) == real.H1[0, 0].imag
-    names = {r[0] for r in body}
-    assert names == {"H1", "h2", "g"}

@@ -3,16 +3,57 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ris_subarray import (Angles, PhaseAssignment, PowerConstants,
                           coherence_factor, energy_efficiency,
                           max_se_upper_bound, max_se_upper_bound_element,
                           monte_carlo_se, optimal_phases, rician_weights,
                           ris_power, se_bound_gap, se_upper_bound)
+from ris_subarray.metrics import MC_CHUNK, _rate_chunks
 
-from helpers import random_config, reference_config, small_config
+from helpers import oracle_rates, random_config, reference_config, small_config
 
 SEED = 1453
+
+# Two-sided 5-sigma threshold and its tail probability: a correct sampler
+# fails one of the oracle checks with probability ~6e-7, at any seed.
+Z_MAX = 5.0
+P_MIN = 5.7e-7
+FAST_SAMPLES = 200_000
+ORACLE_SAMPLES = 4_000
+
+
+def _oracle_cases():
+    cases = []
+    for scheme, side in (("subarray", 2), ("element", 1)):
+        for k in (0.0, 10.0, math.inf):
+            cfg = small_config(Lx=side, Ly=side, K1=k, K2=k)
+            cases.append(pytest.param(cfg, optimal_phases(cfg),
+                                      id=f"{scheme}-K{k:g}"))
+    for name, cfg in (("N1", small_config(Nx=1, Ny=1, Lx=1, Ly=1)),
+                      ("M1", small_config(M=1)),
+                      ("K1inf", small_config(K1=math.inf, K2=3.0)),
+                      ("K2inf", small_config(K1=3.0, K2=math.inf)),
+                      # no LoS on the first hop: the rate sees h2 only
+                      # through ||h2||^2, so its split into alpha and the
+                      # orthogonal rest is checked on its own
+                      ("element-K1zero", small_config(Lx=1, Ly=1, K1=0.0)),
+                      ("element-K1zero-K2inf",
+                       small_config(Lx=1, Ly=1, K1=0.0, K2=math.inf))):
+        cases.append(pytest.param(cfg, optimal_phases(cfg), id=name))
+    rng = np.random.default_rng(SEED + 4)
+    for i in range(3):
+        cfg = random_config(rng, max_m=8)
+        pa = PhaseAssignment(rng.uniform(0, 2 * np.pi, size=cfg.Q))
+        cases.append(pytest.param(cfg, pa, id=f"random{i}"))
+    return cases
+
+
+def _var_of_sample_var(x: np.ndarray) -> float:
+    """Large-sample variance of the sample variance, (m4 - s^4) / n."""
+    dev = x - np.mean(x)
+    return (np.mean(dev ** 4) - np.mean(dev ** 2) ** 2) / x.size
 
 
 def test_rician_weights_values():
@@ -136,6 +177,49 @@ def test_monte_carlo_single_sample():
     assert mean > 0.0
     with pytest.raises(ValueError):
         monte_carlo_se(cfg, optimal_phases(cfg), 0, master_seed=3)
+
+
+def test_monte_carlo_rejects_wrong_phase_count():
+    cfg = small_config()
+    with pytest.raises(ValueError, match="phase"):
+        monte_carlo_se(cfg, PhaseAssignment(np.zeros(cfg.Q + 1)), 8,
+                       master_seed=3)
+
+
+def test_monte_carlo_reproducible_across_chunk_boundary():
+    cfg = small_config()
+    pa = optimal_phases(cfg)
+    n = MC_CHUNK + 100
+    assert monte_carlo_se(cfg, pa, n, 5) == monte_carlo_se(cfg, pa, n, 5)
+    chunks = list(_rate_chunks(cfg, pa, n, 5))
+    assert [c.size for c in chunks] == [MC_CHUNK, 100]
+    # a full chunk does not depend on how many samples follow it
+    np.testing.assert_array_equal(
+        chunks[0], next(_rate_chunks(cfg, pa, MC_CHUNK, 5)))
+    # the chunk-merged moments equal the moments of all rates at once
+    rates = np.concatenate(chunks)
+    mean, stderr = monte_carlo_se(cfg, pa, n, 5)
+    assert mean == pytest.approx(np.mean(rates), rel=1e-12)
+    assert stderr == pytest.approx(np.std(rates, ddof=1) / math.sqrt(n),
+                                   rel=1e-9)
+
+
+@pytest.mark.parametrize("cfg, assignment", _oracle_cases())
+def test_sampler_matches_per_element_oracle(cfg, assignment):
+    # Same law of the rate as full N-by-M draws: mean, variance (with the
+    # kurtosis-aware standard error of a sample variance) and the whole
+    # distribution (two-sample KS). Distinct seeds keep the samples
+    # independent of each other.
+    fast = np.concatenate(list(_rate_chunks(cfg, assignment, FAST_SAMPLES,
+                                            SEED)))
+    slow = oracle_rates(cfg, assignment, ORACLE_SAMPLES, SEED + 1)
+    z_mean = (np.mean(fast) - np.mean(slow)) / math.sqrt(
+        np.var(fast, ddof=1) / fast.size + np.var(slow, ddof=1) / slow.size)
+    z_var = (np.var(fast, ddof=1) - np.var(slow, ddof=1)) / math.sqrt(
+        _var_of_sample_var(fast) + _var_of_sample_var(slow))
+    assert abs(z_mean) < Z_MAX
+    assert abs(z_var) < Z_MAX
+    assert stats.ks_2samp(fast, slow).pvalue > P_MIN
 
 
 def test_monte_carlo_respects_jensen_bound():

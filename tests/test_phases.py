@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ris_subarray import (Angles, PhaseAssignment, coherence_factor,
-                          coherence_factor_from_slopes, effective_cascade,
-                          los_bs_to_ris, los_cascade_gain, los_ris_to_user,
-                          optimal_phases, phase_slopes, sample_channels,
-                          sample_stream, se_upper_bound, max_se_upper_bound,
+                          coherence_factor_from_slopes, los_bs_to_ris,
+                          los_cascade_gain, los_ris_to_user, optimal_phases,
+                          phase_slopes, se_upper_bound, max_se_upper_bound,
                           subarray_couplings)
 
-from helpers import (dense_phase_matrix, random_config, reference_config,
+from helpers import (dense_phase_matrix, effective_cascade, random_config,
+                     reference_config, sample_channels, sample_stream,
                      small_config)
 
 SEED = 31337
