@@ -1,9 +1,10 @@
-"""Deterministic LoS components and Rician mixing weights of the links.
+"""Deterministic LoS components and the Rician power split of the links.
 
 The two-hop link is transmitter -> surface (H1, N-by-M) and surface -> user
 (h2, length N), both Rician; the direct transmitter -> user link g (length M)
 is Rayleigh. Scatter entries are CN(0, 1). A hop with Rician factor K is
-w_los * (LoS component) + w_sc * (scatter), with the weights below.
+w_los * (LoS component) + w_sc * (scatter), where (w_los^2, w_sc^2) is
+rician_split(K).
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ def los_ris_to_user(cfg: SystemConfig) -> np.ndarray:
     return (c[:, None] * a_ris[None, :]).ravel()
 
 
-def rician_mixing_weights(K: float) -> tuple[float, float]:
-    """Amplitude weights (LoS, scatter) for Rician factor K; inf is pure LoS."""
+def rician_split(K: float) -> tuple[float, float]:
+    """Power split (LoS, scatter) of a hop with Rician factor K; inf is pure LoS.
+
+    The amplitude weights of the hop are the square roots of the two parts.
+    """
     if math.isinf(K):
         return 1.0, 0.0
-    return math.sqrt(K / (K + 1.0)), math.sqrt(1.0 / (K + 1.0))
+    return K / (K + 1.0), 1.0 / (K + 1.0)

@@ -9,13 +9,12 @@ is omitted.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, config_from_dict, validate_config
-from .metrics import PowerConstants, ris_power
+from .config import SystemConfig, load_config, validate_config
+from .metrics import ris_power
 from .phases import coherence_factor, los_cascade_gain, optimal_phases, phase_slopes
 from .sweeps import (DEFAULT_K_GRID, DEFAULT_N_GRID, SweepResult,
                      default_l0_grid, exhaustive_phase_search,
@@ -28,14 +27,35 @@ _FLOAT_OVERRIDES = ("K1", "K2", "P", "sigma_w2", "d1_over_lambda",
 _ANGLE_OVERRIDES = ("theta_d1", "theta_a1", "phi_a1", "theta_d2", "phi_d2")
 
 
+def positive_int(text: str) -> int:
+    # argparse quotes this function's name when int() fails.
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _list_of(parse):
+    def comma_list(text: str) -> list:
+        values = [parse(t) for t in text.split(",") if t.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+    return comma_list
+
+
+_size_list = _list_of(positive_int)
+
+
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="JSON config file")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--samples", type=int, default=10_000,
+    sub.add_argument("--samples", type=positive_int, default=10_000,
                      help="Monte Carlo samples per point")
     sub.add_argument("--out", default=None, help="CSV output path")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="parallel workers for sweep points")
+    sub.add_argument("--workers", type=positive_int, default=1,
+                     help="worker processes for sweep points; pays off from "
+                          "about 1e5 Monte Carlo samples per point")
     for name in _OVERRIDES:
         sub.add_argument(f"--{name}", type=int, default=None,
                          help=f"override {name}")
@@ -45,14 +65,6 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     for name in _ANGLE_OVERRIDES:
         sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
                          default=None, help=f"override angles.{name} (radians)")
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,55 +81,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
     _common_flags(sub)
-    sub.add_argument("--k-grid", type=_float_list,
+    sub.add_argument("--k-grid", type=_list_of(float),
                      default=list(DEFAULT_K_GRID), help="comma-separated K values")
 
     sub = subs.add_parser("sweep-q", help="regional SE/EE vs subarray count")
     _common_flags(sub)
-    sub.add_argument("--l0-grid", type=_int_list, default=None,
+    sub.add_argument("--l0-grid", type=_size_list, default=None,
                      help="comma-separated subarray sides (default: all divisors)")
-    sub.add_argument("--draws", type=int, default=100,
+    sub.add_argument("--draws", type=positive_int, default=100,
                      help="random angle tuples to average over")
 
     sub = subs.add_parser("sweep-n", help="regional SE/EE vs surface size")
     _common_flags(sub)
-    sub.add_argument("--n-grid", type=_int_list, default=list(DEFAULT_N_GRID),
+    sub.add_argument("--n-grid", type=_size_list, default=list(DEFAULT_N_GRID),
                      help="comma-separated surface sizes (perfect squares)")
-    sub.add_argument("--l0-set", type=_int_list, default=[2, 4],
+    sub.add_argument("--l0-set", type=_size_list, default=[2, 4],
                      help="subarray sides to sweep alongside the element scheme")
-    sub.add_argument("--draws", type=int, default=100,
+    sub.add_argument("--draws", type=positive_int, default=100,
                      help="random angle tuples to average over")
 
     sub = subs.add_parser("oracle",
                           help="exhaustive phase grid search vs the closed form")
     _common_flags(sub)
-    sub.add_argument("--levels", type=int, default=16,
+    sub.add_argument("--levels", type=positive_int, default=16,
                      help="phase grid levels per subarray")
     return parser
 
 
-def _load(args):
-    with open(args.config) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object")
-    cfg = config_from_dict(raw)
-    updates = {}
-    for name in _OVERRIDES + _FLOAT_OVERRIDES:
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    angle_updates = {}
-    for name in _ANGLE_OVERRIDES:
-        value = getattr(args, name)
-        if value is not None:
-            angle_updates[name] = value
+def _load(args) -> SystemConfig:
+    """The --config file with the per-field override flags applied."""
+    cfg = load_config(args.config)
+    updates = {name: getattr(args, name) for name in _OVERRIDES + _FLOAT_OVERRIDES
+               if getattr(args, name) is not None}
+    angle_updates = {name: getattr(args, name) for name in _ANGLE_OVERRIDES
+                     if getattr(args, name) is not None}
     if angle_updates:
         updates["angles"] = replace(cfg.angles, **angle_updates)
-    if updates:
-        cfg = validate_config(replace(cfg, **updates))
-    power = PowerConstants.from_dict(raw.get("power", {}))
-    return cfg, power
+    return validate_config(replace(cfg, **updates)) if updates else cfg
 
 
 def _emit(rows: list[SweepResult], out: str | None) -> None:
@@ -132,26 +132,21 @@ def _emit(rows: list[SweepResult], out: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg, power = _load(args)
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _dispatch(args, cfg, power)
-    except ValueError as exc:
+        return _dispatch(args, _load(args))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _dispatch(args, cfg, power) -> int:
+def _dispatch(args, cfg: SystemConfig) -> int:
     if args.command == "validate":
         print(f"M={cfg.M} surface={cfg.Nx}x{cfg.Ny} (N={cfg.N}) "
               f"subarrays={cfg.Qx}x{cfg.Qy} (Q={cfg.Q}) "
               f"subarray_size={cfg.Lx}x{cfg.Ly} (L={cfg.L})")
         print(f"K1={cfg.K1} K2={cfg.K2} P={cfg.P} sigma_w2={cfg.sigma_w2} "
               f"d1={cfg.d1_over_lambda} d2={cfg.d2_over_lambda}")
-        print(f"surface_power_element={ris_power(cfg.N, power):.6g} W "
-              f"surface_power_subarray={ris_power(cfg.Q, power):.6g} W")
+        print(f"surface_power_element={ris_power(cfg.N, cfg.power):.6g} W "
+              f"surface_power_subarray={ris_power(cfg.Q, cfg.power):.6g} W")
         print("config ok")
         return 0
 
@@ -176,15 +171,14 @@ def _dispatch(args, cfg, power) -> int:
         grid = args.l0_grid if args.l0_grid is not None else default_l0_grid(cfg)
         rows = sweep_subarray_count(cfg, l0_grid=grid,
                                     num_angle_draws=args.draws,
-                                    seed=args.seed, workers=args.workers,
-                                    power=power)
+                                    seed=args.seed, workers=args.workers)
         _emit(rows, args.out)
         return 0
 
     if args.command == "sweep-n":
         rows = sweep_ris_size(cfg, n_grid=args.n_grid, l0_set=args.l0_set,
                               num_angle_draws=args.draws, seed=args.seed,
-                              workers=args.workers, power=power)
+                              workers=args.workers)
         _emit(rows, args.out)
         return 0
 

@@ -1,8 +1,8 @@
-"""System configuration and element/subarray geometry of the planar surface.
+"""System configuration: parsing, validation and subarray geometry.
 
 The reconfigurable surface is an Nx-by-Ny grid of passive elements partitioned
 into Qx-by-Qy rectangular subarrays of Lx-by-Ly elements each. All elements of
-a subarray share one phase shift. Indexing is 1-based and row-major in the
+a subarray share one phase shift. Subarrays are numbered row-major in the
 x (subarray row) direction, matching the element order used by the steering
 vectors and channel matrices.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -43,13 +43,29 @@ class Angles:
 
 
 @dataclass(frozen=True)
+class PowerConstants:
+    """Static power terms in watts.
+
+    p_rest covers transmit and user-terminal circuitry, p_dynamic the
+    surface's reconfiguration term (negligible for PIN-diode surfaces),
+    p_control the surface control board, p_driver one phase-shift driver.
+    """
+
+    p_rest: float = 20.0
+    p_dynamic: float = 0.0
+    p_control: float = 4.8
+    p_driver: float = 0.43
+
+
+@dataclass(frozen=True)
 class SystemConfig:
     """Immutable description of one downlink scenario.
 
     M transmit antennas, an Nx-by-Ny surface grouped into Lx-by-Ly subarrays,
     element spacings in wavelengths, Rician factors for the two hops, transmit
-    power P and noise power sigma_w2. Validate with validate_config() before
-    use; all derived sizes are exposed as properties.
+    power P, noise power sigma_w2 and the power model behind the energy
+    efficiency. Validate with validate_config() before use; all derived sizes
+    are exposed as properties.
     """
 
     M: int
@@ -64,6 +80,7 @@ class SystemConfig:
     K2: float = 10.0
     P: float = 10.0
     sigma_w2: float = 1.0
+    power: PowerConstants = PowerConstants()
 
     @property
     def Qx(self) -> int:
@@ -86,19 +103,24 @@ class SystemConfig:
         return self.Nx * self.Ny
 
 
+def _is_real(value) -> bool:
+    # bool is an int subclass, but true/false in a config is a typo.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _require_positive_int(name: str, value) -> None:
-    if value != int(value) or int(value) < 1:
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _require_positive(name: str, value) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    if not (_is_real(value) and math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
 
 
 def _require_rician(name: str, value) -> None:
     # +inf is the pure line-of-sight sentinel; nan and negatives are rejected.
-    if not isinstance(value, (int, float)) or math.isnan(value) or value < 0:
+    if not _is_real(value) or math.isnan(value) or value < 0:
         raise ConfigError(f"{name} must be >= 0 (or inf for pure LoS), got {value!r}")
 
 
@@ -119,35 +141,14 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
     for name, value in zip(
             ("theta_d1", "theta_a1", "phi_a1", "theta_d2", "phi_d2"),
             cfg.angles.as_tuple()):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not (_is_real(value) and math.isfinite(value)):
             raise ConfigError(f"angles.{name} must be finite, got {value!r}")
+    for f in fields(PowerConstants):
+        value = getattr(cfg.power, f.name)
+        if not (_is_real(value) and math.isfinite(value) and value >= 0):
+            raise ConfigError(
+                f"power.{f.name} must be a finite number >= 0, got {value!r}")
     return cfg
-
-
-def subarray_origin(cfg: SystemConfig, q: int) -> tuple[int, int]:
-    """1-based grid coordinates of the first element of subarray q.
-
-    Subarrays are numbered q = 1..Q row-major: q = (qx-1)*Qy + qy.
-    """
-    if not 1 <= q <= cfg.Q:
-        raise IndexError(f"subarray index q={q} outside 1..{cfg.Q}")
-    qx, qy = divmod(q - 1, cfg.Qy)
-    return qx * cfg.Lx + 1, qy * cfg.Ly + 1
-
-
-def element_index(cfg: SystemConfig, q: int, lx: int, ly: int) -> int:
-    """1-based flat index of element (lx, ly) within subarray q.
-
-    Elements are laid out subarray-major, x-major within the subarray:
-    n = (q-1)*L + (lx-1)*Ly + ly. The map is a bijection onto 1..N.
-    """
-    if not 1 <= q <= cfg.Q:
-        raise IndexError(f"subarray index q={q} outside 1..{cfg.Q}")
-    if not 1 <= lx <= cfg.Lx:
-        raise IndexError(f"element row lx={lx} outside 1..{cfg.Lx}")
-    if not 1 <= ly <= cfg.Ly:
-        raise IndexError(f"element column ly={ly} outside 1..{cfg.Ly}")
-    return (q - 1) * cfg.L + (lx - 1) * cfg.Ly + ly
 
 
 def subarray_grid_offsets(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -157,47 +158,35 @@ def subarray_grid_offsets(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     return (qx * cfg.Lx).astype(float), (qy * cfg.Ly).astype(float)
 
 
+_SECTIONS = {"angles": Angles, "power": PowerConstants}
+
+
+def _build(cls, raw, prefix: str = ""):
+    """cls(**raw) with the sections built likewise; values are not coerced.
+
+    Keys that are not fields of cls are rejected, so a misspelled field is
+    an error instead of a silent default.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
+    names = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in names:
+            raise ConfigError(f"unknown config field '{prefix}{key}'")
+    for name, f in names.items():
+        if f.default is MISSING and name not in raw:
+            raise ConfigError(f"missing config field '{prefix}{name}'")
+    return cls(**{key: _build(_SECTIONS[key], value, f"{key}.")
+                  if key in _SECTIONS else value for key, value in raw.items()})
+
+
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build and validate a SystemConfig from parsed JSON."""
-    try:
-        ang = raw["angles"]
-        angles = Angles(
-            theta_d1=float(ang["theta_d1"]),
-            theta_a1=float(ang["theta_a1"]),
-            phi_a1=float(ang["phi_a1"]),
-            theta_d2=float(ang["theta_d2"]),
-            phi_d2=float(ang["phi_d2"]),
-        )
-        cfg = SystemConfig(
-            M=int(raw["M"]),
-            Nx=int(raw["Nx"]),
-            Ny=int(raw["Ny"]),
-            Lx=int(raw["Lx"]),
-            Ly=int(raw["Ly"]),
-            angles=angles,
-            d1_over_lambda=float(raw.get("d1_over_lambda", 0.5)),
-            d2_over_lambda=float(raw.get("d2_over_lambda", 0.5)),
-            K1=float(raw.get("K1", 10.0)),
-            K2=float(raw.get("K2", 10.0)),
-            P=float(raw.get("P", 10.0)),
-            sigma_w2=float(raw.get("sigma_w2", 1.0)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing config field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
-    return validate_config(cfg)
+    return validate_config(_build(SystemConfig, raw))
 
 
 def load_config(path) -> SystemConfig:
-    """Read a JSON config file. Extra keys (e.g. a power section) are ignored."""
+    """Read a JSON config file. Every key must be a field of SystemConfig,
+    Angles (under "angles") or PowerConstants (under "power")."""
     with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must contain a JSON object")
-    return config_from_dict(raw)
-
-
-def with_subarray_size(cfg: SystemConfig, lx: int, ly: int | None = None) -> SystemConfig:
-    """Copy of cfg with a different subarray size (ly defaults to lx)."""
-    return validate_config(replace(cfg, Lx=lx, Ly=lx if ly is None else ly))
+        return config_from_dict(json.load(fh))

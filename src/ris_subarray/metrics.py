@@ -10,12 +10,11 @@ independently controlled phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import rician_mixing_weights
-from .config import SystemConfig
+from .channel import rician_split
+from .config import PowerConstants, SystemConfig
 from .phases import PhaseAssignment, coherence_factor, los_cascade_gain
 
 # Monte Carlo samples are drawn in chunks of this many consecutive indices,
@@ -25,82 +24,34 @@ from .phases import PhaseAssignment, coherence_factor, los_cascade_gain
 MC_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class RicianWeights:
+def _gammas(cfg: SystemConfig) -> tuple[float, float]:
     """Power split of the cascaded two-hop link: gamma1 weighs the coherent
-    LoS-times-LoS part, gamma2 everything that scatters at least once."""
-
-    gamma1: float
-    gamma2: float
-
-
-def rician_weights(K1: float, K2: float) -> RicianWeights:
-    """Weights for Rician factors of the two hops; they sum to one exactly.
-
-    gamma1 = (K1/(K1+1)) * (K2/(K2+1)) and gamma2 is its complement. A
-    non-finite factor means a pure-LoS hop.
-    """
-    a1 = 1.0 if math.isinf(K1) else K1 / (K1 + 1.0)
-    a2 = 1.0 if math.isinf(K2) else K2 / (K2 + 1.0)
-    gamma1 = a1 * a2
-    return RicianWeights(gamma1=gamma1, gamma2=1.0 - gamma1)
+    LoS-times-LoS part, gamma2 everything that scatters at least once. They
+    sum to one exactly."""
+    gamma1 = rician_split(cfg.K1)[0] * rician_split(cfg.K2)[0]
+    return gamma1, 1.0 - gamma1
 
 
 def se_upper_bound(cfg: SystemConfig, assignment: PhaseAssignment) -> float:
     """Ergodic-SE upper bound for an arbitrary phase assignment, in bits."""
-    w = rician_weights(cfg.K1, cfg.K2)
+    gamma1, gamma2 = _gammas(cfg)
     snr = cfg.P / cfg.sigma_w2
     gain = los_cascade_gain(cfg, assignment)
-    return math.log2(1.0 + snr * (w.gamma1 * gain
-                                  + w.gamma2 * cfg.M * cfg.N + cfg.M))
+    return math.log2(1.0 + snr * (gamma1 * gain
+                                  + gamma2 * cfg.M * cfg.N + cfg.M))
 
 
 def max_se_upper_bound(cfg: SystemConfig) -> float:
-    """Upper bound under the optimal phases, via the coherence factor."""
-    w = rician_weights(cfg.K1, cfg.K2)
+    """Upper bound under the optimal phases, via the coherence factor.
+
+    Per-element control is the same formula on the Lx = Ly = 1 copy of cfg,
+    where the coherence factor is exactly 1.
+    """
+    gamma1, gamma2 = _gammas(cfg)
     snr = cfg.P / cfg.sigma_w2
     eta = coherence_factor(cfg)
-    return math.log2(1.0 + snr * cfg.M * (w.gamma1 * eta * cfg.N ** 2
-                                          + w.gamma2 * cfg.N + 1.0))
-
-
-def max_se_upper_bound_element(cfg: SystemConfig) -> float:
-    """Upper bound for per-element control of the same surface.
-
-    The coherence factor is identically 1, regardless of cfg's subarray
-    shape; equal to max_se_upper_bound of the Lx = Ly = 1 configuration.
-    """
-    w = rician_weights(cfg.K1, cfg.K2)
-    snr = cfg.P / cfg.sigma_w2
-    return math.log2(1.0 + snr * cfg.M * (w.gamma1 * cfg.N ** 2
-                                          + w.gamma2 * cfg.N + 1.0))
-
-
-@dataclass(frozen=True)
-class SeGap:
-    """Element-minus-subarray difference of the maximized SE bounds.
-
-    exact is the difference itself; ratio_approx drops the +1 inside both
-    logarithms (accurate once the array terms dominate); asymptote is the
-    strong-LoS, large-surface limit -log2(coherence factor), infinite when
-    the factor is 0.
-    """
-
-    exact: float
-    ratio_approx: float
-    asymptote: float
-
-
-def se_bound_gap(cfg: SystemConfig) -> SeGap:
-    """How much SE per-element control buys over the subarray design."""
-    w = rician_weights(cfg.K1, cfg.K2)
-    eta = coherence_factor(cfg)
-    exact = max_se_upper_bound_element(cfg) - max_se_upper_bound(cfg)
-    num = w.gamma1 * cfg.N ** 2 + w.gamma2 * cfg.N + 1.0
-    den = w.gamma1 * eta * cfg.N ** 2 + w.gamma2 * cfg.N + 1.0
-    asymptote = math.inf if eta == 0.0 else -math.log2(eta)
-    return SeGap(exact=exact, ratio_approx=math.log2(num / den),
-                 asymptote=asymptote)
+    return math.log2(1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2
+                                          + gamma2 * cfg.N + 1.0))
 
 
 def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
@@ -122,8 +73,8 @@ def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
     ||v||^2 = (sigma2 / 2) * chi'^2(2M, 2 * w1_los^2 * N * M * |alpha|^2 / sigma2).
     Each sample costs one complex normal and at most two chi-square draws.
     """
-    w1_los, w1_sc = rician_mixing_weights(cfg.K1)
-    w2_los, w2_sc = rician_mixing_weights(cfg.K2)
+    w1_los, w1_sc = map(math.sqrt, rician_split(cfg.K1))
+    w2_los, w2_sc = map(math.sqrt, rician_split(cfg.K2))
     alpha0_sq = w2_los ** 2 * los_cascade_gain(cfg, assignment) / (cfg.N * cfg.M)
     alpha0 = math.sqrt(alpha0_sq)
     perp = max(0.0, w2_los ** 2 * cfg.N - alpha0_sq)
@@ -172,35 +123,7 @@ def monte_carlo_se(cfg: SystemConfig, assignment: PhaseAssignment,
     return mean, math.sqrt(sq_dev / (count - 1) / count)
 
 
-@dataclass(frozen=True)
-class PowerConstants:
-    """Static power terms in watts.
-
-    p_rest covers transmit and user-terminal circuitry, p_dynamic the
-    surface's reconfiguration term (negligible for PIN-diode surfaces),
-    p_control the surface control board, p_driver one phase-shift driver.
-    """
-
-    p_rest: float = 20.0
-    p_dynamic: float = 0.0
-    p_control: float = 4.8
-    p_driver: float = 0.43
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PowerConstants":
-        pc = cls(
-            p_rest=float(raw.get("p_rest", cls.p_rest)),
-            p_dynamic=float(raw.get("p_dynamic", cls.p_dynamic)),
-            p_control=float(raw.get("p_control", cls.p_control)),
-            p_driver=float(raw.get("p_driver", cls.p_driver)),
-        )
-        for name in ("p_rest", "p_dynamic", "p_control", "p_driver"):
-            if getattr(pc, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        return pc
-
-
-def ris_power(num_drivers: int, power: PowerConstants = PowerConstants()) -> float:
+def ris_power(num_drivers: int, power: PowerConstants) -> float:
     """Surface power draw with one driver per independently controlled phase:
     N drivers for per-element control, Q for subarrays."""
     if num_drivers < 0:
@@ -209,7 +132,7 @@ def ris_power(num_drivers: int, power: PowerConstants = PowerConstants()) -> flo
 
 
 def energy_efficiency(se: float, num_drivers: int,
-                      power: PowerConstants = PowerConstants()) -> float:
+                      power: PowerConstants) -> float:
     """Spectral efficiency per watt of total consumed power."""
     total = power.p_rest + ris_power(num_drivers, power)
     if total <= 0.0:

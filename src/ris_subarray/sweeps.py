@@ -8,7 +8,6 @@ output is byte-identical for a fixed (config, seed) at any worker count.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -16,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import Angles, SystemConfig, validate_config
-from .metrics import (PowerConstants, energy_efficiency, max_se_upper_bound,
-                      monte_carlo_se, ris_power)
+from .metrics import energy_efficiency, max_se_upper_bound, monte_carlo_se
 from .phases import PhaseAssignment, los_cascade_gain, optimal_phases, subarray_couplings
 
 CSV_FIELDS = ("scheme", "var_name", "var_value", "se_mc", "se_mc_stderr",
@@ -97,7 +95,7 @@ def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
 
 
 def _regional_point(task) -> SweepResult:
-    cfg_base, scheme, var_name, var_value, lx, nx, ny, angle_tuples, power = task
+    cfg_base, scheme, var_name, var_value, lx, nx, ny, angle_tuples = task
     cfg = validate_config(replace(cfg_base, Nx=nx, Ny=ny, Lx=lx, Ly=lx))
     drivers = cfg.Q
     se_acc = np.empty(len(angle_tuples))
@@ -105,7 +103,7 @@ def _regional_point(task) -> SweepResult:
     for i, tup in enumerate(angle_tuples):
         cfg_i = replace(cfg, angles=Angles(*map(float, tup)))
         se_acc[i] = max_se_upper_bound(cfg_i)
-        ee_acc[i] = energy_efficiency(se_acc[i], drivers, power)
+        ee_acc[i] = energy_efficiency(se_acc[i], drivers, cfg.power)
     return SweepResult(scheme=scheme, var_name=var_name, var_value=var_value,
                        se_mc=None, se_mc_stderr=None,
                        se_ub=float(np.mean(se_acc)), ee=float(np.mean(ee_acc)))
@@ -120,9 +118,7 @@ def default_l0_grid(cfg: SystemConfig) -> tuple[int, ...]:
 
 def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
                          num_angle_draws: int = 100, seed: int = 0,
-                         workers: int = 1,
-                         power: PowerConstants = PowerConstants()
-                         ) -> list[SweepResult]:
+                         workers: int = 1) -> list[SweepResult]:
     """Regional (angle-averaged) SE bound and EE versus the subarray count.
 
     The surface size is fixed by cfg_base; each L0 in the grid gives
@@ -138,15 +134,13 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
         q = (cfg_base.Nx // l0) * (cfg_base.Ny // l0)
         scheme = "element" if l0 == 1 else "subarray"
         tasks.append((cfg_base, scheme, "Q", float(q), l0, cfg_base.Nx,
-                      cfg_base.Ny, angle_tuples, power))
+                      cfg_base.Ny, angle_tuples))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers))
 
 
 def sweep_ris_size(cfg_base: SystemConfig, n_grid=DEFAULT_N_GRID,
                    l0_set=(2, 4), num_angle_draws: int = 100, seed: int = 0,
-                   workers: int = 1,
-                   power: PowerConstants = PowerConstants()
-                   ) -> list[SweepResult]:
+                   workers: int = 1) -> list[SweepResult]:
     """Regional SE bound and EE versus surface size for several schemes.
 
     Each N in the grid must be a perfect square (the surface stays square).
@@ -160,11 +154,11 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=DEFAULT_N_GRID,
         if nx * nx != int(n):
             raise ValueError(f"surface size N={n} is not a perfect square")
         tasks.append((cfg_base, "element", "N", float(n), 1, nx, nx,
-                      angle_tuples, power))
+                      angle_tuples))
         for l0 in l0_set:
             if nx % int(l0) == 0:
                 tasks.append((cfg_base, f"subarray_L{int(l0)}", "N", float(n),
-                              int(l0), nx, nx, angle_tuples, power))
+                              int(l0), nx, nx, angle_tuples))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers))
 
 
@@ -211,12 +205,6 @@ def write_csv(rows: list[SweepResult], fh) -> None:
         writer.writerow([r.scheme, r.var_name, _fmt(r.var_value),
                          _fmt(r.se_mc), _fmt(r.se_mc_stderr), _fmt(r.se_ub),
                          _fmt(r.ee)])
-
-
-def rows_to_csv(rows: list[SweepResult]) -> str:
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    return buf.getvalue()
 
 
 def _fmt(value) -> str:

@@ -1,6 +1,7 @@
 """Shared fixtures-by-hand for the test suite.
 
-The per-element channel sampler at the end is the independent oracle for the
+subarray_origin() is the 1-based oracle for the subarray grid offsets. The
+per-element channel sampler at the end is the independent oracle for the
 sufficient-statistic Monte Carlo sampler in ris_subarray.metrics.
 
 reference_config() is the evaluation setup used throughout: 64 transmit
@@ -9,13 +10,15 @@ fixed angle tuple whose phase slopes are p1 = -pi*sqrt(3)/2 and
 p2 = -pi*(sqrt(3)+1)/8.
 """
 
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ris_subarray import (Angles, SystemConfig, los_bs_to_ris, los_ris_to_user,
-                          rician_mixing_weights, validate_config)
+from ris_subarray import (Angles, SystemConfig, max_se_upper_bound,
+                          validate_config, write_csv)
+from ris_subarray.channel import los_bs_to_ris, los_ris_to_user
 from ris_subarray.phases import _checked_phases
 
 REF_ANGLES = Angles(
@@ -42,6 +45,25 @@ def small_config(**overrides) -> SystemConfig:
     return validate_config(SystemConfig(**base))
 
 
+def small_raw(**extra) -> dict:
+    """small_config() as the parsed JSON of a config file, plus extra keys."""
+    raw = {"M": 4, "Nx": 4, "Ny": 4, "Lx": 2, "Ly": 2,
+           "angles": {"theta_d1": REF_ANGLES.theta_d1,
+                      "theta_a1": REF_ANGLES.theta_a1,
+                      "phi_a1": REF_ANGLES.phi_a1,
+                      "theta_d2": REF_ANGLES.theta_d2,
+                      "phi_d2": REF_ANGLES.phi_d2},
+           "K1": 10.0, "K2": 10.0, "P": 10.0}
+    raw.update(extra)
+    return raw
+
+
+def element_bound(cfg: SystemConfig) -> float:
+    """Maximized SE bound of per-element control of the same surface: the
+    subarray bound on the Lx = Ly = 1 copy of cfg."""
+    return max_se_upper_bound(validate_config(replace(cfg, Lx=1, Ly=1)))
+
+
 def random_angles(rng: np.random.Generator) -> Angles:
     return Angles(*rng.uniform(0.0, 2.0 * np.pi, size=5))
 
@@ -62,6 +84,24 @@ def random_config(rng: np.random.Generator, max_m: int = 16,
         K2=float(rng.uniform(0.0, k_max)),
         P=float(rng.uniform(0.1, 20.0)),
     ))
+
+
+def subarray_origin(cfg: SystemConfig, q: int) -> tuple[int, int]:
+    """1-based grid coordinates of the first element of subarray q.
+
+    Subarrays are numbered q = 1..Q row-major: q = (qx-1)*Qy + qy.
+    """
+    if not 1 <= q <= cfg.Q:
+        raise IndexError(f"subarray index q={q} outside 1..{cfg.Q}")
+    qx, qy = divmod(q - 1, cfg.Qy)
+    return qx * cfg.Lx + 1, qy * cfg.Ly + 1
+
+
+def rows_to_csv(rows) -> str:
+    """The CSV text write_csv produces for rows."""
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    return buf.getvalue()
 
 
 def dense_phase_matrix(cfg, assignment) -> np.ndarray:
@@ -89,6 +129,13 @@ class ChannelRealization:
     g: np.ndarray    # (M,)  transmitter -> user
 
 
+def _rician_amplitudes(K: float) -> tuple[float, float]:
+    """(LoS, scatter) amplitude weights of a hop; inf is pure LoS."""
+    if math.isinf(K):
+        return 1.0, 0.0
+    return math.sqrt(K / (K + 1.0)), math.sqrt(1.0 / (K + 1.0))
+
+
 def sample_channels(cfg: SystemConfig, rng: np.random.Generator
                     ) -> ChannelRealization:
     """Draw one Rician realization of (H1, h2, g), entry by entry.
@@ -96,8 +143,8 @@ def sample_channels(cfg: SystemConfig, rng: np.random.Generator
     The draw order is fixed (H1 scatter, then h2 scatter, then g) so a stream
     determines the realization bit-for-bit.
     """
-    w1_los, w1_sc = rician_mixing_weights(cfg.K1)
-    w2_los, w2_sc = rician_mixing_weights(cfg.K2)
+    w1_los, w1_sc = _rician_amplitudes(cfg.K1)
+    w2_los, w2_sc = _rician_amplitudes(cfg.K2)
     H1 = w1_los * los_bs_to_ris(cfg) + w1_sc * complex_normal(rng, (cfg.N, cfg.M))
     h2 = w2_los * los_ris_to_user(cfg) + w2_sc * complex_normal(rng, (cfg.N,))
     g = complex_normal(rng, (cfg.M,))

@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 from ris_subarray import (PowerConstants, coherence_factor,
-                          exhaustive_phase_search, grid_resolution_slack,
-                          los_cascade_gain, max_se_upper_bound,
-                          max_se_upper_bound_element, monte_carlo_se,
-                          optimal_phases, ris_power, rows_to_csv,
-                          se_upper_bound, sweep_rician_factor,
+                          exhaustive_phase_search, los_cascade_gain,
+                          max_se_upper_bound, monte_carlo_se, optimal_phases,
+                          ris_power, se_upper_bound, sweep_rician_factor,
                           sweep_ris_size, sweep_subarray_count,
                           validate_config)
+from ris_subarray.sweeps import grid_resolution_slack
 
-from helpers import random_config, reference_config, small_config
+from helpers import (element_bound, random_config, reference_config,
+                     rows_to_csv, small_config)
 
 MC_SEEDS = (1, 2, 3)
 MC_SAMPLES = 10_000_000
@@ -60,7 +60,7 @@ def test_criterion_01_coherence_reference():
 
 def test_criterion_02_bound_gap_and_mc_tracking(mc_runs):
     cfg = reference_config(K1=100.0, K2=100.0)
-    gap = max_se_upper_bound_element(cfg) - max_se_upper_bound(cfg)
+    gap = element_bound(cfg) - max_se_upper_bound(cfg)
     assert abs(gap - 2.40) <= 0.1
     for (scheme, k, seed), (mc, stderr, ub) in mc_runs.items():
         where = f"{scheme} K={k} seed={seed}"
@@ -106,7 +106,7 @@ def test_criterion_06_special_cases():
     k0 = reference_config(K1=0.0, K2=0.0)
     expected = math.log2(1.0 + (k0.P / k0.sigma_w2) * k0.M * (k0.N + 1))
     assert abs(max_se_upper_bound(k0) - expected) <= 1e-12
-    assert abs(max_se_upper_bound_element(k0) - expected) <= 1e-12
+    assert abs(element_bound(k0) - expected) <= 1e-12
 
     # specular geometry: coherent subarrays, no grouping loss
     ang = reference_config().angles
@@ -114,7 +114,7 @@ def test_criterion_06_special_cases():
                                                phi_d2=ang.phi_a1))
     assert coherence_factor(specular) == 1.0
     assert abs(max_se_upper_bound(specular)
-               - max_se_upper_bound_element(specular)) <= 1e-12
+               - element_bound(specular)) <= 1e-12
 
     # destructive slope (Lx*p1 a multiple of pi): LoS cascade wiped out
     null = reference_config(angles=replace(ang, theta_d2=math.pi / 2,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ris_subarray import (Angles, arrival_phase_offsets,
-                          departure_phase_offsets, ula_steering, upa_steering)
+from ris_subarray import Angles
+from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
+                                 ula_steering, upa_steering)
 
 from helpers import random_angles, reference_config
 

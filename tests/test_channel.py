@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ris_subarray import (arrival_phase_offsets, departure_phase_offsets,
-                          los_bs_to_ris, los_ris_to_user, rician_mixing_weights,
-                          ula_steering, upa_steering)
+from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
+                                 ula_steering, upa_steering)
+from ris_subarray.channel import los_bs_to_ris, los_ris_to_user, rician_split
 
 from helpers import (random_config, reference_config, sample_channels,
                      sample_stream, small_config)
@@ -57,11 +57,12 @@ def test_los_bs_to_ris_rank_one():
 
 
 def test_mixing_weights():
-    assert rician_mixing_weights(0.0) == (0.0, 1.0)
-    assert rician_mixing_weights(math.inf) == (1.0, 0.0)
-    w_los, w_sc = rician_mixing_weights(1.0)
-    assert w_los == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert w_sc == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert rician_split(0.0) == (0.0, 1.0)
+    assert rician_split(math.inf) == (1.0, 0.0)
+    assert rician_split(1.0) == (0.5, 0.5)
+    los, sc = rician_split(3.0)
+    assert los == pytest.approx(0.75, rel=1e-15)
+    assert sc == pytest.approx(0.25, rel=1e-15)
 
 
 def test_pure_los_sampling_is_exact():

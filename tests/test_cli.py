@@ -2,10 +2,13 @@ import json
 import math
 from pathlib import Path
 
-from ris_subarray import coherence_factor, phase_slopes
-from ris_subarray.cli import main
+import pytest
 
-from helpers import REF_ANGLES, small_config
+from ris_subarray import coherence_factor
+from ris_subarray.cli import main
+from ris_subarray.phases import phase_slopes
+
+from helpers import small_config, small_raw
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 DEFAULT = str(CONFIG_DIR / "default.json")
@@ -14,20 +17,8 @@ HEADER = "scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee"
 
 
 def write_small(tmp_path, **extra) -> str:
-    raw = {
-        "M": 4, "Nx": 4, "Ny": 4, "Lx": 2, "Ly": 2,
-        "angles": {
-            "theta_d1": REF_ANGLES.theta_d1,
-            "theta_a1": REF_ANGLES.theta_a1,
-            "phi_a1": REF_ANGLES.phi_a1,
-            "theta_d2": REF_ANGLES.theta_d2,
-            "phi_d2": REF_ANGLES.phi_d2,
-        },
-        "K1": 10.0, "K2": 10.0, "P": 10.0,
-    }
-    raw.update(extra)
     path = tmp_path / "small.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(small_raw(**extra)))
     return str(path)
 
 
@@ -140,3 +131,23 @@ def test_oracle_agrees(capsys):
     out = capsys.readouterr().out
     assert "closed form is optimal on this grid" in out
     assert "closed_form_gain" in out and "grid_search_gain" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", "--samples", "0"],
+    ["sweep-q", "--draws", "0"],
+    ["sweep-n", "--draws", "-1"],
+    ["sweep-k", "--workers", "-5"],
+    ["oracle", "--levels", "0"],
+    ["sweep-k", "--k-grid", ","],
+    ["sweep-q", "--l0-grid", "0"],
+    ["sweep-q", "--l0-grid", ""],
+    ["sweep-n", "--n-grid", "16,0"],
+    ["sweep-n", "--l0-set", ","],
+], ids=" ".join)
+def test_bad_run_argument_rejected_at_parse_time(tmp_path, capsys, argv):
+    command, flag, value = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", write_small(tmp_path), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err

@@ -1,17 +1,20 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ris_subarray import (Angles, ConfigError, SystemConfig, config_from_dict,
-                          element_index, load_config, subarray_grid_offsets,
-                          subarray_origin, validate_config, with_subarray_size)
+from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
+                          config_from_dict, load_config, validate_config)
+from ris_subarray.config import subarray_grid_offsets
 
-from helpers import REF_ANGLES, reference_config, small_config
+from helpers import (REF_ANGLES, reference_config, small_config, small_raw,
+                     subarray_origin)
 
-SEED = 20260815
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_derived_sizes():
@@ -39,34 +42,6 @@ def test_subarray_origin_out_of_range():
         subarray_origin(cfg, 0)
     with pytest.raises(IndexError):
         subarray_origin(cfg, cfg.Q + 1)
-
-
-def test_element_index_example():
-    cfg = small_config()
-    assert element_index(cfg, q=1, lx=2, ly=1) == 3
-
-
-def test_element_index_bijection():
-    rng = np.random.default_rng(SEED)
-    for _ in range(20):
-        lx, ly = rng.integers(1, 4, size=2)
-        qx, qy = rng.integers(1, 4, size=2)
-        cfg = validate_config(SystemConfig(
-            M=2, Nx=int(lx * qx), Ny=int(ly * qy), Lx=int(lx), Ly=int(ly),
-            angles=REF_ANGLES))
-        seen = {element_index(cfg, q, i, j)
-                for q in range(1, cfg.Q + 1)
-                for i in range(1, cfg.Lx + 1)
-                for j in range(1, cfg.Ly + 1)}
-        assert seen == set(range(1, cfg.N + 1))
-
-
-def test_element_index_range_checks():
-    cfg = small_config()
-    for bad in (dict(q=5, lx=1, ly=1), dict(q=1, lx=3, ly=1),
-                dict(q=1, lx=1, ly=0)):
-        with pytest.raises(IndexError):
-            element_index(cfg, **bad)
 
 
 def test_grid_offsets_match_origins():
@@ -118,6 +93,7 @@ def test_config_from_dict_roundtrip(tmp_path):
     assert (cfg.M, cfg.N, cfg.Q) == (8, 32, 8)
     assert cfg.angles.phi_d2 == 0.5
     assert cfg.d1_over_lambda == 0.5  # default applied
+    assert cfg.power == PowerConstants(p_rest=10.0)
 
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
@@ -136,8 +112,59 @@ def test_load_config_rejects_non_object(tmp_path):
         load_config(path)
 
 
-def test_with_subarray_size():
-    cfg = with_subarray_size(reference_config(), 4)
-    assert (cfg.Lx, cfg.Ly, cfg.Q) == (4, 4, 64)
-    with pytest.raises(ConfigError):
-        with_subarray_size(reference_config(), 3)
+@pytest.mark.parametrize("raw,field", [
+    (small_raw(M=2.7), "^M must"),
+    (small_raw(M=True), "^M must"),
+    (small_raw(K1="5"), "^K1 must"),
+    (small_raw(k1=5.0), "'k1'"),
+    (small_raw(power={"p_drivr": 0.43}), "'power.p_drivr'"),
+    (small_raw(power={"p_rest": math.nan}), "^power.p_rest must"),
+    (small_raw(power={"p_driver": math.inf}), "^power.p_driver must"),
+    (small_raw(angles={**small_raw()["angles"], "theta_d3": 0.0}),
+     "'angles.theta_d3'"),
+], ids=["M-float", "M-bool", "K1-string", "unknown-top", "unknown-power",
+        "power-nan", "power-inf", "unknown-angle"])
+def test_malformed_input_rejected_naming_field(tmp_path, raw, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))   # NaN and Infinity as Python's json writes them
+    with pytest.raises(ConfigError, match=field):
+        load_config(path)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_configs_load(path):
+    assert isinstance(load_config(path), SystemConfig)
+
+
+def test_power_section_is_part_of_the_config():
+    cfg = load_config(CONFIG_DIR / "default.json")
+    assert cfg.power == PowerConstants(p_rest=20.0, p_dynamic=0.0,
+                                       p_control=4.8, p_driver=0.43)
+    assert small_config().power == PowerConstants()
+
+
+_reals = st.floats(min_value=1e-3, max_value=1e3)
+_angles = st.builds(Angles, *[st.floats(-10.0, 10.0)] * 5)
+_power = st.builds(PowerConstants,
+                   *[st.floats(min_value=0.0, max_value=1e3)] * 4)
+
+
+@st.composite
+def _configs(draw):
+    lx, ly = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return SystemConfig(
+        M=draw(st.integers(1, 64)),
+        Nx=lx * draw(st.integers(1, 4)), Ny=ly * draw(st.integers(1, 4)),
+        Lx=lx, Ly=ly, angles=draw(_angles),
+        d1_over_lambda=draw(_reals), d2_over_lambda=draw(_reals),
+        K1=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
+        K2=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
+        P=draw(_reals), sigma_w2=draw(_reals), power=draw(_power))
+
+
+@given(_configs())
+def test_json_roundtrip_property(tmp_path_factory, cfg):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.json"
+    path.write_text(json.dumps(asdict(validate_config(cfg))))
+    assert load_config(path) == cfg

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ris_subarray import (Angles, PhaseAssignment, PowerConstants,
-                          coherence_factor, energy_efficiency,
-                          max_se_upper_bound, max_se_upper_bound_element,
-                          monte_carlo_se, optimal_phases, rician_weights,
-                          ris_power, se_bound_gap, se_upper_bound)
-from ris_subarray.metrics import MC_CHUNK, _rate_chunks
+from ris_subarray import (Angles, ConfigError, PhaseAssignment, PowerConstants,
+                          coherence_factor, config_from_dict,
+                          energy_efficiency, max_se_upper_bound,
+                          monte_carlo_se, optimal_phases, ris_power,
+                          se_upper_bound)
+from ris_subarray.metrics import MC_CHUNK, _gammas, _rate_chunks
 
-from helpers import oracle_rates, random_config, reference_config, small_config
+from helpers import (element_bound, oracle_rates, random_config,
+                     reference_config, small_config, small_raw)
 
 SEED = 1453
 
@@ -56,13 +57,15 @@ def _var_of_sample_var(x: np.ndarray) -> float:
     return (np.mean(dev ** 4) - np.mean(dev ** 2) ** 2) / x.size
 
 
+def _gammas_at(k1: float, k2: float) -> tuple[float, float]:
+    return _gammas(replace(small_config(), K1=k1, K2=k2))
+
+
 def test_rician_weights_values():
-    w = rician_weights(1.0, 1.0)
-    assert (w.gamma1, w.gamma2) == (0.25, 0.75)
-    w = rician_weights(math.inf, math.inf)
-    assert (w.gamma1, w.gamma2) == (1.0, 0.0)
-    assert rician_weights(0.0, 17.0).gamma1 == 0.0
-    assert rician_weights(math.inf, 3.0).gamma1 == pytest.approx(0.75, rel=1e-15)
+    assert _gammas_at(1.0, 1.0) == (0.25, 0.75)
+    assert _gammas_at(math.inf, math.inf) == (1.0, 0.0)
+    assert _gammas_at(0.0, 17.0)[0] == 0.0
+    assert _gammas_at(math.inf, 3.0)[0] == pytest.approx(0.75, rel=1e-15)
 
 
 def test_rician_weights_sum_exactly_one():
@@ -70,8 +73,8 @@ def test_rician_weights_sum_exactly_one():
     draws = rng.uniform(0.0, 100.0, size=(10_000, 2)).tolist()
     draws += [(0.0, 0.0), (math.inf, math.inf), (math.inf, 2.0), (0.0, math.inf)]
     for k1, k2 in draws:
-        w = rician_weights(k1, k2)
-        assert w.gamma1 + w.gamma2 == 1.0
+        gamma1, gamma2 = _gammas_at(k1, k2)
+        assert gamma1 + gamma2 == 1.0
 
 
 def test_se_upper_bound_pure_scatter_value():
@@ -82,23 +85,30 @@ def test_se_upper_bound_pure_scatter_value():
     for pa in (optimal_phases(cfg), PhaseAssignment(np.zeros(cfg.Q))):
         assert se_upper_bound(cfg, pa) == pytest.approx(expected, rel=1e-15)
     assert se_upper_bound(cfg, optimal_phases(cfg)) == pytest.approx(19.323, abs=5e-4)
-    assert max_se_upper_bound(cfg) == max_se_upper_bound_element(cfg)
+    assert max_se_upper_bound(cfg) == element_bound(cfg)
 
 
 def test_element_bound_pure_los_value():
-    cfg = small_config(M=64, Nx=2, Ny=2, Lx=1, Ly=1, K1=math.inf, K2=math.inf,
+    cfg = small_config(M=64, Nx=2, Ny=2, Lx=2, Ly=2, K1=math.inf, K2=math.inf,
                        P=10.0)
-    assert max_se_upper_bound_element(cfg) == pytest.approx(math.log2(10881),
-                                                            rel=1e-15)
+    assert element_bound(cfg) == pytest.approx(math.log2(10881), rel=1e-15)
+
+
+def _element_formula(cfg) -> float:
+    gamma1 = (cfg.K1 / (cfg.K1 + 1.0)) * (cfg.K2 / (cfg.K2 + 1.0))
+    return math.log2(1.0 + cfg.P / cfg.sigma_w2 * cfg.M
+                     * (gamma1 * cfg.N ** 2 + (1.0 - gamma1) * cfg.N + 1.0))
 
 
 def test_element_bound_equals_degenerate_subarray_path():
+    # On the Lx = Ly = 1 copy the coherence factor is exactly 1, so the
+    # subarray bound is the per-element closed form.
     rng = np.random.default_rng(SEED + 1)
     for _ in range(50):
         cfg = random_config(rng)
-        degenerate = replace(cfg, Lx=1, Ly=1)
-        assert max_se_upper_bound_element(cfg) == pytest.approx(
-            max_se_upper_bound(degenerate), rel=1e-14)
+        assert coherence_factor(replace(cfg, Lx=1, Ly=1)) == 1.0
+        assert element_bound(cfg) == pytest.approx(_element_formula(cfg),
+                                                   rel=1e-14)
 
 
 def test_specular_bounds_coincide():
@@ -107,15 +117,15 @@ def test_specular_bounds_coincide():
         theta_d1=ang.theta_d1, theta_a1=ang.theta_a1, phi_a1=ang.phi_a1,
         theta_d2=ang.theta_a1, phi_d2=ang.phi_a1))
     assert coherence_factor(cfg) == 1.0
-    assert max_se_upper_bound(cfg) == max_se_upper_bound_element(cfg)
+    assert max_se_upper_bound(cfg) == element_bound(cfg)
 
 
 def test_grating_null_bound():
     cfg = reference_config(angles=Angles(
         theta_d1=math.pi / 2, theta_a1=0.0, phi_a1=7 * math.pi / 6,
         theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3))
-    w = rician_weights(cfg.K1, cfg.K2)
-    expected = math.log2(1 + cfg.P * cfg.M * (w.gamma2 * cfg.N + 1))
+    gamma2 = 1.0 - (cfg.K1 / (cfg.K1 + 1.0)) * (cfg.K2 / (cfg.K2 + 1.0))
+    expected = math.log2(1 + cfg.P * cfg.M * (gamma2 * cfg.N + 1))
     assert max_se_upper_bound(cfg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -132,20 +142,30 @@ def test_bounds_monotone_in_power_antennas_and_size():
     assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
 
+def _se_gap(cfg) -> float:
+    """SE that per-element control buys over the subarray design."""
+    return element_bound(cfg) - max_se_upper_bound(cfg)
+
+
 def test_se_bound_gap_fields():
+    # The exact gap is the log-ratio of the two bounds' arguments; dropping
+    # the +1 inside both logarithms is accurate once the array terms dominate.
     cfg = reference_config(K1=100.0, K2=100.0)
-    gap = se_bound_gap(cfg)
-    assert gap.exact == pytest.approx(
-        max_se_upper_bound_element(cfg) - max_se_upper_bound(cfg), rel=1e-15)
-    assert gap.ratio_approx == pytest.approx(gap.exact, abs=1e-3)
-    assert gap.asymptote == pytest.approx(-math.log2(coherence_factor(cfg)),
-                                          rel=1e-15)
+    gamma1 = (100.0 / 101.0) ** 2
+    eta = coherence_factor(cfg)
+    snr_m = cfg.P / cfg.sigma_w2 * cfg.M
+    num = gamma1 * cfg.N ** 2 + (1.0 - gamma1) * cfg.N + 1.0
+    den = gamma1 * eta * cfg.N ** 2 + (1.0 - gamma1) * cfg.N + 1.0
+    gap = _se_gap(cfg)
+    assert gap == pytest.approx(
+        math.log2((1.0 + snr_m * num) / (1.0 + snr_m * den)), rel=1e-12)
+    assert gap == pytest.approx(math.log2(num / den), abs=1e-3)
 
 
 def test_se_bound_gap_approaches_asymptote():
+    # Strong LoS on a large surface: the gap tends to -log2(eta).
     cfg = reference_config(K1=1e4, K2=1e4)
-    gap = se_bound_gap(cfg)
-    assert abs(gap.exact - gap.asymptote) < 0.01
+    assert abs(_se_gap(cfg) + math.log2(coherence_factor(cfg))) < 0.01
 
 
 def test_se_bound_gap_blows_up_at_null():
@@ -155,9 +175,8 @@ def test_se_bound_gap_blows_up_at_null():
     cfg = reference_config(K1=math.inf, K2=math.inf, angles=Angles(
         theta_d1=math.pi / 2, theta_a1=0.0, phi_a1=7 * math.pi / 6,
         theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3))
-    gap = se_bound_gap(cfg)
-    assert gap.asymptote > 100.0
-    assert math.isfinite(gap.exact)
+    assert -math.log2(coherence_factor(cfg)) > 100.0
+    assert math.isfinite(_se_gap(cfg))
 
 
 def test_monte_carlo_reproducible():
@@ -267,8 +286,9 @@ def test_energy_efficiency_requires_positive_power():
 
 
 def test_power_constants_from_dict():
-    pc = PowerConstants.from_dict({"p_rest": 10.0})
-    assert pc.p_rest == 10.0
+    pc = config_from_dict(small_raw(power={"p_rest": 10.0})).power
+    assert pc == PowerConstants(p_rest=10.0)
     assert pc.p_control == 4.8
-    with pytest.raises(ValueError):
-        PowerConstants.from_dict({"p_driver": -0.1})
+    assert config_from_dict(small_raw()).power == PowerConstants()
+    with pytest.raises(ConfigError, match="power.p_driver"):
+        config_from_dict(small_raw(power={"p_driver": -0.1}))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ris_subarray import (Angles, PhaseAssignment, coherence_factor,
-                          coherence_factor_from_slopes, los_bs_to_ris,
-                          los_cascade_gain, los_ris_to_user, optimal_phases,
-                          phase_slopes, se_upper_bound, max_se_upper_bound,
-                          subarray_couplings)
+                          los_cascade_gain, max_se_upper_bound, optimal_phases,
+                          se_upper_bound)
+from ris_subarray.channel import los_bs_to_ris, los_ris_to_user
+from ris_subarray.phases import (coherence_factor_from_slopes, phase_slopes,
+                                 subarray_couplings)
 
 from helpers import (dense_phase_matrix, effective_cascade, random_config,
                      reference_config, sample_channels, sample_stream,

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ris_subarray import (PowerConstants, default_l0_grid,
-                          draw_angle_tuples, exhaustive_phase_search,
-                          grid_resolution_slack, los_cascade_gain,
-                          max_se_upper_bound, optimal_phases, point_seed,
-                          rows_to_csv, sweep_rician_factor, sweep_ris_size,
+from ris_subarray import (draw_angle_tuples, exhaustive_phase_search,
+                          los_cascade_gain, max_se_upper_bound, optimal_phases,
+                          sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
+from ris_subarray.sweeps import (default_l0_grid, grid_resolution_slack,
+                                 point_seed)
 
-from helpers import random_config, reference_config, small_config
+from helpers import random_config, reference_config, rows_to_csv, small_config
 
 SEED = 60601
 HEADER = "scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee"
