@@ -17,9 +17,9 @@ from .config import SystemConfig, load_config, validate_config
 from .metrics import ris_power
 from .phases import coherence_factor, los_cascade_gain, optimal_phases, phase_slopes
 from .sweeps import (DEFAULT_K_GRID, DEFAULT_N_GRID, SweepResult,
-                     default_l0_grid, exhaustive_phase_search,
-                     grid_resolution_slack, sweep_rician_factor,
-                     sweep_ris_size, sweep_subarray_count, write_csv)
+                     exhaustive_phase_search, grid_resolution_slack,
+                     sweep_rician_factor, sweep_ris_size, sweep_subarray_count,
+                     write_csv)
 
 _OVERRIDES = ("M", "Nx", "Ny", "Lx", "Ly")
 _FLOAT_OVERRIDES = ("K1", "K2", "P", "sigma_w2", "d1_over_lambda",
@@ -32,6 +32,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def uint64(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
     return value
 
 
@@ -49,7 +56,8 @@ _size_list = _list_of(positive_int)
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="JSON config file")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
+    sub.add_argument("--seed", type=uint64, default=0,
+                     help="master seed, a 64-bit unsigned integer")
     sub.add_argument("--samples", type=positive_int, default=10_000,
                      help="Monte Carlo samples per point")
     sub.add_argument("--out", default=None, help="CSV output path")
@@ -160,25 +168,17 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         print(f"-log2(eta) = {loss:.12g}")
         return 0
 
-    if args.command == "sweep-k":
-        rows = sweep_rician_factor(cfg, k_grid=args.k_grid,
-                                   samples=args.samples, seed=args.seed,
-                                   workers=args.workers)
-        _emit(rows, args.out)
-        return 0
-
-    if args.command == "sweep-q":
-        grid = args.l0_grid if args.l0_grid is not None else default_l0_grid(cfg)
-        rows = sweep_subarray_count(cfg, l0_grid=grid,
-                                    num_angle_draws=args.draws,
-                                    seed=args.seed, workers=args.workers)
-        _emit(rows, args.out)
-        return 0
-
-    if args.command == "sweep-n":
-        rows = sweep_ris_size(cfg, n_grid=args.n_grid, l0_set=args.l0_set,
-                              num_angle_draws=args.draws, seed=args.seed,
-                              workers=args.workers)
+    if args.command.startswith("sweep-"):
+        run = {"seed": args.seed, "workers": args.workers}
+        if args.command == "sweep-k":
+            rows = sweep_rician_factor(cfg, k_grid=args.k_grid,
+                                       samples=args.samples, **run)
+        elif args.command == "sweep-q":
+            rows = sweep_subarray_count(cfg, l0_grid=args.l0_grid,
+                                        num_angle_draws=args.draws, **run)
+        else:
+            rows = sweep_ris_size(cfg, n_grid=args.n_grid, l0_set=args.l0_set,
+                                  num_angle_draws=args.draws, **run)
         _emit(rows, args.out)
         return 0
 

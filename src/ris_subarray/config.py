@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class Angles:
     phi_a1: float
     theta_d2: float
     phi_d2: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.theta_d1, self.theta_a1, self.phi_a1,
-                self.theta_d2, self.phi_d2)
 
 
 @dataclass(frozen=True)
@@ -132,19 +128,14 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(f"Lx={cfg.Lx} does not divide Nx={cfg.Nx}")
     if cfg.Ny % cfg.Ly != 0:
         raise ConfigError(f"Ly={cfg.Ly} does not divide Ny={cfg.Ny}")
-    _require_positive("d1_over_lambda", cfg.d1_over_lambda)
-    _require_positive("d2_over_lambda", cfg.d2_over_lambda)
-    _require_rician("K1", cfg.K1)
-    _require_rician("K2", cfg.K2)
-    _require_positive("P", cfg.P)
-    _require_positive("sigma_w2", cfg.sigma_w2)
-    for name, value in zip(
-            ("theta_d1", "theta_a1", "phi_a1", "theta_d2", "phi_d2"),
-            cfg.angles.as_tuple()):
+    for name in ("d1_over_lambda", "d2_over_lambda", "P", "sigma_w2"):
+        _require_positive(name, getattr(cfg, name))
+    for name in ("K1", "K2"):
+        _require_rician(name, getattr(cfg, name))
+    for f, value in zip(fields(Angles), astuple(cfg.angles)):
         if not (_is_real(value) and math.isfinite(value)):
-            raise ConfigError(f"angles.{name} must be finite, got {value!r}")
-    for f in fields(PowerConstants):
-        value = getattr(cfg.power, f.name)
+            raise ConfigError(f"angles.{f.name} must be finite, got {value!r}")
+    for f, value in zip(fields(PowerConstants), astuple(cfg.power)):
         if not (_is_real(value) and math.isfinite(value) and value >= 0):
             raise ConfigError(
                 f"power.{f.name} must be a finite number >= 0, got {value!r}")
@@ -185,8 +176,17 @@ def config_from_dict(raw: dict) -> SystemConfig:
     return validate_config(_build(SystemConfig, raw))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key is an error, not the last one wins."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"duplicate config field '{key}'")
+    return dict(pairs)
+
+
 def load_config(path) -> SystemConfig:
     """Read a JSON config file. Every key must be a field of SystemConfig,
-    Angles (under "angles") or PowerConstants (under "power")."""
+    Angles (under "angles") or PowerConstants (under "power"), given once."""
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        return config_from_dict(json.load(fh, object_pairs_hook=_unique_keys))

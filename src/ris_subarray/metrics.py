@@ -41,17 +41,21 @@ def se_upper_bound(cfg: SystemConfig, assignment: PhaseAssignment) -> float:
                                   + gamma2 * cfg.M * cfg.N + cfg.M))
 
 
-def max_se_upper_bound(cfg: SystemConfig) -> float:
+def max_se_upper_bound(cfg: SystemConfig, angles=None):
     """Upper bound under the optimal phases, via the coherence factor.
 
     Per-element control is the same formula on the Lx = Ly = 1 copy of cfg,
-    where the coherence factor is exactly 1.
+    where the coherence factor is exactly 1. One bound per row of angles, as
+    in phase_slopes.
     """
     gamma1, gamma2 = _gammas(cfg)
     snr = cfg.P / cfg.sigma_w2
-    eta = coherence_factor(cfg)
-    return math.log2(1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2
-                                          + gamma2 * cfg.N + 1.0))
+    eta = coherence_factor(cfg, angles)
+    arg = 1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2 + gamma2 * cfg.N + 1.0)
+    if angles is None:
+        return math.log2(arg)
+    # np.log2 differs from math.log2 in the last bit on a few values in 1e5.
+    return np.fromiter(map(math.log2, arg), float, len(arg))
 
 
 def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
@@ -131,9 +135,9 @@ def ris_power(num_drivers: int, power: PowerConstants) -> float:
     return power.p_dynamic + power.p_control + num_drivers * power.p_driver
 
 
-def energy_efficiency(se: float, num_drivers: int,
-                      power: PowerConstants) -> float:
-    """Spectral efficiency per watt of total consumed power."""
+def energy_efficiency(se, num_drivers: int, power: PowerConstants):
+    """Spectral efficiency per watt of total consumed power, elementwise
+    over an array of SE values."""
     total = power.p_rest + ris_power(num_drivers, power)
     if total <= 0.0:
         raise ValueError("total power must be positive")

@@ -9,7 +9,7 @@ LoS array gain retained relative to per-element control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,15 +31,17 @@ class PhaseAssignment:
         self.phases = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
 
 
-def phase_slopes(cfg: SystemConfig) -> tuple[float, float]:
+def phase_slopes(cfg: SystemConfig, angles=None):
     """Per-axis, per-element phase progression mismatch between the departure
-    and arrival paths across the surface. Both lie in [-pi, pi] for spacings
-    up to half a wavelength."""
-    a = cfg.angles
+    and arrival paths across the surface, in [-pi, pi] for spacings up to
+    half a wavelength. One pair per row of angles, an (n, 5) array of angle
+    tuples in Angles field order; by default that of the config's tuple."""
+    _, theta_a1, phi_a1, theta_d2, phi_d2 = np.asarray(
+        astuple(cfg.angles) if angles is None else angles, dtype=float).T
     d = cfg.d2_over_lambda
-    p1 = math.pi * d * (math.sin(a.theta_d2) - math.sin(a.theta_a1))
-    p2 = math.pi * d * (math.sin(a.phi_d2) * math.cos(a.theta_d2)
-                        - math.sin(a.phi_a1) * math.cos(a.theta_a1))
+    p1 = math.pi * d * (np.sin(theta_d2) - np.sin(theta_a1))
+    p2 = math.pi * d * (np.sin(phi_d2) * np.cos(theta_d2)
+                        - np.sin(phi_a1) * np.cos(theta_a1))
     return p1, p2
 
 
@@ -56,29 +58,34 @@ def optimal_phases(cfg: SystemConfig) -> PhaseAssignment:
     return PhaseAssignment(raw)
 
 
-def _normalized_kernel(L: int, p: float) -> float:
-    """sin(L*p) / (L*sin(p)) with its removable singularities filled in.
+def _normalized_kernel(L: int, p):
+    """sin(L*p) / (L*sin(p)) elementwise, with its removable singularities
+    filled in and clamped to [-1, 1].
 
     At p = k*pi both sines vanish at matching order and the ratio tends to
-    +-1; the factor is squared downstream, so 1.0 is returned.
+    +-1; the factor is squared downstream, so 1.0 is filled in. Just past
+    the fill threshold rounding can leave the ratio beyond +-1.
     """
-    if abs(math.sin(p)) < _SING_TOL:
-        return 1.0
-    return math.sin(L * p) / (L * math.sin(p))
+    s = np.sin(p)
+    singular = np.abs(s) < _SING_TOL
+    ratio = np.sin(L * p) / np.where(singular, 1.0, L * s)
+    return np.where(singular, 1.0, np.clip(ratio, -1.0, 1.0))
 
 
-def coherence_factor_from_slopes(Lx: int, p1: float, Ly: int, p2: float) -> float:
+def coherence_factor_from_slopes(Lx: int, p1, Ly: int, p2):
     """Squared product of the per-axis normalized kernels, in [0, 1]."""
-    fx = min(1.0, max(-1.0, _normalized_kernel(Lx, p1)))
-    fy = min(1.0, max(-1.0, _normalized_kernel(Ly, p2)))
-    return (fx * fy) ** 2
+    # float_power is libm pow: x * x differs from pow(x, 2) in the last bit
+    # on about 0.1% of values, and the regional CSVs are pinned to pow's.
+    return np.float_power(_normalized_kernel(Lx, p1)
+                          * _normalized_kernel(Ly, p2), 2)
 
 
-def coherence_factor(cfg: SystemConfig) -> float:
+def coherence_factor(cfg: SystemConfig, angles=None):
     """Fraction of the coherent LoS array gain a subarray of shared-phase
     elements retains. Equals 1 for per-element control (Lx = Ly = 1) and for
-    specular geometry; equals 0 when a subarray straddles a full grating null."""
-    p1, p2 = phase_slopes(cfg)
+    specular geometry; equals 0 when a subarray straddles a full grating null.
+    One value per row of angles, as in phase_slopes."""
+    p1, p2 = phase_slopes(cfg, angles)
     return coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
 
 

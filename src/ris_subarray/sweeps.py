@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import Angles, SystemConfig, validate_config
+from .config import SystemConfig, validate_config
 from .metrics import energy_efficiency, max_se_upper_bound, monte_carlo_se
 from .phases import PhaseAssignment, los_cascade_gain, optimal_phases, subarray_couplings
 
@@ -50,6 +49,8 @@ def point_seed(master_seed: int, index: int) -> int:
 def _run_tasks(fn, tasks, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    # Imported here so that only --workers >= 2 pays for multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks))
 
@@ -90,30 +91,25 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=DEFAULT_K_GRID,
 
 def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
     """count-by-5 i.i.d. uniform [0, 2*pi) angle tuples from a fixed stream."""
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
+    # A list key would go through float64 for seeds >= 2**63.
+    key = np.array([int(seed), 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     return rng.uniform(0.0, 2.0 * np.pi, size=(count, 5))
 
 
 def _regional_point(task) -> SweepResult:
-    cfg_base, scheme, var_name, var_value, lx, nx, ny, angle_tuples = task
-    cfg = validate_config(replace(cfg_base, Nx=nx, Ny=ny, Lx=lx, Ly=lx))
-    drivers = cfg.Q
-    se_acc = np.empty(len(angle_tuples))
-    ee_acc = np.empty(len(angle_tuples))
-    for i, tup in enumerate(angle_tuples):
-        cfg_i = replace(cfg, angles=Angles(*map(float, tup)))
-        se_acc[i] = max_se_upper_bound(cfg_i)
-        ee_acc[i] = energy_efficiency(se_acc[i], drivers, cfg.power)
+    cfg, scheme, var_name, var_value, angle_tuples = task
+    se = max_se_upper_bound(cfg, angle_tuples)
+    ee = energy_efficiency(se, cfg.Q, cfg.power)
     return SweepResult(scheme=scheme, var_name=var_name, var_value=var_value,
                        se_mc=None, se_mc_stderr=None,
-                       se_ub=float(np.mean(se_acc)), ee=float(np.mean(ee_acc)))
+                       se_ub=float(np.mean(se)), ee=float(np.mean(ee)))
 
 
 def default_l0_grid(cfg: SystemConfig) -> tuple[int, ...]:
     """Every square subarray side dividing both surface sides."""
-    side = min(cfg.Nx, cfg.Ny)
-    return tuple(l0 for l0 in range(1, side + 1)
-                 if cfg.Nx % l0 == 0 and cfg.Ny % l0 == 0)
+    return tuple(l0 for l0 in range(1, min(cfg.Nx, cfg.Ny) + 1)
+                 if cfg.Nx % l0 == cfg.Ny % l0 == 0)
 
 
 def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
@@ -125,16 +121,12 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     Q = N / L0^2 subarrays. All points share the same seeded angle draws, and
     the L0 = 1 point is the element scheme, labeled as such.
     """
-    if l0_grid is None:
-        l0_grid = default_l0_grid(cfg_base)
     angle_tuples = draw_angle_tuples(seed, num_angle_draws)
     tasks = []
-    for l0 in l0_grid:
-        l0 = int(l0)
-        q = (cfg_base.Nx // l0) * (cfg_base.Ny // l0)
-        scheme = "element" if l0 == 1 else "subarray"
-        tasks.append((cfg_base, scheme, "Q", float(q), l0, cfg_base.Nx,
-                      cfg_base.Ny, angle_tuples))
+    for l0 in default_l0_grid(cfg_base) if l0_grid is None else l0_grid:
+        cfg = validate_config(replace(cfg_base, Lx=int(l0), Ly=int(l0)))
+        tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
+                      float(cfg.Q), angle_tuples))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers))
 
 
@@ -153,12 +145,11 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=DEFAULT_N_GRID,
         nx = math.isqrt(int(n))
         if nx * nx != int(n):
             raise ValueError(f"surface size N={n} is not a perfect square")
-        tasks.append((cfg_base, "element", "N", float(n), 1, nx, nx,
-                      angle_tuples))
-        for l0 in l0_set:
-            if nx % int(l0) == 0:
-                tasks.append((cfg_base, f"subarray_L{int(l0)}", "N", float(n),
-                              int(l0), nx, nx, angle_tuples))
+        schemes = [("element", 1)] + [(f"subarray_L{int(l0)}", int(l0))
+                                      for l0 in l0_set if nx % int(l0) == 0]
+        for scheme, l0 in schemes:
+            cfg = validate_config(replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0))
+            tasks.append((cfg, scheme, "N", float(n), angle_tuples))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers))
 
 
@@ -182,14 +173,10 @@ def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int = 16
             f"grid_levels must be in 1..{ORACLE_MAX_LEVELS}, got {grid_levels}")
     w = subarray_couplings(cfg)
     axis = np.exp(2j * np.pi * np.arange(grid_levels) / grid_levels)
-    total = np.zeros((1,) * cfg.Q, dtype=complex)
-    for q in range(cfg.Q):
-        shape = [1] * cfg.Q
-        shape[q] = grid_levels
-        total = total + w[q] * axis.reshape(shape)
+    # one open-mesh axis per subarray, summed into a levels**Q grid
+    total = sum(w_q * a for w_q, a in zip(w, np.ix_(*[axis] * cfg.Q)))
     gains = (total * total.conjugate()).real * cfg.M
-    flat_best = int(np.argmax(gains))
-    combo = np.unravel_index(flat_best, gains.shape)
+    combo = np.unravel_index(int(np.argmax(gains)), gains.shape)
     best = PhaseAssignment(2.0 * np.pi * np.asarray(combo, dtype=float)
                            / grid_levels)
     # Recompute through the public gain path so the reported value cannot

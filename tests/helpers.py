@@ -1,6 +1,8 @@
 """Shared fixtures-by-hand for the test suite.
 
-subarray_origin() is the 1-based oracle for the subarray grid offsets. The
+subarray_origin() is the 1-based oracle for the subarray grid offsets.
+regional_draws() is the scalar, one-config-copy-per-draw oracle for the
+vectorized coherence factor and bound of the regional sweeps. The
 per-element channel sampler at the end is the independent oracle for the
 sufficient-statistic Monte Carlo sampler in ris_subarray.metrics.
 
@@ -16,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ris_subarray import (Angles, SystemConfig, max_se_upper_bound,
-                          validate_config, write_csv)
+from ris_subarray import (Angles, SystemConfig, energy_efficiency,
+                          max_se_upper_bound, validate_config, write_csv)
 from ris_subarray.channel import los_bs_to_ris, los_ris_to_user
+from ris_subarray.metrics import _gammas
 from ris_subarray.phases import _checked_phases
 
 REF_ANGLES = Angles(
@@ -95,6 +98,50 @@ def subarray_origin(cfg: SystemConfig, q: int) -> tuple[int, int]:
         raise IndexError(f"subarray index q={q} outside 1..{cfg.Q}")
     qx, qy = divmod(q - 1, cfg.Qy)
     return qx * cfg.Lx + 1, qy * cfg.Ly + 1
+
+
+def normalized_kernel(L: int, p: float) -> float:
+    """sin(L*p) / (L*sin(p)) in scalar math, not clamped; 1.0 where
+    |sin(p)| < 1e-9 (a grating point, where the limit has modulus 1)."""
+    if abs(math.sin(p)) < 1e-9:
+        return 1.0
+    return math.sin(L * p) / (L * math.sin(p))
+
+
+def scalar_slopes(cfg: SystemConfig) -> tuple[float, float]:
+    """Per-axis phase slopes of the config's own angle tuple, in scalar math."""
+    a, d = cfg.angles, cfg.d2_over_lambda
+    p1 = math.pi * d * (math.sin(a.theta_d2) - math.sin(a.theta_a1))
+    p2 = math.pi * d * (math.sin(a.phi_d2) * math.cos(a.theta_d2)
+                        - math.sin(a.phi_a1) * math.cos(a.theta_a1))
+    return p1, p2
+
+
+def scalar_coherence_factor(cfg: SystemConfig) -> float:
+    p1, p2 = scalar_slopes(cfg)
+    fx = min(1.0, max(-1.0, normalized_kernel(cfg.Lx, p1)))
+    fy = min(1.0, max(-1.0, normalized_kernel(cfg.Ly, p2)))
+    return (fx * fy) ** 2
+
+
+def scalar_bound(cfg: SystemConfig) -> float:
+    gamma1, gamma2 = _gammas(cfg)
+    snr = cfg.P / cfg.sigma_w2
+    eta = scalar_coherence_factor(cfg)
+    return math.log2(1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2
+                                          + gamma2 * cfg.N + 1.0))
+
+
+def regional_draws(cfg: SystemConfig, angle_tuples) -> np.ndarray:
+    """(eta, bound, EE) per angle tuple, one replace(cfg, angles=...) copy
+    and one scalar evaluation per tuple: a 3-by-n array."""
+    out = np.empty((3, len(angle_tuples)))
+    for i, tup in enumerate(angle_tuples):
+        cfg_i = replace(cfg, angles=Angles(*map(float, tup)))
+        se = scalar_bound(cfg_i)
+        out[:, i] = (scalar_coherence_factor(cfg_i), se,
+                     energy_efficiency(se, cfg.Q, cfg.power))
+    return out
 
 
 def rows_to_csv(rows) -> str:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from ris_subarray.phases import phase_slopes
 
 from helpers import small_config, small_raw
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 DEFAULT = str(CONFIG_DIR / "default.json")
 ORACLE_SMALL = str(CONFIG_DIR / "oracle_small.json")
 HEADER = "scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee"
@@ -144,6 +148,9 @@ def test_oracle_agrees(capsys):
     ["sweep-q", "--l0-grid", ""],
     ["sweep-n", "--n-grid", "16,0"],
     ["sweep-n", "--l0-set", ","],
+    ["sweep-q", "--seed", "-1"],
+    ["sweep-k", "--seed", "-1"],
+    ["sweep-q", "--seed", str(2 ** 64)],
 ], ids=" ".join)
 def test_bad_run_argument_rejected_at_parse_time(tmp_path, capsys, argv):
     command, flag, value = argv
@@ -151,3 +158,24 @@ def test_bad_run_argument_rejected_at_parse_time(tmp_path, capsys, argv):
         main([command, "--config", write_small(tmp_path), flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", [["sweep-k", "--samples", "8"],
+                                 ["sweep-q", "--draws", "2"]], ids=" ".join)
+def test_largest_seed_accepted(tmp_path, capsys, run):
+    rc = main([*run, "--config", write_small(tmp_path), "--seed",
+               str(2 ** 64 - 1)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(HEADER)
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only --workers >= 2 needs the pool; every other run skips its imports.
+    code = ("import sys, ris_subarray.cli; print([m for m in ('multiprocessing',"
+            " 'concurrent.futures.process') if m in sys.modules])")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.strip() == "[]"

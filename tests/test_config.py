@@ -122,11 +122,20 @@ def test_load_config_rejects_non_object(tmp_path):
     (small_raw(power={"p_driver": math.inf}), "^power.p_driver must"),
     (small_raw(angles={**small_raw()["angles"], "theta_d3": 0.0}),
      "'angles.theta_d3'"),
+    # raw text: a dict cannot hold a repeated key
+    ('{"M": 8, ' + json.dumps(small_raw())[1:], "duplicate config field 'M'"),
+    (json.dumps(small_raw()).replace('"angles": {', '"angles": {"phi_d2": 0.0, '),
+     "duplicate config field 'phi_d2'"),
+    (json.dumps(small_raw(power={"p_rest": 20.0})).replace(
+        '"power": {', '"power": {"p_rest": 1.0, '),
+     "duplicate config field 'p_rest'"),
 ], ids=["M-float", "M-bool", "K1-string", "unknown-top", "unknown-power",
-        "power-nan", "power-inf", "unknown-angle"])
+        "power-nan", "power-inf", "unknown-angle", "duplicate-top",
+        "duplicate-angle", "duplicate-power"])
 def test_malformed_input_rejected_naming_field(tmp_path, raw, field):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))   # NaN and Infinity as Python's json writes them
+    # NaN and Infinity as Python's json writes them
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     with pytest.raises(ConfigError, match=field):
         load_config(path)
 

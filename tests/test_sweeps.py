@@ -1,19 +1,85 @@
+import json
 import math
+import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ris_subarray import (draw_angle_tuples, exhaustive_phase_search,
-                          los_cascade_gain, max_se_upper_bound, optimal_phases,
-                          sweep_rician_factor, sweep_ris_size,
+from ris_subarray import (Angles, coherence_factor, draw_angle_tuples,
+                          energy_efficiency, exhaustive_phase_search,
+                          load_config, los_cascade_gain, max_se_upper_bound,
+                          optimal_phases, sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
-from ris_subarray.sweeps import (default_l0_grid, grid_resolution_slack,
-                                 point_seed)
+from ris_subarray.phases import _normalized_kernel
+from ris_subarray.sweeps import (_regional_point, default_l0_grid,
+                                 grid_resolution_slack, point_seed)
 
-from helpers import random_config, reference_config, rows_to_csv, small_config
+from helpers import (normalized_kernel, random_config, reference_config,
+                     regional_draws, rows_to_csv, scalar_slopes, small_config)
 
 SEED = 60601
 HEADER = "scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee"
+ROOT = Path(__file__).resolve().parents[1]
+# Golden sweep-q/sweep-n CSVs of configs/default.json at the CLI defaults,
+# recorded for the benchmark's byte-for-byte output check.
+GOLDEN = json.loads((ROOT / "bench" / "reference.json").read_text())["regional"]
+
+HALF_PI = math.pi / 2
+# theta_a1 = -pi/2, theta_d2 = pi/2 puts p1 at pi * d2 * 2: a grating point
+# (sin p1 ~ 1e-16) at d2 = 0.5. At d2 = 0.5000000012, |sin p1| ~ 7.5e-9 is
+# past the fill threshold and the 3-element kernel rounds to 1 + 3.9e-8.
+GRATING = np.array([[0.3, -HALF_PI, 1.1, HALF_PI, 2.0],
+                    [0.3, -HALF_PI, 1.1, HALF_PI, 1.1]])
+CLAMP_CFG = small_config(Nx=6, Lx=3, d2_over_lambda=0.5000000012)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(SEED)
+    cases = [(random_config(rng), draw_angle_tuples(i, 200)) for i in range(6)]
+    null = np.array([[0.3, 0.0, 1.1, HALF_PI, 2.0]])  # 2 * p1 = pi
+    cases.append((reference_config(), np.vstack([GRATING, null])))
+    specular = draw_angle_tuples(7, 20)
+    specular[:, 3:] = specular[:, 1:3]
+    cases.append((reference_config(), specular))
+    cases.append((CLAMP_CFG, GRATING[:1]))
+    cases.append((reference_config(Lx=1, Ly=1), draw_angle_tuples(8, 200)))
+    return cases
+
+
+def test_clamp_case_overshoots():
+    p1, _ = scalar_slopes(replace(CLAMP_CFG, angles=Angles(*GRATING[0])))
+    assert normalized_kernel(3, p1) > 1.0 + 1e-8
+    assert _normalized_kernel(3, p1) == 1.0
+
+
+@pytest.mark.parametrize("cfg,tuples", _oracle_cases(),
+                         ids=[f"random{i}" for i in range(6)]
+                         + ["grating", "specular", "clamp", "element"])
+def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
+    eta, se, ee = regional_draws(cfg, tuples)
+    assert np.array_equal(coherence_factor(cfg, tuples), eta)
+    assert np.array_equal(max_se_upper_bound(cfg, tuples), se)
+    assert np.array_equal(energy_efficiency(se, cfg.Q, cfg.power), ee)
+    # the config's own tuple runs the same code
+    assert [max_se_upper_bound(replace(cfg, angles=Angles(*t)))
+            for t in tuples] == list(se)
+    row = _regional_point((cfg, "s", "Q", 1.0, tuples))
+    assert (row.se_ub, row.ee) == (float(np.mean(se)), float(np.mean(ee)))
+    if cfg.Lx == cfg.Ly == 1:
+        assert np.all(eta == 1.0)
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN["seeds"], key=int))
+def test_regional_sweeps_match_goldens(seed):
+    cfg = load_config(ROOT / "configs" / "default.json")
+    golden = GOLDEN["seeds"][seed]
+    draws = GOLDEN["draws"]
+    assert rows_to_csv(sweep_subarray_count(
+        cfg, num_angle_draws=draws, seed=int(seed))) == golden["sweep-q"]
+    assert rows_to_csv(sweep_ris_size(
+        cfg, num_angle_draws=draws, seed=int(seed))) == golden["sweep-n"]
 
 
 def test_point_seed_deterministic_and_distinct():
@@ -29,6 +95,17 @@ def test_draw_angle_tuples():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (50, 5)
     assert np.all((a >= 0) & (a < 2 * np.pi))
+
+
+def test_draw_angle_tuples_use_every_seed_bit():
+    # Seeds at the top of the 64-bit range must neither collide nor warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = [draw_angle_tuples(s, 4) for s in (2 ** 64 - 1, 2 ** 64 - 2,
+                                                   2 ** 63 + 1, 2 ** 63)]
+    for i, a in enumerate(draws):
+        for b in draws[i + 1:]:
+            assert not np.array_equal(a, b)
 
 
 def test_sweep_rician_rows():
