@@ -1,22 +1,30 @@
 """Subarray-based reconfigurable-surface downlink: phase design and SE/EE."""
 
-from .config import (Angles, ConfigError, PowerConstants, SystemConfig,
-                     config_from_dict, load_config, validate_config)
-from .metrics import (energy_efficiency, max_se_upper_bound, monte_carlo_se,
-                      ris_power, se_upper_bound)
-from .phases import (PhaseAssignment, coherence_factor, los_cascade_gain,
-                     optimal_phases)
-from .sweeps import (SweepResult, draw_angle_tuples, exhaustive_phase_search,
-                     sweep_rician_factor, sweep_ris_size, sweep_subarray_count,
-                     write_csv)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Angles", "ConfigError", "PhaseAssignment", "PowerConstants",
-    "SweepResult", "SystemConfig", "coherence_factor", "config_from_dict",
-    "draw_angle_tuples", "energy_efficiency", "exhaustive_phase_search",
-    "load_config", "los_cascade_gain", "max_se_upper_bound", "monte_carlo_se",
-    "optimal_phases", "ris_power", "se_upper_bound", "sweep_rician_factor",
-    "sweep_ris_size", "sweep_subarray_count", "validate_config", "write_csv",
-]
+# Public name -> submodule defining it. A name is imported on first use
+# (PEP 562), so `import ris_subarray` and the config-only CLI commands never
+# load numpy, while `from ris_subarray import ...` works as before.
+_MODULE_OF = {name: module for module, names in (
+    ("config", "Angles ConfigError PowerConstants SystemConfig config_from_dict"
+               " load_config ris_power validate_config"),
+    ("metrics", "energy_efficiency max_se_upper_bound monte_carlo_se"
+                " se_upper_bound"),
+    ("phases", "PhaseAssignment coherence_factor los_cascade_gain"
+               " optimal_phases"),
+    ("sweeps", "SweepResult draw_angle_tuples exhaustive_phase_search"
+               " sweep_rician_factor sweep_ris_size sweep_subarray_count"
+               " write_csv"),
+) for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+    globals()[name] = value = getattr(module, name)
+    return value

@@ -1,21 +1,14 @@
-"""Steering vectors and per-subarray phase offsets.
+"""Surface steering vectors, subarray origins and per-subarray phase offsets.
 
-All responses are unit-modulus complex arrays. The transmit array is a ULA
-with spacing d1; the surface is a UPA with spacing d2, element order x-major.
+All responses are unit-modulus complex arrays. The surface is a UPA with
+spacing d2, element order x-major.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import SystemConfig, subarray_grid_offsets
-
-
-def ula_steering(M: int, d_over_lambda: float, theta: float) -> np.ndarray:
-    """Length-M ULA response for a planar wave at angle theta (radians)."""
-    if M < 1:
-        raise ValueError(f"array size M must be positive, got {M}")
-    return np.exp(2j * np.pi * d_over_lambda * np.sin(theta) * np.arange(M))
+from .config import SystemConfig
 
 
 def upa_steering(Lx: int, Ly: int, d_over_lambda: float,
@@ -31,6 +24,13 @@ def upa_steering(Lx: int, Ly: int, d_over_lambda: float,
     px = np.sin(theta) * np.arange(Lx)
     py = np.sin(phi) * np.cos(theta) * np.arange(Ly)
     return np.exp(2j * np.pi * d_over_lambda * (px[:, None] + py[None, :])).ravel()
+
+
+def subarray_grid_offsets(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based origin offsets (x_q - 1, y_q - 1) for all Q subarrays."""
+    q = np.arange(cfg.Q)
+    qx, qy = np.divmod(q, cfg.Qy)
+    return (qx * cfg.Lx).astype(float), (qy * cfg.Ly).astype(float)
 
 
 def arrival_phase_offsets(cfg: SystemConfig) -> np.ndarray:

@@ -12,14 +12,11 @@ import argparse
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
-from .config import SystemConfig, load_config, validate_config
-from .metrics import ris_power
-from .phases import coherence_factor, los_cascade_gain, optimal_phases, phase_slopes
-from .sweeps import (DEFAULT_K_GRID, DEFAULT_N_GRID, SweepResult,
-                     exhaustive_phase_search, grid_resolution_slack,
-                     sweep_rician_factor, sweep_ris_size, sweep_subarray_count,
-                     write_csv)
+# The numeric modules (and with them numpy) are imported by the commands
+# that use them, so `validate` runs on the standard library alone.
+from .config import SystemConfig, load_config, ris_power, validate_config
 
 _OVERRIDES = ("M", "Nx", "Ny", "Lx", "Ly")
 _FLOAT_OVERRIDES = ("K1", "K2", "P", "sigma_w2", "d1_over_lambda",
@@ -51,10 +48,19 @@ def _list_of(parse):
     return comma_list
 
 
+def rician_factor(text: str) -> float:
+    value = float(text)
+    if not value >= 0:      # nan too; inf is the pure line-of-sight sentinel
+        raise argparse.ArgumentTypeError(f"must be >= 0 or inf, got {value}")
+    return value
+
+
 _size_list = _list_of(positive_int)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser."""
+    sub = argparse.ArgumentParser(add_help=False)
     sub.add_argument("--config", required=True, help="JSON config file")
     sub.add_argument("--seed", type=uint64, default=0,
                      help="master seed, a 64-bit unsigned integer")
@@ -73,6 +79,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     for name in _ANGLE_OVERRIDES:
         sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
                          default=None, help=f"override angles.{name} (radians)")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,37 +87,30 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ris-subarray",
         description="Subarray-based RIS downlink: phase design and SE/EE sweeps")
     subs = parser.add_subparsers(dest="command", required=True)
+    add = partial(subs.add_parser, parents=[_common_flags()])
 
-    sub = subs.add_parser("validate", help="check a config and print its shape")
-    _common_flags(sub)
+    add("validate", help="check a config and print its shape")
+    add("eta", help="print phase slopes and coherence factor")
 
-    sub = subs.add_parser("eta", help="print phase slopes and coherence factor")
-    _common_flags(sub)
+    sub = add("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
+    sub.add_argument("--k-grid", type=_list_of(rician_factor), default=None,
+                     help="comma-separated K values")
 
-    sub = subs.add_parser("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
-    _common_flags(sub)
-    sub.add_argument("--k-grid", type=_list_of(float),
-                     default=list(DEFAULT_K_GRID), help="comma-separated K values")
-
-    sub = subs.add_parser("sweep-q", help="regional SE/EE vs subarray count")
-    _common_flags(sub)
+    sub = add("sweep-q", help="regional SE/EE vs subarray count")
     sub.add_argument("--l0-grid", type=_size_list, default=None,
                      help="comma-separated subarray sides (default: all divisors)")
     sub.add_argument("--draws", type=positive_int, default=100,
                      help="random angle tuples to average over")
 
-    sub = subs.add_parser("sweep-n", help="regional SE/EE vs surface size")
-    _common_flags(sub)
-    sub.add_argument("--n-grid", type=_size_list, default=list(DEFAULT_N_GRID),
+    sub = add("sweep-n", help="regional SE/EE vs surface size")
+    sub.add_argument("--n-grid", type=_size_list, default=None,
                      help="comma-separated surface sizes (perfect squares)")
     sub.add_argument("--l0-set", type=_size_list, default=[2, 4],
                      help="subarray sides to sweep alongside the element scheme")
     sub.add_argument("--draws", type=positive_int, default=100,
                      help="random angle tuples to average over")
 
-    sub = subs.add_parser("oracle",
-                          help="exhaustive phase grid search vs the closed form")
-    _common_flags(sub)
+    sub = add("oracle", help="exhaustive phase grid search vs the closed form")
     sub.add_argument("--levels", type=positive_int, default=16,
                      help="phase grid levels per subarray")
     return parser
@@ -126,15 +126,6 @@ def _load(args) -> SystemConfig:
     if angle_updates:
         updates["angles"] = replace(cfg.angles, **angle_updates)
     return validate_config(replace(cfg, **updates)) if updates else cfg
-
-
-def _emit(rows: list[SweepResult], out: str | None) -> None:
-    if out is None:
-        write_csv(rows, sys.stdout)
-    else:
-        with open(out, "w", newline="") as fh:
-            write_csv(rows, fh)
-        print(f"wrote {len(rows)} rows to {out}")
 
 
 def main(argv=None) -> int:
@@ -159,6 +150,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         return 0
 
     if args.command == "eta":
+        from .phases import coherence_factor, phase_slopes
         p1, p2 = phase_slopes(cfg)
         eta = coherence_factor(cfg)
         loss = math.inf if eta == 0.0 else -math.log2(eta) + 0.0
@@ -169,6 +161,8 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         return 0
 
     if args.command.startswith("sweep-"):
+        from .sweeps import (sweep_rician_factor, sweep_ris_size,
+                             sweep_subarray_count, write_csv)
         run = {"seed": args.seed, "workers": args.workers}
         if args.command == "sweep-k":
             rows = sweep_rician_factor(cfg, k_grid=args.k_grid,
@@ -179,10 +173,17 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         else:
             rows = sweep_ris_size(cfg, n_grid=args.n_grid, l0_set=args.l0_set,
                                   num_angle_draws=args.draws, **run)
-        _emit(rows, args.out)
+        if args.out is None:
+            write_csv(rows, sys.stdout)
+        else:
+            with open(args.out, "w", newline="") as fh:
+                write_csv(rows, fh)
+            print(f"wrote {len(rows)} rows to {args.out}")
         return 0
 
     if args.command == "oracle":
+        from .phases import los_cascade_gain, optimal_phases
+        from .sweeps import exhaustive_phase_search, grid_resolution_slack
         best, grid_gain = exhaustive_phase_search(cfg, grid_levels=args.levels)
         closed = los_cascade_gain(cfg, optimal_phases(cfg))
         slack = grid_resolution_slack(cfg, args.levels)

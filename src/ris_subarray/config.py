@@ -1,4 +1,4 @@
-"""System configuration: parsing, validation and subarray geometry.
+"""System configuration: parsing, validation and the surface power model.
 
 The reconfigurable surface is an Nx-by-Ny grid of passive elements partitioned
 into Qx-by-Qy rectangular subarrays of Lx-by-Ly elements each. All elements of
@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, astuple, dataclass, fields
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,6 +49,14 @@ class PowerConstants:
     p_dynamic: float = 0.0
     p_control: float = 4.8
     p_driver: float = 0.43
+
+
+def ris_power(num_drivers: int, power: PowerConstants) -> float:
+    """Surface power draw with one driver per independently controlled phase:
+    N drivers for per-element control, Q for subarrays."""
+    if num_drivers < 0:
+        raise ValueError(f"num_drivers must be >= 0, got {num_drivers}")
+    return power.p_dynamic + power.p_control + num_drivers * power.p_driver
 
 
 @dataclass(frozen=True)
@@ -140,13 +146,6 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
             raise ConfigError(
                 f"power.{f.name} must be a finite number >= 0, got {value!r}")
     return cfg
-
-
-def subarray_grid_offsets(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-based origin offsets (x_q - 1, y_q - 1) for all Q subarrays."""
-    q = np.arange(cfg.Q)
-    qx, qy = np.divmod(q, cfg.Qy)
-    return (qx * cfg.Lx).astype(float), (qy * cfg.Ly).astype(float)
 
 
 _SECTIONS = {"angles": Angles, "power": PowerConstants}

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .channel import rician_split
-from .config import PowerConstants, SystemConfig
+from .config import PowerConstants, SystemConfig, ris_power
 from .phases import PhaseAssignment, coherence_factor, los_cascade_gain
 
 # Monte Carlo samples are drawn in chunks of this many consecutive indices,
@@ -64,7 +64,7 @@ def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
 
     The rate depends on the channels only through that squared norm, which
     is drawn from its exact law instead of from the N-by-M matrices. With
-    f = (per-element phase factor) * los_bs_to_ris[:, 0] (|f_n| = 1), the
+    f = (per-element phase factor) * (first column of the LoS of H1), the
     rank-one LoS hop gives h2 Phi H1_los = sqrt(N) * alpha * a_tx^T where
     alpha = sum_n h2_n f_n / sqrt(N) ~ CN(alpha0, w2_sc^2). The law of
     |alpha|^2 depends on alpha0 only through |alpha0|^2, which is
@@ -86,7 +86,9 @@ def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
     snr = cfg.P / cfg.sigma_w2
     for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
         size = min(MC_CHUNK, num_samples - start)
-        rng = np.random.Generator(np.random.Philox(key=[master_seed, chunk]))
+        # A uint64 array: a list key would go through float64 from 2**63 up.
+        key = np.array([master_seed, chunk], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         z = rng.standard_normal((size, 2)) * (w2_sc * math.sqrt(0.5))
         alpha_sq = (alpha0 + z[:, 0]) ** 2 + z[:, 1] ** 2
         if cfg.N == 1:          # nothing of h2 is orthogonal to f
@@ -125,14 +127,6 @@ def monte_carlo_se(cfg: SystemConfig, assignment: PhaseAssignment,
     if num_samples < 2:
         return mean, 0.0
     return mean, math.sqrt(sq_dev / (count - 1) / count)
-
-
-def ris_power(num_drivers: int, power: PowerConstants) -> float:
-    """Surface power draw with one driver per independently controlled phase:
-    N drivers for per-element control, Q for subarrays."""
-    if num_drivers < 0:
-        raise ValueError(f"num_drivers must be >= 0, got {num_drivers}")
-    return power.p_dynamic + power.p_control + num_drivers * power.p_driver
 
 
 def energy_efficiency(se, num_drivers: int, power: PowerConstants):

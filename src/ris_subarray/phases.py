@@ -13,8 +13,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .arrays import arrival_phase_offsets, departure_phase_offsets, upa_steering
-from .config import TWO_PI, SystemConfig, subarray_grid_offsets
+from .arrays import (arrival_phase_offsets, departure_phase_offsets,
+                     subarray_grid_offsets, upa_steering)
+from .config import TWO_PI, SystemConfig
 
 # Below this, sin(p) is treated as exactly at a grating point p = k*pi, where
 # the normalized kernel has a removable singularity with limit of modulus 1.

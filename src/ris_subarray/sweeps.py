@@ -72,17 +72,17 @@ def _rician_point(task) -> SweepResult:
                        se_ub=max_se_upper_bound(cfg), ee=None)
 
 
-def sweep_rician_factor(cfg_base: SystemConfig, k_grid=DEFAULT_K_GRID,
+def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
                         samples: int = 10_000, seed: int = 0,
                         workers: int = 1) -> list[SweepResult]:
     """Monte Carlo SE and maximized SE bound versus the Rician factor.
 
-    Both hops share the swept factor. The element scheme is the same
-    computation on the Lx = Ly = 1 copy of the config, not a separate
-    formula.
+    Both hops share the swept factor (default grid DEFAULT_K_GRID).
+    The element scheme is the same computation on the Lx = Ly = 1 copy of
+    the config, not a separate formula.
     """
     tasks = []
-    for k in k_grid:
+    for k in DEFAULT_K_GRID if k_grid is None else k_grid:
         for scheme in ("subarray", "element"):
             tasks.append((cfg_base, float(k), scheme, samples,
                           point_seed(seed, len(tasks))))
@@ -130,18 +130,18 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers))
 
 
-def sweep_ris_size(cfg_base: SystemConfig, n_grid=DEFAULT_N_GRID,
+def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
                    l0_set=(2, 4), num_angle_draws: int = 100, seed: int = 0,
                    workers: int = 1) -> list[SweepResult]:
     """Regional SE bound and EE versus surface size for several schemes.
 
-    Each N in the grid must be a perfect square (the surface stays square).
+    Each N in the grid (default DEFAULT_N_GRID) must be a perfect square.
     Every N gets an element row plus one row per compatible L0; rows for an
     L0 that does not divide sqrt(N) are skipped.
     """
     angle_tuples = draw_angle_tuples(seed, num_angle_draws)
     tasks = []
-    for n in n_grid:
+    for n in DEFAULT_N_GRID if n_grid is None else n_grid:
         nx = math.isqrt(int(n))
         if nx * nx != int(n):
             raise ValueError(f"surface size N={n} is not a perfect square")

@@ -4,7 +4,8 @@ subarray_origin() is the 1-based oracle for the subarray grid offsets.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
 vectorized coherence factor and bound of the regional sweeps. The
 per-element channel sampler at the end is the independent oracle for the
-sufficient-statistic Monte Carlo sampler in ris_subarray.metrics.
+sufficient-statistic Monte Carlo sampler in ris_subarray.metrics; it
+builds the channels from the LoS components defined just before it.
 
 reference_config() is the evaluation setup used throughout: 64 transmit
 antennas, a 32x32 surface in 2x2 subarrays, half-wavelength spacings, and the
@@ -20,7 +21,8 @@ import numpy as np
 
 from ris_subarray import (Angles, SystemConfig, energy_efficiency,
                           max_se_upper_bound, validate_config, write_csv)
-from ris_subarray.channel import los_bs_to_ris, los_ris_to_user
+from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
+                                 upa_steering)
 from ris_subarray.metrics import _gammas
 from ris_subarray.phases import _checked_phases
 
@@ -156,6 +158,36 @@ def dense_phase_matrix(cfg, assignment) -> np.ndarray:
     return np.kron(np.diag(np.exp(1j * assignment.phases)), np.eye(cfg.L))
 
 
+def ula_steering(M: int, d_over_lambda: float, theta: float) -> np.ndarray:
+    """Length-M ULA response for a planar wave at angle theta (radians)."""
+    if M < 1:
+        raise ValueError(f"array size M must be positive, got {M}")
+    return np.exp(2j * np.pi * d_over_lambda * np.sin(theta) * np.arange(M))
+
+
+def los_bs_to_ris(cfg: SystemConfig) -> np.ndarray:
+    """Deterministic N-by-M LoS component of the transmitter-to-surface hop.
+
+    Rank one with nonzero singular value sqrt(N*M); every entry has unit
+    modulus. Row block q is the subarray offset times the outer product of
+    the conjugated surface response and the transmit response.
+    """
+    b = arrival_phase_offsets(cfg)
+    a_ris = upa_steering(cfg.Lx, cfg.Ly, cfg.d2_over_lambda,
+                         cfg.angles.theta_a1, cfg.angles.phi_a1)
+    a_tx = ula_steering(cfg.M, cfg.d1_over_lambda, cfg.angles.theta_d1)
+    block = np.outer(a_ris.conj(), a_tx)
+    return (b[:, None, None] * block[None, :, :]).reshape(cfg.N, cfg.M)
+
+
+def los_ris_to_user(cfg: SystemConfig) -> np.ndarray:
+    """Deterministic length-N LoS component of the surface-to-user hop."""
+    c = departure_phase_offsets(cfg)
+    a_ris = upa_steering(cfg.Lx, cfg.Ly, cfg.d2_over_lambda,
+                         cfg.angles.theta_d2, cfg.angles.phi_d2)
+    return (c[:, None] * a_ris[None, :]).ravel()
+
+
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """CN(0, 1) array of the given shape, one generator call per draw."""
     z = rng.standard_normal(tuple(shape) + (2,))
@@ -164,7 +196,8 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
 
 def sample_stream(master_seed: int, index: int) -> np.random.Generator:
     """Counter-based stream for one oracle sample, keyed (master_seed, index)."""
-    return np.random.Generator(np.random.Philox(key=[master_seed, index]))
+    key = np.array([master_seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass

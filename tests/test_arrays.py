@@ -3,9 +3,9 @@ import pytest
 
 from ris_subarray import Angles
 from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
-                                 ula_steering, upa_steering)
+                                 upa_steering)
 
-from helpers import random_angles, reference_config
+from helpers import random_angles, reference_config, ula_steering
 
 SEED = 7041
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
-                                 ula_steering, upa_steering)
-from ris_subarray.channel import los_bs_to_ris, los_ris_to_user, rician_split
+                                 upa_steering)
+from ris_subarray.channel import rician_split
 
-from helpers import (random_config, reference_config, sample_channels,
-                     sample_stream, small_config)
+from helpers import (los_bs_to_ris, los_ris_to_user, random_config,
+                     reference_config, sample_channels, sample_stream,
+                     small_config, ula_steering)
 
 SEED = 90210
 

@@ -10,6 +10,7 @@ import pytest
 from ris_subarray import coherence_factor
 from ris_subarray.cli import main
 from ris_subarray.phases import phase_slopes
+from ris_subarray.sweeps import DEFAULT_K_GRID, DEFAULT_N_GRID
 
 from helpers import small_config, small_raw
 
@@ -144,6 +145,8 @@ def test_oracle_agrees(capsys):
     ["sweep-k", "--workers", "-5"],
     ["oracle", "--levels", "0"],
     ["sweep-k", "--k-grid", ","],
+    ["sweep-k", "--k-grid", "1,nan"],
+    ["sweep-k", "--k-grid", "-1"],
     ["sweep-q", "--l0-grid", "0"],
     ["sweep-q", "--l0-grid", ""],
     ["sweep-n", "--n-grid", "16,0"],
@@ -169,13 +172,69 @@ def test_largest_seed_accepted(tmp_path, capsys, run):
     assert capsys.readouterr().out.startswith(HEADER)
 
 
+@pytest.mark.parametrize("command, option, grid", [
+    ("sweep-k", "--samples", DEFAULT_K_GRID),
+    ("sweep-n", "--draws", DEFAULT_N_GRID),
+])
+def test_sweep_default_grid_is_the_library_default(tmp_path, capsys, command,
+                                                    option, grid):
+    assert main([command, "--config", write_small(tmp_path), option, "2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+    assert sorted({float(row[2]) for row in rows}) == sorted(map(float, grid))
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter that sees src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.stdout.strip()
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     # Only --workers >= 2 needs the pool; every other run skips its imports.
     code = ("import sys, ris_subarray.cli; print([m for m in ('multiprocessing',"
             " 'concurrent.futures.process') if m in sys.modules])")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": path})
-    assert proc.stdout.strip() == "[]"
+    assert fresh_python(code) == "[]"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, ris_subarray.cli; print('numpy' in sys.modules)"
+    assert fresh_python(code) == "False"
+
+
+def test_validate_runs_without_numpy():
+    code = ("import sys; from ris_subarray.cli import main; "
+            "rc = main(['validate', '--config', 'configs/default.json']); "
+            "print(rc, 'numpy' in sys.modules)")
+    assert fresh_python(code).splitlines()[-1] == "0 False"
+
+
+PUBLIC = ["Angles", "ConfigError", "PhaseAssignment", "PowerConstants",
+          "SweepResult", "SystemConfig", "coherence_factor", "config_from_dict",
+          "draw_angle_tuples", "energy_efficiency", "exhaustive_phase_search",
+          "load_config", "los_cascade_gain", "max_se_upper_bound",
+          "monte_carlo_se", "optimal_phases", "ris_power", "se_upper_bound",
+          "sweep_rician_factor", "sweep_ris_size", "sweep_subarray_count",
+          "validate_config", "write_csv"]
+
+
+def test_star_import_binds_the_submodule_objects():
+    # Each public name is the object its defining submodule holds.
+    code = ("import sys; ns = {}; exec('from ris_subarray import *', ns); "
+            "print(sorted(k for k in ns if k != '__builtins__')); "
+            "print(all(sys.modules[v.__module__].__dict__[k] is v "
+            "for k, v in ns.items() if k != '__builtins__'))")
+    names, same = fresh_python(code).splitlines()
+    assert names == repr(PUBLIC)
+    assert same == "True"
+
+
+def test_unknown_package_attribute_raises():
+    code = ("import ris_subarray\n"
+            "try:\n    ris_subarray.sample_channels\n"
+            "except AttributeError as exc:\n    print(exc)")
+    assert fresh_python(code) == (
+        "module 'ris_subarray' has no attribute 'sample_channels'")

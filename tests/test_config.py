@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
                           config_from_dict, load_config, validate_config)
-from ris_subarray.config import subarray_grid_offsets
+from ris_subarray.arrays import subarray_grid_offsets
 
 from helpers import (REF_ANGLES, reference_config, small_config, small_raw,
                      subarray_origin)

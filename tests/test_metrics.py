@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,18 @@ def test_monte_carlo_reproducible():
     other = monte_carlo_se(cfg, pa, 64, master_seed=10)
     assert first == second
     assert first != other
+
+
+@pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 2])
+def test_monte_carlo_uses_every_seed_bit(seed):
+    # Seeds from 2**63 up key Philox as they are, not rounded through float64.
+    cfg = small_config()
+    pa = optimal_phases(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low = monte_carlo_se(cfg, pa, 64, master_seed=seed)
+        high = monte_carlo_se(cfg, pa, 64, master_seed=seed + 1)
+    assert low != high
 
 
 def test_monte_carlo_single_sample():

@@ -6,13 +6,12 @@ import pytest
 from ris_subarray import (Angles, PhaseAssignment, coherence_factor,
                           los_cascade_gain, max_se_upper_bound, optimal_phases,
                           se_upper_bound)
-from ris_subarray.channel import los_bs_to_ris, los_ris_to_user
 from ris_subarray.phases import (coherence_factor_from_slopes, phase_slopes,
                                  subarray_couplings)
 
-from helpers import (dense_phase_matrix, effective_cascade, random_config,
-                     reference_config, sample_channels, sample_stream,
-                     small_config)
+from helpers import (dense_phase_matrix, effective_cascade, los_bs_to_ris,
+                     los_ris_to_user, random_config, reference_config,
+                     sample_channels, sample_stream, small_config)
 
 SEED = 31337
 
