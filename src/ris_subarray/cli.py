@@ -68,8 +68,9 @@ def _common_flags() -> argparse.ArgumentParser:
                      help="Monte Carlo samples per point")
     sub.add_argument("--out", default=None, help="CSV output path")
     sub.add_argument("--workers", type=positive_int, default=1,
-                     help="worker processes for sweep points; pays off from "
-                          "about 1e5 Monte Carlo samples per point")
+                     help="upper bound on worker processes; a sweep starts "
+                          "one per 250000 samples or angle draws in total, "
+                          "and none when that gives fewer than two")
     for name in _OVERRIDES:
         sub.add_argument(f"--{name}", type=int, default=None,
                          help=f"override {name}")

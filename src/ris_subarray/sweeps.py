@@ -22,6 +22,10 @@ CSV_FIELDS = ("scheme", "var_name", "var_value", "se_mc", "se_mc_stderr",
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
 
+# Samples or angle draws per pool process: on a 2-vCPU x86 box two processes
+# break even with one near 4.8e5 samples or 3.6e5 draws per sweep (README).
+WORK_PER_WORKER = 250_000
+
 # Hard caps keeping the exhaustive search tractable (levels**Q grid points).
 ORACLE_MAX_Q = 4
 ORACLE_MAX_LEVELS = 32
@@ -46,12 +50,16 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_tasks(fn, tasks, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+def _run_tasks(fn, tasks, workers: int, work_per_task: int) -> list:
+    """fn over tasks in at most `workers` processes, one per WORK_PER_WORKER
+    units of work (samples or angle draws); in this process below two."""
+    procs = min(workers, len(tasks),
+                work_per_task * len(tasks) // WORK_PER_WORKER)
+    if procs < 2:
         return [fn(t) for t in tasks]
-    # Imported here so that only --workers >= 2 pays for multiprocessing.
+    # Imported here so that only a sweep that uses the pool pays for it.
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=procs) as pool:
         return list(pool.map(fn, tasks))
 
 
@@ -60,14 +68,9 @@ def _sorted_rows(rows: list[SweepResult]) -> list[SweepResult]:
 
 
 def _rician_point(task) -> SweepResult:
-    cfg_base, k, scheme, samples, seed = task
-    cfg = replace(cfg_base, K1=k, K2=k)
-    if scheme == "element":
-        cfg = replace(cfg, Lx=1, Ly=1)
-    cfg = validate_config(cfg)
-    assignment = optimal_phases(cfg)
-    mean, stderr = monte_carlo_se(cfg, assignment, samples, seed)
-    return SweepResult(scheme=scheme, var_name="K", var_value=float(k),
+    cfg, scheme, samples, seed = task
+    mean, stderr = monte_carlo_se(cfg, optimal_phases(cfg), samples, seed)
+    return SweepResult(scheme=scheme, var_name="K", var_value=cfg.K1,
                        se_mc=mean, se_mc_stderr=stderr,
                        se_ub=max_se_upper_bound(cfg), ee=None)
 
@@ -83,10 +86,12 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     """
     tasks = []
     for k in DEFAULT_K_GRID if k_grid is None else k_grid:
-        for scheme in ("subarray", "element"):
-            tasks.append((cfg_base, float(k), scheme, samples,
+        cfg = replace(cfg_base, K1=float(k), K2=float(k))
+        for scheme, point_cfg in (("subarray", cfg),
+                                  ("element", replace(cfg, Lx=1, Ly=1))):
+            tasks.append((validate_config(point_cfg), scheme, samples,
                           point_seed(seed, len(tasks))))
-    return _sorted_rows(_run_tasks(_rician_point, tasks, workers))
+    return _sorted_rows(_run_tasks(_rician_point, tasks, workers, samples))
 
 
 def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
@@ -127,7 +132,8 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
         cfg = validate_config(replace(cfg_base, Lx=int(l0), Ly=int(l0)))
         tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
                       float(cfg.Q), angle_tuples))
-    return _sorted_rows(_run_tasks(_regional_point, tasks, workers))
+    return _sorted_rows(_run_tasks(_regional_point, tasks, workers,
+                                   num_angle_draws))
 
 
 def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
@@ -150,7 +156,8 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
         for scheme, l0 in schemes:
             cfg = validate_config(replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0))
             tasks.append((cfg, scheme, "N", float(n), angle_tuples))
-    return _sorted_rows(_run_tasks(_regional_point, tasks, workers))
+    return _sorted_rows(_run_tasks(_regional_point, tasks, workers,
+                                   num_angle_draws))
 
 
 def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:

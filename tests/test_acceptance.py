@@ -23,8 +23,8 @@ from ris_subarray import (PowerConstants, coherence_factor,
                           validate_config)
 from ris_subarray.sweeps import grid_resolution_slack
 
-from helpers import (element_bound, random_config, reference_config,
-                     rows_to_csv, small_config)
+from helpers import (count_pools, element_bound, random_config,
+                     reference_config, rows_to_csv, small_config)
 
 MC_SEEDS = (1, 2, 3)
 MC_SAMPLES = 10_000_000
@@ -151,16 +151,20 @@ def test_criterion_09_ee_crossover():
     _ok(9, "ee-crossover")
 
 
-def test_criterion_10_csv_determinism():
+def test_criterion_10_csv_determinism(monkeypatch):
+    # Both sweeps are sized above the pool's threshold, so --workers 2
+    # really runs two processes.
+    pools = count_pools(monkeypatch)
     cfg = small_config()
-    mc_a = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=64, seed=3,
-                               workers=1)
-    mc_b = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=64, seed=3,
-                               workers=2)
+    mc_a = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000,
+                               seed=3, workers=1)
+    mc_b = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000,
+                               seed=3, workers=2)
     assert rows_to_csv(mc_a) == rows_to_csv(mc_b)
     reg_a = sweep_subarray_count(reference_config(), l0_grid=(1, 2, 4),
-                                 num_angle_draws=25, seed=3, workers=1)
+                                 num_angle_draws=200_000, seed=3, workers=1)
     reg_b = sweep_subarray_count(reference_config(), l0_grid=(1, 2, 4),
-                                 num_angle_draws=25, seed=3, workers=2)
+                                 num_angle_draws=200_000, seed=3, workers=2)
     assert rows_to_csv(reg_a) == rows_to_csv(reg_b)
+    assert pools == [2, 2]
     _ok(10, "csv-determinism")

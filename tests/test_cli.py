@@ -200,6 +200,17 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert fresh_python(code) == "[]"
 
 
+def test_small_sweep_starts_no_process_pool(tmp_path):
+    # 6 points x 16 samples is far too little work for a second process.
+    argv = ["sweep-k", "--config", "configs/default.json", "--k-grid",
+            "0,10,100", "--samples", "16", "--workers", "2",
+            "--out", str(tmp_path / "k.csv")]
+    code = (f"import sys; from ris_subarray.cli import main; rc = main({argv!r}); "
+            "print(rc, [m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules])")
+    assert fresh_python(code).splitlines()[-1] == "0 []"
+
+
 def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, ris_subarray.cli; print('numpy' in sys.modules)"
     assert fresh_python(code) == "False"

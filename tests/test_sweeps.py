@@ -7,17 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_subarray import (Angles, coherence_factor, draw_angle_tuples,
-                          energy_efficiency, exhaustive_phase_search,
-                          load_config, los_cascade_gain, max_se_upper_bound,
-                          optimal_phases, sweep_rician_factor, sweep_ris_size,
+from ris_subarray import (Angles, ConfigError, coherence_factor,
+                          draw_angle_tuples, energy_efficiency,
+                          exhaustive_phase_search, load_config,
+                          los_cascade_gain, max_se_upper_bound, optimal_phases,
+                          sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
+from ris_subarray import sweeps
 from ris_subarray.phases import _normalized_kernel
-from ris_subarray.sweeps import (_regional_point, default_l0_grid,
-                                 grid_resolution_slack, point_seed)
+from ris_subarray.sweeps import (WORK_PER_WORKER, _regional_point, _run_tasks,
+                                 default_l0_grid, grid_resolution_slack,
+                                 point_seed)
 
-from helpers import (normalized_kernel, random_config, reference_config,
-                     regional_draws, rows_to_csv, scalar_slopes, small_config)
+from helpers import (count_pools, normalized_kernel, random_config,
+                     reference_config, regional_draws, rows_to_csv,
+                     scalar_slopes, small_config)
 
 SEED = 60601
 HEADER = "scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee"
@@ -129,13 +133,50 @@ def test_sweep_rician_rows():
             > by_key[("subarray", 5.0)].se_ub)
 
 
-def test_sweep_rician_deterministic_across_workers():
+def test_sweep_rician_deterministic_across_workers(monkeypatch):
+    # 4 points x 1.5e5 samples is enough work for two processes, not three.
     cfg = small_config()
-    serial = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=32, seed=4,
-                                 workers=1)
-    parallel = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=32, seed=4,
-                                   workers=3)
+    pools = count_pools(monkeypatch)
+    serial = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000,
+                                 seed=4, workers=1)
+    parallel = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000,
+                                   seed=4, workers=3)
+    assert pools == [2]
     assert rows_to_csv(serial) == rows_to_csv(parallel)
+
+
+def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
+    calls = []
+    real = sweeps.monte_carlo_se
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sweeps, "monte_carlo_se", counting)
+    with pytest.raises(ConfigError, match="K1"):
+        sweep_rician_factor(small_config(), k_grid=[1.0, float("nan")],
+                            samples=64)
+    assert calls == []
+
+
+W = WORK_PER_WORKER
+
+
+@pytest.mark.parametrize("workers,tasks,work_per_task,pool", [
+    (1, 8, W, None),            # one worker asked for
+    (8, 1, 10 * W, None),       # one task
+    (8, 4, W // 2 - 1, None),   # under 2 * W in total
+    (8, 4, W // 2, 2),          # capped by the work
+    (8, 3, W, 3),               # capped by the tasks
+    (2, 8, W, 2),               # capped by the workers
+])
+def test_run_tasks_sizes_the_pool_from_the_work(monkeypatch, workers, tasks,
+                                                work_per_task, pool):
+    pools = count_pools(monkeypatch)
+    assert _run_tasks(abs, [-i for i in range(tasks)], workers,
+                      work_per_task) == list(range(tasks))
+    assert pools == ([] if pool is None else [pool])
 
 
 def test_default_l0_grid():
@@ -159,12 +200,15 @@ def test_sweep_subarray_count_rows():
         assert r.ee > 0
 
 
-def test_sweep_subarray_count_deterministic_across_workers():
+def test_sweep_subarray_count_deterministic_across_workers(monkeypatch):
+    # 4 points x 1.5e5 draws is enough work for two processes, not four.
     cfg = reference_config()
-    a = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8), num_angle_draws=10,
-                             seed=2, workers=1)
-    b = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8), num_angle_draws=10,
-                             seed=2, workers=4)
+    pools = count_pools(monkeypatch)
+    a = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8),
+                             num_angle_draws=150_000, seed=2, workers=1)
+    b = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8),
+                             num_angle_draws=150_000, seed=2, workers=4)
+    assert pools == [2]
     assert rows_to_csv(a) == rows_to_csv(b)
 
 
