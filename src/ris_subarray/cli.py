@@ -9,6 +9,7 @@ is omitted.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from dataclasses import replace
@@ -201,7 +202,15 @@ def _dispatch(args, cfg: SystemConfig) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # The console script is one short run: what it allocates lives until the
+    # process ends, so the cyclic collector has nothing to free. Off during
+    # the run, and with every object frozen before the collection at exit,
+    # it no longer walks numpy's modules. main() leaves the collector alone,
+    # because tests and the benchmark's traced runs call it in-process.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,21 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _size(name: str, value) -> int:
+    """A run size: an integer, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _seed(value) -> int:
+    """A master seed: an integer, not a bool, in [0, 2**64)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < 2 ** 64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 def _run_tasks(fn, tasks, workers: int, work_per_task: int) -> list:
     """fn over tasks in at most `workers` processes, one per WORK_PER_WORKER
     units of work (samples or angle draws); in this process below two."""
@@ -84,6 +100,8 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     The element scheme is the same computation on the Lx = Ly = 1 copy of
     the config, not a separate formula.
     """
+    samples, seed = _size("samples", samples), _seed(seed)
+    workers = _size("workers", workers)
     tasks = []
     for k in DEFAULT_K_GRID if k_grid is None else k_grid:
         cfg = replace(cfg_base, K1=float(k), K2=float(k))
@@ -126,14 +144,16 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     Q = N / L0^2 subarrays. All points share the same seeded angle draws, and
     the L0 = 1 point is the element scheme, labeled as such.
     """
-    angle_tuples = draw_angle_tuples(seed, num_angle_draws)
+    draws, seed = _size("num_angle_draws", num_angle_draws), _seed(seed)
+    workers = _size("workers", workers)
+    angle_tuples = draw_angle_tuples(seed, draws)
     tasks = []
     for l0 in default_l0_grid(cfg_base) if l0_grid is None else l0_grid:
-        cfg = validate_config(replace(cfg_base, Lx=int(l0), Ly=int(l0)))
+        l0 = _size("l0_grid", l0)
+        cfg = validate_config(replace(cfg_base, Lx=l0, Ly=l0))
         tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
                       float(cfg.Q), angle_tuples))
-    return _sorted_rows(_run_tasks(_regional_point, tasks, workers,
-                                   num_angle_draws))
+    return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
 
 
 def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
@@ -145,19 +165,22 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     Every N gets an element row plus one row per compatible L0; rows for an
     L0 that does not divide sqrt(N) are skipped.
     """
-    angle_tuples = draw_angle_tuples(seed, num_angle_draws)
+    draws, seed = _size("num_angle_draws", num_angle_draws), _seed(seed)
+    workers = _size("workers", workers)
+    l0_set = [_size("l0_set", l0) for l0 in l0_set]
+    angle_tuples = draw_angle_tuples(seed, draws)
     tasks = []
     for n in DEFAULT_N_GRID if n_grid is None else n_grid:
-        nx = math.isqrt(int(n))
-        if nx * nx != int(n):
+        n = _size("n_grid", n)
+        nx = math.isqrt(n)
+        if nx * nx != n:
             raise ValueError(f"surface size N={n} is not a perfect square")
-        schemes = [("element", 1)] + [(f"subarray_L{int(l0)}", int(l0))
-                                      for l0 in l0_set if nx % int(l0) == 0]
+        schemes = [("element", 1)] + [(f"subarray_L{l0}", l0)
+                                      for l0 in l0_set if nx % l0 == 0]
         for scheme, l0 in schemes:
             cfg = validate_config(replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0))
             tasks.append((cfg, scheme, "N", float(n), angle_tuples))
-    return _sorted_rows(_run_tasks(_regional_point, tasks, workers,
-                                   num_angle_draws))
+    return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
 
 
 def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:

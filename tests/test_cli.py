@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 from ris_subarray import coherence_factor
 from ris_subarray.cli import main
 from ris_subarray.phases import phase_slopes
-from ris_subarray.sweeps import DEFAULT_K_GRID, DEFAULT_N_GRID
+from ris_subarray.sweeps import DEFAULT_K_GRID, DEFAULT_N_GRID, WORK_PER_WORKER
 
 from helpers import small_config, small_raw
 
@@ -183,14 +184,68 @@ def test_sweep_default_grid_is_the_library_default(tmp_path, capsys, command,
     assert sorted({float(row[2]) for row in rows}) == sorted(map(float, grid))
 
 
-def fresh_python(code: str) -> str:
-    """Standard output of code run in a new interpreter that sees src/."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+def fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """code run on argv in a new interpreter that sees src/ and tests/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
                                          os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, cwd=ROOT,
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, cwd=ROOT,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter."""
+    proc = fresh_process(code)
+    proc.check_returncode()
     return proc.stdout.strip()
+
+
+# What the installed `ris-subarray` console script runs.
+ENTRY = "from ris_subarray.cli import entry; entry()"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sweep-q", "--config", ORACLE_SMALL, "--draws", "3"], 0),
+    (["validate", "--config", DEFAULT, "--Lx", "3"], 1),
+    (["sweep-k", "--config", DEFAULT, "--samples", "0"], 2),
+], ids=["sweep", "bad config", "usage error"])
+def test_console_entry_keeps_exit_codes(argv, code):
+    assert fresh_process(ENTRY, *argv).returncode == code
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["sweep-k", "--config", write_small(tmp_path), "--k-grid", "0",
+                 "--samples", "8", "--out", str(tmp_path / "k.csv")]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("samples, pools", [("64", []), ("150000", [2])],
+                         ids=["serial", "pool"])
+def test_console_entry_writes_the_csv_main_writes(tmp_path, samples, pools):
+    # entry() runs main() with the collector off and frozen at exit; the
+    # bytes must not change, also in pool workers forked with it off.
+    argv = ["sweep-k", "--config", ORACLE_SMALL, "--k-grid", "0,10",
+            "--samples", samples, "--workers", "2", "--out"]
+    watch = ("import atexit, gc, types; from helpers import count_pools; "
+             "pools = count_pools(types.SimpleNamespace(setattr=setattr)); "
+             "atexit.register(lambda: print(pools, gc.isenabled(), "
+             "gc.get_freeze_count() > 0)); ")
+    proc = fresh_process(watch + ENTRY, *argv, str(tmp_path / "entry.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{pools} False True"
+    assert main([*argv, str(tmp_path / "main.csv")]) == 0
+    assert ((tmp_path / "entry.csv").read_bytes()
+            == (tmp_path / "main.csv").read_bytes())
+
+
+def test_workers_help_quotes_work_per_worker(capsys):
+    # The help spells the constant out, since sweeps (and numpy) must not be
+    # imported to build the parser.
+    with pytest.raises(SystemExit):
+        main(["sweep-k", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"one per {WORK_PER_WORKER} samples" in help_text
 
 
 def test_cli_import_leaves_process_pool_unloaded():

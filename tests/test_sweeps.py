@@ -231,6 +231,48 @@ def test_sweep_ris_size_rejects_non_square():
         sweep_ris_size(reference_config(), n_grid=(8,), num_angle_draws=2)
 
 
+@pytest.mark.parametrize("sweep, bad", [
+    (sweep_ris_size, {"n_grid": [16.9]}),
+    (sweep_ris_size, {"n_grid": [-4]}),
+    (sweep_ris_size, {"n_grid": [True]}),
+    (sweep_ris_size, {"l0_set": (2.5,)}),
+    (sweep_ris_size, {"l0_set": (0,)}),
+    (sweep_subarray_count, {"l0_grid": [2.7]}),
+    (sweep_subarray_count, {"l0_grid": [False]}),
+    (sweep_subarray_count, {"num_angle_draws": 0}),
+    (sweep_ris_size, {"num_angle_draws": True}),
+    (sweep_subarray_count, {"seed": -1}),
+    (sweep_ris_size, {"seed": 2 ** 64}),
+    (sweep_rician_factor, {"seed": -1}),
+    (sweep_rician_factor, {"seed": 2 ** 64}),
+    (sweep_rician_factor, {"seed": 1.5}),
+    (sweep_rician_factor, {"seed": True}),
+    (sweep_rician_factor, {"samples": 2.5}),
+    (sweep_rician_factor, {"samples": True}),
+    (sweep_rician_factor, {"workers": 0}),
+    (sweep_subarray_count, {"workers": 2.5}),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_sweep_rejects_bad_run_argument_before_any_point(monkeypatch, sweep, bad):
+    # Every run argument is checked while the tasks are built, with the
+    # parameter named, instead of being truncated or failing mid-sweep.
+    ran = []
+    monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
+    (name,) = bad
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        sweep(small_config(), **bad)
+    assert ran == []
+
+
+def test_sweep_accepts_numpy_integers():
+    cfg = small_config()
+    plain = sweep_ris_size(cfg, n_grid=(4, 16), l0_set=(2,),
+                           num_angle_draws=5, seed=3)
+    numpy_ints = sweep_ris_size(cfg, n_grid=np.array([4, 16]),
+                                l0_set=np.array([2]),
+                                num_angle_draws=np.int64(5), seed=np.uint64(3))
+    assert rows_to_csv(numpy_ints) == rows_to_csv(plain)
+
+
 def test_csv_format():
     cfg = small_config()
     rows = sweep_rician_factor(cfg, k_grid=(2.0,), samples=8, seed=0)
