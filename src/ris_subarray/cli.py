@@ -1,28 +1,24 @@
 """Command-line harness: config validation, phase-design inspection, sweeps.
 
-Every subcommand loads a JSON config (--config), applies any per-field
-override flags, and exits 0 on success or nonzero with a diagnostic on
-stderr. Sweeps write the fixed CSV schema to --out, or to stdout when --out
-is omitted.
+Every subcommand loads a JSON config (--config) with any --set NAME=VALUE
+overrides merged into it, and exits 0 on success or nonzero with a
+diagnostic on stderr. Each takes only the flags it uses: the sweeps add
+--seed, --workers and --out, and write the fixed CSV schema to --out, or
+to stdout when --out is omitted.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
 import math
 import sys
-from dataclasses import replace
 from functools import partial
 
 # The numeric modules (and with them numpy) are imported by the commands
 # that use them, so `validate` runs on the standard library alone.
-from .config import SystemConfig, load_config, ris_power, validate_config
-
-_OVERRIDES = ("M", "Nx", "Ny", "Lx", "Ly")
-_FLOAT_OVERRIDES = ("K1", "K2", "P", "sigma_w2", "d1_over_lambda",
-                    "d2_over_lambda")
-_ANGLE_OVERRIDES = ("theta_d1", "theta_a1", "phi_a1", "theta_d2", "phi_d2")
+from .config import SystemConfig, _unique_keys, load_config, ris_power
 
 
 def positive_int(text: str) -> int:
@@ -59,29 +55,12 @@ def rician_factor(text: str) -> float:
 _size_list = _list_of(positive_int)
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, as a parent parser."""
-    sub = argparse.ArgumentParser(add_help=False)
-    sub.add_argument("--config", required=True, help="JSON config file")
-    sub.add_argument("--seed", type=uint64, default=0,
-                     help="master seed, a 64-bit unsigned integer")
-    sub.add_argument("--samples", type=positive_int, default=10_000,
-                     help="Monte Carlo samples per point")
-    sub.add_argument("--out", default=None, help="CSV output path")
-    sub.add_argument("--workers", type=positive_int, default=1,
-                     help="upper bound on worker processes; a sweep starts "
-                          "one per 250000 samples or angle draws in total, "
-                          "and none when that gives fewer than two")
-    for name in _OVERRIDES:
-        sub.add_argument(f"--{name}", type=int, default=None,
-                         help=f"override {name}")
-    for name in _FLOAT_OVERRIDES:
-        sub.add_argument(f"--{name}", type=float, default=None,
-                         help=f"override {name}")
-    for name in _ANGLE_OVERRIDES:
-        sub.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
-                         default=None, help=f"override angles.{name} (radians)")
-    return sub
+def override(text: str) -> tuple[str, object]:
+    # argparse quotes this function's name when VALUE is not JSON.
+    name, eq, value = text.partition("=")
+    if not eq or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, json.loads(value, object_pairs_hook=_unique_keys)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,22 +68,39 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ris-subarray",
         description="Subarray-based RIS downlink: phase design and SE/EE sweeps")
     subs = parser.add_subparsers(dest="command", required=True)
-    add = partial(subs.add_parser, parents=[_common_flags()])
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", required=True, help="JSON config file")
+    config_flags.add_argument(
+        "--set", dest="overrides", action="append", default=[], type=override,
+        metavar="NAME=VALUE",
+        help="set a config field, e.g. M=8 or angles.theta_d2=1.2 (repeatable)")
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--seed", type=uint64, default=0,
+                           help="master seed, a 64-bit unsigned integer")
+    run_flags.add_argument("--out", default=None, help="CSV output path")
+    run_flags.add_argument("--workers", type=positive_int, default=1,
+                           help="upper bound on worker processes; a sweep starts "
+                                "one per 250000 samples or angle draws in total, "
+                                "and none when that gives fewer than two")
+    add = partial(subs.add_parser, parents=[config_flags])
+    add_sweep = partial(subs.add_parser, parents=[config_flags, run_flags])
 
     add("validate", help="check a config and print its shape")
     add("eta", help="print phase slopes and coherence factor")
 
-    sub = add("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
+    sub = add_sweep("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
+    sub.add_argument("--samples", type=positive_int, default=10_000,
+                     help="Monte Carlo samples per point")
     sub.add_argument("--k-grid", type=_list_of(rician_factor), default=None,
                      help="comma-separated K values")
 
-    sub = add("sweep-q", help="regional SE/EE vs subarray count")
+    sub = add_sweep("sweep-q", help="regional SE/EE vs subarray count")
     sub.add_argument("--l0-grid", type=_size_list, default=None,
                      help="comma-separated subarray sides (default: all divisors)")
     sub.add_argument("--draws", type=positive_int, default=100,
                      help="random angle tuples to average over")
 
-    sub = add("sweep-n", help="regional SE/EE vs surface size")
+    sub = add_sweep("sweep-n", help="regional SE/EE vs surface size")
     sub.add_argument("--n-grid", type=_size_list, default=None,
                      help="comma-separated surface sizes (perfect squares)")
     sub.add_argument("--l0-set", type=_size_list, default=[2, 4],
@@ -118,22 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> SystemConfig:
-    """The --config file with the per-field override flags applied."""
-    cfg = load_config(args.config)
-    updates = {name: getattr(args, name) for name in _OVERRIDES + _FLOAT_OVERRIDES
-               if getattr(args, name) is not None}
-    angle_updates = {name: getattr(args, name) for name in _ANGLE_OVERRIDES
-                     if getattr(args, name) is not None}
-    if angle_updates:
-        updates["angles"] = replace(cfg.angles, **angle_updates)
-    return validate_config(replace(cfg, **updates)) if updates else cfg
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args, _load(args))
+        return _dispatch(args, load_config(args.config, args.overrides))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -145,6 +145,8 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         if not (_is_real(value) and math.isfinite(value) and value >= 0):
             raise ConfigError(
                 f"power.{f.name} must be a finite number >= 0, got {value!r}")
+    if not any(astuple(cfg.power)):
+        raise ConfigError("power terms must not all be 0: the total power would be 0")
     return cfg
 
 
@@ -176,16 +178,27 @@ def config_from_dict(raw: dict) -> SystemConfig:
 
 
 def _unique_keys(pairs: list) -> dict:
-    """JSON object hook: a repeated key is an error, not the last one wins."""
+    """JSON object hook: a repeated key is an error, not the last one wins.
+    An override path such as "angles.phi_d2" repeats "angles" too."""
     keys = [key for key, _ in pairs]
     for key in keys:
-        if keys.count(key) > 1:
+        if sum(k == key or k.startswith(key + ".") for k in keys) > 1:
             raise ConfigError(f"duplicate config field '{key}'")
     return dict(pairs)
 
 
-def load_config(path) -> SystemConfig:
+def load_config(path, overrides=()) -> SystemConfig:
     """Read a JSON config file. Every key must be a field of SystemConfig,
-    Angles (under "angles") or PowerConstants (under "power"), given once."""
+    Angles (under "angles") or PowerConstants (under "power"), given once.
+    overrides, (dotted field path, value) pairs such as ("angles.phi_d2", 0.5),
+    are merged in first, one per field, and checked like the file."""
     with open(path) as fh:
-        return config_from_dict(json.load(fh, object_pairs_hook=_unique_keys))
+        raw = json.load(fh, object_pairs_hook=_unique_keys)
+    overrides = _unique_keys(list(overrides))
+    for name, value in overrides.items() if isinstance(raw, dict) else ():
+        parent, dot, key = name.partition(".")
+        section = raw.setdefault(parent, {}) if dot else raw
+        if not isinstance(section, dict):
+            raise ConfigError(f"config field '{parent}' is not a section, in '{name}'")
+        section[key if dot else name] = value
+    return config_from_dict(raw)

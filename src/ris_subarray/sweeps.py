@@ -104,6 +104,8 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     workers = _size("workers", workers)
     tasks = []
     for k in DEFAULT_K_GRID if k_grid is None else k_grid:
+        if isinstance(k, bool) or not isinstance(k, numbers.Real):
+            raise ValueError(f"k_grid entries must be real numbers, got {k!r}")
         cfg = replace(cfg_base, K1=float(k), K2=float(k))
         for scheme, point_cfg in (("subarray", cfg),
                                   ("element", replace(cfg, Lx=1, Ly=1))):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ris_subarray import coherence_factor
+from ris_subarray import cli, coherence_factor, load_config
 from ris_subarray.cli import main
 from ris_subarray.phases import phase_slopes
 from ris_subarray.sweeps import DEFAULT_K_GRID, DEFAULT_N_GRID, WORK_PER_WORKER
@@ -36,15 +36,115 @@ def test_validate_ok(capsys):
 
 
 def test_validate_override_reflected(capsys):
-    assert main(["validate", "--config", DEFAULT, "--M", "8"]) == 0
+    assert main(["validate", "--config", DEFAULT, "--set", "M=8"]) == 0
     assert "M=8" in capsys.readouterr().out
 
 
 def test_validate_bad_override(capsys):
-    assert main(["validate", "--config", DEFAULT, "--Lx", "3"]) == 1
+    assert main(["validate", "--config", DEFAULT, "--set", "Lx=3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "divide" in err
+
+
+# (NAME, VALUE as typed, the value a JSON edit writes): every field of the
+# config, the power section included, which small_raw() leaves out.
+SET_CASES = [
+    ("M", "8", 8), ("Nx", "8", 8), ("Ny", "8", 8), ("Lx", "1", 1),
+    ("Ly", "4", 4), ("K1", "3.5", 3.5), ("K2", "Infinity", math.inf),
+    ("P", "2.5", 2.5), ("sigma_w2", "0.5", 0.5), ("d1_over_lambda", "0.3", 0.3),
+    ("d2_over_lambda", "0.25", 0.25), ("angles.theta_d1", "0.1", 0.1),
+    ("angles.theta_a1", "0.2", 0.2), ("angles.phi_a1", "0.3", 0.3),
+    ("angles.theta_d2", "1.2", 1.2), ("angles.phi_d2", "-0.5", -0.5),
+    ("power.p_driver", "0.5", 0.5),
+]
+
+
+@pytest.mark.parametrize("name, text, value", SET_CASES,
+                         ids=[case[0] for case in SET_CASES])
+def test_set_is_an_edit_of_the_file(tmp_path, monkeypatch, name, text, value):
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args, cfg: seen.append(cfg) or 0)
+    assert main(["validate", "--config", write_small(tmp_path),
+                 "--set", f"{name}={text}"]) == 0
+    raw = small_raw()
+    parent, _, key = name.rpartition(".")
+    (raw.setdefault(parent, {}) if parent else raw)[key] = value
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(raw))
+    assert seen == [load_config(edited)]
+    assert seen[0] != small_config()
+
+
+@pytest.mark.parametrize("text", ["M", "=8", "P=pi", "M=8,", "K1=nan"])
+def test_malformed_set_is_a_usage_error(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", DEFAULT, "--set", text])
+    assert exc.value.code == 2
+    assert "argument --set:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets, field", [
+    (["Q=4"], "unknown config field 'Q'"),
+    (["angles.theta_d3=0"], "unknown config field 'angles.theta_d3'"),
+    (["M.x=1"], "config field 'M' is not a section"),
+    (["P.x=1"], "config field 'P' is not a section"),
+    (["M=8", "M=16"], "duplicate config field 'M'"),
+    (["angles.phi_d2=1", "angles.phi_d2=2"],
+     "duplicate config field 'angles.phi_d2'"),
+    (['power={"p_rest": 1}', "power.p_driver=1"], "duplicate config field 'power'"),
+    (["M=8.0"], "M must be a positive integer"),
+    (["M=true"], "M must be a positive integer"),
+    (['M="8"'], "M must be a positive integer"),
+    (["K1=NaN"], "K1 must be"),
+    (["K2=-1"], "K2 must be"),
+    (["angles.theta_d2=Infinity"], "angles.theta_d2 must be finite"),
+    (["power.p_rest=-1"], "power.p_rest must be"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_bad_set_field_is_rejected_naming_it(capsys, sets, field):
+    argv = ["validate", "--config", DEFAULT]
+    for text in sets:
+        argv += ["--set", text]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}")
+
+
+def test_set_infinite_rician_factor_is_pure_los(capsys):
+    assert main(["validate", "--config", DEFAULT, "--set", "K1=Infinity"]) == 0
+    assert "K1=inf" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--samples", "5"],
+    ["validate", "--seed", "3"],
+    ["eta", "--out", "f.csv"],
+    ["oracle", "--workers", "2"],
+    ["sweep-q", "--samples", "5"],
+    ["sweep-n", "--samples", "5"],
+], ids=" ".join)
+def test_flag_a_command_does_not_use_is_rejected(capsys, argv):
+    command, *flag = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", ORACLE_SMALL, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eta", "--config", DEFAULT],
+    ["sweep-k", "--config", ORACLE_SMALL, "--k-grid", "0,10", "--samples", "64",
+     "--seed", "5"],
+    ["sweep-q", "--config", ORACLE_SMALL, "--draws", "5", "--seed", "5"],
+], ids=lambda argv: argv[0])
+def test_inert_fields_change_no_output(capsys, argv):
+    # MRT folds in the transmit array response, and ||a_tx||^2 = M at any
+    # spacing or departure angle.
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main([*argv, "--set", "d1_over_lambda=0.3",
+                 "--set", "angles.theta_d1=1.0"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_missing_config_file(capsys):
@@ -206,7 +306,7 @@ ENTRY = "from ris_subarray.cli import entry; entry()"
 
 @pytest.mark.parametrize("argv, code", [
     (["sweep-q", "--config", ORACLE_SMALL, "--draws", "3"], 0),
-    (["validate", "--config", DEFAULT, "--Lx", "3"], 1),
+    (["validate", "--config", DEFAULT, "--set", "Lx=3"], 1),
     (["sweep-k", "--config", DEFAULT, "--samples", "0"], 2),
 ], ids=["sweep", "bad config", "usage error"])
 def test_console_entry_keeps_exit_codes(argv, code):

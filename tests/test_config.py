@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import pytest
@@ -120,6 +120,8 @@ def test_load_config_rejects_non_object(tmp_path):
     (small_raw(power={"p_drivr": 0.43}), "'power.p_drivr'"),
     (small_raw(power={"p_rest": math.nan}), "^power.p_rest must"),
     (small_raw(power={"p_driver": math.inf}), "^power.p_driver must"),
+    (small_raw(power={"p_rest": 0, "p_dynamic": 0, "p_control": 0,
+                      "p_driver": 0}), "^power terms must not all be 0"),
     (small_raw(angles={**small_raw()["angles"], "theta_d3": 0.0}),
      "'angles.theta_d3'"),
     # raw text: a dict cannot hold a repeated key
@@ -130,7 +132,7 @@ def test_load_config_rejects_non_object(tmp_path):
         '"power": {', '"power": {"p_rest": 1.0, '),
      "duplicate config field 'p_rest'"),
 ], ids=["M-float", "M-bool", "K1-string", "unknown-top", "unknown-power",
-        "power-nan", "power-inf", "unknown-angle", "duplicate-top",
+        "power-nan", "power-inf", "power-zero", "unknown-angle", "duplicate-top",
         "duplicate-angle", "duplicate-power"])
 def test_malformed_input_rejected_naming_field(tmp_path, raw, field):
     path = tmp_path / "cfg.json"
@@ -138,6 +140,14 @@ def test_malformed_input_rejected_naming_field(tmp_path, raw, field):
     path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     with pytest.raises(ConfigError, match=field):
         load_config(path)
+
+
+def test_load_config_merges_overrides_from_any_iterable(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_raw()))
+    overrides = iter([("M", 8), ("power.p_driver", 0.5)])
+    assert load_config(path, overrides) == config_from_dict(
+        small_raw(M=8, power={"p_driver": 0.5}))
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
@@ -155,8 +165,10 @@ def test_power_section_is_part_of_the_config():
 
 _reals = st.floats(min_value=1e-3, max_value=1e3)
 _angles = st.builds(Angles, *[st.floats(-10.0, 10.0)] * 5)
+# An all-zero power model is rejected: it has no energy efficiency.
 _power = st.builds(PowerConstants,
-                   *[st.floats(min_value=0.0, max_value=1e3)] * 4)
+                   *[st.floats(min_value=0.0, max_value=1e3)] * 4
+                   ).filter(lambda power: any(astuple(power)))
 
 
 @st.composite

@@ -160,6 +160,23 @@ def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("entry", [True, "5", None, 1j, np.bool_(True)],
+                         ids=repr)
+def test_sweep_rician_rejects_a_k_that_is_not_a_real_number(monkeypatch, entry):
+    ran = []
+    monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="^k_grid entries must be real numbers"):
+        sweep_rician_factor(small_config(), k_grid=[1.0, entry], samples=8)
+    assert ran == []
+
+
+def test_sweep_rician_accepts_numpy_floats():
+    plain = sweep_rician_factor(small_config(), k_grid=[0.5, 5], samples=8)
+    numpy = sweep_rician_factor(small_config(), samples=8,
+                                k_grid=np.array([0.5, 5.0], dtype=np.float32))
+    assert rows_to_csv(numpy) == rows_to_csv(plain)
+
+
 W = WORK_PER_WORKER
 
 
