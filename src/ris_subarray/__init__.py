@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 _MODULE_OF = {name: module for module, names in (
     ("config", "Angles ConfigError PowerConstants SystemConfig config_from_dict"
                " load_config ris_power validate_config"),
-    ("metrics", "energy_efficiency max_se_upper_bound monte_carlo_se"
-                " se_upper_bound"),
-    ("phases", "PhaseAssignment coherence_factor los_cascade_gain"
-               " optimal_phases"),
+    ("metrics", "energy_efficiency max_se_upper_bound monte_carlo_se"),
+    ("phases", "coherence_factor los_cascade_gain optimal_phases"),
     ("sweeps", "SweepResult draw_angle_tuples exhaustive_phase_search"
                " sweep_rician_factor sweep_ris_size sweep_subarray_count"
                " write_csv"),

@@ -10,12 +10,13 @@ independently controlled phase.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .channel import rician_split
 from .config import PowerConstants, SystemConfig, ris_power
-from .phases import PhaseAssignment, coherence_factor, los_cascade_gain
+from .phases import coherence_factor, los_cascade_gain
 
 # Monte Carlo samples are drawn in chunks of this many consecutive indices,
 # chunk c from the Philox stream keyed (master_seed, c). A chunk's values do
@@ -24,21 +25,27 @@ from .phases import PhaseAssignment, coherence_factor, los_cascade_gain
 MC_CHUNK = 1 << 16
 
 
+def _size(name: str, value) -> int:
+    """A run size: an integer, not a bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _seed(name: str, value) -> int:
+    """A master seed: an integer, not a bool, in [0, 2**64)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < 2 ** 64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
 def _gammas(cfg: SystemConfig) -> tuple[float, float]:
     """Power split of the cascaded two-hop link: gamma1 weighs the coherent
     LoS-times-LoS part, gamma2 everything that scatters at least once. They
     sum to one exactly."""
     gamma1 = rician_split(cfg.K1)[0] * rician_split(cfg.K2)[0]
     return gamma1, 1.0 - gamma1
-
-
-def se_upper_bound(cfg: SystemConfig, assignment: PhaseAssignment) -> float:
-    """Ergodic-SE upper bound for an arbitrary phase assignment, in bits."""
-    gamma1, gamma2 = _gammas(cfg)
-    snr = cfg.P / cfg.sigma_w2
-    gain = los_cascade_gain(cfg, assignment)
-    return math.log2(1.0 + snr * (gamma1 * gain
-                                  + gamma2 * cfg.M * cfg.N + cfg.M))
 
 
 def max_se_upper_bound(cfg: SystemConfig, angles=None):
@@ -58,8 +65,8 @@ def max_se_upper_bound(cfg: SystemConfig, angles=None):
     return np.fromiter(map(math.log2, arg), float, len(arg))
 
 
-def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
-                 num_samples: int, master_seed: int):
+def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
+                 master_seed: int):
     """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2), one array per chunk.
 
     The rate depends on the channels only through that squared norm, which
@@ -79,7 +86,7 @@ def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
     """
     w1_los, w1_sc = map(math.sqrt, rician_split(cfg.K1))
     w2_los, w2_sc = map(math.sqrt, rician_split(cfg.K2))
-    alpha0_sq = w2_los ** 2 * los_cascade_gain(cfg, assignment) / (cfg.N * cfg.M)
+    alpha0_sq = w2_los ** 2 * los_cascade_gain(cfg, phases) / (cfg.N * cfg.M)
     alpha0 = math.sqrt(alpha0_sq)
     perp = max(0.0, w2_los ** 2 * cfg.N - alpha0_sq)
     los_gain = 2.0 * w1_los ** 2 * cfg.N * cfg.M
@@ -104,20 +111,22 @@ def _rate_chunks(cfg: SystemConfig, assignment: PhaseAssignment,
         yield np.log2(1.0 + snr * v_sq)
 
 
-def monte_carlo_se(cfg: SystemConfig, assignment: PhaseAssignment,
-                   num_samples: int, master_seed: int) -> tuple[float, float]:
-    """Sample-mean ergodic SE and its standard error, in bits.
+def monte_carlo_se(cfg: SystemConfig, phases, num_samples: int,
+                   master_seed: int) -> tuple[float, float]:
+    """Sample-mean ergodic SE and its standard error, in bits, under phases,
+    a length-Q array of one shift per subarray.
 
     Maximum-ratio transmission is folded in analytically: the rate of a
     sample is log2(1 + snr * ||h2 Phi H1 + g||^2), drawn as in _rate_chunks.
-    The result is a pure function of (cfg, assignment, num_samples,
+    The result is a pure function of (cfg, phases, num_samples,
     master_seed), independent of evaluation order and worker count. Chunk
     means and squared deviations are merged in chunk order (Chan et al.).
+    num_samples must be an integer >= 1 and master_seed one in [0, 2**64).
     """
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+    num_samples = _size("num_samples", num_samples)
+    master_seed = _seed("master_seed", master_seed)
     count, mean, sq_dev = 0, 0.0, 0.0
-    for rates in _rate_chunks(cfg, assignment, num_samples, master_seed):
+    for rates in _rate_chunks(cfg, phases, num_samples, master_seed):
         chunk_mean = float(np.mean(rates))
         delta = chunk_mean - mean
         sq_dev += (float(np.sum((rates - chunk_mean) ** 2))

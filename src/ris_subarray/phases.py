@@ -1,20 +1,20 @@
 """Closed-form subarray phase design and coherent-alignment analysis.
 
-A phase configuration assigns one shift per subarray; applying it scales each
-length-L segment of the surface-to-user response. The closed-form design
-aligns every subarray's LoS coupling, and the coherence factor quantifies the
-LoS array gain retained relative to per-element control.
+Phases are a length-Q array of shifts in radians, one per subarray, each
+scaling a length-L segment of the surface-to-user response. The LoS
+geometry enters only through two per-axis phase slopes: they give the
+subarray couplings, the closed-form design aligning them, and the coherence
+factor, the LoS array gain retained relative to per-element control.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 import numpy as np
 
-from .arrays import (arrival_phase_offsets, departure_phase_offsets,
-                     subarray_grid_offsets, upa_steering)
+from .arrays import subarray_grid_offsets
 from .config import TWO_PI, SystemConfig
 
 # Below this, sin(p) is treated as exactly at a grating point p = k*pi, where
@@ -22,21 +22,21 @@ from .config import TWO_PI, SystemConfig
 _SING_TOL = 1e-9
 
 
-@dataclass
-class PhaseAssignment:
-    """One phase shift per subarray, stored in [0, 2*pi)."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        self.phases = np.mod(np.asarray(self.phases, dtype=float), TWO_PI)
-
-
 def phase_slopes(cfg: SystemConfig, angles=None):
     """Per-axis, per-element phase progression mismatch between the departure
     and arrival paths across the surface, in [-pi, pi] for spacings up to
-    half a wavelength. One pair per row of angles, an (n, 5) array of angle
-    tuples in Angles field order; by default that of the config's tuple."""
+    half a wavelength. One pair per row of angles, an (n, 5) array of finite
+    angle tuples in Angles field order; by default that of the config's
+    tuple."""
+    if angles is not None:
+        try:
+            angles = np.asarray(angles)
+        except ValueError:      # ragged nesting
+            angles = np.asarray(None)
+        if (angles.dtype.kind not in "iuf" or angles.shape[1:] != (5,)
+                or not np.isfinite(angles).all()):
+            raise ValueError("angles must be an (n, 5) array of finite reals, "
+                             f"got shape {angles.shape} of {angles.dtype}")
     _, theta_a1, phi_a1, theta_d2, phi_d2 = np.asarray(
         astuple(cfg.angles) if angles is None else angles, dtype=float).T
     d = cfg.d2_over_lambda
@@ -46,8 +46,8 @@ def phase_slopes(cfg: SystemConfig, angles=None):
     return p1, p2
 
 
-def optimal_phases(cfg: SystemConfig) -> PhaseAssignment:
-    """Closed-form phase assignment maximizing the LoS cascade gain.
+def optimal_phases(cfg: SystemConfig) -> np.ndarray:
+    """Closed-form phases in [0, 2*pi) maximizing the LoS cascade gain.
 
     Each subarray cancels the accumulated offset of its origin plus half the
     within-subarray progression, so all subarray couplings add coherently.
@@ -56,7 +56,7 @@ def optimal_phases(cfg: SystemConfig) -> PhaseAssignment:
     x, y = subarray_grid_offsets(cfg)
     raw = -(2.0 * p1 * x + 2.0 * p2 * y
             + p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))
-    return PhaseAssignment(raw)
+    return np.mod(raw, TWO_PI)
 
 
 def _normalized_kernel(L: int, p):
@@ -91,34 +91,25 @@ def coherence_factor(cfg: SystemConfig, angles=None):
 
 
 def subarray_couplings(cfg: SystemConfig) -> np.ndarray:
-    """Length-Q LoS coupling of each subarray before its phase is applied.
-
-    The cascade through subarray q is its departure offset times its arrival
-    offset times the inner product of the two surface responses restricted to
-    one subarray; the inner product is shared by all subarrays.
-    """
-    a_arr = upa_steering(cfg.Lx, cfg.Ly, cfg.d2_over_lambda,
-                         cfg.angles.theta_a1, cfg.angles.phi_a1)
-    a_dep = upa_steering(cfg.Lx, cfg.Ly, cfg.d2_over_lambda,
-                         cfg.angles.theta_d2, cfg.angles.phi_d2)
-    inner = np.sum(a_dep * a_arr.conj())
-    return departure_phase_offsets(cfg) * arrival_phase_offsets(cfg) * inner
+    """Length-Q LoS coupling of each subarray before its phase is applied:
+    the sum over its elements (ix, iy) of e^{2j(p1*ix + p2*iy)}, the
+    departure response times the conjugated arrival response. The sum
+    factorizes per axis; subarrays are numbered x-major."""
+    p1, p2 = phase_slopes(cfg)
+    ex = np.exp(2j * p1 * np.arange(cfg.Nx)).reshape(cfg.Qx, cfg.Lx).sum(axis=1)
+    ey = np.exp(2j * p2 * np.arange(cfg.Ny)).reshape(cfg.Qy, cfg.Ly).sum(axis=1)
+    return np.outer(ex, ey).ravel()
 
 
-def los_cascade_gain(cfg: SystemConfig, assignment: PhaseAssignment) -> float:
-    """Squared norm of the LoS cascade row vector under the given phases.
+def los_cascade_gain(cfg: SystemConfig, phases) -> float:
+    """Squared norm of the LoS cascade row vector under length-Q phases.
 
     Equals |sum_q e^{j phi_q} w_q|^2 * M for the subarray couplings w_q; at
     the optimum this is coherence_factor * N^2 * M.
     """
-    phases = _checked_phases(cfg, assignment)
-    z = np.sum(np.exp(1j * phases) * subarray_couplings(cfg))
-    return float((z * z.conjugate()).real * cfg.M)
-
-
-def _checked_phases(cfg: SystemConfig, assignment: PhaseAssignment) -> np.ndarray:
-    phases = assignment.phases
+    phases = np.asarray(phases, dtype=float)
     if phases.shape != (cfg.Q,):
         raise ValueError(
-            f"phase assignment has {phases.shape[0]} entries, config has Q={cfg.Q}")
-    return phases
+            f"phases must have shape ({cfg.Q},) for Q={cfg.Q}, got {phases.shape}")
+    z = np.sum(np.exp(1j * phases) * subarray_couplings(cfg))
+    return float((z * z.conjugate()).real * cfg.M)

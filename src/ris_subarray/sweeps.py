@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import SystemConfig, validate_config
-from .metrics import energy_efficiency, max_se_upper_bound, monte_carlo_se
-from .phases import PhaseAssignment, los_cascade_gain, optimal_phases, subarray_couplings
+from .config import TWO_PI, SystemConfig, validate_config
+from .metrics import (_seed, _size, energy_efficiency, max_se_upper_bound,
+                      monte_carlo_se)
+from .phases import los_cascade_gain, optimal_phases, subarray_couplings
 
 CSV_FIELDS = ("scheme", "var_name", "var_value", "se_mc", "se_mc_stderr",
               "se_ub", "ee")
@@ -49,21 +50,6 @@ def point_seed(master_seed: int, index: int) -> int:
     """Derived seed for sweep point number index, schedule-independent."""
     ss = np.random.SeedSequence([int(master_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _size(name: str, value) -> int:
-    """A run size: an integer, not a bool, of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def _seed(value) -> int:
-    """A master seed: an integer, not a bool, in [0, 2**64)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 0 <= value < 2 ** 64):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {value!r}")
-    return int(value)
 
 
 def _run_tasks(fn, tasks, workers: int, work_per_task: int) -> list:
@@ -100,7 +86,7 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     The element scheme is the same computation on the Lx = Ly = 1 copy of
     the config, not a separate formula.
     """
-    samples, seed = _size("samples", samples), _seed(seed)
+    samples, seed = _size("samples", samples), _seed("seed", seed)
     workers = _size("workers", workers)
     tasks = []
     for k in DEFAULT_K_GRID if k_grid is None else k_grid:
@@ -117,9 +103,9 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
 def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
     """count-by-5 i.i.d. uniform [0, 2*pi) angle tuples from a fixed stream."""
     # A list key would go through float64 for seeds >= 2**63.
-    key = np.array([int(seed), 0], dtype=np.uint64)
+    key = np.array([_seed("seed", seed), 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.uniform(0.0, 2.0 * np.pi, size=(count, 5))
+    return rng.uniform(0.0, 2.0 * np.pi, size=(_size("count", count), 5))
 
 
 def _regional_point(task) -> SweepResult:
@@ -146,7 +132,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     Q = N / L0^2 subarrays. All points share the same seeded angle draws, and
     the L0 = 1 point is the element scheme, labeled as such.
     """
-    draws, seed = _size("num_angle_draws", num_angle_draws), _seed(seed)
+    draws, seed = _size("num_angle_draws", num_angle_draws), _seed("seed", seed)
     workers = _size("workers", workers)
     angle_tuples = draw_angle_tuples(seed, draws)
     tasks = []
@@ -167,7 +153,7 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     Every N gets an element row plus one row per compatible L0; rows for an
     L0 that does not divide sqrt(N) are skipped.
     """
-    draws, seed = _size("num_angle_draws", num_angle_draws), _seed(seed)
+    draws, seed = _size("num_angle_draws", num_angle_draws), _seed("seed", seed)
     workers = _size("workers", workers)
     l0_set = [_size("l0_set", l0) for l0 in l0_set]
     angle_tuples = draw_angle_tuples(seed, draws)
@@ -191,16 +177,17 @@ def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:
 
 
 def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int = 16
-                            ) -> tuple[PhaseAssignment, float]:
+                            ) -> tuple[np.ndarray, float]:
     """Maximize the LoS cascade gain over a uniform per-subarray phase grid.
 
     Evaluates all grid_levels**Q combinations; capped at Q <= 4 and
-    grid_levels <= 32. Returns the best assignment and its gain.
+    grid_levels <= 32. Returns the best phases, in [0, 2*pi), and their gain.
     """
     if cfg.Q > ORACLE_MAX_Q:
         raise ValueError(
             f"exhaustive search supports Q <= {ORACLE_MAX_Q}, config has Q={cfg.Q}")
-    if not 1 <= grid_levels <= ORACLE_MAX_LEVELS:
+    grid_levels = _size("grid_levels", grid_levels)
+    if grid_levels > ORACLE_MAX_LEVELS:
         raise ValueError(
             f"grid_levels must be in 1..{ORACLE_MAX_LEVELS}, got {grid_levels}")
     w = subarray_couplings(cfg)
@@ -209,10 +196,9 @@ def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int = 16
     total = sum(w_q * a for w_q, a in zip(w, np.ix_(*[axis] * cfg.Q)))
     gains = (total * total.conjugate()).real * cfg.M
     combo = np.unravel_index(int(np.argmax(gains)), gains.shape)
-    best = PhaseAssignment(2.0 * np.pi * np.asarray(combo, dtype=float)
-                           / grid_levels)
+    best = np.mod(TWO_PI * np.asarray(combo, dtype=float) / grid_levels, TWO_PI)
     # Recompute through the public gain path so the reported value cannot
-    # drift from what callers would measure for the returned assignment.
+    # drift from what callers would measure for the returned phases.
     return best, los_cascade_gain(cfg, best)
 
 

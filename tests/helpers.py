@@ -2,9 +2,12 @@
 
 subarray_origin() is the 1-based oracle for the subarray grid offsets.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
-vectorized coherence factor and bound of the regional sweeps. The
-per-element channel sampler at the end is the independent oracle for the
-sufficient-statistic Monte Carlo sampler in ris_subarray.metrics; it
+vectorized coherence factor and bound of the regional sweeps, and
+se_upper_bound() the bound at arbitrary phases. The steering vectors and
+per-subarray offsets below build the LoS geometry element by element:
+steering_couplings() is the oracle for the slope-based subarray couplings.
+The per-element channel sampler at the end is the independent oracle for
+the sufficient-statistic Monte Carlo sampler in ris_subarray.metrics; it
 builds the channels from the LoS components defined just before it.
 
 reference_config() is the evaluation setup used throughout: 64 transmit
@@ -20,11 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ris_subarray import (Angles, SystemConfig, energy_efficiency,
-                          max_se_upper_bound, validate_config, write_csv)
-from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
-                                 upa_steering)
+                          los_cascade_gain, max_se_upper_bound,
+                          validate_config, write_csv)
+from ris_subarray.arrays import subarray_grid_offsets
 from ris_subarray.metrics import _gammas
-from ris_subarray.phases import _checked_phases
 
 REF_ANGLES = Angles(
     theta_d1=math.pi / 2,
@@ -146,6 +148,17 @@ def regional_draws(cfg: SystemConfig, angle_tuples) -> np.ndarray:
     return out
 
 
+def se_upper_bound(cfg: SystemConfig, phases) -> float:
+    """Ergodic-SE upper bound for arbitrary length-Q phases, in bits: the
+    Jensen bound through the LoS cascade gain instead of the coherence
+    factor, which holds only at the optimum."""
+    gamma1, gamma2 = _gammas(cfg)
+    snr = cfg.P / cfg.sigma_w2
+    gain = los_cascade_gain(cfg, phases)
+    return math.log2(1.0 + snr * (gamma1 * gain
+                                  + gamma2 * cfg.M * cfg.N + cfg.M))
+
+
 def rows_to_csv(rows) -> str:
     """The CSV text write_csv produces for rows."""
     buf = io.StringIO()
@@ -171,9 +184,9 @@ def count_pools(monkeypatch) -> list:
     return started
 
 
-def dense_phase_matrix(cfg, assignment) -> np.ndarray:
+def dense_phase_matrix(cfg, phases) -> np.ndarray:
     """Independent oracle: the full N-by-N block-diagonal phase matrix."""
-    return np.kron(np.diag(np.exp(1j * assignment.phases)), np.eye(cfg.L))
+    return np.kron(np.diag(np.exp(1j * np.asarray(phases))), np.eye(cfg.L))
 
 
 def ula_steering(M: int, d_over_lambda: float, theta: float) -> np.ndarray:
@@ -181,6 +194,53 @@ def ula_steering(M: int, d_over_lambda: float, theta: float) -> np.ndarray:
     if M < 1:
         raise ValueError(f"array size M must be positive, got {M}")
     return np.exp(2j * np.pi * d_over_lambda * np.sin(theta) * np.arange(M))
+
+
+def upa_steering(Lx: int, Ly: int, d_over_lambda: float,
+                 theta: float, phi: float) -> np.ndarray:
+    """Length Lx*Ly UPA response for elevation theta and azimuth phi.
+
+    Element (lx, ly), zero-based, carries phase
+    2*pi*d*(sin(theta)*lx + sin(phi)*cos(theta)*ly); the flattening is
+    x-major, so the result equals kron(x_factor, y_factor).
+    """
+    if Lx < 1 or Ly < 1:
+        raise ValueError(f"grid sides must be positive, got {Lx}x{Ly}")
+    px = np.sin(theta) * np.arange(Lx)
+    py = np.sin(phi) * np.cos(theta) * np.arange(Ly)
+    return np.exp(2j * np.pi * d_over_lambda * (px[:, None] + py[None, :])).ravel()
+
+
+def arrival_phase_offsets(cfg: SystemConfig) -> np.ndarray:
+    """Unit-modulus offset of each subarray's origin along the arrival path.
+
+    Note the sign: arrival offsets conjugate the propagation phase while the
+    departure offsets do not, so the two functions must not be unified.
+    """
+    x, y = subarray_grid_offsets(cfg)
+    a = cfg.angles
+    trip = np.sin(a.theta_a1) * x + np.cos(a.theta_a1) * np.sin(a.phi_a1) * y
+    return np.exp(-2j * np.pi * cfg.d2_over_lambda * trip)
+
+
+def departure_phase_offsets(cfg: SystemConfig) -> np.ndarray:
+    """Unit-modulus offset of each subarray's origin along the departure path."""
+    x, y = subarray_grid_offsets(cfg)
+    a = cfg.angles
+    trip = np.sin(a.theta_d2) * x + np.cos(a.theta_d2) * np.sin(a.phi_d2) * y
+    return np.exp(2j * np.pi * cfg.d2_over_lambda * trip)
+
+
+def steering_couplings(cfg: SystemConfig) -> np.ndarray:
+    """Length-Q LoS subarray couplings from the steering vectors: departure
+    offset times arrival offset times the inner product of the two surface
+    responses restricted to one subarray, which all subarrays share."""
+    a_arr = upa_steering(cfg.Lx, cfg.Ly, cfg.d2_over_lambda,
+                         cfg.angles.theta_a1, cfg.angles.phi_a1)
+    a_dep = upa_steering(cfg.Lx, cfg.Ly, cfg.d2_over_lambda,
+                         cfg.angles.theta_d2, cfg.angles.phi_d2)
+    inner = np.sum(a_dep * a_arr.conj())
+    return departure_phase_offsets(cfg) * arrival_phase_offsets(cfg) * inner
 
 
 def los_bs_to_ris(cfg: SystemConfig) -> np.ndarray:
@@ -249,14 +309,16 @@ def sample_channels(cfg: SystemConfig, rng: np.random.Generator
     return ChannelRealization(H1=H1, h2=h2, g=g)
 
 
-def effective_cascade(cfg: SystemConfig, assignment, h2: np.ndarray,
+def effective_cascade(cfg: SystemConfig, phases, h2: np.ndarray,
                       H1: np.ndarray) -> np.ndarray:
     """Cascade h2 through the phased surface into H1 without an N-by-N matrix.
 
     Each length-L segment of h2 is scaled by its subarray's phase factor and
     the result is multiplied into H1, giving the length-M effective channel.
     """
-    phases = _checked_phases(cfg, assignment)
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (cfg.Q,):
+        raise ValueError(f"phases must have shape ({cfg.Q},), got {phases.shape}")
     if h2.shape != (cfg.N,):
         raise ValueError(f"h2 must have shape ({cfg.N},), got {h2.shape}")
     if H1.shape != (cfg.N, cfg.M):
@@ -265,13 +327,13 @@ def effective_cascade(cfg: SystemConfig, assignment, h2: np.ndarray,
     return (h2 * scale) @ H1
 
 
-def oracle_rates(cfg: SystemConfig, assignment, num_samples: int,
+def oracle_rates(cfg: SystemConfig, phases, num_samples: int,
                  master_seed: int) -> np.ndarray:
     """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2) from full draws."""
     snr = cfg.P / cfg.sigma_w2
     rates = np.empty(num_samples)
     for i in range(num_samples):
         real = sample_channels(cfg, sample_stream(master_seed, i))
-        v = effective_cascade(cfg, assignment, real.h2, real.H1) + real.g
+        v = effective_cascade(cfg, phases, real.h2, real.H1) + real.g
         rates[i] = np.log2(1.0 + snr * (v * v.conjugate()).real.sum())
     return rates

@@ -18,13 +18,13 @@ import pytest
 from ris_subarray import (PowerConstants, coherence_factor,
                           exhaustive_phase_search, los_cascade_gain,
                           max_se_upper_bound, monte_carlo_se, optimal_phases,
-                          ris_power, se_upper_bound, sweep_rician_factor,
-                          sweep_ris_size, sweep_subarray_count,
-                          validate_config)
+                          ris_power, sweep_rician_factor, sweep_ris_size,
+                          sweep_subarray_count, validate_config)
 from ris_subarray.sweeps import grid_resolution_slack
 
 from helpers import (count_pools, element_bound, random_config,
-                     reference_config, rows_to_csv, small_config)
+                     reference_config, rows_to_csv, se_upper_bound,
+                     small_config)
 
 MC_SEEDS = (1, 2, 3)
 MC_SAMPLES = 10_000_000

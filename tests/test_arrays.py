@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from ris_subarray import Angles
-from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
-                                 upa_steering)
 
-from helpers import random_angles, reference_config, ula_steering
+from helpers import (arrival_phase_offsets, departure_phase_offsets,
+                     random_angles, reference_config, ula_steering, upa_steering)
 
 SEED = 7041
 

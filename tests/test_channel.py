@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ris_subarray.arrays import (arrival_phase_offsets, departure_phase_offsets,
-                                 upa_steering)
 from ris_subarray.channel import rician_split
 
-from helpers import (los_bs_to_ris, los_ris_to_user, random_config,
+from helpers import (arrival_phase_offsets, departure_phase_offsets,
+                     los_bs_to_ris, los_ris_to_user, random_config,
                      reference_config, sample_channels, sample_stream,
-                     small_config, ula_steering)
+                     small_config, ula_steering, upa_steering)
 
 SEED = 90210
 

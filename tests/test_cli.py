@@ -378,11 +378,11 @@ def test_validate_runs_without_numpy():
     assert fresh_python(code).splitlines()[-1] == "0 False"
 
 
-PUBLIC = ["Angles", "ConfigError", "PhaseAssignment", "PowerConstants",
-          "SweepResult", "SystemConfig", "coherence_factor", "config_from_dict",
+PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",
+          "SystemConfig", "coherence_factor", "config_from_dict",
           "draw_angle_tuples", "energy_efficiency", "exhaustive_phase_search",
           "load_config", "los_cascade_gain", "max_se_upper_bound",
-          "monte_carlo_se", "optimal_phases", "ris_power", "se_upper_bound",
+          "monte_carlo_se", "optimal_phases", "ris_power",
           "sweep_rician_factor", "sweep_ris_size", "sweep_subarray_count",
           "validate_config", "write_csv"]
 

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ris_subarray import (Angles, ConfigError, PhaseAssignment, PowerConstants,
+from ris_subarray import (Angles, ConfigError, PowerConstants,
                           coherence_factor, config_from_dict,
                           energy_efficiency, max_se_upper_bound,
-                          monte_carlo_se, optimal_phases, ris_power,
-                          se_upper_bound)
+                          monte_carlo_se, optimal_phases, ris_power)
 from ris_subarray.metrics import MC_CHUNK, _gammas, _rate_chunks
 
 from helpers import (element_bound, oracle_rates, random_config,
-                     reference_config, small_config, small_raw)
+                     reference_config, se_upper_bound, small_config,
+                     small_raw)
 
 SEED = 1453
 
@@ -47,8 +47,8 @@ def _oracle_cases():
     rng = np.random.default_rng(SEED + 4)
     for i in range(3):
         cfg = random_config(rng, max_m=8)
-        pa = PhaseAssignment(rng.uniform(0, 2 * np.pi, size=cfg.Q))
-        cases.append(pytest.param(cfg, pa, id=f"random{i}"))
+        phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
+        cases.append(pytest.param(cfg, phases, id=f"random{i}"))
     return cases
 
 
@@ -83,8 +83,8 @@ def test_se_upper_bound_pure_scatter_value():
     # phase assignment; at P=10, M=64, N=1024 that is log2(656001).
     cfg = reference_config(K1=0.0, K2=0.0)
     expected = math.log2(1 + 10 * 64 * 1025)
-    for pa in (optimal_phases(cfg), PhaseAssignment(np.zeros(cfg.Q))):
-        assert se_upper_bound(cfg, pa) == pytest.approx(expected, rel=1e-15)
+    for phases in (optimal_phases(cfg), np.zeros(cfg.Q)):
+        assert se_upper_bound(cfg, phases) == pytest.approx(expected, rel=1e-15)
     assert se_upper_bound(cfg, optimal_phases(cfg)) == pytest.approx(19.323, abs=5e-4)
     assert max_se_upper_bound(cfg) == element_bound(cfg)
 
@@ -214,8 +214,7 @@ def test_monte_carlo_single_sample():
 def test_monte_carlo_rejects_wrong_phase_count():
     cfg = small_config()
     with pytest.raises(ValueError, match="phase"):
-        monte_carlo_se(cfg, PhaseAssignment(np.zeros(cfg.Q + 1)), 8,
-                       master_seed=3)
+        monte_carlo_se(cfg, np.zeros(cfg.Q + 1), 8, master_seed=3)
 
 
 def test_monte_carlo_reproducible_across_chunk_boundary():
@@ -236,15 +235,14 @@ def test_monte_carlo_reproducible_across_chunk_boundary():
                                    rel=1e-9)
 
 
-@pytest.mark.parametrize("cfg, assignment", _oracle_cases())
-def test_sampler_matches_per_element_oracle(cfg, assignment):
+@pytest.mark.parametrize("cfg, phases", _oracle_cases())
+def test_sampler_matches_per_element_oracle(cfg, phases):
     # Same law of the rate as full N-by-M draws: mean, variance (with the
     # kurtosis-aware standard error of a sample variance) and the whole
     # distribution (two-sample KS). Distinct seeds keep the samples
     # independent of each other.
-    fast = np.concatenate(list(_rate_chunks(cfg, assignment, FAST_SAMPLES,
-                                            SEED)))
-    slow = oracle_rates(cfg, assignment, ORACLE_SAMPLES, SEED + 1)
+    fast = np.concatenate(list(_rate_chunks(cfg, phases, FAST_SAMPLES, SEED)))
+    slow = oracle_rates(cfg, phases, ORACLE_SAMPLES, SEED + 1)
     z_mean = (np.mean(fast) - np.mean(slow)) / math.sqrt(
         np.var(fast, ddof=1) / fast.size + np.var(slow, ddof=1) / slow.size)
     z_var = (np.var(fast, ddof=1) - np.var(slow, ddof=1)) / math.sqrt(
@@ -269,8 +267,8 @@ def test_pure_scatter_rate_ignores_phases():
     # well inside the combined error.
     cfg = small_config(M=4, Nx=4, Ny=4, Lx=2, Ly=2, K1=0.0, K2=0.0)
     rng = np.random.default_rng(SEED + 3)
-    pa1 = PhaseAssignment(rng.uniform(0, 2 * np.pi, size=cfg.Q))
-    pa2 = PhaseAssignment(rng.uniform(0, 2 * np.pi, size=cfg.Q))
+    pa1 = rng.uniform(0, 2 * np.pi, size=cfg.Q)
+    pa2 = rng.uniform(0, 2 * np.pi, size=cfg.Q)
     m1, s1 = monte_carlo_se(cfg, pa1, 100_000, master_seed=77)
     m2, s2 = monte_carlo_se(cfg, pa2, 100_000, master_seed=77)
     assert abs(m1 - m2) < 3 * math.hypot(s1, s2)

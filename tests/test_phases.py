@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ris_subarray import (Angles, PhaseAssignment, coherence_factor,
-                          los_cascade_gain, max_se_upper_bound, optimal_phases,
-                          se_upper_bound)
+from ris_subarray import (Angles, coherence_factor, exhaustive_phase_search,
+                          los_cascade_gain, max_se_upper_bound, optimal_phases)
 from ris_subarray.phases import (coherence_factor_from_slopes, phase_slopes,
                                  subarray_couplings)
 
 from helpers import (dense_phase_matrix, effective_cascade, los_bs_to_ris,
                      los_ris_to_user, random_config, reference_config,
-                     sample_channels, sample_stream, small_config)
+                     sample_channels, sample_stream, se_upper_bound,
+                     small_config, steering_couplings)
 
 SEED = 31337
 
@@ -20,14 +20,48 @@ SEED = 31337
 # = -(sqrt(3) + 1)/4, each times pi * d2 = pi/2.
 REF_P1 = -math.pi * math.sqrt(3) / 2
 REF_P2 = -math.pi * (math.sqrt(3) + 1) / 8
+# theta_d2 = pi/2, theta_a1 = 0 puts Lx * p1 exactly at pi for 2-wide
+# subarrays, so the x-axis kernel vanishes.
+NULL_ANGLES = Angles(theta_d1=math.pi / 2, theta_a1=0.0, phi_a1=7 * math.pi / 6,
+                     theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3)
 
 
 def test_phase_assignment_normalized():
-    pa = PhaseAssignment(np.array([-math.pi / 2, 2 * math.pi, 7.0]))
-    assert pa.phases[0] == pytest.approx(3 * math.pi / 2, rel=1e-15)
-    assert pa.phases[1] == pytest.approx(0.0, abs=1e-15)
-    assert pa.phases[2] == pytest.approx(7.0 - 2 * math.pi, rel=1e-15)
-    assert np.all((0.0 <= pa.phases) & (pa.phases < 2 * math.pi))
+    # Phases are a plain float array of length Q, reduced into [0, 2*pi):
+    # the closed form's raw values run far outside it on large surfaces.
+    rng = np.random.default_rng(SEED + 9)
+    cfgs = [reference_config()] + [random_config(rng, sides=(1, 2, 3),
+                                                 groups=(1, 2)) for _ in range(20)]
+    for cfg in cfgs:
+        searched = ([exhaustive_phase_search(cfg, grid_levels=4)[0]]
+                    if cfg.Q <= 4 else [])
+        for phases in [optimal_phases(cfg)] + searched:
+            assert type(phases) is np.ndarray
+            assert phases.dtype == float and phases.shape == (cfg.Q,)
+            assert np.all((0.0 <= phases) & (phases < 2 * math.pi))
+    # the reference surface's closed form is congruent to its raw phases
+    cfg = cfgs[0]
+    p1, p2 = phase_slopes(cfg)
+    qx, qy = np.divmod(np.arange(cfg.Q), cfg.Qy)
+    raw = -(p1 * (2 * qx * cfg.Lx + cfg.Lx - 1) + p2 * (2 * qy * cfg.Ly + cfg.Ly - 1))
+    assert raw.max() > 2 * math.pi
+    np.testing.assert_allclose(np.exp(1j * optimal_phases(cfg)), np.exp(1j * raw),
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("angles", [
+    np.full((2, 5), np.nan),            # (n, 5) but not finite
+    np.full((1, 5), np.inf),
+    np.zeros((3, 4)),                   # too few columns
+    np.zeros(5),                        # one flat tuple, not a 2-D array
+    np.zeros((2, 5), dtype=bool),       # not numbers
+    [[0.0] * 5, [0.0] * 4],             # ragged
+], ids=["nan", "inf", "3x4", "flat5", "bool", "ragged"])
+def test_malformed_angle_array_rejected_naming_angles(angles):
+    cfg = small_config()
+    for fn in (phase_slopes, coherence_factor, max_se_upper_bound):
+        with pytest.raises(ValueError, match="^angles must be an"):
+            fn(cfg, angles)
 
 
 def test_phase_slopes_reference_values():
@@ -83,19 +117,33 @@ def test_coherence_factor_element_control_is_one():
 
 
 def test_coherence_factor_grating_null():
-    # theta_d2 = pi/2, theta_a1 = 0 puts Lx * p1 exactly at pi for 2-wide
-    # subarrays, so the x-axis kernel vanishes.
-    cfg = reference_config(angles=Angles(
-        theta_d1=math.pi / 2, theta_a1=0.0, phi_a1=7 * math.pi / 6,
-        theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3))
-    assert coherence_factor(cfg) < 1e-24
+    assert coherence_factor(reference_config(angles=NULL_ANGLES)) < 1e-24
+
+
+def test_subarray_couplings_match_steering_vector_product():
+    # Oracle: offsets times the per-subarray inner product of the two UPA
+    # steering vectors. Both sum the same unit phasors, so they agree to a
+    # few ulps per element of a subarray, at spacings up to one wavelength
+    # and at a grating null, where every coupling cancels to ~0.
+    rng = np.random.default_rng(SEED + 10)
+    cfgs = [random_config(rng, sides=(1, 2, 3, 4), groups=(1, 2, 3))
+            for _ in range(200)]
+    cfgs += [reference_config(angles=NULL_ANGLES),
+             reference_config(Lx=4, Ly=8, angles=NULL_ANGLES)]
+    for cfg in cfgs:
+        got = subarray_couplings(cfg)
+        assert got.shape == (cfg.Q,)
+        np.testing.assert_allclose(got, steering_couplings(cfg), rtol=0,
+                                   atol=1e-13 * cfg.L)
+    for cfg in cfgs[-2:]:
+        assert np.abs(subarray_couplings(cfg)).max() < 1e-12 * cfg.L
 
 
 def test_optimal_phases_single_subarray():
     cfg = small_config(Nx=2, Ny=2, Lx=2, Ly=2)
     p1, p2 = phase_slopes(cfg)
     expected = (-(p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))) % (2 * math.pi)
-    got = optimal_phases(cfg).phases
+    got = optimal_phases(cfg)
     assert got.shape == (1,)
     assert got[0] == pytest.approx(expected, rel=1e-12)
 
@@ -107,7 +155,7 @@ def test_optimal_phases_align_all_couplings():
     for _ in range(100):
         cfg = random_config(rng)
         w = subarray_couplings(cfg)
-        rotated = np.exp(1j * optimal_phases(cfg).phases) * w
+        rotated = np.exp(1j * optimal_phases(cfg)) * w
         total = np.abs(np.sum(rotated))
         assert total == pytest.approx(np.sum(np.abs(w)), rel=1e-9, abs=1e-9)
 
@@ -118,10 +166,11 @@ def test_los_cascade_gain_matches_dense_oracle():
     rng = np.random.default_rng(SEED + 4)
     for _ in range(20):
         cfg = random_config(rng)
-        pa = PhaseAssignment(rng.uniform(0, 2 * np.pi, size=cfg.Q))
-        dense = los_ris_to_user(cfg) @ dense_phase_matrix(cfg, pa) @ los_bs_to_ris(cfg)
+        phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
+        dense = (los_ris_to_user(cfg) @ dense_phase_matrix(cfg, phases)
+                 @ los_bs_to_ris(cfg))
         oracle = float(np.linalg.norm(dense) ** 2)
-        assert los_cascade_gain(cfg, pa) == pytest.approx(oracle, rel=1e-9)
+        assert los_cascade_gain(cfg, phases) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_optimal_gain_equals_coherence_identity():
@@ -139,8 +188,8 @@ def test_optimal_phases_dominate_random_ones():
         cfg = random_config(rng)
         best = los_cascade_gain(cfg, optimal_phases(cfg))
         for _ in range(4):
-            pa = PhaseAssignment(rng.uniform(0, 2 * np.pi, size=cfg.Q))
-            assert best >= los_cascade_gain(cfg, pa) * (1 - 1e-12)
+            phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
+            assert best >= los_cascade_gain(cfg, phases) * (1 - 1e-12)
 
 
 def test_effective_cascade_matches_dense_oracle():
@@ -148,23 +197,22 @@ def test_effective_cascade_matches_dense_oracle():
     for _ in range(10):
         cfg = random_config(rng)
         real = sample_channels(cfg, sample_stream(SEED, 0))
-        pa = PhaseAssignment(rng.uniform(0, 2 * np.pi, size=cfg.Q))
-        oracle = real.h2 @ dense_phase_matrix(cfg, pa) @ real.H1
-        got = effective_cascade(cfg, pa, real.h2, real.H1)
+        phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
+        oracle = real.h2 @ dense_phase_matrix(cfg, phases) @ real.H1
+        got = effective_cascade(cfg, phases, real.h2, real.H1)
         np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-10)
 
 
 def test_effective_cascade_dimension_errors():
     cfg = small_config()
     real = sample_channels(cfg, sample_stream(SEED, 1))
-    pa = optimal_phases(cfg)
+    phases = optimal_phases(cfg)
     with pytest.raises(ValueError, match="h2"):
-        effective_cascade(cfg, pa, real.h2[:-1], real.H1)
+        effective_cascade(cfg, phases, real.h2[:-1], real.H1)
     with pytest.raises(ValueError, match="H1"):
-        effective_cascade(cfg, pa, real.h2, real.H1.T)
+        effective_cascade(cfg, phases, real.h2, real.H1.T)
     with pytest.raises(ValueError, match="phase"):
-        effective_cascade(cfg, PhaseAssignment(np.zeros(cfg.Q + 1)),
-                          real.h2, real.H1)
+        effective_cascade(cfg, np.zeros(cfg.Q + 1), real.h2, real.H1)
 
 
 def test_bound_at_optimum_matches_closed_form():

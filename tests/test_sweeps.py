@@ -10,9 +10,9 @@ import pytest
 from ris_subarray import (Angles, ConfigError, coherence_factor,
                           draw_angle_tuples, energy_efficiency,
                           exhaustive_phase_search, load_config,
-                          los_cascade_gain, max_se_upper_bound, optimal_phases,
-                          sweep_rician_factor, sweep_ris_size,
-                          sweep_subarray_count)
+                          los_cascade_gain, max_se_upper_bound,
+                          monte_carlo_se, optimal_phases, sweep_rician_factor,
+                          sweep_ris_size, sweep_subarray_count)
 from ris_subarray import sweeps
 from ris_subarray.phases import _normalized_kernel
 from ris_subarray.sweeps import (WORK_PER_WORKER, _regional_point, _run_tasks,
@@ -278,6 +278,39 @@ def test_sweep_rejects_bad_run_argument_before_any_point(monkeypatch, sweep, bad
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         sweep(small_config(), **bad)
     assert ran == []
+
+
+GOOD_RUN_ARGUMENTS = {
+    monte_carlo_se: {"cfg": small_config(), "phases": np.zeros(4),
+                     "num_samples": 8, "master_seed": 0},
+    draw_angle_tuples: {"seed": 0, "count": 4},
+    exhaustive_phase_search: {"cfg": small_config(), "grid_levels": 4},
+}
+
+
+@pytest.mark.parametrize("fn, name, value", [
+    (monte_carlo_se, "num_samples", 2.5),
+    (monte_carlo_se, "num_samples", True),
+    (monte_carlo_se, "num_samples", np.float64(8.0)),
+    (monte_carlo_se, "master_seed", 1.5),
+    (monte_carlo_se, "master_seed", True),
+    (monte_carlo_se, "master_seed", -1),
+    (monte_carlo_se, "master_seed", 2 ** 64),
+    (draw_angle_tuples, "seed", 1.5),
+    (draw_angle_tuples, "seed", True),
+    (draw_angle_tuples, "seed", -1),
+    (draw_angle_tuples, "seed", 2 ** 64),
+    (draw_angle_tuples, "count", 2.5),
+    (draw_angle_tuples, "count", True),
+    (draw_angle_tuples, "count", 0),
+    (exhaustive_phase_search, "grid_levels", 2.5),
+    (exhaustive_phase_search, "grid_levels", True),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_public_run_argument_is_checked_naming_it(fn, name, value):
+    # The library entry points outside the sweeps check their run arguments
+    # as the sweeps do, instead of truncating 1.5 to 1 or overflowing.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        fn(**{**GOOD_RUN_ARGUMENTS[fn], name: value})
 
 
 def test_sweep_accepts_numpy_integers():
