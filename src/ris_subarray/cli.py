@@ -18,41 +18,38 @@ from functools import partial
 
 # The numeric modules (and with them numpy) are imported by the commands
 # that use them, so `validate` runs on the standard library alone.
-from .config import SystemConfig, _unique_keys, load_config, ris_power
+from .config import (MAX_SEED, ORACLE_MAX_LEVELS, SystemConfig, _unique_keys,
+                     check_int, check_rician, load_config, ris_power)
+
+# Each sweep command and the library function it calls. Its flags' dests are
+# that function's parameter names, and a flag left out is left out of the
+# call (argparse.SUPPRESS), so every default lives in the library.
+SWEEPS = {"sweep-k": "sweep_rician_factor", "sweep-q": "sweep_subarray_count",
+          "sweep-n": "sweep_ris_size"}
 
 
-def positive_int(text: str) -> int:
-    # argparse quotes this function's name when int() fails.
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def checked(name: str, *bounds, check=check_int, parse=int):
+    """An argparse type: the text parsed, then judged by the library's check
+    of parameter `name`, whose message becomes the usage error."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = text            # not a number: the check rejects it
+        try:
+            return check(name, value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def uint64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
-    return value
-
-
-def _list_of(parse):
+def _list_of(convert):
     def comma_list(text: str) -> list:
-        values = [parse(t) for t in text.split(",") if t.strip()]
+        values = [convert(t) for t in text.split(",") if t.strip()]
         if not values:
             raise argparse.ArgumentTypeError("needs at least one value")
         return values
     return comma_list
-
-
-def rician_factor(text: str) -> float:
-    value = float(text)
-    if not value >= 0:      # nan too; inf is the pure line-of-sight sentinel
-        raise argparse.ArgumentTypeError(f"must be >= 0 or inf, got {value}")
-    return value
-
-
-_size_list = _list_of(positive_int)
 
 
 def override(text: str) -> tuple[str, object]:
@@ -74,43 +71,45 @@ def build_parser() -> argparse.ArgumentParser:
         "--set", dest="overrides", action="append", default=[], type=override,
         metavar="NAME=VALUE",
         help="set a config field, e.g. M=8 or angles.theta_d2=1.2 (repeatable)")
-    run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--seed", type=uint64, default=0,
+    run_flags = argparse.ArgumentParser(add_help=False,
+                                        argument_default=argparse.SUPPRESS)
+    run_flags.add_argument("--seed", type=checked("seed", 0, MAX_SEED),
                            help="master seed, a 64-bit unsigned integer")
     run_flags.add_argument("--out", default=None, help="CSV output path")
-    run_flags.add_argument("--workers", type=positive_int, default=1,
+    run_flags.add_argument("--workers", type=checked("workers"),
                            help="upper bound on worker processes; a sweep starts "
                                 "one per 250000 samples or angle draws in total, "
                                 "and none when that gives fewer than two")
     add = partial(subs.add_parser, parents=[config_flags])
-    add_sweep = partial(subs.add_parser, parents=[config_flags, run_flags])
+    add_sweep = partial(subs.add_parser, parents=[config_flags, run_flags],
+                        argument_default=argparse.SUPPRESS)
 
     add("validate", help="check a config and print its shape")
     add("eta", help="print phase slopes and coherence factor")
 
     sub = add_sweep("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
-    sub.add_argument("--samples", type=positive_int, default=10_000,
+    sub.add_argument("--samples", type=checked("samples"),
                      help="Monte Carlo samples per point")
-    sub.add_argument("--k-grid", type=_list_of(rician_factor), default=None,
-                     help="comma-separated K values")
+    sub.add_argument("--k-grid", help="comma-separated K values", type=_list_of(
+        checked("k_grid", check=check_rician, parse=float)))
 
     sub = add_sweep("sweep-q", help="regional SE/EE vs subarray count")
-    sub.add_argument("--l0-grid", type=_size_list, default=None,
+    sub.add_argument("--l0-grid", type=_list_of(checked("l0_grid")),
                      help="comma-separated subarray sides (default: all divisors)")
-    sub.add_argument("--draws", type=positive_int, default=100,
+    sub.add_argument("--draws", dest="num_angle_draws", type=checked("num_angle_draws"),
                      help="random angle tuples to average over")
 
     sub = add_sweep("sweep-n", help="regional SE/EE vs surface size")
-    sub.add_argument("--n-grid", type=_size_list, default=None,
+    sub.add_argument("--n-grid", type=_list_of(checked("n_grid")),
                      help="comma-separated surface sizes (perfect squares)")
-    sub.add_argument("--l0-set", type=_size_list, default=[2, 4],
+    sub.add_argument("--l0-set", type=_list_of(checked("l0_set")),
                      help="subarray sides to sweep alongside the element scheme")
-    sub.add_argument("--draws", type=positive_int, default=100,
+    sub.add_argument("--draws", dest="num_angle_draws", type=checked("num_angle_draws"),
                      help="random angle tuples to average over")
 
     sub = add("oracle", help="exhaustive phase grid search vs the closed form")
-    sub.add_argument("--levels", type=positive_int, default=16,
-                     help="phase grid levels per subarray")
+    sub.add_argument("--levels", type=checked("grid_levels", 1, ORACLE_MAX_LEVELS),
+                     default=16, help="phase grid levels per subarray")
     return parser
 
 
@@ -146,24 +145,16 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         print(f"-log2(eta) = {loss:.12g}")
         return 0
 
-    if args.command.startswith("sweep-"):
-        from .sweeps import (sweep_rician_factor, sweep_ris_size,
-                             sweep_subarray_count, write_csv)
-        run = {"seed": args.seed, "workers": args.workers}
-        if args.command == "sweep-k":
-            rows = sweep_rician_factor(cfg, k_grid=args.k_grid,
-                                       samples=args.samples, **run)
-        elif args.command == "sweep-q":
-            rows = sweep_subarray_count(cfg, l0_grid=args.l0_grid,
-                                        num_angle_draws=args.draws, **run)
-        else:
-            rows = sweep_ris_size(cfg, n_grid=args.n_grid, l0_set=args.l0_set,
-                                  num_angle_draws=args.draws, **run)
+    if args.command in SWEEPS:
+        from . import sweeps
+        run = {key: value for key, value in vars(args).items()
+               if key not in ("command", "config", "overrides", "out")}
+        rows = getattr(sweeps, SWEEPS[args.command])(cfg, **run)
         if args.out is None:
-            write_csv(rows, sys.stdout)
+            sweeps.write_csv(rows, sys.stdout)
         else:
             with open(args.out, "w", newline="") as fh:
-                write_csv(rows, fh)
+                sweeps.write_csv(rows, fh)
             print(f"wrote {len(rows)} rows to {args.out}")
         return 0
 

@@ -11,13 +11,48 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, astuple, dataclass, fields
+import numbers
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 
 TWO_PI = 2.0 * math.pi
+MAX_SEED = 2 ** 64 - 1
+# Hard caps keeping the exhaustive phase search tractable (levels**Q points).
+ORACLE_MAX_Q, ORACLE_MAX_LEVELS = 4, 32
 
 
 class ConfigError(ValueError):
-    """A configuration value was rejected. The message names the field."""
+    """A config field or run argument was rejected. The message names it."""
+
+
+# The one check per kind of input. Each returns the value as the program
+# uses it, so numpy scalars are accepted; a bool (numpy's too) never is.
+def check_int(name: str, value, low: int = 1, high: int | None = None) -> int:
+    """value as an int: an integer in [low, high], or >= low without high."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        number = int(value)
+        if number >= low and (high is None or number <= high):
+            return number
+    rule = (f"an integer in [{low}, {high}]" if high is not None
+            else "a positive integer" if low == 1 else f"an integer >= {low}")
+    raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
+
+def check_real(name: str, value, low: float = -math.inf,
+               strict: bool = False) -> float:
+    """value as a float: a finite real number >= low, or > low if strict."""
+    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value) and (value > low if strict else value >= low)):
+        return float(value)
+    bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+    raise ConfigError(f"{name} must be finite{bound}, got {value!r}")
+
+
+def check_rician(name: str, value) -> float:
+    """A Rician factor as a float: >= 0, or inf for pure LoS; -0.0 gives 0.0."""
+    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and value >= 0):
+        return float(value) + 0.0
+    raise ConfigError(f"{name} must be >= 0 (or inf for pure LoS), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +89,7 @@ class PowerConstants:
 def ris_power(num_drivers: int, power: PowerConstants) -> float:
     """Surface power draw with one driver per independently controlled phase:
     N drivers for per-element control, Q for subarrays."""
-    if num_drivers < 0:
-        raise ValueError(f"num_drivers must be >= 0, got {num_drivers}")
+    num_drivers = check_int("num_drivers", num_drivers, low=0)
     return power.p_dynamic + power.p_control + num_drivers * power.p_driver
 
 
@@ -105,49 +139,30 @@ class SystemConfig:
         return self.Nx * self.Ny
 
 
-def _is_real(value) -> bool:
-    # bool is an int subclass, but true/false in a config is a typo.
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_positive_int(name: str, value) -> None:
-    if not (isinstance(value, int) and not isinstance(value, bool) and value >= 1):
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _require_positive(name: str, value) -> None:
-    if not (_is_real(value) and math.isfinite(value) and value > 0):
-        raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
-
-
-def _require_rician(name: str, value) -> None:
-    # +inf is the pure line-of-sight sentinel; nan and negatives are rejected.
-    if not _is_real(value) or math.isnan(value) or value < 0:
-        raise ConfigError(f"{name} must be >= 0 (or inf for pure LoS), got {value!r}")
-
-
 def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check every field, raising ConfigError naming the offending one."""
-    for name in ("M", "Nx", "Ny", "Lx", "Ly"):
-        _require_positive_int(name, getattr(cfg, name))
-    if cfg.Nx % cfg.Lx != 0:
+    """Check every field, raising ConfigError naming the offending one.
+
+    Returns cfg with each value as its check returns it: plain ints and
+    floats for numpy scalars, and 0.0 for a Rician factor of -0.0.
+    """
+    sizes = {name: check_int(name, getattr(cfg, name))
+             for name in ("M", "Nx", "Ny", "Lx", "Ly")}
+    if sizes["Nx"] % sizes["Lx"] != 0:
         raise ConfigError(f"Lx={cfg.Lx} does not divide Nx={cfg.Nx}")
-    if cfg.Ny % cfg.Ly != 0:
+    if sizes["Ny"] % sizes["Ly"] != 0:
         raise ConfigError(f"Ly={cfg.Ly} does not divide Ny={cfg.Ny}")
-    for name in ("d1_over_lambda", "d2_over_lambda", "P", "sigma_w2"):
-        _require_positive(name, getattr(cfg, name))
-    for name in ("K1", "K2"):
-        _require_rician(name, getattr(cfg, name))
-    for f, value in zip(fields(Angles), astuple(cfg.angles)):
-        if not (_is_real(value) and math.isfinite(value)):
-            raise ConfigError(f"angles.{f.name} must be finite, got {value!r}")
-    for f, value in zip(fields(PowerConstants), astuple(cfg.power)):
-        if not (_is_real(value) and math.isfinite(value) and value >= 0):
-            raise ConfigError(
-                f"power.{f.name} must be a finite number >= 0, got {value!r}")
-    if not any(astuple(cfg.power)):
+    reals = {name: check_real(name, getattr(cfg, name), 0.0, strict=True)
+             for name in ("d1_over_lambda", "d2_over_lambda", "P", "sigma_w2")}
+    reals.update((name, check_rician(name, getattr(cfg, name)))
+                 for name in ("K1", "K2"))
+    angles = Angles(*(check_real(f"angles.{f.name}", value)
+                      for f, value in zip(fields(Angles), astuple(cfg.angles))))
+    power = PowerConstants(*(
+        check_real(f"power.{f.name}", value, 0.0)
+        for f, value in zip(fields(PowerConstants), astuple(cfg.power))))
+    if not any(astuple(power)):
         raise ConfigError("power terms must not all be 0: the total power would be 0")
-    return cfg
+    return replace(cfg, **sizes, **reals, angles=angles, power=power)
 
 
 _SECTIONS = {"angles": Angles, "power": PowerConstants}

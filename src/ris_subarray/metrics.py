@@ -10,12 +10,11 @@ independently controlled phase.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .channel import rician_split
-from .config import PowerConstants, SystemConfig, ris_power
+from .config import MAX_SEED, PowerConstants, SystemConfig, check_int, ris_power
 from .phases import coherence_factor, los_cascade_gain
 
 # Monte Carlo samples are drawn in chunks of this many consecutive indices,
@@ -23,21 +22,6 @@ from .phases import coherence_factor, los_cascade_gain
 # not depend on how many samples a run asks for beyond it, and memory stays
 # bounded at any sample count.
 MC_CHUNK = 1 << 16
-
-
-def _size(name: str, value) -> int:
-    """A run size: an integer, not a bool, of at least 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def _seed(name: str, value) -> int:
-    """A master seed: an integer, not a bool, in [0, 2**64)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or not 0 <= value < 2 ** 64):
-        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
-    return int(value)
 
 
 def _gammas(cfg: SystemConfig) -> tuple[float, float]:
@@ -123,8 +107,8 @@ def monte_carlo_se(cfg: SystemConfig, phases, num_samples: int,
     means and squared deviations are merged in chunk order (Chan et al.).
     num_samples must be an integer >= 1 and master_seed one in [0, 2**64).
     """
-    num_samples = _size("num_samples", num_samples)
-    master_seed = _seed("master_seed", master_seed)
+    num_samples = check_int("num_samples", num_samples)
+    master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
     count, mean, sq_dev = 0, 0.0, 0.0
     for rates in _rate_chunks(cfg, phases, num_samples, master_seed):
         chunk_mean = float(np.mean(rates))

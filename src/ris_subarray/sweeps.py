@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import TWO_PI, SystemConfig, validate_config
-from .metrics import (_seed, _size, energy_efficiency, max_se_upper_bound,
-                      monte_carlo_se)
+from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
+                     SystemConfig, check_int, check_rician, validate_config)
+from .metrics import energy_efficiency, max_se_upper_bound, monte_carlo_se
 from .phases import los_cascade_gain, optimal_phases, subarray_couplings
 
 CSV_FIELDS = ("scheme", "var_name", "var_value", "se_mc", "se_mc_stderr",
@@ -27,10 +26,6 @@ DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
 # Samples or angle draws per pool process: on a 2-vCPU x86 box two processes
 # break even with one near 4.8e5 samples or 3.6e5 draws per sweep (README).
 WORK_PER_WORKER = 250_000
-
-# Hard caps keeping the exhaustive search tractable (levels**Q grid points).
-ORACLE_MAX_Q = 4
-ORACLE_MAX_LEVELS = 32
 
 
 @dataclass
@@ -86,13 +81,13 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     The element scheme is the same computation on the Lx = Ly = 1 copy of
     the config, not a separate formula.
     """
-    samples, seed = _size("samples", samples), _seed("seed", seed)
-    workers = _size("workers", workers)
+    samples = check_int("samples", samples)
+    seed = check_int("seed", seed, 0, MAX_SEED)
+    workers = check_int("workers", workers)
     tasks = []
     for k in DEFAULT_K_GRID if k_grid is None else k_grid:
-        if isinstance(k, bool) or not isinstance(k, numbers.Real):
-            raise ValueError(f"k_grid entries must be real numbers, got {k!r}")
-        cfg = replace(cfg_base, K1=float(k), K2=float(k))
+        k = check_rician("k_grid", k)
+        cfg = replace(cfg_base, K1=k, K2=k)
         for scheme, point_cfg in (("subarray", cfg),
                                   ("element", replace(cfg, Lx=1, Ly=1))):
             tasks.append((validate_config(point_cfg), scheme, samples,
@@ -103,9 +98,9 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
 def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
     """count-by-5 i.i.d. uniform [0, 2*pi) angle tuples from a fixed stream."""
     # A list key would go through float64 for seeds >= 2**63.
-    key = np.array([_seed("seed", seed), 0], dtype=np.uint64)
+    key = np.array([check_int("seed", seed, 0, MAX_SEED), 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.uniform(0.0, 2.0 * np.pi, size=(_size("count", count), 5))
+    return rng.uniform(0.0, 2.0 * np.pi, size=(check_int("count", count), 5))
 
 
 def _regional_point(task) -> SweepResult:
@@ -132,12 +127,12 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     Q = N / L0^2 subarrays. All points share the same seeded angle draws, and
     the L0 = 1 point is the element scheme, labeled as such.
     """
-    draws, seed = _size("num_angle_draws", num_angle_draws), _seed("seed", seed)
-    workers = _size("workers", workers)
-    angle_tuples = draw_angle_tuples(seed, draws)
+    draws = check_int("num_angle_draws", num_angle_draws)
+    workers = check_int("workers", workers)
+    angle_tuples = draw_angle_tuples(seed, draws)      # checks the seed
     tasks = []
     for l0 in default_l0_grid(cfg_base) if l0_grid is None else l0_grid:
-        l0 = _size("l0_grid", l0)
+        l0 = check_int("l0_grid", l0)
         cfg = validate_config(replace(cfg_base, Lx=l0, Ly=l0))
         tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
                       float(cfg.Q), angle_tuples))
@@ -153,13 +148,13 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     Every N gets an element row plus one row per compatible L0; rows for an
     L0 that does not divide sqrt(N) are skipped.
     """
-    draws, seed = _size("num_angle_draws", num_angle_draws), _seed("seed", seed)
-    workers = _size("workers", workers)
-    l0_set = [_size("l0_set", l0) for l0 in l0_set]
-    angle_tuples = draw_angle_tuples(seed, draws)
+    draws = check_int("num_angle_draws", num_angle_draws)
+    workers = check_int("workers", workers)
+    l0_set = [check_int("l0_set", l0) for l0 in l0_set]
+    angle_tuples = draw_angle_tuples(seed, draws)      # checks the seed
     tasks = []
     for n in DEFAULT_N_GRID if n_grid is None else n_grid:
-        n = _size("n_grid", n)
+        n = check_int("n_grid", n)
         nx = math.isqrt(n)
         if nx * nx != n:
             raise ValueError(f"surface size N={n} is not a perfect square")
@@ -176,20 +171,17 @@ def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:
     return 2.0 * (1.0 - math.cos(math.pi / grid_levels)) * cfg.N ** 2 * cfg.M
 
 
-def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int = 16
+def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int
                             ) -> tuple[np.ndarray, float]:
     """Maximize the LoS cascade gain over a uniform per-subarray phase grid.
 
     Evaluates all grid_levels**Q combinations; capped at Q <= 4 and
     grid_levels <= 32. Returns the best phases, in [0, 2*pi), and their gain.
     """
+    grid_levels = check_int("grid_levels", grid_levels, 1, ORACLE_MAX_LEVELS)
     if cfg.Q > ORACLE_MAX_Q:
         raise ValueError(
             f"exhaustive search supports Q <= {ORACLE_MAX_Q}, config has Q={cfg.Q}")
-    grid_levels = _size("grid_levels", grid_levels)
-    if grid_levels > ORACLE_MAX_LEVELS:
-        raise ValueError(
-            f"grid_levels must be in 1..{ORACLE_MAX_LEVELS}, got {grid_levels}")
     w = subarray_couplings(cfg)
     axis = np.exp(2j * np.pi * np.arange(grid_levels) / grid_levels)
     # one open-mesh axis per subarray, summed into a levels**Q grid

@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import math
 import os
@@ -8,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from ris_subarray import cli, coherence_factor, load_config
+from ris_subarray import (cli, coherence_factor, exhaustive_phase_search,
+                          load_config, sweep_rician_factor, sweep_ris_size,
+                          sweep_subarray_count)
 from ris_subarray.cli import main
 from ris_subarray.phases import phase_slopes
-from ris_subarray.sweeps import DEFAULT_K_GRID, DEFAULT_N_GRID, WORK_PER_WORKER
+from ris_subarray.sweeps import WORK_PER_WORKER, write_csv
 
 from helpers import small_config, small_raw
 
@@ -245,6 +248,7 @@ def test_oracle_agrees(capsys):
     ["sweep-n", "--draws", "-1"],
     ["sweep-k", "--workers", "-5"],
     ["oracle", "--levels", "0"],
+    ["oracle", "--levels", "33"],
     ["sweep-k", "--k-grid", ","],
     ["sweep-k", "--k-grid", "1,nan"],
     ["sweep-k", "--k-grid", "-1"],
@@ -273,15 +277,67 @@ def test_largest_seed_accepted(tmp_path, capsys, run):
     assert capsys.readouterr().out.startswith(HEADER)
 
 
-@pytest.mark.parametrize("command, option, grid", [
-    ("sweep-k", "--samples", DEFAULT_K_GRID),
-    ("sweep-n", "--draws", DEFAULT_N_GRID),
-])
-def test_sweep_default_grid_is_the_library_default(tmp_path, capsys, command,
-                                                    option, grid):
-    assert main([command, "--config", write_small(tmp_path), option, "2"]) == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
-    assert sorted({float(row[2]) for row in rows}) == sorted(map(float, grid))
+# (command, flag, text, library function, the parsed value it gets): a text
+# that is not a number reaches the shared check as the text itself.
+BAD_RUN_FLAGS = [
+    ("sweep-k", "--samples", "0", sweep_rician_factor, {"samples": 0}),
+    ("sweep-k", "--samples", "2.5", sweep_rician_factor, {"samples": "2.5"}),
+    ("sweep-k", "--workers", "-5", sweep_rician_factor, {"workers": -5}),
+    ("sweep-k", "--seed", "-1", sweep_rician_factor, {"seed": -1}),
+    ("sweep-q", "--seed", str(2 ** 64), sweep_subarray_count, {"seed": 2 ** 64}),
+    ("sweep-n", "--seed", "x", sweep_ris_size, {"seed": "x"}),
+    ("sweep-k", "--k-grid", "1,nan", sweep_rician_factor,
+     {"k_grid": [1.0, math.nan]}),
+    ("sweep-k", "--k-grid", "-1", sweep_rician_factor, {"k_grid": [-1.0]}),
+    ("sweep-k", "--k-grid", "0,ten", sweep_rician_factor, {"k_grid": [0.0, "ten"]}),
+    ("sweep-q", "--l0-grid", "2,0", sweep_subarray_count, {"l0_grid": [2, 0]}),
+    ("sweep-q", "--draws", "0", sweep_subarray_count, {"num_angle_draws": 0}),
+    ("sweep-n", "--draws", "1e3", sweep_ris_size, {"num_angle_draws": "1e3"}),
+    ("sweep-n", "--n-grid", "16,-4", sweep_ris_size, {"n_grid": [16, -4]}),
+    ("sweep-n", "--l0-set", "2.0", sweep_ris_size, {"l0_set": ["2.0"]}),
+    ("oracle", "--levels", "0", exhaustive_phase_search, {"grid_levels": 0}),
+    ("oracle", "--levels", "33", exhaustive_phase_search, {"grid_levels": 33}),
+]
+
+
+@pytest.mark.parametrize("command, flag, text, fn, kwargs", BAD_RUN_FLAGS,
+                         ids=[" ".join(case[:3]) for case in BAD_RUN_FLAGS])
+def test_bad_run_flag_says_what_the_library_says(tmp_path, capsys, command,
+                                                 flag, text, fn, kwargs):
+    # The flag and the library parameter share one check, so the usage error
+    # carries the library's message for the value, naming the parameter.
+    cfg_path = write_small(tmp_path)
+    with pytest.raises(ValueError) as library:
+        fn(load_config(cfg_path), **kwargs)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg_path, flag, text])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {library.value}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, sweep", [
+    ("sweep-k", sweep_rician_factor),
+    ("sweep-q", sweep_subarray_count),
+    ("sweep-n", sweep_ris_size),
+], ids=["sweep-k", "sweep-q", "sweep-n"])
+def test_sweep_default_grid_is_the_library_default(tmp_path, command, sweep):
+    # A run flag left out is left out of the library call: every default
+    # (grid, samples or draws, seed, workers) is the library's.
+    cfg_path, out = write_small(tmp_path), tmp_path / "cli.csv"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    library = io.StringIO()
+    write_csv(sweep(load_config(cfg_path)), library)
+    assert out.read_bytes() == library.getvalue().encode()
+
+
+def test_negative_zero_k_is_k_zero(tmp_path):
+    # -0.0 is K = 0: the rows are labelled 0, and the bytes are those of 0.
+    run = ["sweep-k", "--config", write_small(tmp_path), "--samples", "8"]
+    paths = [tmp_path / "minus.csv", tmp_path / "plus.csv"]
+    assert main([*run, "--k-grid=-0,5", "--out", str(paths[0])]) == 0
+    assert main([*run, "--k-grid=0,5", "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert ",-0," not in paths[0].read_text()
 
 
 def fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:

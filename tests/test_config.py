@@ -1,8 +1,9 @@
 import json
 import math
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, astuple, is_dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -74,6 +75,47 @@ def test_nonfinite_angle_rejected():
     bad = replace(small_config(), angles=Angles(math.inf, 0, 0, 0, 0))
     with pytest.raises(ConfigError, match="theta_d1"):
         validate_config(bad)
+
+
+@pytest.mark.parametrize("field, value, plain", [
+    ("M", np.int64(8), 8), ("Nx", np.int32(8), 8), ("Ly", np.uint8(1), 1),
+    ("P", np.float32(2.5), 2.5), ("sigma_w2", np.float64(0.5), 0.5),
+    ("K1", np.float32(3.0), 3.0), ("K2", np.float64(np.inf), math.inf),
+    ("d2_over_lambda", np.float16(0.25), 0.25),
+    ("angles", Angles(*np.float32([0.5, 0.25, 1.5, 2.0, -0.5])),
+     Angles(0.5, 0.25, 1.5, 2.0, -0.5)),
+    ("power", PowerConstants(np.float64(10.0), np.int64(0), 4.8, np.float32(0.5)),
+     PowerConstants(10.0, 0.0, 4.8, 0.5)),
+], ids=["M-int64", "Nx-int32", "Ly-uint8", "P-float32", "sigma_w2-float64",
+        "K1-float32", "K2-float64-inf", "d2-float16", "angles-float32", "power-mixed"])
+def test_numpy_scalars_are_accepted_as_config_values(field, value, plain):
+    # Each check returns the plain int or float the value stands for, so
+    # the validated config equals the one built from Python numbers.
+    cfg = validate_config(replace(small_config(), **{field: value}))
+    assert cfg == small_config(**{field: plain})
+    checked = getattr(cfg, field)
+    for v in astuple(checked) if is_dataclass(checked) else (checked,):
+        assert type(v) in (int, float)
+
+
+@pytest.mark.parametrize("field", ["M", "Lx", "P", "K2", "d1_over_lambda"])
+def test_numpy_bool_is_rejected_naming_the_field(field):
+    with pytest.raises(ConfigError, match=f"^{field} must be .*, got np.True_$"):
+        validate_config(replace(small_config(), **{field: np.bool_(True)}))
+
+
+def test_numpy_bool_is_rejected_in_a_section():
+    angles = Angles(*astuple(REF_ANGLES)[:4], np.bool_(False))
+    with pytest.raises(ConfigError, match="^angles.phi_d2 must be finite, got"):
+        validate_config(replace(small_config(), angles=angles))
+    power = PowerConstants(p_driver=np.bool_(True))
+    with pytest.raises(ConfigError, match="^power.p_driver must be finite and"):
+        validate_config(replace(small_config(), power=power))
+
+
+def test_negative_zero_rician_factor_is_zero():
+    cfg = small_config(K1=-0.0, K2=-0.0)
+    assert (math.copysign(1.0, cfg.K1), math.copysign(1.0, cfg.K2)) == (1.0, 1.0)
 
 
 def test_infinite_rician_factor_allowed():
