@@ -19,7 +19,7 @@ from functools import partial
 # The numeric modules (and with them numpy) are imported by the commands
 # that use them, so `validate` runs on the standard library alone.
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, SystemConfig, _unique_keys,
-                     check_int, check_rician, load_config, ris_power)
+                     check_grid, check_int, check_rician, load_config, ris_power)
 
 # Each sweep command and the library function it calls. Its flags' dests are
 # that function's parameter names, and a flag left out is left out of the
@@ -28,28 +28,28 @@ SWEEPS = {"sweep-k": "sweep_rician_factor", "sweep-q": "sweep_subarray_count",
           "sweep-n": "sweep_ris_size"}
 
 
+def _parsed(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        return text                 # not a number: the check rejects it
+
+
 def checked(name: str, *bounds, check=check_int, parse=int):
     """An argparse type: the text parsed, then judged by the library's check
     of parameter `name`, whose message becomes the usage error."""
     def convert(text: str):
         try:
-            value = parse(text)
-        except ValueError:
-            value = text            # not a number: the check rejects it
-        try:
-            return check(name, value, *bounds)
+            return check(name, _parsed(parse, text), *bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return convert
 
 
-def _list_of(convert):
-    def comma_list(text: str) -> list:
-        values = [convert(t) for t in text.split(",") if t.strip()]
-        if not values:
-            raise argparse.ArgumentTypeError("needs at least one value")
-        return values
-    return comma_list
+def grid(name: str, check=check_int, parse=int):
+    """`checked` for a comma-separated grid, judged by the library's check_grid."""
+    return checked(name, check, check=check_grid, parse=lambda text: [
+        _parsed(parse, t) for t in text.split(",") if t.strip()])
 
 
 def override(text: str) -> tuple[str, object]:
@@ -90,19 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add_sweep("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
     sub.add_argument("--samples", type=checked("samples"),
                      help="Monte Carlo samples per point")
-    sub.add_argument("--k-grid", help="comma-separated K values", type=_list_of(
-        checked("k_grid", check=check_rician, parse=float)))
+    sub.add_argument("--k-grid", help="comma-separated K values", type=grid(
+        "k_grid", check_rician, parse=float))
 
     sub = add_sweep("sweep-q", help="regional SE/EE vs subarray count")
-    sub.add_argument("--l0-grid", type=_list_of(checked("l0_grid")),
+    sub.add_argument("--l0-grid", type=grid("l0_grid"),
                      help="comma-separated subarray sides (default: all divisors)")
     sub.add_argument("--draws", dest="num_angle_draws", type=checked("num_angle_draws"),
                      help="random angle tuples to average over")
 
     sub = add_sweep("sweep-n", help="regional SE/EE vs surface size")
-    sub.add_argument("--n-grid", type=_list_of(checked("n_grid")),
+    sub.add_argument("--n-grid", type=grid("n_grid"),
                      help="comma-separated surface sizes (perfect squares)")
-    sub.add_argument("--l0-set", type=_list_of(checked("l0_set")),
+    sub.add_argument("--l0-set", type=grid("l0_set"),
                      help="subarray sides to sweep alongside the element scheme")
     sub.add_argument("--draws", dest="num_angle_draws", type=checked("num_angle_draws"),
                      help="random angle tuples to average over")
@@ -131,6 +131,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
               f"d1={cfg.d1_over_lambda} d2={cfg.d2_over_lambda}")
         print(f"surface_power_element={ris_power(cfg.N, cfg.power):.6g} W "
               f"surface_power_subarray={ris_power(cfg.Q, cfg.power):.6g} W")
+        print("inert: d1_over_lambda and angles.theta_d1 change no output")
         print("config ok")
         return 0
 

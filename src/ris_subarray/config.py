@@ -37,22 +37,45 @@ def check_int(name: str, value, low: int = 1, high: int | None = None) -> int:
     raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
+def _as_float(value) -> float:
+    """value as a float, or nan, which every check rejects, for a bool, a
+    non-real number and an integer too large for a float."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return float(value) if real else math.nan
+    except OverflowError:
+        return math.nan
+
+
 def check_real(name: str, value, low: float = -math.inf,
                strict: bool = False) -> float:
     """value as a float: a finite real number >= low, or > low if strict."""
-    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and math.isfinite(value) and (value > low if strict else value >= low)):
-        return float(value)
+    number = _as_float(value)
+    if math.isfinite(number) and (number > low if strict else number >= low):
+        return number
     bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
     raise ConfigError(f"{name} must be finite{bound}, got {value!r}")
 
 
 def check_rician(name: str, value) -> float:
     """A Rician factor as a float: >= 0, or inf for pure LoS; -0.0 gives 0.0."""
-    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
-            and value >= 0):
-        return float(value) + 0.0
-    raise ConfigError(f"{name} must be >= 0 (or inf for pure LoS), got {value!r}")
+    number = _as_float(value) + 0.0
+    if number >= 0:
+        return number
+    raise ConfigError(f"{name} must be finite and >= 0, or inf for pure LoS, "
+                      f"got {value!r}")
+
+
+def check_grid(name: str, values, check=check_int) -> list:
+    """values as a list, each judged by check(name, value): at least one
+    value, and none repeated once checked (-0.0 repeats 0.0)."""
+    grid = [check(name, value) for value in values]
+    if not grid:
+        raise ConfigError(f"{name} needs at least one value")
+    for i, value in enumerate(grid):
+        if value in grid[:i]:
+            raise ConfigError(f"{name} repeats the value {value!r}")
+    return grid
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .arrays import subarray_grid_offsets
 from .config import TWO_PI, SystemConfig
 
 # Below this, sin(p) is treated as exactly at a grating point p = k*pi, where
@@ -51,10 +50,11 @@ def optimal_phases(cfg: SystemConfig) -> np.ndarray:
 
     Each subarray cancels the accumulated offset of its origin plus half the
     within-subarray progression, so all subarray couplings add coherently.
+    The origin offsets are per axis; subarrays are numbered x-major.
     """
     p1, p2 = phase_slopes(cfg)
-    x, y = subarray_grid_offsets(cfg)
-    raw = -(2.0 * p1 * x + 2.0 * p2 * y
+    x, y = np.arange(cfg.Qx) * float(cfg.Lx), np.arange(cfg.Qy) * float(cfg.Ly)
+    raw = -(np.add.outer(2.0 * p1 * x, 2.0 * p2 * y).ravel()
             + p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))
     return np.mod(raw, TWO_PI)
 

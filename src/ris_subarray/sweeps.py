@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
-                     SystemConfig, check_int, check_rician, validate_config)
+                     SystemConfig, check_grid, check_int, check_rician,
+                     validate_config)
 from .metrics import energy_efficiency, max_se_upper_bound, monte_carlo_se
 from .phases import los_cascade_gain, optimal_phases, subarray_couplings
 
-CSV_FIELDS = ("scheme", "var_name", "var_value", "se_mc", "se_mc_stderr",
-              "se_ub", "ee")
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
 
@@ -30,7 +29,7 @@ WORK_PER_WORKER = 250_000
 
 @dataclass
 class SweepResult:
-    """One CSV row. Fields not computed by a sweep stay None."""
+    """One CSV row, fields in column order; None where a sweep computes none."""
 
     scheme: str
     var_name: str
@@ -85,8 +84,8 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     seed = check_int("seed", seed, 0, MAX_SEED)
     workers = check_int("workers", workers)
     tasks = []
-    for k in DEFAULT_K_GRID if k_grid is None else k_grid:
-        k = check_rician("k_grid", k)
+    for k in check_grid("k_grid", DEFAULT_K_GRID if k_grid is None else k_grid,
+                        check_rician):
         cfg = replace(cfg_base, K1=k, K2=k)
         for scheme, point_cfg in (("subarray", cfg),
                                   ("element", replace(cfg, Lx=1, Ly=1))):
@@ -131,8 +130,8 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     workers = check_int("workers", workers)
     angle_tuples = draw_angle_tuples(seed, draws)      # checks the seed
     tasks = []
-    for l0 in default_l0_grid(cfg_base) if l0_grid is None else l0_grid:
-        l0 = check_int("l0_grid", l0)
+    for l0 in check_grid("l0_grid", default_l0_grid(cfg_base)
+                         if l0_grid is None else l0_grid):
         cfg = validate_config(replace(cfg_base, Lx=l0, Ly=l0))
         tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
                       float(cfg.Q), angle_tuples))
@@ -150,11 +149,11 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     """
     draws = check_int("num_angle_draws", num_angle_draws)
     workers = check_int("workers", workers)
-    l0_set = [check_int("l0_set", l0) for l0 in l0_set]
+    l0_set = check_grid("l0_set", l0_set)
+    n_grid = check_grid("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
     angle_tuples = draw_angle_tuples(seed, draws)      # checks the seed
     tasks = []
-    for n in DEFAULT_N_GRID if n_grid is None else n_grid:
-        n = check_int("n_grid", n)
+    for n in n_grid:
         nx = math.isqrt(n)
         if nx * nx != n:
             raise ValueError(f"surface size N={n} is not a perfect square")
@@ -197,12 +196,10 @@ def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int
 def write_csv(rows: list[SweepResult], fh) -> None:
     """Write rows (sorted by scheme, then value) in the fixed CSV schema."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for r in _sorted_rows(rows):
-        writer.writerow([r.scheme, r.var_name, _fmt(r.var_value),
-                         _fmt(r.se_mc), _fmt(r.se_mc_stderr), _fmt(r.se_ub),
-                         _fmt(r.ee)])
+    writer.writerow(f.name for f in fields(SweepResult))
+    writer.writerows(map(_fmt, astuple(r)) for r in _sorted_rows(rows))
 
 
 def _fmt(value) -> str:
-    return "" if value is None else format(value, ".12g")
+    return ("" if value is None else value if isinstance(value, str)
+            else format(value, ".12g"))

@@ -1,6 +1,8 @@
 """Shared fixtures-by-hand for the test suite.
 
-subarray_origin() is the 1-based oracle for the subarray grid offsets.
+subarray_origin() is the 1-based oracle for the subarray layout:
+grid_offsets() and offset_phases() build the origin offsets and the
+closed-form phases from it, subarray by subarray.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
 vectorized coherence factor and bound of the regional sweeps, and
 se_upper_bound() the bound at arbitrary phases. The steering vectors and
@@ -25,8 +27,8 @@ import numpy as np
 from ris_subarray import (Angles, SystemConfig, energy_efficiency,
                           los_cascade_gain, max_se_upper_bound,
                           validate_config, write_csv)
-from ris_subarray.arrays import subarray_grid_offsets
 from ris_subarray.metrics import _gammas
+from ris_subarray.phases import phase_slopes
 
 REF_ANGLES = Angles(
     theta_d1=math.pi / 2,
@@ -102,6 +104,24 @@ def subarray_origin(cfg: SystemConfig, q: int) -> tuple[int, int]:
         raise IndexError(f"subarray index q={q} outside 1..{cfg.Q}")
     qx, qy = divmod(q - 1, cfg.Qy)
     return qx * cfg.Lx + 1, qy * cfg.Ly + 1
+
+
+def grid_offsets(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based origin offsets (x_q - 1, y_q - 1) of subarrays q = 1..Q."""
+    origins = [subarray_origin(cfg, q) for q in range(1, cfg.Q + 1)]
+    x, y = np.array(origins, dtype=float).T - 1.0
+    return x, y
+
+
+def offset_phases(cfg: SystemConfig) -> np.ndarray:
+    """The closed-form optimal phases from the origin offsets of each
+    subarray: minus twice the slope-weighted offset plus the half
+    within-subarray progression, reduced into [0, 2*pi)."""
+    p1, p2 = phase_slopes(cfg)
+    x, y = grid_offsets(cfg)
+    raw = -(2.0 * p1 * x + 2.0 * p2 * y
+            + p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))
+    return np.mod(raw, 2.0 * math.pi)
 
 
 def normalized_kernel(L: int, p: float) -> float:
@@ -217,7 +237,7 @@ def arrival_phase_offsets(cfg: SystemConfig) -> np.ndarray:
     Note the sign: arrival offsets conjugate the propagation phase while the
     departure offsets do not, so the two functions must not be unified.
     """
-    x, y = subarray_grid_offsets(cfg)
+    x, y = grid_offsets(cfg)
     a = cfg.angles
     trip = np.sin(a.theta_a1) * x + np.cos(a.theta_a1) * np.sin(a.phi_a1) * y
     return np.exp(-2j * np.pi * cfg.d2_over_lambda * trip)
@@ -225,7 +245,7 @@ def arrival_phase_offsets(cfg: SystemConfig) -> np.ndarray:
 
 def departure_phase_offsets(cfg: SystemConfig) -> np.ndarray:
     """Unit-modulus offset of each subarray's origin along the departure path."""
-    x, y = subarray_grid_offsets(cfg)
+    x, y = grid_offsets(cfg)
     a = cfg.angles
     trip = np.sin(a.theta_d2) * x + np.cos(a.theta_d2) * np.sin(a.phi_d2) * y
     return np.exp(2j * np.pi * cfg.d2_over_lambda * trip)

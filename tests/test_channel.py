@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ris_subarray.channel import rician_split
+from ris_subarray.metrics import rician_split
 
 from helpers import (arrival_phase_offsets, departure_phase_offsets,
                      los_bs_to_ris, los_ris_to_user, random_config,

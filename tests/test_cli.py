@@ -36,6 +36,9 @@ def test_validate_ok(capsys):
     out = capsys.readouterr().out
     assert "config ok" in out
     assert "M=64" in out and "N=1024" in out and "Q=256" in out
+    # the fields test_inert_fields_change_no_output shows to be inert
+    assert ("\ninert: d1_over_lambda and angles.theta_d1 change no output\n"
+            in out)
 
 
 def test_validate_override_reflected(capsys):
@@ -103,6 +106,9 @@ def test_malformed_set_is_a_usage_error(capsys, text):
     (["K2=-1"], "K2 must be"),
     (["angles.theta_d2=Infinity"], "angles.theta_d2 must be finite"),
     (["power.p_rest=-1"], "power.p_rest must be"),
+    # integers too large for a float are not finite, not a traceback
+    pytest.param(["P=1" + "0" * 400], "P must be finite", id="P=10**400"),
+    pytest.param(["K1=1" + "0" * 400], "K1 must be finite", id="K1=10**400"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_set_field_is_rejected_naming_it(capsys, sets, field):
     argv = ["validate", "--config", DEFAULT]
@@ -250,6 +256,7 @@ def test_oracle_agrees(capsys):
     ["oracle", "--levels", "0"],
     ["oracle", "--levels", "33"],
     ["sweep-k", "--k-grid", ","],
+    ["sweep-k", "--k-grid", "0,0"],
     ["sweep-k", "--k-grid", "1,nan"],
     ["sweep-k", "--k-grid", "-1"],
     ["sweep-q", "--l0-grid", "0"],
@@ -290,6 +297,8 @@ BAD_RUN_FLAGS = [
      {"k_grid": [1.0, math.nan]}),
     ("sweep-k", "--k-grid", "-1", sweep_rician_factor, {"k_grid": [-1.0]}),
     ("sweep-k", "--k-grid", "0,ten", sweep_rician_factor, {"k_grid": [0.0, "ten"]}),
+    ("sweep-k", "--k-grid", ",", sweep_rician_factor, {"k_grid": []}),
+    ("sweep-k", "--k-grid", "0,0", sweep_rician_factor, {"k_grid": [0.0, 0.0]}),
     ("sweep-q", "--l0-grid", "2,0", sweep_subarray_count, {"l0_grid": [2, 0]}),
     ("sweep-q", "--draws", "0", sweep_subarray_count, {"num_angle_draws": 0}),
     ("sweep-n", "--draws", "1e3", sweep_ris_size, {"num_angle_draws": "1e3"}),

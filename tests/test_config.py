@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
                           config_from_dict, load_config, validate_config)
-from ris_subarray.arrays import subarray_grid_offsets
 
 from helpers import (REF_ANGLES, reference_config, small_config, small_raw,
                      subarray_origin)
@@ -43,15 +42,6 @@ def test_subarray_origin_out_of_range():
         subarray_origin(cfg, 0)
     with pytest.raises(IndexError):
         subarray_origin(cfg, cfg.Q + 1)
-
-
-def test_grid_offsets_match_origins():
-    cfg = reference_config()
-    x, y = subarray_grid_offsets(cfg)
-    for q in range(1, cfg.Q + 1):
-        ox, oy = subarray_origin(cfg, q)
-        assert x[q - 1] == ox - 1
-        assert y[q - 1] == oy - 1
 
 
 @pytest.mark.parametrize("field,value,fragment", [

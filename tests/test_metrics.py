@@ -296,6 +296,15 @@ def test_energy_efficiency_requires_positive_power():
         energy_efficiency(1.0, 0, pc)
 
 
+def test_energy_efficiency_guard_is_reachable_from_a_valid_config():
+    # validate_config accepts a power model of drivers only, so without
+    # drivers the total is 0: the guard is not a copy of that check.
+    cfg = config_from_dict(small_raw(power={
+        "p_rest": 0.0, "p_dynamic": 0.0, "p_control": 0.0, "p_driver": 0.43}))
+    with pytest.raises(ValueError, match="^total power must be positive$"):
+        energy_efficiency(1.0, 0, cfg.power)
+
+
 def test_power_constants_from_dict():
     pc = config_from_dict(small_raw(power={"p_rest": 10.0})).power
     assert pc == PowerConstants(p_rest=10.0)

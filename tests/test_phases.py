@@ -1,19 +1,22 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ris_subarray import (Angles, coherence_factor, exhaustive_phase_search,
-                          los_cascade_gain, max_se_upper_bound, optimal_phases)
+                          load_config, los_cascade_gain, max_se_upper_bound,
+                          optimal_phases)
 from ris_subarray.phases import (coherence_factor_from_slopes, phase_slopes,
                                  subarray_couplings)
 
 from helpers import (dense_phase_matrix, effective_cascade, los_bs_to_ris,
-                     los_ris_to_user, random_config, reference_config,
-                     sample_channels, sample_stream, se_upper_bound,
-                     small_config, steering_couplings)
+                     los_ris_to_user, offset_phases, random_config,
+                     reference_config, sample_channels, sample_stream,
+                     se_upper_bound, small_config, steering_couplings)
 
 SEED = 31337
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Hand-derived slopes for the reference angles: sin(5pi/3) - sin(2pi/3)
 # = -sqrt(3), and sin(4pi/3)cos(5pi/3) - sin(7pi/6)cos(2pi/3)
@@ -47,6 +50,20 @@ def test_phase_assignment_normalized():
     assert raw.max() > 2 * math.pi
     np.testing.assert_allclose(np.exp(1j * optimal_phases(cfg)), np.exp(1j * raw),
                                atol=1e-12)
+
+
+def test_optimal_phases_equal_the_offset_closed_form():
+    # The library lays the subarrays out per axis; the oracle takes each
+    # subarray's origin from subarray_origin. Same float operations in the
+    # same order, so the bits agree, on the committed configs and on random
+    # surfaces of 1 to 16 subarrays per axis.
+    rng = np.random.default_rng(SEED + 10)
+    cfgs = [load_config(CONFIG_DIR / name)
+            for name in ("default.json", "oracle_small.json")]
+    cfgs += [random_config(rng, sides=(1, 2, 3), groups=(1, 2, 5, 16))
+             for _ in range(1000)]
+    for cfg in cfgs:
+        assert np.array_equal(optimal_phases(cfg), offset_phases(cfg))
 
 
 @pytest.mark.parametrize("angles", [

@@ -164,7 +164,7 @@ def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sweeps, "monte_carlo_se", counting)
-    with pytest.raises(ConfigError, match=r"^k_grid must be >= 0 \(or inf"):
+    with pytest.raises(ConfigError, match=r"^k_grid must be finite and >= 0, or inf"):
         sweep_rician_factor(small_config(), k_grid=[1.0, float("nan")],
                             samples=64)
     assert calls == []
@@ -175,7 +175,7 @@ def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
 def test_sweep_rician_rejects_a_k_that_is_not_a_real_number(monkeypatch, entry):
     ran = []
     monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
-    with pytest.raises(ValueError, match=r"^k_grid must be >= 0 \(or inf"):
+    with pytest.raises(ValueError, match=r"^k_grid must be finite and >= 0, or inf"):
         sweep_rician_factor(small_config(), k_grid=[1.0, entry], samples=8)
     assert ran == []
 
@@ -286,6 +286,29 @@ def test_sweep_rejects_bad_run_argument_before_any_point(monkeypatch, sweep, bad
     monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
     (name,) = bad
     with pytest.raises(ValueError, match=f"^{name} must be {rule(name)}, got"):
+        sweep(small_config(), **bad)
+    assert ran == []
+
+
+@pytest.mark.parametrize("sweep, bad, message", [
+    (sweep_rician_factor, {"k_grid": [0, 0]}, "repeats the value 0.0"),
+    (sweep_rician_factor, {"k_grid": [-0.0, 0]}, "repeats the value 0.0"),
+    (sweep_subarray_count, {"l0_grid": [2, 2]}, "repeats the value 2"),
+    (sweep_ris_size, {"n_grid": [16, 4, 16]}, "repeats the value 16"),
+    (sweep_ris_size, {"l0_set": (2, 2)}, "repeats the value 2"),
+    (sweep_rician_factor, {"k_grid": []}, "needs at least one value"),
+    (sweep_subarray_count, {"l0_grid": []}, "needs at least one value"),
+    (sweep_ris_size, {"n_grid": []}, "needs at least one value"),
+    (sweep_ris_size, {"l0_set": ()}, "needs at least one value"),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_sweep_rejects_an_empty_or_repeating_grid(monkeypatch, sweep, bad,
+                                                  message):
+    # A repeat would write two rows with one (scheme, value) key, and an
+    # empty grid a CSV of only the header.
+    ran = []
+    monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
+    (name,) = bad
+    with pytest.raises(ConfigError, match=f"^{name} {message}$"):
         sweep(small_config(), **bad)
     assert ran == []
 
