@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 # load numpy, while `from ris_subarray import ...` works as before.
 _MODULE_OF = {name: module for module, names in (
     ("config", "Angles ConfigError PowerConstants SystemConfig config_from_dict"
-               " load_config ris_power validate_config"),
+               " load_config ris_power"),
     ("metrics", "energy_efficiency max_se_upper_bound monte_carlo_se"),
     ("phases", "coherence_factor los_cascade_gain optimal_phases"),
     ("sweeps", "SweepResult draw_angle_tuples exhaustive_phase_search"

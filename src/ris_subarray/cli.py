@@ -19,7 +19,7 @@ from functools import partial
 # The numeric modules (and with them numpy) are imported by the commands
 # that use them, so `validate` runs on the standard library alone.
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, SystemConfig, _unique_keys,
-                     check_grid, check_int, check_rician, load_config, ris_power)
+                     check_grid, check_int, load_config, ris_power)
 
 # Each sweep command and the library function it calls. Its flags' dests are
 # that function's parameter names, and a flag left out is left out of the
@@ -46,9 +46,9 @@ def checked(name: str, *bounds, check=check_int, parse=int):
     return convert
 
 
-def grid(name: str, check=check_int, parse=int):
+def grid(name: str, parse=int):
     """`checked` for a comma-separated grid, judged by the library's check_grid."""
-    return checked(name, check, check=check_grid, parse=lambda text: [
+    return checked(name, check=check_grid, parse=lambda text: [
         _parsed(parse, t) for t in text.split(",") if t.strip()])
 
 
@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add_sweep("sweep-k", help="SE vs Rician factor (Monte Carlo + bound)")
     sub.add_argument("--samples", type=checked("samples"),
                      help="Monte Carlo samples per point")
-    sub.add_argument("--k-grid", help="comma-separated K values", type=grid(
-        "k_grid", check_rician, parse=float))
+    sub.add_argument("--k-grid", type=grid("k_grid", parse=float),
+                     help="comma-separated K values")
 
     sub = add_sweep("sweep-q", help="regional SE/EE vs subarray count")
     sub.add_argument("--l0-grid", type=grid("l0_grid"),
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n-grid", type=grid("n_grid"),
                      help="comma-separated surface sizes (perfect squares)")
     sub.add_argument("--l0-set", type=grid("l0_set"),
-                     help="subarray sides to sweep alongside the element scheme")
+                     help="subarray sides >= 2 to sweep alongside the element scheme")
     sub.add_argument("--draws", dest="num_angle_draws", type=checked("num_angle_draws"),
                      help="random angle tuples to average over")
 

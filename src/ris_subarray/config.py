@@ -1,10 +1,10 @@
-"""System configuration: parsing, validation and the surface power model.
+"""System configuration: parsing, checking and the surface power model.
 
 The reconfigurable surface is an Nx-by-Ny grid of passive elements partitioned
 into Qx-by-Qy rectangular subarrays of Lx-by-Ly elements each. All elements of
-a subarray share one phase shift. Subarrays are numbered row-major in the
-x (subarray row) direction, matching the element order used by the steering
-vectors and channel matrices.
+a subarray share one phase shift, and subarrays are numbered x-major. A config
+checks its fields whenever it is built: by its constructor, config_from_dict
+or dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import MISSING, astuple, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, fields
+from functools import partial
 
 TWO_PI = 2.0 * math.pi
 MAX_SEED = 2 ** 64 - 1
@@ -22,6 +23,14 @@ ORACLE_MAX_Q, ORACLE_MAX_LEVELS = 4, 32
 
 class ConfigError(ValueError):
     """A config field or run argument was rejected. The message names it."""
+
+
+def _shown(value) -> str:
+    """repr(value) for a message, which cannot fail as repr of a huge int does."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"<unprintable {type(value).__name__}>"
 
 
 # The one check per kind of input. Each returns the value as the program
@@ -34,7 +43,7 @@ def check_int(name: str, value, low: int = 1, high: int | None = None) -> int:
             return number
     rule = (f"an integer in [{low}, {high}]" if high is not None
             else "a positive integer" if low == 1 else f"an integer >= {low}")
-    raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    raise ConfigError(f"{name} must be {rule}, got {_shown(value)}")
 
 
 def _as_float(value) -> float:
@@ -54,7 +63,7 @@ def check_real(name: str, value, low: float = -math.inf,
     if math.isfinite(number) and (number > low if strict else number >= low):
         return number
     bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
-    raise ConfigError(f"{name} must be finite{bound}, got {value!r}")
+    raise ConfigError(f"{name} must be finite{bound}, got {_shown(value)}")
 
 
 def check_rician(name: str, value) -> float:
@@ -63,19 +72,38 @@ def check_rician(name: str, value) -> float:
     if number >= 0:
         return number
     raise ConfigError(f"{name} must be finite and >= 0, or inf for pure LoS, "
-                      f"got {value!r}")
+                      f"got {_shown(value)}")
 
 
-def check_grid(name: str, values, check=check_int) -> list:
-    """values as a list, each judged by check(name, value): at least one
-    value, and none repeated once checked (-0.0 repeats 0.0)."""
-    grid = [check(name, value) for value in values]
+def check_grid(name: str, values) -> list:
+    """values as a list, each judged by the entry check of grid `name`: at
+    least one value, and none repeated once checked (-0.0 repeats 0.0)."""
+    grid = [GRID_ENTRY[name](name, value) for value in values]
     if not grid:
         raise ConfigError(f"{name} needs at least one value")
     for i, value in enumerate(grid):
         if value in grid[:i]:
-            raise ConfigError(f"{name} repeats the value {value!r}")
+            raise ConfigError(f"{name} repeats the value {_shown(value)}")
     return grid
+
+
+def check_square(name: str, value) -> int:
+    """value as an int: a positive perfect square, a square surface's size."""
+    number = check_int(name, value)
+    if math.isqrt(number) ** 2 == number:
+        return number
+    raise ConfigError(f"{name} must be a perfect square, got {_shown(value)}")
+
+
+# Each sweep grid's entry check. l0_set excludes 1: the element row is always written.
+GRID_ENTRY = {"k_grid": check_rician, "l0_grid": check_int,
+              "n_grid": check_square, "l0_set": partial(check_int, low=2)}
+
+
+def _check_fields(obj, check, *bounds, names=(), prefix: str = "") -> None:
+    """Set each field in names (all by default) of the frozen obj to its check."""
+    for name in names or [f.name for f in fields(obj)]:
+        object.__setattr__(obj, name, check(prefix + name, getattr(obj, name), *bounds))
 
 
 @dataclass(frozen=True)
@@ -93,6 +121,9 @@ class Angles:
     theta_d2: float
     phi_d2: float
 
+    def __post_init__(self):
+        _check_fields(self, check_real, prefix="angles.")
+
 
 @dataclass(frozen=True)
 class PowerConstants:
@@ -107,6 +138,14 @@ class PowerConstants:
     p_dynamic: float = 0.0
     p_control: float = 4.8
     p_driver: float = 0.43
+
+    def __post_init__(self):
+        _check_fields(self, check_real, 0.0, prefix="power.")
+        if not any(astuple(self)):
+            raise ConfigError("power terms must not all be 0: the total power would be 0")
+
+
+_SECTIONS = {"angles": Angles, "power": PowerConstants}
 
 
 def ris_power(num_drivers: int, power: PowerConstants) -> float:
@@ -123,8 +162,7 @@ class SystemConfig:
     M transmit antennas, an Nx-by-Ny surface grouped into Lx-by-Ly subarrays,
     element spacings in wavelengths, Rician factors for the two hops, transmit
     power P, noise power sigma_w2 and the power model behind the energy
-    efficiency. Validate with validate_config() before use; all derived sizes
-    are exposed as properties.
+    efficiency. All derived sizes are exposed as properties.
     """
 
     M: int
@@ -141,62 +179,30 @@ class SystemConfig:
     sigma_w2: float = 1.0
     power: PowerConstants = PowerConstants()
 
-    @property
-    def Qx(self) -> int:
-        return self.Nx // self.Lx
+    def __post_init__(self):
+        _check_fields(self, check_int, names=("M", "Nx", "Ny", "Lx", "Ly"))
+        for side, size in (("Lx", "Nx"), ("Ly", "Ny")):
+            if getattr(self, size) % getattr(self, side):
+                raise ConfigError(f"{side}={_shown(getattr(self, side))} does not "
+                                  f"divide {size}={_shown(getattr(self, size))}")
+        _check_fields(self, check_real, 0.0, True, names=(
+            "d1_over_lambda", "d2_over_lambda", "P", "sigma_w2"))
+        _check_fields(self, check_rician, names=("K1", "K2"))
+        for name, cls in _SECTIONS.items():
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be {cls.__name__}, "
+                                  f"got {_shown(getattr(self, name))}")
 
-    @property
-    def Qy(self) -> int:
-        return self.Ny // self.Ly
-
-    @property
-    def Q(self) -> int:
-        return self.Qx * self.Qy
-
-    @property
-    def L(self) -> int:
-        return self.Lx * self.Ly
-
-    @property
-    def N(self) -> int:
-        return self.Nx * self.Ny
-
-
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check every field, raising ConfigError naming the offending one.
-
-    Returns cfg with each value as its check returns it: plain ints and
-    floats for numpy scalars, and 0.0 for a Rician factor of -0.0.
-    """
-    sizes = {name: check_int(name, getattr(cfg, name))
-             for name in ("M", "Nx", "Ny", "Lx", "Ly")}
-    if sizes["Nx"] % sizes["Lx"] != 0:
-        raise ConfigError(f"Lx={cfg.Lx} does not divide Nx={cfg.Nx}")
-    if sizes["Ny"] % sizes["Ly"] != 0:
-        raise ConfigError(f"Ly={cfg.Ly} does not divide Ny={cfg.Ny}")
-    reals = {name: check_real(name, getattr(cfg, name), 0.0, strict=True)
-             for name in ("d1_over_lambda", "d2_over_lambda", "P", "sigma_w2")}
-    reals.update((name, check_rician(name, getattr(cfg, name)))
-                 for name in ("K1", "K2"))
-    angles = Angles(*(check_real(f"angles.{f.name}", value)
-                      for f, value in zip(fields(Angles), astuple(cfg.angles))))
-    power = PowerConstants(*(
-        check_real(f"power.{f.name}", value, 0.0)
-        for f, value in zip(fields(PowerConstants), astuple(cfg.power))))
-    if not any(astuple(power)):
-        raise ConfigError("power terms must not all be 0: the total power would be 0")
-    return replace(cfg, **sizes, **reals, angles=angles, power=power)
-
-
-_SECTIONS = {"angles": Angles, "power": PowerConstants}
+    Qx = property(lambda self: self.Nx // self.Lx)
+    Qy = property(lambda self: self.Ny // self.Ly)
+    Q = property(lambda self: self.Qx * self.Qy)
+    L = property(lambda self: self.Lx * self.Ly)
+    N = property(lambda self: self.Nx * self.Ny)
 
 
 def _build(cls, raw, prefix: str = ""):
     """cls(**raw) with the sections built likewise; values are not coerced.
-
-    Keys that are not fields of cls are rejected, so a misspelled field is
-    an error instead of a silent default.
-    """
+    A key that is not a field of cls is an error, not a silent default."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
     names = {f.name: f for f in fields(cls)}
@@ -211,8 +217,8 @@ def _build(cls, raw, prefix: str = ""):
 
 
 def config_from_dict(raw: dict) -> SystemConfig:
-    """Build and validate a SystemConfig from parsed JSON."""
-    return validate_config(_build(SystemConfig, raw))
+    """Build a SystemConfig, which checks itself, from parsed JSON."""
+    return _build(SystemConfig, raw)
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -14,8 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
-                     SystemConfig, check_grid, check_int, check_rician,
-                     validate_config)
+                     SystemConfig, check_grid, check_int)
 from .metrics import energy_efficiency, max_se_upper_bound, monte_carlo_se
 from .phases import los_cascade_gain, optimal_phases, subarray_couplings
 
@@ -84,13 +83,11 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     seed = check_int("seed", seed, 0, MAX_SEED)
     workers = check_int("workers", workers)
     tasks = []
-    for k in check_grid("k_grid", DEFAULT_K_GRID if k_grid is None else k_grid,
-                        check_rician):
+    for k in check_grid("k_grid", DEFAULT_K_GRID if k_grid is None else k_grid):
         cfg = replace(cfg_base, K1=k, K2=k)
         for scheme, point_cfg in (("subarray", cfg),
                                   ("element", replace(cfg, Lx=1, Ly=1))):
-            tasks.append((validate_config(point_cfg), scheme, samples,
-                          point_seed(seed, len(tasks))))
+            tasks.append((point_cfg, scheme, samples, point_seed(seed, len(tasks))))
     return _sorted_rows(_run_tasks(_rician_point, tasks, workers, samples))
 
 
@@ -132,7 +129,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     tasks = []
     for l0 in check_grid("l0_grid", default_l0_grid(cfg_base)
                          if l0_grid is None else l0_grid):
-        cfg = validate_config(replace(cfg_base, Lx=l0, Ly=l0))
+        cfg = replace(cfg_base, Lx=l0, Ly=l0)
         tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
                       float(cfg.Q), angle_tuples))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
@@ -144,8 +141,8 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     """Regional SE bound and EE versus surface size for several schemes.
 
     Each N in the grid (default DEFAULT_N_GRID) must be a perfect square.
-    Every N gets an element row plus one row per compatible L0; rows for an
-    L0 that does not divide sqrt(N) are skipped.
+    Every N gets an element row plus one row per compatible L0 >= 2 in
+    l0_set; rows for an L0 that does not divide sqrt(N) are skipped.
     """
     draws = check_int("num_angle_draws", num_angle_draws)
     workers = check_int("workers", workers)
@@ -155,13 +152,10 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     tasks = []
     for n in n_grid:
         nx = math.isqrt(n)
-        if nx * nx != n:
-            raise ValueError(f"surface size N={n} is not a perfect square")
-        schemes = [("element", 1)] + [(f"subarray_L{l0}", l0)
-                                      for l0 in l0_set if nx % l0 == 0]
-        for scheme, l0 in schemes:
-            cfg = validate_config(replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0))
-            tasks.append((cfg, scheme, "N", float(n), angle_tuples))
+        for l0 in [1] + [side for side in l0_set if nx % side == 0]:
+            cfg = replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0)
+            tasks.append((cfg, "element" if l0 == 1 else f"subarray_L{l0}",
+                          "N", float(n), angle_tuples))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
 
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ris_subarray import (Angles, SystemConfig, energy_efficiency,
-                          los_cascade_gain, max_se_upper_bound,
-                          validate_config, write_csv)
+                          los_cascade_gain, max_se_upper_bound, write_csv)
 from ris_subarray.metrics import _gammas
 from ris_subarray.phases import phase_slopes
 
@@ -44,14 +43,14 @@ def reference_config(**overrides) -> SystemConfig:
                 d1_over_lambda=0.5, d2_over_lambda=0.5,
                 K1=10.0, K2=10.0, P=10.0, sigma_w2=1.0)
     base.update(overrides)
-    return validate_config(SystemConfig(**base))
+    return SystemConfig(**base)
 
 
 def small_config(**overrides) -> SystemConfig:
     base = dict(M=4, Nx=4, Ny=4, Lx=2, Ly=2, angles=REF_ANGLES,
                 K1=10.0, K2=10.0, P=10.0)
     base.update(overrides)
-    return validate_config(SystemConfig(**base))
+    return SystemConfig(**base)
 
 
 def small_raw(**extra) -> dict:
@@ -70,7 +69,7 @@ def small_raw(**extra) -> dict:
 def element_bound(cfg: SystemConfig) -> float:
     """Maximized SE bound of per-element control of the same surface: the
     subarray bound on the Lx = Ly = 1 copy of cfg."""
-    return max_se_upper_bound(validate_config(replace(cfg, Lx=1, Ly=1)))
+    return max_se_upper_bound(replace(cfg, Lx=1, Ly=1))
 
 
 def random_angles(rng: np.random.Generator) -> Angles:
@@ -83,7 +82,7 @@ def random_config(rng: np.random.Generator, max_m: int = 16,
     """Random valid scenario with N = Nx*Ny bounded by the side/group sets."""
     lx, ly = rng.choice(sides), rng.choice(sides)
     qx, qy = rng.choice(groups), rng.choice(groups)
-    return validate_config(SystemConfig(
+    return SystemConfig(
         M=int(rng.integers(1, max_m + 1)),
         Nx=int(lx * qx), Ny=int(ly * qy), Lx=int(lx), Ly=int(ly),
         angles=random_angles(rng),
@@ -92,7 +91,7 @@ def random_config(rng: np.random.Generator, max_m: int = 16,
         K1=float(rng.uniform(0.0, k_max)),
         K2=float(rng.uniform(0.0, k_max)),
         P=float(rng.uniform(0.1, 20.0)),
-    ))
+    )
 
 
 def subarray_origin(cfg: SystemConfig, q: int) -> tuple[int, int]:

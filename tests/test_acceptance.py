@@ -19,7 +19,7 @@ from ris_subarray import (PowerConstants, coherence_factor,
                           exhaustive_phase_search, los_cascade_gain,
                           max_se_upper_bound, monte_carlo_se, optimal_phases,
                           ris_power, sweep_rician_factor, sweep_ris_size,
-                          sweep_subarray_count, validate_config)
+                          sweep_subarray_count)
 from ris_subarray.sweeps import grid_resolution_slack
 
 from helpers import (count_pools, element_bound, random_config,
@@ -42,7 +42,7 @@ def mc_runs():
         for k in (10.0, 100.0):
             cfg = reference_config(K1=k, K2=k)
             if scheme == "element":
-                cfg = validate_config(replace(cfg, Lx=1, Ly=1))
+                cfg = replace(cfg, Lx=1, Ly=1)
             for seed in MC_SEEDS:
                 mc, stderr = monte_carlo_se(cfg, optimal_phases(cfg),
                                             MC_SAMPLES, master_seed=seed)

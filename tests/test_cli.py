@@ -235,9 +235,11 @@ def test_sweep_n_quick(tmp_path, capsys):
 
 def test_sweep_n_rejects_non_square(tmp_path, capsys):
     cfg_path = write_small(tmp_path)
-    rc = main(["sweep-n", "--config", cfg_path, "--n-grid", "8", "--draws", "2"])
-    assert rc == 1
-    assert "perfect square" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-n", "--config", cfg_path, "--n-grid", "8", "--draws", "2"])
+    assert exc.value.code == 2
+    assert ("argument --n-grid: n_grid must be a perfect square, got 8"
+            in capsys.readouterr().err)
 
 
 def test_oracle_agrees(capsys):
@@ -304,6 +306,8 @@ BAD_RUN_FLAGS = [
     ("sweep-n", "--draws", "1e3", sweep_ris_size, {"num_angle_draws": "1e3"}),
     ("sweep-n", "--n-grid", "16,-4", sweep_ris_size, {"n_grid": [16, -4]}),
     ("sweep-n", "--l0-set", "2.0", sweep_ris_size, {"l0_set": ["2.0"]}),
+    ("sweep-n", "--n-grid", "16,8", sweep_ris_size, {"n_grid": [16, 8]}),
+    ("sweep-n", "--l0-set", "1,2", sweep_ris_size, {"l0_set": [1, 2]}),
     ("oracle", "--levels", "0", exhaustive_phase_search, {"grid_levels": 0}),
     ("oracle", "--levels", "33", exhaustive_phase_search, {"grid_levels": 33}),
 ]
@@ -449,7 +453,7 @@ PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",
           "load_config", "los_cascade_gain", "max_se_upper_bound",
           "monte_carlo_se", "optimal_phases", "ris_power",
           "sweep_rician_factor", "sweep_ris_size", "sweep_subarray_count",
-          "validate_config", "write_csv"]
+          "write_csv"]
 
 
 def test_star_import_binds_the_submodule_objects():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict, astuple, is_dataclass, replace
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
-                          config_from_dict, load_config, validate_config)
+                          config_from_dict, load_config)
+from ris_subarray.config import (MAX_SEED, check_grid, check_int, check_real,
+                                 check_rician)
 
 from helpers import (REF_ANGLES, reference_config, small_config, small_raw,
                      subarray_origin)
@@ -58,13 +61,65 @@ def test_subarray_origin_out_of_range():
 def test_validation_errors_name_field(field, value, fragment):
     cfg = SystemConfig(M=4, Nx=4, Ny=4, Lx=2, Ly=2, angles=REF_ANGLES)
     with pytest.raises(ConfigError, match=fragment):
-        validate_config(replace(cfg, **{field: value}))
+        replace(cfg, **{field: value})
+
+
+# Each way to build a config, given the section holding the bad values
+# (None for the top level), as a function of those values.
+BUILDS = {
+    "constructor": lambda section, bad: (
+        SystemConfig(**{**vars(small_config()), **bad}) if section is None
+        else Angles(**{**asdict(REF_ANGLES), **bad}) if section == "angles"
+        else PowerConstants(**bad)),
+    "replace": lambda section, bad: (
+        replace(small_config(), **bad) if section is None
+        else replace(REF_ANGLES if section == "angles" else PowerConstants(),
+                     **bad)),
+    "config_from_dict": lambda section, bad: config_from_dict(
+        small_raw(**bad) if section is None
+        else small_raw(**{section: {**small_raw().get(section, {}), **bad}})),
+}
+ZERO_POWER = dict.fromkeys(["p_rest", "p_dynamic", "p_control", "p_driver"], 0)
+
+
+@pytest.mark.parametrize("build", BUILDS)
+@pytest.mark.parametrize("field, section, bad", [
+    ("Lx", None, {"Lx": 3}),
+    ("M", None, {"M": 0}),
+    ("M", None, {"M": 4.5}),
+    ("M", None, {"M": True}),
+    ("angles.theta_a1", "angles", {"theta_a1": math.nan}),
+    ("P", None, {"P": -1}),
+    ("sigma_w2", None, {"sigma_w2": 0}),
+    ("K1", None, {"K1": -0.5}),
+    ("power terms", "power", ZERO_POWER),
+    ("angles", None, {"angles": astuple(REF_ANGLES)}),
+], ids=["Lx-3-Nx-4", "M-0", "M-4.5", "M-True", "angle-nan", "P-neg",
+        "sigma_w2-0", "K1-neg", "power-zero", "angles-tuple"])
+def test_every_way_to_build_a_config_checks_it(build, field, section, bad):
+    # No config with a bad value exists: the constructor, replace and the
+    # JSON path all reject it, naming the field.
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)}[ =]"):
+        BUILDS[build](section, bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: check_real("P", 10 ** 5000),
+    lambda: check_rician("K1", 10 ** 5000),
+    lambda: check_int("seed", 10 ** 5000, 0, MAX_SEED),
+    lambda: check_grid("l0_grid", [10 ** 5000] * 2),
+    lambda: small_config(Nx=10 ** 5000 + 1, Lx=2),
+], ids=["check_real", "check_rician", "check_int", "check_grid", "divides"])
+def test_check_names_the_field_for_an_unprintable_integer(build):
+    # repr fails on an int of more than 4300 digits; the message does not.
+    with pytest.raises(ConfigError, match=(
+            r"^(P|K1|seed|l0_grid|Lx=2) .*<unprintable int>")):
+        build()
 
 
 def test_nonfinite_angle_rejected():
-    bad = replace(small_config(), angles=Angles(math.inf, 0, 0, 0, 0))
     with pytest.raises(ConfigError, match="theta_d1"):
-        validate_config(bad)
+        replace(small_config(), angles=Angles(math.inf, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("field, value, plain", [
@@ -80,8 +135,8 @@ def test_nonfinite_angle_rejected():
         "K1-float32", "K2-float64-inf", "d2-float16", "angles-float32", "power-mixed"])
 def test_numpy_scalars_are_accepted_as_config_values(field, value, plain):
     # Each check returns the plain int or float the value stands for, so
-    # the validated config equals the one built from Python numbers.
-    cfg = validate_config(replace(small_config(), **{field: value}))
+    # the checked config equals the one built from Python numbers.
+    cfg = replace(small_config(), **{field: value})
     assert cfg == small_config(**{field: plain})
     checked = getattr(cfg, field)
     for v in astuple(checked) if is_dataclass(checked) else (checked,):
@@ -91,16 +146,14 @@ def test_numpy_scalars_are_accepted_as_config_values(field, value, plain):
 @pytest.mark.parametrize("field", ["M", "Lx", "P", "K2", "d1_over_lambda"])
 def test_numpy_bool_is_rejected_naming_the_field(field):
     with pytest.raises(ConfigError, match=f"^{field} must be .*, got np.True_$"):
-        validate_config(replace(small_config(), **{field: np.bool_(True)}))
+        replace(small_config(), **{field: np.bool_(True)})
 
 
 def test_numpy_bool_is_rejected_in_a_section():
-    angles = Angles(*astuple(REF_ANGLES)[:4], np.bool_(False))
     with pytest.raises(ConfigError, match="^angles.phi_d2 must be finite, got"):
-        validate_config(replace(small_config(), angles=angles))
-    power = PowerConstants(p_driver=np.bool_(True))
+        Angles(*astuple(REF_ANGLES)[:4], np.bool_(False))
     with pytest.raises(ConfigError, match="^power.p_driver must be finite and"):
-        validate_config(replace(small_config(), power=power))
+        PowerConstants(p_driver=np.bool_(True))
 
 
 def test_negative_zero_rician_factor_is_zero():
@@ -197,10 +250,9 @@ def test_power_section_is_part_of_the_config():
 
 _reals = st.floats(min_value=1e-3, max_value=1e3)
 _angles = st.builds(Angles, *[st.floats(-10.0, 10.0)] * 5)
-# An all-zero power model is rejected: it has no energy efficiency.
-_power = st.builds(PowerConstants,
-                   *[st.floats(min_value=0.0, max_value=1e3)] * 4
-                   ).filter(lambda power: any(astuple(power)))
+# An all-zero power model is rejected when built: it has no energy efficiency.
+_power = st.tuples(*[st.floats(min_value=0.0, max_value=1e3)] * 4
+                   ).filter(any).map(lambda terms: PowerConstants(*terms))
 
 
 @st.composite
@@ -219,5 +271,5 @@ def _configs(draw):
 @given(_configs())
 def test_json_roundtrip_property(tmp_path_factory, cfg):
     path = tmp_path_factory.getbasetemp() / "roundtrip.json"
-    path.write_text(json.dumps(asdict(validate_config(cfg))))
+    path.write_text(json.dumps(asdict(cfg)))
     assert load_config(path) == cfg

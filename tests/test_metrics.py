@@ -291,13 +291,16 @@ def test_energy_efficiency_reference_values():
 
 
 def test_energy_efficiency_requires_positive_power():
-    pc = PowerConstants(p_rest=0.0, p_dynamic=0.0, p_control=0.0, p_driver=0.0)
+    # An all-zero power model cannot be built; a model of drivers only
+    # totals 0 without drivers, which energy_efficiency rejects.
+    with pytest.raises(ConfigError, match="^power terms must not all be 0"):
+        PowerConstants(p_rest=0.0, p_dynamic=0.0, p_control=0.0, p_driver=0.0)
     with pytest.raises(ValueError):
-        energy_efficiency(1.0, 0, pc)
+        energy_efficiency(1.0, 0, PowerConstants(0.0, 0.0, 0.0, 0.43))
 
 
 def test_energy_efficiency_guard_is_reachable_from_a_valid_config():
-    # validate_config accepts a power model of drivers only, so without
+    # A config accepts a power model of drivers only, so without
     # drivers the total is 0: the guard is not a copy of that check.
     cfg = config_from_dict(small_raw(power={
         "p_rest": 0.0, "p_dynamic": 0.0, "p_control": 0.0, "p_driver": 0.43}))

@@ -33,7 +33,7 @@ GOLDEN = json.loads((ROOT / "bench" / "reference.json").read_text())["regional"]
 # How the shared integer check words each kind of run argument.
 SEED_RULE = r"an integer in \[0, 18446744073709551615\]"
 RULES = {"seed": SEED_RULE, "master_seed": SEED_RULE,
-         "grid_levels": r"an integer in \[1, 32\]"}
+         "grid_levels": r"an integer in \[1, 32\]", "l0_set": "an integer >= 2"}
 
 
 def rule(name: str) -> str:
@@ -254,7 +254,7 @@ def test_sweep_ris_size_rows():
 
 
 def test_sweep_ris_size_rejects_non_square():
-    with pytest.raises(ValueError, match="perfect square"):
+    with pytest.raises(ConfigError, match="^n_grid must be a perfect square, got 8$"):
         sweep_ris_size(reference_config(), n_grid=(8,), num_angle_draws=2)
 
 
@@ -264,6 +264,7 @@ def test_sweep_ris_size_rejects_non_square():
     (sweep_ris_size, {"n_grid": [True]}),
     (sweep_ris_size, {"l0_set": (2.5,)}),
     (sweep_ris_size, {"l0_set": (0,)}),
+    (sweep_ris_size, {"l0_set": (1, 2)}),
     (sweep_subarray_count, {"l0_grid": [2.7]}),
     (sweep_subarray_count, {"l0_grid": [False]}),
     (sweep_subarray_count, {"num_angle_draws": 0}),
