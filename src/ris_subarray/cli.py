@@ -128,10 +128,9 @@ def _dispatch(args, cfg: SystemConfig) -> int:
               f"subarrays={cfg.Qx}x{cfg.Qy} (Q={cfg.Q}) "
               f"subarray_size={cfg.Lx}x{cfg.Ly} (L={cfg.L})")
         print(f"K1={cfg.K1} K2={cfg.K2} P={cfg.P} sigma_w2={cfg.sigma_w2} "
-              f"d1={cfg.d1_over_lambda} d2={cfg.d2_over_lambda}")
+              f"d2={cfg.d2_over_lambda}")
         print(f"surface_power_element={ris_power(cfg.N, cfg.power):.6g} W "
               f"surface_power_subarray={ris_power(cfg.Q, cfg.power):.6g} W")
-        print("inert: d1_over_lambda and angles.theta_d1 change no output")
         print("config ok")
         return 0
 

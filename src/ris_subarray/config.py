@@ -108,14 +108,12 @@ def _check_fields(obj, check, *bounds, names=(), prefix: str = "") -> None:
 
 @dataclass(frozen=True)
 class Angles:
-    """Propagation geometry in radians.
-
-    theta_d1 is the departure angle at the transmit ULA. (theta_a1, phi_a1)
-    are the elevation/azimuth of arrival at the surface and (theta_d2, phi_d2)
-    the elevation/azimuth of departure toward the user.
+    """Propagation geometry at the surface in radians: (theta_a1, phi_a1)
+    are the elevation/azimuth of arrival and (theta_d2, phi_d2) those of
+    departure toward the user. Under maximum ratio transmission no transmit
+    angle or spacing changes an output, so the transmit array has none.
     """
 
-    theta_d1: float
     theta_a1: float
     phi_a1: float
     theta_d2: float
@@ -160,9 +158,9 @@ class SystemConfig:
     """Immutable description of one downlink scenario.
 
     M transmit antennas, an Nx-by-Ny surface grouped into Lx-by-Ly subarrays,
-    element spacings in wavelengths, Rician factors for the two hops, transmit
-    power P, noise power sigma_w2 and the power model behind the energy
-    efficiency. All derived sizes are exposed as properties.
+    the surface's element spacing in wavelengths, Rician factors for the two
+    hops, transmit power P, noise power sigma_w2 and the power model behind
+    the energy efficiency. All derived sizes are exposed as properties.
     """
 
     M: int
@@ -171,7 +169,6 @@ class SystemConfig:
     Lx: int
     Ly: int
     angles: Angles
-    d1_over_lambda: float = 0.5
     d2_over_lambda: float = 0.5
     K1: float = 10.0
     K2: float = 10.0
@@ -186,12 +183,26 @@ class SystemConfig:
                 raise ConfigError(f"{side}={_shown(getattr(self, side))} does not "
                                   f"divide {size}={_shown(getattr(self, size))}")
         _check_fields(self, check_real, 0.0, True, names=(
-            "d1_over_lambda", "d2_over_lambda", "P", "sigma_w2"))
+            "d2_over_lambda", "P", "sigma_w2"))
         _check_fields(self, check_rician, names=("K1", "K2"))
         for name, cls in _SECTIONS.items():
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name} must be {cls.__name__}, "
                                   f"got {_shown(getattr(self, name))}")
+        # The largest SNR is capped 2**24 below a float's range, so that the
+        # bound and every Monte Carlo rate stay finite.
+        snr = self.P / self.sigma_w2 * _as_float(self.M * (self.N ** 2 + self.N + 1))
+        if not snr <= 2.0 ** 1000:
+            raise ConfigError(
+                f"the largest SNR, P / sigma_w2 * M * (N**2 + N + 1), must be at most "
+                f"2**1000, got {snr:g} from P={self.P!r}, sigma_w2={self.sigma_w2!r}, "
+                f"M={_shown(self.M)}, N={_shown(self.N)}")
+        # Each phase of the design is at most 4*pi*d2*(Nx + Ny) in size.
+        if not math.isfinite(2 * TWO_PI * self.d2_over_lambda * (self.Nx + self.Ny)):
+            raise ConfigError(
+                f"d2_over_lambda={self.d2_over_lambda!r} overflows the phases of a "
+                f"{self.Nx}x{self.Ny} surface: 4*pi*d2_over_lambda*(Nx + Ny) must be "
+                f"finite")
 
     Qx = property(lambda self: self.Nx // self.Lx)
     Qy = property(lambda self: self.Ny // self.Ly)

@@ -24,7 +24,7 @@ _SING_TOL = 1e-9
 def phase_slopes(cfg: SystemConfig, angles=None):
     """Per-axis, per-element phase progression mismatch between the departure
     and arrival paths across the surface, in [-pi, pi] for spacings up to
-    half a wavelength. One pair per row of angles, an (n, 5) array of finite
+    half a wavelength. One pair per row of angles, an (n, 4) array of finite
     angle tuples in Angles field order; by default that of the config's
     tuple."""
     if angles is not None:
@@ -32,11 +32,11 @@ def phase_slopes(cfg: SystemConfig, angles=None):
             angles = np.asarray(angles)
         except ValueError:      # ragged nesting
             angles = np.asarray(None)
-        if (angles.dtype.kind not in "iuf" or angles.shape[1:] != (5,)
+        if (angles.dtype.kind not in "iuf" or angles.shape[1:] != (4,)
                 or not np.isfinite(angles).all()):
-            raise ValueError("angles must be an (n, 5) array of finite reals, "
+            raise ValueError("angles must be an (n, 4) array of finite reals, "
                              f"got shape {angles.shape} of {angles.dtype}")
-    _, theta_a1, phi_a1, theta_d2, phi_d2 = np.asarray(
+    theta_a1, phi_a1, theta_d2, phi_d2 = np.asarray(
         astuple(cfg.angles) if angles is None else angles, dtype=float).T
     d = cfg.d2_over_lambda
     p1 = math.pi * d * (np.sin(theta_d2) - np.sin(theta_a1))

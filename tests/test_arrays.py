@@ -87,7 +87,7 @@ def test_offset_sign_asymmetry():
     for _ in range(20):
         ang = random_angles(rng)
         cfg = reference_config(angles=Angles(
-            theta_d1=ang.theta_d1, theta_a1=ang.theta_a1, phi_a1=ang.phi_a1,
+            theta_a1=ang.theta_a1, phi_a1=ang.phi_a1,
             theta_d2=ang.theta_a1, phi_d2=ang.phi_a1))
         np.testing.assert_allclose(arrival_phase_offsets(cfg),
                                    departure_phase_offsets(cfg).conj(),

@@ -15,16 +15,20 @@ SEED = 90210
 
 def test_los_bs_to_ris_matches_kron_oracle():
     # Oracle: offsets kron'd against the conjugated-surface/transmit outer
-    # product, assembled with np.kron instead of the block broadcast.
+    # product, assembled with np.kron instead of the block broadcast. The
+    # transmit geometry comes from its own stream, so the configs are those
+    # random_config drew before the config lost its transmit fields.
     rng = np.random.default_rng(SEED)
+    tx_rng = np.random.default_rng(SEED + 100)
     for _ in range(10):
         cfg = random_config(rng)
+        tx = (tx_rng.uniform(0.0, 2.0 * np.pi), tx_rng.uniform(0.1, 1.0))
         b = arrival_phase_offsets(cfg)
         a_ris = upa_steering(cfg.Lx, cfg.Ly, cfg.d2_over_lambda,
                              cfg.angles.theta_a1, cfg.angles.phi_a1)
-        a_tx = ula_steering(cfg.M, cfg.d1_over_lambda, cfg.angles.theta_d1)
+        a_tx = ula_steering(cfg.M, tx[1], tx[0])
         oracle = np.kron(b[:, None], np.outer(a_ris.conj(), a_tx))
-        np.testing.assert_allclose(los_bs_to_ris(cfg), oracle, atol=1e-12)
+        np.testing.assert_allclose(los_bs_to_ris(cfg, tx), oracle, atol=1e-12)
 
 
 def test_los_ris_to_user_matches_kron_oracle():

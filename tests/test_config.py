@@ -57,6 +57,12 @@ def test_subarray_origin_out_of_range():
     ("K2", math.nan, "K2"),
     ("P", 0.0, "P"),
     ("sigma_w2", -2.0, "sigma_w2"),
+    # finite and positive, but the rates or the phases would overflow
+    pytest.param("M", 10 ** 400, " M=1000", id="M-10**400"),
+    pytest.param("P", 1e308, r" P=1e\+308", id="P-1e308"),
+    pytest.param("sigma_w2", 1e-310, " sigma_w2=1e-310", id="sigma_w2-1e-310"),
+    pytest.param("d2_over_lambda", 1e308, r"^d2_over_lambda=1e\+308 overflows",
+                 id="d2_over_lambda-1e308"),
 ])
 def test_validation_errors_name_field(field, value, fragment):
     cfg = SystemConfig(M=4, Nx=4, Ny=4, Lx=2, Ly=2, angles=REF_ANGLES)
@@ -118,8 +124,8 @@ def test_check_names_the_field_for_an_unprintable_integer(build):
 
 
 def test_nonfinite_angle_rejected():
-    with pytest.raises(ConfigError, match="theta_d1"):
-        replace(small_config(), angles=Angles(math.inf, 0, 0, 0, 0))
+    with pytest.raises(ConfigError, match="theta_a1"):
+        replace(small_config(), angles=Angles(math.inf, 0, 0, 0))
 
 
 @pytest.mark.parametrize("field, value, plain", [
@@ -127,8 +133,8 @@ def test_nonfinite_angle_rejected():
     ("P", np.float32(2.5), 2.5), ("sigma_w2", np.float64(0.5), 0.5),
     ("K1", np.float32(3.0), 3.0), ("K2", np.float64(np.inf), math.inf),
     ("d2_over_lambda", np.float16(0.25), 0.25),
-    ("angles", Angles(*np.float32([0.5, 0.25, 1.5, 2.0, -0.5])),
-     Angles(0.5, 0.25, 1.5, 2.0, -0.5)),
+    ("angles", Angles(*np.float32([0.25, 1.5, 2.0, -0.5])),
+     Angles(0.25, 1.5, 2.0, -0.5)),
     ("power", PowerConstants(np.float64(10.0), np.int64(0), 4.8, np.float32(0.5)),
      PowerConstants(10.0, 0.0, 4.8, 0.5)),
 ], ids=["M-int64", "Nx-int32", "Ly-uint8", "P-float32", "sigma_w2-float64",
@@ -143,7 +149,7 @@ def test_numpy_scalars_are_accepted_as_config_values(field, value, plain):
         assert type(v) in (int, float)
 
 
-@pytest.mark.parametrize("field", ["M", "Lx", "P", "K2", "d1_over_lambda"])
+@pytest.mark.parametrize("field", ["M", "Lx", "P", "K2", "d2_over_lambda"])
 def test_numpy_bool_is_rejected_naming_the_field(field):
     with pytest.raises(ConfigError, match=f"^{field} must be .*, got np.True_$"):
         replace(small_config(), **{field: np.bool_(True)})
@@ -151,7 +157,7 @@ def test_numpy_bool_is_rejected_naming_the_field(field):
 
 def test_numpy_bool_is_rejected_in_a_section():
     with pytest.raises(ConfigError, match="^angles.phi_d2 must be finite, got"):
-        Angles(*astuple(REF_ANGLES)[:4], np.bool_(False))
+        Angles(*astuple(REF_ANGLES)[:3], np.bool_(False))
     with pytest.raises(ConfigError, match="^power.p_driver must be finite and"):
         PowerConstants(p_driver=np.bool_(True))
 
@@ -170,14 +176,14 @@ def test_config_from_dict_roundtrip(tmp_path):
     raw = {
         "M": 8, "Nx": 8, "Ny": 4, "Lx": 2, "Ly": 2,
         "K1": 3.0, "K2": 4.0, "P": 5.0,
-        "angles": {"theta_d1": 0.1, "theta_a1": 0.2, "phi_a1": 0.3,
+        "angles": {"theta_a1": 0.2, "phi_a1": 0.3,
                    "theta_d2": 0.4, "phi_d2": 0.5},
         "power": {"p_rest": 10.0},
     }
     cfg = config_from_dict(raw)
     assert (cfg.M, cfg.N, cfg.Q) == (8, 32, 8)
     assert cfg.angles.phi_d2 == 0.5
-    assert cfg.d1_over_lambda == 0.5  # default applied
+    assert cfg.d2_over_lambda == 0.5  # default applied
     assert cfg.power == PowerConstants(p_rest=10.0)
 
     path = tmp_path / "cfg.json"
@@ -209,6 +215,11 @@ def test_load_config_rejects_non_object(tmp_path):
                       "p_driver": 0}), "^power terms must not all be 0"),
     (small_raw(angles={**small_raw()["angles"], "theta_d3": 0.0}),
      "'angles.theta_d3'"),
+    # the transmit array's spacing and angle are not fields: they change no
+    # output under maximum ratio transmission
+    (small_raw(d1_over_lambda=0.5), "^unknown config field 'd1_over_lambda'$"),
+    (small_raw(angles={**small_raw()["angles"], "theta_d1": 0.0}),
+     "^unknown config field 'angles.theta_d1'$"),
     # raw text: a dict cannot hold a repeated key
     ('{"M": 8, ' + json.dumps(small_raw())[1:], "duplicate config field 'M'"),
     (json.dumps(small_raw()).replace('"angles": {', '"angles": {"phi_d2": 0.0, '),
@@ -217,7 +228,8 @@ def test_load_config_rejects_non_object(tmp_path):
         '"power": {', '"power": {"p_rest": 1.0, '),
      "duplicate config field 'p_rest'"),
 ], ids=["M-float", "M-bool", "K1-string", "unknown-top", "unknown-power",
-        "power-nan", "power-inf", "power-zero", "unknown-angle", "duplicate-top",
+        "power-nan", "power-inf", "power-zero", "unknown-angle", "removed-d1",
+        "removed-theta_d1", "duplicate-top",
         "duplicate-angle", "duplicate-power"])
 def test_malformed_input_rejected_naming_field(tmp_path, raw, field):
     path = tmp_path / "cfg.json"
@@ -249,7 +261,7 @@ def test_power_section_is_part_of_the_config():
 
 
 _reals = st.floats(min_value=1e-3, max_value=1e3)
-_angles = st.builds(Angles, *[st.floats(-10.0, 10.0)] * 5)
+_angles = st.builds(Angles, *[st.floats(-10.0, 10.0)] * 4)
 # An all-zero power model is rejected when built: it has no energy efficiency.
 _power = st.tuples(*[st.floats(min_value=0.0, max_value=1e3)] * 4
                    ).filter(any).map(lambda terms: PowerConstants(*terms))
@@ -262,7 +274,7 @@ def _configs(draw):
         M=draw(st.integers(1, 64)),
         Nx=lx * draw(st.integers(1, 4)), Ny=ly * draw(st.integers(1, 4)),
         Lx=lx, Ly=ly, angles=draw(_angles),
-        d1_over_lambda=draw(_reals), d2_over_lambda=draw(_reals),
+        d2_over_lambda=draw(_reals),
         K1=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
         K2=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
         P=draw(_reals), sigma_w2=draw(_reals), power=draw(_power))

@@ -12,7 +12,7 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           monte_carlo_se, optimal_phases, ris_power)
 from ris_subarray.metrics import MC_CHUNK, _gammas, _rate_chunks
 
-from helpers import (element_bound, oracle_rates, random_config,
+from helpers import (TX, element_bound, oracle_rates, random_config,
                      reference_config, se_upper_bound, small_config,
                      small_raw)
 
@@ -27,12 +27,17 @@ ORACLE_SAMPLES = 4_000
 
 
 def _oracle_cases():
+    # (config, phases, the oracle's transmit angle and spacing): the library
+    # has no transmit geometry, so its rates must match the oracle's at any.
     cases = []
     for scheme, side in (("subarray", 2), ("element", 1)):
         for k in (0.0, 10.0, math.inf):
             cfg = small_config(Lx=side, Ly=side, K1=k, K2=k)
-            cases.append(pytest.param(cfg, optimal_phases(cfg),
+            cases.append(pytest.param(cfg, optimal_phases(cfg), TX,
                                       id=f"{scheme}-K{k:g}"))
+            if k:               # with no LoS on H1, tx cannot matter
+                cases.append(pytest.param(cfg, optimal_phases(cfg), (0.3, 0.8),
+                                          id=f"{scheme}-K{k:g}-tx"))
     for name, cfg in (("N1", small_config(Nx=1, Ny=1, Lx=1, Ly=1)),
                       ("M1", small_config(M=1)),
                       ("K1inf", small_config(K1=math.inf, K2=3.0)),
@@ -43,12 +48,15 @@ def _oracle_cases():
                       ("element-K1zero", small_config(Lx=1, Ly=1, K1=0.0)),
                       ("element-K1zero-K2inf",
                        small_config(Lx=1, Ly=1, K1=0.0, K2=math.inf))):
-        cases.append(pytest.param(cfg, optimal_phases(cfg), id=name))
+        cases.append(pytest.param(cfg, optimal_phases(cfg), TX, id=name))
     rng = np.random.default_rng(SEED + 4)
+    # its own stream, so that the configs and phases stay those drawn before
+    tx_rng = np.random.default_rng(SEED + 5)
     for i in range(3):
         cfg = random_config(rng, max_m=8)
         phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
-        cases.append(pytest.param(cfg, phases, id=f"random{i}"))
+        tx = (tx_rng.uniform(0.0, 2.0 * np.pi), tx_rng.uniform(0.1, 1.0))
+        cases.append(pytest.param(cfg, phases, tx, id=f"random{i}"))
     return cases
 
 
@@ -115,7 +123,7 @@ def test_element_bound_equals_degenerate_subarray_path():
 def test_specular_bounds_coincide():
     ang = reference_config().angles
     cfg = reference_config(angles=Angles(
-        theta_d1=ang.theta_d1, theta_a1=ang.theta_a1, phi_a1=ang.phi_a1,
+        theta_a1=ang.theta_a1, phi_a1=ang.phi_a1,
         theta_d2=ang.theta_a1, phi_d2=ang.phi_a1))
     assert coherence_factor(cfg) == 1.0
     assert max_se_upper_bound(cfg) == element_bound(cfg)
@@ -123,7 +131,7 @@ def test_specular_bounds_coincide():
 
 def test_grating_null_bound():
     cfg = reference_config(angles=Angles(
-        theta_d1=math.pi / 2, theta_a1=0.0, phi_a1=7 * math.pi / 6,
+        theta_a1=0.0, phi_a1=7 * math.pi / 6,
         theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3))
     gamma2 = 1.0 - (cfg.K1 / (cfg.K1 + 1.0)) * (cfg.K2 / (cfg.K2 + 1.0))
     expected = math.log2(1 + cfg.P * cfg.M * (gamma2 * cfg.N + 1))
@@ -174,10 +182,26 @@ def test_se_bound_gap_blows_up_at_null():
     # exactly zero), so the large-K asymptote -log2(eta) explodes while the
     # finite-K gap stays bounded by the scattered term.
     cfg = reference_config(K1=math.inf, K2=math.inf, angles=Angles(
-        theta_d1=math.pi / 2, theta_a1=0.0, phi_a1=7 * math.pi / 6,
+        theta_a1=0.0, phi_a1=7 * math.pi / 6,
         theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3))
     assert -math.log2(coherence_factor(cfg)) > 100.0
     assert math.isfinite(_se_gap(cfg))
+
+
+def test_largest_accepted_config_gives_finite_values():
+    # Just inside both overflow caps every output is finite; just past
+    # either, the config cannot be built.
+    snr_cap = 2.0 ** 1000 / (4 * (16 ** 2 + 16 + 1))
+    cfg = small_config(P=snr_cap * (1 - 1e-9), d2_over_lambda=1e306)
+    phases = optimal_phases(cfg)
+    assert np.isfinite(phases).all()
+    assert 0.0 <= coherence_factor(cfg) <= 1.0
+    assert math.isfinite(max_se_upper_bound(cfg))
+    assert all(map(math.isfinite, monte_carlo_se(cfg, phases, 2000, 1)))
+    with pytest.raises(ConfigError, match="largest SNR"):
+        replace(cfg, P=snr_cap * (1 + 1e-9))
+    with pytest.raises(ConfigError, match="^d2_over_lambda=2e"):
+        replace(cfg, d2_over_lambda=2e306)
 
 
 def test_monte_carlo_reproducible():
@@ -235,14 +259,14 @@ def test_monte_carlo_reproducible_across_chunk_boundary():
                                    rel=1e-9)
 
 
-@pytest.mark.parametrize("cfg, phases", _oracle_cases())
-def test_sampler_matches_per_element_oracle(cfg, phases):
+@pytest.mark.parametrize("cfg, phases, tx", _oracle_cases())
+def test_sampler_matches_per_element_oracle(cfg, phases, tx):
     # Same law of the rate as full N-by-M draws: mean, variance (with the
     # kurtosis-aware standard error of a sample variance) and the whole
     # distribution (two-sample KS). Distinct seeds keep the samples
     # independent of each other.
     fast = np.concatenate(list(_rate_chunks(cfg, phases, FAST_SAMPLES, SEED)))
-    slow = oracle_rates(cfg, phases, ORACLE_SAMPLES, SEED + 1)
+    slow = oracle_rates(cfg, phases, ORACLE_SAMPLES, SEED + 1, tx)
     z_mean = (np.mean(fast) - np.mean(slow)) / math.sqrt(
         np.var(fast, ddof=1) / fast.size + np.var(slow, ddof=1) / slow.size)
     z_var = (np.var(fast, ddof=1) - np.var(slow, ddof=1)) / math.sqrt(

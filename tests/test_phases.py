@@ -25,7 +25,7 @@ REF_P1 = -math.pi * math.sqrt(3) / 2
 REF_P2 = -math.pi * (math.sqrt(3) + 1) / 8
 # theta_d2 = pi/2, theta_a1 = 0 puts Lx * p1 exactly at pi for 2-wide
 # subarrays, so the x-axis kernel vanishes.
-NULL_ANGLES = Angles(theta_d1=math.pi / 2, theta_a1=0.0, phi_a1=7 * math.pi / 6,
+NULL_ANGLES = Angles(theta_a1=0.0, phi_a1=7 * math.pi / 6,
                      theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3)
 
 
@@ -67,13 +67,14 @@ def test_optimal_phases_equal_the_offset_closed_form():
 
 
 @pytest.mark.parametrize("angles", [
-    np.full((2, 5), np.nan),            # (n, 5) but not finite
-    np.full((1, 5), np.inf),
-    np.zeros((3, 4)),                   # too few columns
+    np.full((2, 4), np.nan),            # (n, 4) but not finite
+    np.full((1, 4), np.inf),
+    np.zeros((3, 3)),                   # too few columns
+    np.zeros((3, 5)),                   # the former five-angle tuples
     np.zeros(5),                        # one flat tuple, not a 2-D array
-    np.zeros((2, 5), dtype=bool),       # not numbers
+    np.zeros((2, 4), dtype=bool),       # not numbers
     [[0.0] * 5, [0.0] * 4],             # ragged
-], ids=["nan", "inf", "3x4", "flat5", "bool", "ragged"])
+], ids=["nan", "inf", "3x3", "3x5", "flat5", "bool", "ragged"])
 def test_malformed_angle_array_rejected_naming_angles(angles):
     cfg = small_config()
     for fn in (phase_slopes, coherence_factor, max_se_upper_bound):
@@ -120,7 +121,7 @@ def test_coherence_factor_axis_swap_symmetry():
 def test_coherence_factor_specular_is_exactly_one():
     ang = reference_config().angles
     cfg = reference_config(angles=Angles(
-        theta_d1=ang.theta_d1, theta_a1=ang.theta_a1, phi_a1=ang.phi_a1,
+        theta_a1=ang.theta_a1, phi_a1=ang.phi_a1,
         theta_d2=ang.theta_a1, phi_d2=ang.phi_a1))
     assert phase_slopes(cfg) == (0.0, 0.0)
     assert coherence_factor(cfg) == 1.0

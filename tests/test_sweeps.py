@@ -44,18 +44,18 @@ HALF_PI = math.pi / 2
 # theta_a1 = -pi/2, theta_d2 = pi/2 puts p1 at pi * d2 * 2: a grating point
 # (sin p1 ~ 1e-16) at d2 = 0.5. At d2 = 0.5000000012, |sin p1| ~ 7.5e-9 is
 # past the fill threshold and the 3-element kernel rounds to 1 + 3.9e-8.
-GRATING = np.array([[0.3, -HALF_PI, 1.1, HALF_PI, 2.0],
-                    [0.3, -HALF_PI, 1.1, HALF_PI, 1.1]])
+GRATING = np.array([[-HALF_PI, 1.1, HALF_PI, 2.0],
+                    [-HALF_PI, 1.1, HALF_PI, 1.1]])
 CLAMP_CFG = small_config(Nx=6, Lx=3, d2_over_lambda=0.5000000012)
 
 
 def _oracle_cases():
     rng = np.random.default_rng(SEED)
     cases = [(random_config(rng), draw_angle_tuples(i, 200)) for i in range(6)]
-    null = np.array([[0.3, 0.0, 1.1, HALF_PI, 2.0]])  # 2 * p1 = pi
+    null = np.array([[0.0, 1.1, HALF_PI, 2.0]])  # 2 * p1 = pi
     cases.append((reference_config(), np.vstack([GRATING, null])))
     specular = draw_angle_tuples(7, 20)
-    specular[:, 3:] = specular[:, 1:3]
+    specular[:, 2:] = specular[:, :2]
     cases.append((reference_config(), specular))
     cases.append((CLAMP_CFG, GRATING[:1]))
     cases.append((reference_config(Lx=1, Ly=1), draw_angle_tuples(8, 200)))
@@ -107,7 +107,7 @@ def test_draw_angle_tuples():
     a = draw_angle_tuples(3, 50)
     b = draw_angle_tuples(3, 50)
     np.testing.assert_array_equal(a, b)
-    assert a.shape == (50, 5)
+    assert a.shape == (50, 4)
     assert np.all((a >= 0) & (a < 2 * np.pi))
 
 
