@@ -203,6 +203,18 @@ class SystemConfig:
                 f"d2_over_lambda={self.d2_over_lambda!r} overflows the phases of a "
                 f"{self.Nx}x{self.Ny} surface: 4*pi*d2_over_lambda*(Nx + Ny) must be "
                 f"finite")
+        # The energy efficiency divides by p_rest + ris_power(drivers). N
+        # drivers, per-element control, give the largest total, so once it
+        # is finite so is every other.
+        total = self.power.p_rest + ris_power(self.N, self.power)
+        if not math.isfinite(total):
+            p = self.power
+            raise ConfigError(
+                f"the largest total power, power.p_rest + power.p_dynamic + "
+                f"power.p_control + N * power.p_driver, must be finite, got "
+                f"{total:g} from power.p_rest={p.p_rest!r}, power.p_dynamic="
+                f"{p.p_dynamic!r}, power.p_control={p.p_control!r}, "
+                f"power.p_driver={p.p_driver!r}, N={_shown(self.N)}")
 
     Qx = property(lambda self: self.Nx // self.Lx)
     Qy = property(lambda self: self.Ny // self.Ly)

@@ -47,6 +47,18 @@ def _gammas(cfg: SystemConfig) -> tuple[float, float]:
     return gamma1, 1.0 - gamma1
 
 
+def _bound_from_eta(cfg: SystemConfig, eta):
+    """The SE upper bound under the optimal phases at coherence factor eta,
+    a float or an array of one per angle tuple."""
+    gamma1, gamma2 = _gammas(cfg)
+    snr = cfg.P / cfg.sigma_w2
+    arg = 1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2 + gamma2 * cfg.N + 1.0)
+    if np.ndim(arg) == 0:
+        return math.log2(arg)
+    # np.log2 differs from math.log2 in the last bit on a few values in 1e5.
+    return np.fromiter(map(math.log2, arg), float, len(arg))
+
+
 def max_se_upper_bound(cfg: SystemConfig, angles=None):
     """Upper bound under the optimal phases, via the coherence factor.
 
@@ -54,14 +66,7 @@ def max_se_upper_bound(cfg: SystemConfig, angles=None):
     where the coherence factor is exactly 1. One bound per row of angles, as
     in phase_slopes.
     """
-    gamma1, gamma2 = _gammas(cfg)
-    snr = cfg.P / cfg.sigma_w2
-    eta = coherence_factor(cfg, angles)
-    arg = 1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2 + gamma2 * cfg.N + 1.0)
-    if angles is None:
-        return math.log2(arg)
-    # np.log2 differs from math.log2 in the last bit on a few values in 1e5.
-    return np.fromiter(map(math.log2, arg), float, len(arg))
+    return _bound_from_eta(cfg, coherence_factor(cfg, angles))
 
 
 def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,

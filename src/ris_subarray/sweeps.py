@@ -15,8 +15,10 @@ import numpy as np
 
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
                      SystemConfig, check_grid, check_int)
-from .metrics import energy_efficiency, max_se_upper_bound, monte_carlo_se
-from .phases import los_cascade_gain, optimal_phases, subarray_couplings
+from .metrics import (_bound_from_eta, energy_efficiency, max_se_upper_bound,
+                      monte_carlo_se)
+from .phases import (coherence_factor_from_slopes, los_cascade_gain,
+                     optimal_phases, phase_slopes, subarray_couplings)
 
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
@@ -91,18 +93,73 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     return _sorted_rows(_run_tasks(_rician_point, tasks, workers, samples))
 
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011), the generator behind numpy's Philox: its round multipliers and
+# key increments, and the counter blocks run per array pass.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_BLOCKS = 1 << 14
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64 bits of the 128-bit products m * x, for a constant m
+    and a uint64 array x. The high half sums the four 32-bit half products
+    without overflow; the low half is the wrapping product."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo = x & _LOW32
+    hi = x >> _SHIFT32
+    mid = x_lo * m_hi
+    x_lo *= m_lo
+    x_lo >>= _SHIFT32
+    mid += x_lo                     # x_lo*m_hi + (x_lo*m_lo >> 32)
+    carry = mid & _LOW32
+    carry += hi * m_lo
+    carry >>= _SHIFT32
+    hi *= m_hi
+    mid >>= _SHIFT32
+    hi += mid
+    hi += carry
+    return hi, x * np.uint64(m)
+
+
+def _philox_words(seed: int, count: int) -> np.ndarray:
+    """The first count 64-bit outputs of numpy's Philox(key=[seed, 0]):
+    block b, counter (b + 1, 0, 0, 0), gives words 4b to 4b + 3."""
+    blocks = -(-count // 4)
+    out = np.empty((blocks, 4), dtype=np.uint64)
+    keys = [(np.uint64((seed + r * _PHILOX_W[0]) % 2 ** 64),
+             np.uint64(r * _PHILOX_W[1] % 2 ** 64)) for r in range(10)]
+    for start in range(0, blocks, _PHILOX_BLOCKS):
+        stop = min(start + _PHILOX_BLOCKS, blocks)
+        c0 = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        c1 = c2 = c3 = np.zeros_like(c0)
+        for k0, k1 in keys:
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            hi1 ^= c1
+            hi1 ^= k0
+            hi0 ^= c3
+            hi0 ^= k1
+            c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+        out[start:stop] = np.column_stack((c0, c1, c2, c3))
+    return out.ravel()[:count]
+
+
 def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
-    """count-by-4 i.i.d. uniform [0, 2*pi) angle tuples from a fixed stream."""
-    # A list key would go through float64 for seeds >= 2**63.
-    key = np.array([check_int("seed", seed, 0, MAX_SEED), 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    # Five per tuple, the first dropped: the golden CSVs pin this stream.
-    return rng.uniform(0.0, 2.0 * np.pi, size=(check_int("count", count), 5))[:, 1:]
+    """count-by-4 i.i.d. uniform [0, 2*pi) angle tuples from a fixed stream:
+    numpy's Generator(Philox(key=[seed, 0])).uniform(0, 2*pi, (count, 5))
+    with the first column dropped, bit for bit (the golden CSVs pin it)."""
+    seed = check_int("seed", seed, 0, MAX_SEED)
+    count = check_int("count", count)
+    words = _philox_words(seed, 5 * count).reshape(count, 5)
+    # numpy's double: the top 53 bits times 2**-53, then low + range * u.
+    return (0.0 + TWO_PI * ((words >> np.uint64(11)) * 2.0 ** -53))[:, 1:]
 
 
 def _regional_point(task) -> SweepResult:
-    cfg, scheme, var_name, var_value, angle_tuples = task
-    se = max_se_upper_bound(cfg, angle_tuples)
+    cfg, scheme, var_name, var_value, p1, p2 = task
+    se = _bound_from_eta(cfg, coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2))
     ee = energy_efficiency(se, cfg.Q, cfg.power)
     return SweepResult(scheme=scheme, var_name=var_name, var_value=var_value,
                        se_mc=None, se_mc_stderr=None,
@@ -126,13 +183,15 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     """
     draws = check_int("num_angle_draws", num_angle_draws)
     workers = check_int("workers", workers)
-    angle_tuples = draw_angle_tuples(seed, draws)      # checks the seed
+    # The slopes depend only on the angles and d2_over_lambda, which every
+    # point shares; draw_angle_tuples checks the seed.
+    slopes = phase_slopes(cfg_base, draw_angle_tuples(seed, draws))
     tasks = []
     for l0 in check_grid("l0_grid", default_l0_grid(cfg_base)
                          if l0_grid is None else l0_grid):
         cfg = replace(cfg_base, Lx=l0, Ly=l0)
         tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
-                      float(cfg.Q), angle_tuples))
+                      float(cfg.Q), *slopes))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
 
 
@@ -149,14 +208,14 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     workers = check_int("workers", workers)
     l0_set = check_grid("l0_set", l0_set)
     n_grid = check_grid("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
-    angle_tuples = draw_angle_tuples(seed, draws)      # checks the seed
+    slopes = phase_slopes(cfg_base, draw_angle_tuples(seed, draws))
     tasks = []
     for n in n_grid:
         nx = math.isqrt(n)
         for l0 in [1] + [side for side in l0_set if nx % side == 0]:
             cfg = replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0)
             tasks.append((cfg, "element" if l0 == 1 else f"subarray_L{l0}",
-                          "N", float(n), angle_tuples))
+                          "N", float(n), *slopes))
     return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
 
 

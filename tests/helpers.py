@@ -3,6 +3,8 @@
 subarray_origin() is the 1-based oracle for the subarray layout:
 grid_offsets() and offset_phases() build the origin offsets and the
 closed-form phases from it, subarray by subarray.
+philox_oracle() and oracle_angle_tuples() are numpy's own Philox stream,
+which the library's angle stream must reproduce bit for bit.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
 vectorized coherence factor and bound of the regional sweeps, and
 se_upper_bound() the bound at arbitrary phases. The steering vectors and
@@ -68,6 +70,19 @@ def element_bound(cfg: SystemConfig) -> float:
     """Maximized SE bound of per-element control of the same surface: the
     subarray bound on the Lx = Ly = 1 copy of cfg."""
     return max_se_upper_bound(replace(cfg, Lx=1, Ly=1))
+
+
+def philox_oracle(seed: int) -> np.random.Philox:
+    """numpy's own Philox4x64-10 keyed (seed, 0): the independent oracle for
+    the library's angle stream."""
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+
+
+def oracle_angle_tuples(seed: int, count: int) -> np.ndarray:
+    """count-by-4 angle tuples through numpy's Generator: five uniforms on
+    [0, 2*pi) per tuple, the first dropped."""
+    rng = np.random.Generator(philox_oracle(seed))
+    return rng.uniform(0.0, 2.0 * np.pi, size=(count, 5))[:, 1:]
 
 
 def random_angles(rng: np.random.Generator) -> Angles:

@@ -114,6 +114,10 @@ def test_malformed_set_is_a_usage_error(capsys, text):
     (["P=1e308"], "the largest SNR"),
     (["sigma_w2=1e-310"], "the largest SNR"),
     (["d2_over_lambda=1e308"], "d2_over_lambda=1e+308 overflows the phases"),
+    # finite power terms whose total is not, once a config ok (and inf
+    # surface power) from validate and ee = 0 rows from the sweeps
+    (["power.p_rest=1e308", "power.p_control=1e308"], "the largest total power"),
+    (["power.p_dynamic=1e308", "power.p_control=1e308"], "the largest total power"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_set_field_is_rejected_naming_it(capsys, sets, field):
     argv = ["validate", "--config", DEFAULT]
@@ -427,6 +431,20 @@ def test_small_sweep_starts_no_process_pool(tmp_path):
 def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, ris_subarray.cli; print('numpy' in sys.modules)"
     assert fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sweep-q", "--draws", "3"], False),
+    (["sweep-n", "--n-grid", "16", "--draws", "3"], False),
+    (["sweep-k", "--k-grid", "0", "--samples", "8"], True),
+], ids=["sweep-q", "sweep-n", "sweep-k"])
+def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
+    # The library computes the regional angle stream itself; sweep-k still
+    # draws its normals, chi-squares and point seeds through numpy.random.
+    argv = [*argv, "--config", ORACLE_SMALL, "--out", str(tmp_path / "out.csv")]
+    code = (f"import sys; from ris_subarray.cli import main; rc = main({argv!r}); "
+            "print(rc, 'numpy' in sys.modules, 'numpy.random' in sys.modules)")
+    assert fresh_python(code).splitlines()[-1] == f"0 True {loaded}"
 
 
 def test_validate_runs_without_numpy():

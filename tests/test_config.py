@@ -123,6 +123,31 @@ def test_check_names_the_field_for_an_unprintable_integer(build):
         build()
 
 
+@pytest.mark.parametrize("terms", [
+    dict(p_rest=1e308, p_control=1e308),
+    dict(p_dynamic=1e308, p_control=1e308),
+    # the 16 drivers of per-element control overflow, the 4 subarrays' do not
+    dict(p_driver=2e307),
+], ids=["rest-control", "dynamic-control", "driver"])
+def test_overflowing_total_power_is_rejected(terms):
+    # Each term is finite, but per-element control's total power is not:
+    # the energy efficiency would read 0 and the surface power inf.
+    power = PowerConstants(**terms)
+    if "p_driver" in terms:
+        assert math.isfinite(power.p_rest + power.p_control
+                             + small_config().Q * power.p_driver)
+    with pytest.raises(ConfigError, match=(
+            r"^the largest total power, power\.p_rest \+ power\.p_dynamic \+ "
+            r"power\.p_control \+ N \* power\.p_driver, must be finite, got inf "
+            r"from power\.p_rest=.*, N=16$")):
+        replace(small_config(), power=power)
+
+
+def test_largest_finite_total_power_is_accepted():
+    cfg = replace(small_config(), power=PowerConstants(p_driver=1e307))
+    assert cfg.power.p_rest + cfg.N * cfg.power.p_driver < math.inf
+
+
 def test_nonfinite_angle_rejected():
     with pytest.raises(ConfigError, match="theta_a1"):
         replace(small_config(), angles=Angles(math.inf, 0, 0, 0))

@@ -14,14 +14,14 @@ from ris_subarray import (Angles, ConfigError, coherence_factor,
                           monte_carlo_se, optimal_phases, sweep_rician_factor,
                           sweep_ris_size, sweep_subarray_count)
 from ris_subarray import sweeps
-from ris_subarray.phases import _normalized_kernel
+from ris_subarray.phases import _normalized_kernel, phase_slopes
 from ris_subarray.sweeps import (WORK_PER_WORKER, _regional_point, _run_tasks,
                                  default_l0_grid, grid_resolution_slack,
                                  point_seed)
 
-from helpers import (count_pools, normalized_kernel, random_config,
-                     reference_config, regional_draws, rows_to_csv,
-                     scalar_slopes, small_config)
+from helpers import (count_pools, normalized_kernel, oracle_angle_tuples,
+                     philox_oracle, random_config, reference_config,
+                     regional_draws, rows_to_csv, scalar_slopes, small_config)
 
 SEED = 60601
 HEADER = "scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee"
@@ -79,7 +79,8 @@ def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     # the config's own tuple runs the same code
     assert [max_se_upper_bound(replace(cfg, angles=Angles(*t)))
             for t in tuples] == list(se)
-    row = _regional_point((cfg, "s", "Q", 1.0, tuples))
+    # the sweeps compute the slopes once and hand them to every point
+    row = _regional_point((cfg, "s", "Q", 1.0, *phase_slopes(cfg, tuples)))
     assert (row.se_ub, row.ee) == (float(np.mean(se)), float(np.mean(ee)))
     if cfg.Lx == cfg.Ly == 1:
         assert np.all(eta == 1.0)
@@ -109,6 +110,33 @@ def test_draw_angle_tuples():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (50, 4)
     assert np.all((a >= 0) & (a < 2 * np.pi))
+
+
+# Seeds at both ends of the key range and random ones; word counts around
+# the 4-word block, and around the kernel's chunk of counter blocks.
+PHILOX_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1] + [
+    int(s) for s in np.random.default_rng(SEED).integers(
+        0, 2 ** 64, size=4, dtype=np.uint64)]
+CHUNK_WORDS = 4 * sweeps._PHILOX_BLOCKS
+WORD_COUNTS = [*range(1, 10), 11, 13, 4095, 4097, CHUNK_WORDS - 1, CHUNK_WORDS,
+               CHUNK_WORDS + 1, 2 * CHUNK_WORDS + 3]
+# Five words per tuple: the last three counts end one word short of a
+# chunk boundary and just past the first and the second.
+TUPLE_COUNTS = [*range(1, 10), 11, 13, 999, 1001, CHUNK_WORDS // 5,
+                CHUNK_WORDS // 5 + 1, 2 * CHUNK_WORDS // 5 + 1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+def test_angle_stream_is_numpys_philox_bit_for_bit(seed):
+    # The kernel's wrapping uint64 arithmetic must not warn either.
+    for count in WORD_COUNTS:
+        assert np.array_equal(sweeps._philox_words(seed, count),
+                              philox_oracle(seed).random_raw(count)), count
+    for count in TUPLE_COUNTS:
+        tuples = draw_angle_tuples(seed, count)
+        assert tuples.dtype == np.float64, count
+        assert np.array_equal(tuples, oracle_angle_tuples(seed, count)), count
 
 
 def test_draw_angle_tuples_use_every_seed_bit():
