@@ -3,8 +3,9 @@
 Every subcommand loads a JSON config (--config) with any --set NAME=VALUE
 overrides merged into it, and exits 0 on success or nonzero with a
 diagnostic on stderr. Each takes only the flags it uses: the sweeps add
---seed, --workers and --out, and write the fixed CSV schema to --out, or
-to stdout when --out is omitted.
+--seed and --out, and write the fixed CSV schema to --out, or to stdout
+when --out is omitted. They also accept --workers, which is checked and
+then ignored: every sweep runs in the calling process.
 """
 
 from __future__ import annotations
@@ -77,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="master seed, a 64-bit unsigned integer")
     run_flags.add_argument("--out", default=None, help="CSV output path")
     run_flags.add_argument("--workers", type=checked("workers"),
-                           help="upper bound on worker processes; a sweep starts "
-                                "one per 250000 samples or angle draws in total, "
-                                "and none when that gives fewer than two")
+                           help="ignored: every sweep runs in this process")
     add = partial(subs.add_parser, parents=[config_flags])
     add_sweep = partial(subs.add_parser, parents=[config_flags, run_flags],
                         argument_default=argparse.SUPPRESS)
@@ -148,7 +147,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
     if args.command in SWEEPS:
         from . import sweeps
         run = {key: value for key, value in vars(args).items()
-               if key not in ("command", "config", "overrides", "out")}
+               if key not in ("command", "config", "overrides", "out", "workers")}
         rows = getattr(sweeps, SWEEPS[args.command])(cfg, **run)
         if args.out is None:
             sweeps.write_csv(rows, sys.stdout)

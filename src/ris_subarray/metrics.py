@@ -59,14 +59,13 @@ def _bound_from_eta(cfg: SystemConfig, eta):
     return np.fromiter(map(math.log2, arg), float, len(arg))
 
 
-def max_se_upper_bound(cfg: SystemConfig, angles=None):
+def max_se_upper_bound(cfg: SystemConfig) -> float:
     """Upper bound under the optimal phases, via the coherence factor.
 
     Per-element control is the same formula on the Lx = Ly = 1 copy of cfg,
-    where the coherence factor is exactly 1. One bound per row of angles, as
-    in phase_slopes.
+    where the coherence factor is exactly 1.
     """
-    return _bound_from_eta(cfg, coherence_factor(cfg, angles))
+    return _bound_from_eta(cfg, coherence_factor(cfg))
 
 
 def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
@@ -123,8 +122,8 @@ def monte_carlo_se(cfg: SystemConfig, phases, num_samples: int,
     Maximum-ratio transmission is folded in analytically: the rate of a
     sample is log2(1 + snr * ||h2 Phi H1 + g||^2), drawn as in _rate_chunks.
     The result is a pure function of (cfg, phases, num_samples,
-    master_seed), independent of evaluation order and worker count. Chunk
-    means and squared deviations are merged in chunk order (Chan et al.).
+    master_seed), independent of evaluation order. Chunk means and squared
+    deviations are merged in chunk order (Chan et al.).
     num_samples must be an integer >= 1 and master_seed one in [0, 2**64).
     """
     num_samples = check_int("num_samples", num_samples)

@@ -81,12 +81,11 @@ def coherence_factor_from_slopes(Lx: int, p1, Ly: int, p2):
                           * _normalized_kernel(Ly, p2), 2)
 
 
-def coherence_factor(cfg: SystemConfig, angles=None):
+def coherence_factor(cfg: SystemConfig):
     """Fraction of the coherent LoS array gain a subarray of shared-phase
     elements retains. Equals 1 for per-element control (Lx = Ly = 1) and for
-    specular geometry; equals 0 when a subarray straddles a full grating null.
-    One value per row of angles, as in phase_slopes."""
-    p1, p2 = phase_slopes(cfg, angles)
+    specular geometry; equals 0 when a subarray straddles a full grating null."""
+    p1, p2 = phase_slopes(cfg)
     return coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
 
 

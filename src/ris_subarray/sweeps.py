@@ -1,8 +1,8 @@
 """Reproducible SE/EE sweeps and the exhaustive phase-search oracle.
 
-Every sweep builds a deterministic list of evaluation points, derives one
-seed per point from the master seed, and sorts the emitted rows, so the CSV
-output is byte-identical for a fixed (config, seed) at any worker count.
+Every sweep evaluates a deterministic list of points in the calling
+process, derives one seed per point from the master seed, and sorts the
+emitted rows, so the CSV output is byte-identical for a fixed (config, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
-                     SystemConfig, check_grid, check_int)
+                     ConfigError, SystemConfig, check_grid, check_int)
 from .metrics import (_bound_from_eta, energy_efficiency, max_se_upper_bound,
                       monte_carlo_se)
 from .phases import (coherence_factor_from_slopes, los_cascade_gain,
@@ -22,10 +22,6 @@ from .phases import (coherence_factor_from_slopes, los_cascade_gain,
 
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
-
-# Samples or angle draws per pool process: on a 2-vCPU x86 box two processes
-# break even with one near 4.8e5 samples or 3.6e5 draws per sweep (README).
-WORK_PER_WORKER = 250_000
 
 
 @dataclass
@@ -47,25 +43,12 @@ def point_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _run_tasks(fn, tasks, workers: int, work_per_task: int) -> list:
-    """fn over tasks in at most `workers` processes, one per WORK_PER_WORKER
-    units of work (samples or angle draws); in this process below two."""
-    procs = min(workers, len(tasks),
-                work_per_task * len(tasks) // WORK_PER_WORKER)
-    if procs < 2:
-        return [fn(t) for t in tasks]
-    # Imported here so that only a sweep that uses the pool pays for it.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=procs) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _sorted_rows(rows: list[SweepResult]) -> list[SweepResult]:
     return sorted(rows, key=lambda r: (r.scheme, r.var_value))
 
 
-def _rician_point(task) -> SweepResult:
-    cfg, scheme, samples, seed = task
+def _rician_point(cfg: SystemConfig, scheme: str, samples: int,
+                  seed: int) -> SweepResult:
     mean, stderr = monte_carlo_se(cfg, optimal_phases(cfg), samples, seed)
     return SweepResult(scheme=scheme, var_name="K", var_value=cfg.K1,
                        se_mc=mean, se_mc_stderr=stderr,
@@ -73,8 +56,8 @@ def _rician_point(task) -> SweepResult:
 
 
 def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
-                        samples: int = 10_000, seed: int = 0,
-                        workers: int = 1) -> list[SweepResult]:
+                        samples: int = 10_000, seed: int = 0
+                        ) -> list[SweepResult]:
     """Monte Carlo SE and maximized SE bound versus the Rician factor.
 
     Both hops share the swept factor (default grid DEFAULT_K_GRID).
@@ -83,14 +66,14 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     """
     samples = check_int("samples", samples)
     seed = check_int("seed", seed, 0, MAX_SEED)
-    workers = check_int("workers", workers)
-    tasks = []
+    rows = []
     for k in check_grid("k_grid", DEFAULT_K_GRID if k_grid is None else k_grid):
         cfg = replace(cfg_base, K1=k, K2=k)
         for scheme, point_cfg in (("subarray", cfg),
                                   ("element", replace(cfg, Lx=1, Ly=1))):
-            tasks.append((point_cfg, scheme, samples, point_seed(seed, len(tasks))))
-    return _sorted_rows(_run_tasks(_rician_point, tasks, workers, samples))
+            rows.append(_rician_point(point_cfg, scheme, samples,
+                                      point_seed(seed, len(rows))))
+    return _sorted_rows(rows)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -157,8 +140,8 @@ def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
     return (0.0 + TWO_PI * ((words >> np.uint64(11)) * 2.0 ** -53))[:, 1:]
 
 
-def _regional_point(task) -> SweepResult:
-    cfg, scheme, var_name, var_value, p1, p2 = task
+def _regional_point(cfg: SystemConfig, scheme: str, var_name: str,
+                    var_value: float, p1, p2) -> SweepResult:
     se = _bound_from_eta(cfg, coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2))
     ee = energy_efficiency(se, cfg.Q, cfg.power)
     return SweepResult(scheme=scheme, var_name=var_name, var_value=var_value,
@@ -173,31 +156,36 @@ def default_l0_grid(cfg: SystemConfig) -> tuple[int, ...]:
 
 
 def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
-                         num_angle_draws: int = 100, seed: int = 0,
-                         workers: int = 1) -> list[SweepResult]:
+                         num_angle_draws: int = 100, seed: int = 0
+                         ) -> list[SweepResult]:
     """Regional (angle-averaged) SE bound and EE versus the subarray count.
 
     The surface size is fixed by cfg_base; each L0 in the grid gives
     Q = N / L0^2 subarrays. All points share the same seeded angle draws, and
-    the L0 = 1 point is the element scheme, labeled as such.
+    the L0 = 1 point is the element scheme, labeled as such. Every L0 must
+    divide both surface sides.
     """
     draws = check_int("num_angle_draws", num_angle_draws)
-    workers = check_int("workers", workers)
+    l0_grid = check_grid("l0_grid", default_l0_grid(cfg_base)
+                         if l0_grid is None else l0_grid)
+    for l0 in l0_grid:
+        if cfg_base.Nx % l0 or cfg_base.Ny % l0:
+            raise ConfigError(f"l0_grid entry {l0} does not divide the "
+                              f"{cfg_base.Nx}x{cfg_base.Ny} surface")
     # The slopes depend only on the angles and d2_over_lambda, which every
     # point shares; draw_angle_tuples checks the seed.
     slopes = phase_slopes(cfg_base, draw_angle_tuples(seed, draws))
-    tasks = []
-    for l0 in check_grid("l0_grid", default_l0_grid(cfg_base)
-                         if l0_grid is None else l0_grid):
+    rows = []
+    for l0 in l0_grid:
         cfg = replace(cfg_base, Lx=l0, Ly=l0)
-        tasks.append((cfg, "element" if cfg.L == 1 else "subarray", "Q",
-                      float(cfg.Q), *slopes))
-    return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
+        scheme = "element" if cfg.L == 1 else "subarray"
+        rows.append(_regional_point(cfg, scheme, "Q", float(cfg.Q), *slopes))
+    return _sorted_rows(rows)
 
 
 def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
-                   l0_set=(2, 4), num_angle_draws: int = 100, seed: int = 0,
-                   workers: int = 1) -> list[SweepResult]:
+                   l0_set=(2, 4), num_angle_draws: int = 100, seed: int = 0
+                   ) -> list[SweepResult]:
     """Regional SE bound and EE versus surface size for several schemes.
 
     Each N in the grid (default DEFAULT_N_GRID) must be a perfect square.
@@ -205,18 +193,17 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     l0_set; rows for an L0 that does not divide sqrt(N) are skipped.
     """
     draws = check_int("num_angle_draws", num_angle_draws)
-    workers = check_int("workers", workers)
     l0_set = check_grid("l0_set", l0_set)
     n_grid = check_grid("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
     slopes = phase_slopes(cfg_base, draw_angle_tuples(seed, draws))
-    tasks = []
+    rows = []
     for n in n_grid:
         nx = math.isqrt(n)
         for l0 in [1] + [side for side in l0_set if nx % side == 0]:
             cfg = replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0)
-            tasks.append((cfg, "element" if l0 == 1 else f"subarray_L{l0}",
-                          "N", float(n), *slopes))
-    return _sorted_rows(_run_tasks(_regional_point, tasks, workers, draws))
+            scheme = "element" if l0 == 1 else f"subarray_L{l0}"
+            rows.append(_regional_point(cfg, scheme, "N", float(n), *slopes))
+    return _sorted_rows(rows)
 
 
 def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:

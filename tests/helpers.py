@@ -199,24 +199,6 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def count_pools(monkeypatch) -> list:
-    """max_workers of every process pool started while monkeypatch is active.
-
-    A cross-worker determinism test that starts no pool compares the serial
-    path with itself.
-    """
-    import concurrent.futures
-    real = concurrent.futures.ProcessPoolExecutor
-    started = []
-
-    def counting(*args, **kwargs):
-        started.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
-    return started
-
-
 def dense_phase_matrix(cfg, phases) -> np.ndarray:
     """Independent oracle: the full N-by-N block-diagonal phase matrix."""
     return np.kron(np.diag(np.exp(1j * np.asarray(phases))), np.eye(cfg.L))

@@ -14,7 +14,7 @@ from ris_subarray import (cli, coherence_factor, exhaustive_phase_search,
                           sweep_subarray_count)
 from ris_subarray.cli import main
 from ris_subarray.phases import phase_slopes
-from ris_subarray.sweeps import WORK_PER_WORKER, write_csv
+from ris_subarray.sweeps import write_csv
 
 from helpers import small_config, small_raw
 
@@ -248,6 +248,7 @@ def test_oracle_agrees(capsys):
     ["sweep-q", "--draws", "0"],
     ["sweep-n", "--draws", "-1"],
     ["sweep-k", "--workers", "-5"],
+    ["sweep-q", "--workers", "0"],
     ["oracle", "--levels", "0"],
     ["oracle", "--levels", "33"],
     ["sweep-k", "--k-grid", ","],
@@ -284,7 +285,6 @@ def test_largest_seed_accepted(tmp_path, capsys, run):
 BAD_RUN_FLAGS = [
     ("sweep-k", "--samples", "0", sweep_rician_factor, {"samples": 0}),
     ("sweep-k", "--samples", "2.5", sweep_rician_factor, {"samples": "2.5"}),
-    ("sweep-k", "--workers", "-5", sweep_rician_factor, {"workers": -5}),
     ("sweep-k", "--seed", "-1", sweep_rician_factor, {"seed": -1}),
     ("sweep-q", "--seed", str(2 ** 64), sweep_subarray_count, {"seed": 2 ** 64}),
     ("sweep-n", "--seed", "x", sweep_ris_size, {"seed": "x"}),
@@ -328,7 +328,7 @@ def test_bad_run_flag_says_what_the_library_says(tmp_path, capsys, command,
 ], ids=["sweep-k", "sweep-q", "sweep-n"])
 def test_sweep_default_grid_is_the_library_default(tmp_path, command, sweep):
     # A run flag left out is left out of the library call: every default
-    # (grid, samples or draws, seed, workers) is the library's.
+    # (grid, samples or draws, seed) is the library's.
     cfg_path, out = write_small(tmp_path), tmp_path / "cli.csv"
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
     library = io.StringIO()
@@ -382,50 +382,42 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path):
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
-@pytest.mark.parametrize("samples, pools", [("64", []), ("150000", [2])],
-                         ids=["serial", "pool"])
-def test_console_entry_writes_the_csv_main_writes(tmp_path, samples, pools):
+def test_console_entry_writes_the_csv_main_writes(tmp_path):
     # entry() runs main() with the collector off and frozen at exit; the
-    # bytes must not change, also in pool workers forked with it off.
+    # bytes must not change.
     argv = ["sweep-k", "--config", ORACLE_SMALL, "--k-grid", "0,10",
-            "--samples", samples, "--workers", "2", "--out"]
-    watch = ("import atexit, gc, types; from helpers import count_pools; "
-             "pools = count_pools(types.SimpleNamespace(setattr=setattr)); "
-             "atexit.register(lambda: print(pools, gc.isenabled(), "
-             "gc.get_freeze_count() > 0)); ")
+            "--samples", "64", "--out"]
+    watch = ("import atexit, gc; atexit.register(lambda: print("
+             "gc.isenabled(), gc.get_freeze_count() > 0)); ")
     proc = fresh_process(watch + ENTRY, *argv, str(tmp_path / "entry.csv"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{pools} False True"
+    assert proc.stdout.splitlines()[-1] == "False True"
     assert main([*argv, str(tmp_path / "main.csv")]) == 0
     assert ((tmp_path / "entry.csv").read_bytes()
             == (tmp_path / "main.csv").read_bytes())
 
 
-def test_workers_help_quotes_work_per_worker(capsys):
-    # The help spells the constant out, since sweeps (and numpy) must not be
-    # imported to build the parser.
-    with pytest.raises(SystemExit):
-        main(["sweep-k", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert f"one per {WORK_PER_WORKER} samples" in help_text
-
-
 def test_cli_import_leaves_process_pool_unloaded():
-    # Only --workers >= 2 needs the pool; every other run skips its imports.
     code = ("import sys, ris_subarray.cli; print([m for m in ('multiprocessing',"
             " 'concurrent.futures.process') if m in sys.modules])")
     assert fresh_python(code) == "[]"
 
 
-def test_small_sweep_starts_no_process_pool(tmp_path):
-    # 6 points x 16 samples is far too little work for a second process.
-    argv = ["sweep-k", "--config", "configs/default.json", "--k-grid",
-            "0,10,100", "--samples", "16", "--workers", "2",
-            "--out", str(tmp_path / "k.csv")]
-    code = (f"import sys; from ris_subarray.cli import main; rc = main({argv!r}); "
-            "print(rc, [m for m in ('multiprocessing', "
+def test_workers_flag_is_ignored(tmp_path):
+    # --workers is parsed and checked, then dropped: 4 points x 1.5e5
+    # samples starts no process machinery and writes the bytes of the same
+    # run without the flag.
+    argv = ["sweep-k", "--config", ORACLE_SMALL, "--k-grid", "0,10",
+            "--samples", "150000", "--out"]
+    code = ("import sys; from ris_subarray.cli import main; "
+            "rc = main(sys.argv[1:]); print(rc, [m for m in ('multiprocessing', "
             "'concurrent.futures.process') if m in sys.modules])")
-    assert fresh_python(code).splitlines()[-1] == "0 []"
+    proc = fresh_process(code, *argv, str(tmp_path / "workers.csv"),
+                         "--workers", "2")
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
+    assert main([*argv, str(tmp_path / "plain.csv")]) == 0
+    assert ((tmp_path / "workers.csv").read_bytes()
+            == (tmp_path / "plain.csv").read_bytes())
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -7,19 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_subarray import (Angles, ConfigError, coherence_factor,
-                          draw_angle_tuples, energy_efficiency,
-                          exhaustive_phase_search, load_config,
-                          los_cascade_gain, max_se_upper_bound,
+from ris_subarray import (Angles, ConfigError, draw_angle_tuples,
+                          energy_efficiency, exhaustive_phase_search,
+                          load_config, los_cascade_gain, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, sweep_rician_factor,
                           sweep_ris_size, sweep_subarray_count)
 from ris_subarray import sweeps
-from ris_subarray.phases import _normalized_kernel, phase_slopes
-from ris_subarray.sweeps import (WORK_PER_WORKER, _regional_point, _run_tasks,
-                                 default_l0_grid, grid_resolution_slack,
-                                 point_seed)
+from ris_subarray.metrics import _bound_from_eta
+from ris_subarray.phases import (_normalized_kernel,
+                                 coherence_factor_from_slopes, phase_slopes)
+from ris_subarray.sweeps import (_regional_point, default_l0_grid,
+                                 grid_resolution_slack, point_seed)
 
-from helpers import (count_pools, normalized_kernel, oracle_angle_tuples,
+from helpers import (normalized_kernel, oracle_angle_tuples,
                      philox_oracle, random_config, reference_config,
                      regional_draws, rows_to_csv, scalar_slopes, small_config)
 
@@ -38,6 +38,15 @@ RULES = {"seed": SEED_RULE, "master_seed": SEED_RULE,
 
 def rule(name: str) -> str:
     return RULES.get(name, "a positive integer")
+
+
+def spy_points(monkeypatch) -> list:
+    """The arguments of every sweep point evaluated while monkeypatch is
+    active; the points themselves are not run."""
+    ran = []
+    for point in ("_rician_point", "_regional_point"):
+        monkeypatch.setattr(sweeps, point, lambda *args: ran.append(args))
+    return ran
 
 
 HALF_PI = math.pi / 2
@@ -73,14 +82,18 @@ def test_clamp_case_overshoots():
                          + ["grating", "specular", "clamp", "element"])
 def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     eta, se, ee = regional_draws(cfg, tuples)
-    assert np.array_equal(coherence_factor(cfg, tuples), eta)
-    assert np.array_equal(max_se_upper_bound(cfg, tuples), se)
+    # the sweeps' path: the slopes of every tuple at once, then eta and
+    # the bound from them
+    p1, p2 = phase_slopes(cfg, tuples)
+    vec_eta = coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
+    assert np.array_equal(vec_eta, eta)
+    assert np.array_equal(_bound_from_eta(cfg, vec_eta), se)
     assert np.array_equal(energy_efficiency(se, cfg.Q, cfg.power), ee)
     # the config's own tuple runs the same code
     assert [max_se_upper_bound(replace(cfg, angles=Angles(*t)))
             for t in tuples] == list(se)
     # the sweeps compute the slopes once and hand them to every point
-    row = _regional_point((cfg, "s", "Q", 1.0, *phase_slopes(cfg, tuples)))
+    row = _regional_point(cfg, "s", "Q", 1.0, p1, p2)
     assert (row.se_ub, row.ee) == (float(np.mean(se)), float(np.mean(ee)))
     if cfg.Lx == cfg.Ly == 1:
         assert np.all(eta == 1.0)
@@ -171,16 +184,12 @@ def test_sweep_rician_rows():
             > by_key[("subarray", 5.0)].se_ub)
 
 
-def test_sweep_rician_deterministic_across_workers(monkeypatch):
-    # 4 points x 1.5e5 samples is enough work for two processes, not three.
+def test_sweep_rician_deterministic_run_to_run():
+    # 1.5e5 samples per point spans three Monte Carlo chunks.
     cfg = small_config()
-    pools = count_pools(monkeypatch)
-    serial = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000,
-                                 seed=4, workers=1)
-    parallel = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000,
-                                   seed=4, workers=3)
-    assert pools == [2]
-    assert rows_to_csv(serial) == rows_to_csv(parallel)
+    first = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000, seed=4)
+    again = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000, seed=4)
+    assert rows_to_csv(first) == rows_to_csv(again)
 
 
 def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
@@ -202,7 +211,7 @@ def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
                          ids=repr)
 def test_sweep_rician_rejects_a_k_that_is_not_a_real_number(monkeypatch, entry):
     ran = []
-    monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
+    monkeypatch.setattr(sweeps, "monte_carlo_se", lambda *args: ran.append(args))
     with pytest.raises(ValueError, match=r"^k_grid must be finite and >= 0, or inf"):
         sweep_rician_factor(small_config(), k_grid=[1.0, entry], samples=8)
     assert ran == []
@@ -213,25 +222,6 @@ def test_sweep_rician_accepts_numpy_floats():
     numpy = sweep_rician_factor(small_config(), samples=8,
                                 k_grid=np.array([0.5, 5.0], dtype=np.float32))
     assert rows_to_csv(numpy) == rows_to_csv(plain)
-
-
-W = WORK_PER_WORKER
-
-
-@pytest.mark.parametrize("workers,tasks,work_per_task,pool", [
-    (1, 8, W, None),            # one worker asked for
-    (8, 1, 10 * W, None),       # one task
-    (8, 4, W // 2 - 1, None),   # under 2 * W in total
-    (8, 4, W // 2, 2),          # capped by the work
-    (8, 3, W, 3),               # capped by the tasks
-    (2, 8, W, 2),               # capped by the workers
-])
-def test_run_tasks_sizes_the_pool_from_the_work(monkeypatch, workers, tasks,
-                                                work_per_task, pool):
-    pools = count_pools(monkeypatch)
-    assert _run_tasks(abs, [-i for i in range(tasks)], workers,
-                      work_per_task) == list(range(tasks))
-    assert pools == ([] if pool is None else [pool])
 
 
 def test_default_l0_grid():
@@ -255,16 +245,28 @@ def test_sweep_subarray_count_rows():
         assert r.ee > 0
 
 
-def test_sweep_subarray_count_deterministic_across_workers(monkeypatch):
-    # 4 points x 1.5e5 draws is enough work for two processes, not four.
+def test_sweep_subarray_count_deterministic_run_to_run():
+    # 1.5e5 draws span several passes of the angle-stream kernel.
     cfg = reference_config()
-    pools = count_pools(monkeypatch)
     a = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8),
-                             num_angle_draws=150_000, seed=2, workers=1)
+                             num_angle_draws=150_000, seed=2)
     b = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8),
-                             num_angle_draws=150_000, seed=2, workers=4)
-    assert pools == [2]
+                             num_angle_draws=150_000, seed=2)
     assert rows_to_csv(a) == rows_to_csv(b)
+
+
+@pytest.mark.parametrize("l0, surface", [(3, {}), (64, {}), (4, {"Ny": 2})],
+                         ids=["3", "64", "4-of-Ny"])
+def test_sweep_subarray_count_rejects_a_side_that_does_not_divide(
+        monkeypatch, l0, surface):
+    # Named as the grid entry it is, not as the Lx of a config the user
+    # never wrote, and before any point runs.
+    ran = spy_points(monkeypatch)
+    cfg = reference_config(Lx=1, Ly=1, **surface)
+    with pytest.raises(ConfigError, match=f"^l0_grid entry {l0} does not divide "
+                                          f"the {cfg.Nx}x{cfg.Ny} surface$"):
+        sweep_subarray_count(cfg, l0_grid=[1, 2, l0], num_angle_draws=3)
+    assert ran == []
 
 
 def test_sweep_ris_size_rows():
@@ -305,14 +307,11 @@ def test_sweep_ris_size_rejects_non_square():
     (sweep_rician_factor, {"seed": True}),
     (sweep_rician_factor, {"samples": 2.5}),
     (sweep_rician_factor, {"samples": True}),
-    (sweep_rician_factor, {"workers": 0}),
-    (sweep_subarray_count, {"workers": 2.5}),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_sweep_rejects_bad_run_argument_before_any_point(monkeypatch, sweep, bad):
-    # Every run argument is checked while the tasks are built, with the
+    # Every run argument is checked before the first point, with the
     # parameter named, instead of being truncated or failing mid-sweep.
-    ran = []
-    monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
+    ran = spy_points(monkeypatch)
     (name,) = bad
     with pytest.raises(ValueError, match=f"^{name} must be {rule(name)}, got"):
         sweep(small_config(), **bad)
@@ -334,8 +333,7 @@ def test_sweep_rejects_an_empty_or_repeating_grid(monkeypatch, sweep, bad,
                                                   message):
     # A repeat would write two rows with one (scheme, value) key, and an
     # empty grid a CSV of only the header.
-    ran = []
-    monkeypatch.setattr(sweeps, "_run_tasks", lambda *args: ran.append(args))
+    ran = spy_points(monkeypatch)
     (name,) = bad
     with pytest.raises(ConfigError, match=f"^{name} {message}$"):
         sweep(small_config(), **bad)
