@@ -5,8 +5,8 @@ import importlib
 __version__ = "0.1.0"
 
 # Public name -> submodule defining it. A name is imported on first use
-# (PEP 562), so `import ris_subarray` and the config-only CLI commands never
-# load numpy, while `from ris_subarray import ...` works as before.
+# (PEP 562), so `import ris_subarray` loads no submodule, while
+# `from ris_subarray import ...` works as before.
 _MODULE_OF = {name: module for module, names in (
     ("config", "Angles ConfigError PowerConstants SystemConfig config_from_dict"
                " load_config ris_power"),

@@ -17,8 +17,8 @@ import math
 import sys
 from functools import partial
 
-# The numeric modules (and with them numpy) are imported by the commands
-# that use them, so `validate` runs on the standard library alone.
+# The numeric modules are imported by the commands that use them, and only
+# sweep-k and oracle load numpy: validate, eta and the regional sweeps do not.
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, SystemConfig, _unique_keys,
                      check_grid, check_int, load_config, ris_power)
 
@@ -138,10 +138,8 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         p1, p2 = phase_slopes(cfg)
         eta = coherence_factor(cfg)
         loss = math.inf if eta == 0.0 else -math.log2(eta) + 0.0
-        print(f"p1 = {p1:.12g}")
-        print(f"p2 = {p2:.12g}")
-        print(f"eta = {eta:.12g}")
-        print(f"-log2(eta) = {loss:.12g}")
+        print(f"p1 = {p1:.12g}\np2 = {p2:.12g}\neta = {eta:.12g}\n"
+              f"-log2(eta) = {loss:.12g}")
         return 0
 
     if args.command in SWEEPS:

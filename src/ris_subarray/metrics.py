@@ -12,14 +12,12 @@ is Rayleigh. Scatter entries are CN(0, 1). A hop with Rician factor K is
 w_los * (LoS component) + w_sc * (scatter), where (w_los^2, w_sc^2) is
 rician_split(K). The bounds and the Monte Carlo sampler reduce the LoS
 components to closed forms, and the matrices themselves are built by the
-per-element oracle in the tests.
+per-element oracle in the tests. Only the Monte Carlo code imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .config import MAX_SEED, PowerConstants, SystemConfig, check_int, ris_power
 from .phases import coherence_factor, los_cascade_gain
@@ -47,16 +45,18 @@ def _gammas(cfg: SystemConfig) -> tuple[float, float]:
     return gamma1, 1.0 - gamma1
 
 
-def _bound_from_eta(cfg: SystemConfig, eta):
-    """The SE upper bound under the optimal phases at coherence factor eta,
-    a float or an array of one per angle tuple."""
+def _bound_from_eta(cfg: SystemConfig):
+    """The SE upper bound under the optimal phases as a function of the
+    coherence factor eta; the regional sweeps call it once per angle draw."""
     gamma1, gamma2 = _gammas(cfg)
-    snr = cfg.P / cfg.sigma_w2
-    arg = 1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2 + gamma2 * cfg.N + 1.0)
-    if np.ndim(arg) == 0:
-        return math.log2(arg)
-    # np.log2 differs from math.log2 in the last bit on a few values in 1e5.
-    return np.fromiter(map(math.log2, arg), float, len(arg))
+    snr_m, n_sq, scatter = cfg.P / cfg.sigma_w2 * cfg.M, cfg.N ** 2, gamma2 * cfg.N
+
+    def bound(eta: float) -> float:
+        x = snr_m * (gamma1 * eta * n_sq + scatter + 1.0)
+        # log2(1 + x) loses the relative precision of a small x. Every committed
+        # config has x >= snr * M >= 40, so the regional CSVs take log2.
+        return math.log2(1.0 + x) if x >= 1.0 else math.log1p(x) / math.log(2.0)
+    return bound
 
 
 def max_se_upper_bound(cfg: SystemConfig) -> float:
@@ -65,7 +65,7 @@ def max_se_upper_bound(cfg: SystemConfig) -> float:
     Per-element control is the same formula on the Lx = Ly = 1 copy of cfg,
     where the coherence factor is exactly 1.
     """
-    return _bound_from_eta(cfg, coherence_factor(cfg))
+    return _bound_from_eta(cfg)(coherence_factor(cfg))
 
 
 def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
@@ -87,6 +87,7 @@ def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
     ||v||^2 = (sigma2 / 2) * chi'^2(2M, 2 * w1_los^2 * N * M * |alpha|^2 / sigma2).
     Each sample costs one complex normal and at most two chi-square draws.
     """
+    import numpy as np
     w1_los, w1_sc = map(math.sqrt, rician_split(cfg.K1))
     w2_los, w2_sc = map(math.sqrt, rician_split(cfg.K2))
     alpha0_sq = w2_los ** 2 * los_cascade_gain(cfg, phases) / (cfg.N * cfg.M)
@@ -111,7 +112,7 @@ def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
         sigma2 = w1_sc ** 2 * h2_sq + 1.0
         v_sq = 0.5 * sigma2 * rng.noncentral_chisquare(
             2 * cfg.M, los_gain * alpha_sq / sigma2)
-        yield np.log2(1.0 + snr * v_sq)
+        yield np.log1p(snr * v_sq) / math.log(2.0)
 
 
 def monte_carlo_se(cfg: SystemConfig, phases, num_samples: int,
@@ -126,6 +127,7 @@ def monte_carlo_se(cfg: SystemConfig, phases, num_samples: int,
     deviations are merged in chunk order (Chan et al.).
     num_samples must be an integer >= 1 and master_seed one in [0, 2**64).
     """
+    import numpy as np
     num_samples = check_int("num_samples", num_samples)
     master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
     count, mean, sq_dev = 0, 0.0, 0.0
@@ -141,10 +143,14 @@ def monte_carlo_se(cfg: SystemConfig, phases, num_samples: int,
     return mean, math.sqrt(sq_dev / (count - 1) / count)
 
 
-def energy_efficiency(se, num_drivers: int, power: PowerConstants):
-    """Spectral efficiency per watt of total consumed power, elementwise
-    over an array of SE values."""
+def total_power(num_drivers: int, power: PowerConstants) -> float:
+    """Total consumed power in watts with num_drivers phase-shift drivers."""
     total = power.p_rest + ris_power(num_drivers, power)
     if total <= 0.0:
         raise ValueError("total power must be positive")
-    return se / total
+    return total
+
+
+def energy_efficiency(se: float, num_drivers: int, power: PowerConstants) -> float:
+    """Spectral efficiency per watt of total consumed power."""
+    return se / total_power(num_drivers, power)

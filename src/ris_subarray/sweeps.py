@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import csv
 import math
+import struct
+from array import array
 from dataclasses import astuple, dataclass, fields, replace
-
-import numpy as np
+from functools import reduce
+from itertools import chain, islice, repeat
+from operator import add
 
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
                      ConfigError, SystemConfig, check_grid, check_int)
-from .metrics import (_bound_from_eta, energy_efficiency, max_se_upper_bound,
-                      monte_carlo_se)
+from .metrics import (_bound_from_eta, max_se_upper_bound, monte_carlo_se,
+                      total_power)
 from .phases import (coherence_factor_from_slopes, los_cascade_gain,
                      optimal_phases, phase_slopes, subarray_couplings)
 
@@ -39,6 +42,7 @@ class SweepResult:
 
 def point_seed(master_seed: int, index: int) -> int:
     """Derived seed for sweep point number index, schedule-independent."""
+    import numpy as np
     ss = np.random.SeedSequence([int(master_seed), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -78,75 +82,82 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 # SC 2011), the generator behind numpy's Philox: its round multipliers and
-# key increments, and the counter blocks run per array pass.
+# key increments, and the counter blocks computed per pass.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_BLOCKS = 1 << 14
-_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_BLOCKS = 1 << 10
+_MASK64 = (1 << 64) - 1
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64 bits of the 128-bit products m * x, for a constant m
-    and a uint64 array x. The high half sums the four 32-bit half products
-    without overflow; the low half is the wrapping product."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo = x & _LOW32
-    hi = x >> _SHIFT32
-    mid = x_lo * m_hi
-    x_lo *= m_lo
-    x_lo >>= _SHIFT32
-    mid += x_lo                     # x_lo*m_hi + (x_lo*m_lo >> 32)
-    carry = mid & _LOW32
-    carry += hi * m_lo
-    carry >>= _SHIFT32
-    hi *= m_hi
-    mid >>= _SHIFT32
-    hi += mid
-    hi += carry
-    return hi, x * np.uint64(m)
-
-
-def _philox_words(seed: int, count: int) -> np.ndarray:
-    """The first count 64-bit outputs of numpy's Philox(key=[seed, 0]):
-    block b, counter (b + 1, 0, 0, 0), gives words 4b to 4b + 3."""
+def _philox_words(seed: int, count: int):
+    """The first count 64-bit outputs of numpy's Philox(key=[seed, 0]), one
+    at a time: block b, counter (b + 1, 0, 0, 0), gives words 4b to 4b + 3.
+    A pass runs up to _PHILOX_BLOCKS blocks at once, block i in the 128-bit
+    lane i of the Python ints c0..c3: a lane times a 64-bit multiplier fits
+    in the lane, and one mask splits all products into high and low words."""
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
     blocks = -(-count // 4)
-    out = np.empty((blocks, 4), dtype=np.uint64)
-    keys = [(np.uint64((seed + r * _PHILOX_W[0]) % 2 ** 64),
-             np.uint64(r * _PHILOX_W[1] % 2 ** 64)) for r in range(10)]
     for start in range(0, blocks, _PHILOX_BLOCKS):
-        stop = min(start + _PHILOX_BLOCKS, blocks)
-        c0 = np.arange(start + 1, stop + 1, dtype=np.uint64)
-        c1 = c2 = c3 = np.zeros_like(c0)
-        for k0, k1 in keys:
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            hi1 ^= c1
-            hi1 ^= k0
-            hi0 ^= c3
-            hi0 ^= k1
-            c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-        out[start:stop] = np.column_stack((c0, c1, c2, c3))
-    return out.ravel()[:count]
+        lanes = min(_PHILOX_BLOCKS, blocks - start)
+        lane = struct.Struct("<" + "Q8x" * lanes)   # one word per lane
+        ones = int.from_bytes(lane.pack(*[1] * lanes), "little")
+        low = ones * _MASK64
+        c0 = int.from_bytes(lane.pack(*range(start + 1, start + lanes + 1)), "little")
+        c1 = c2 = c3 = 0
+        for r in range(10):
+            x0, x2 = m0 * c0, m1 * c2
+            c0, c1, c2, c3 = (
+                (x2 >> 64) & low ^ c1 ^ ((seed + r * w0) & _MASK64) * ones, x2 & low,
+                (x0 >> 64) & low ^ c3 ^ (r * w1 & _MASK64) * ones, x0 & low)
+        words = zip(*(lane.unpack(c.to_bytes(lane.size, "little"))
+                      for c in (c0, c1, c2, c3)))
+        yield from islice(chain.from_iterable(words), count - 4 * start)
 
 
-def draw_angle_tuples(seed: int, count: int) -> np.ndarray:
-    """count-by-4 i.i.d. uniform [0, 2*pi) angle tuples from a fixed stream:
-    numpy's Generator(Philox(key=[seed, 0])).uniform(0, 2*pi, (count, 5))
-    with the first column dropped, bit for bit (the golden CSVs pin it)."""
+def draw_angle_tuples(seed: int, count: int):
+    """An iterator over count i.i.d. uniform [0, 2*pi) angle tuples, drawn as
+    they are taken: Generator(Philox(key=[seed, 0])).uniform(0, 2*pi,
+    (count, 5)) of numpy without its first column, bit for bit."""
     seed = check_int("seed", seed, 0, MAX_SEED)
     count = check_int("count", count)
-    words = _philox_words(seed, 5 * count).reshape(count, 5)
-    # numpy's double: the top 53 bits times 2**-53, then low + range * u.
-    return (0.0 + TWO_PI * ((words >> np.uint64(11)) * 2.0 ** -53))[:, 1:]
+    # numpy's double, the top 53 bits times 2**-53, times the range (low is 0)
+    uniforms = (TWO_PI * ((word >> 11) * 2.0 ** -53)
+                for word in _philox_words(seed, 5 * count))
+    return (five[1:] for five in zip(*[uniforms] * 5))
 
 
-def _regional_point(cfg: SystemConfig, scheme: str, var_name: str,
-                    var_value: float, p1, p2) -> SweepResult:
-    se = _bound_from_eta(cfg, coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2))
-    ee = energy_efficiency(se, cfg.Q, cfg.power)
-    return SweepResult(scheme=scheme, var_name=var_name, var_value=var_value,
-                       se_mc=None, se_mc_stderr=None,
-                       se_ub=float(np.mean(se)), ee=float(np.mean(ee)))
+def _pairwise_sum(x) -> float:
+    """numpy's pairwise sum of the float64 values x, bit for bit."""
+    n = len(x)
+    if n < 8:
+        return reduce(add, x, -0.0)
+    if n <= 128:
+        r = [reduce(add, x[j + 8:n - n % 8:8], x[j]) for j in range(8)]
+        return reduce(add, x[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3]))
+                      + ((r[4] + r[5]) + (r[6] + r[7])))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
+
+
+def _regional_rows(cfg_base: SystemConfig, var_name: str, points: list,
+                   angle_tuples) -> list[SweepResult]:
+    """One row per point, a (cfg, scheme, var_value) triple: the bound and EE
+    averaged over the angle tuples. The points share d2_over_lambda, so the
+    slopes are computed once per tuple, and eta once per tuple and side."""
+    slopes = array("d", chain.from_iterable(
+        phase_slopes(cfg_base, angles) for angles in angle_tuples))
+    etas, rows = {}, []
+    for cfg, scheme, var_value in points:
+        side = cfg.Lx, cfg.Ly
+        if side not in etas:
+            etas[side] = array("d", map(coherence_factor_from_slopes, repeat(cfg.Lx),
+                                        slopes[::2], repeat(cfg.Ly), slopes[1::2]))
+        se = list(map(_bound_from_eta(cfg), etas[side]))
+        total = total_power(cfg.Q, cfg.power)
+        rows.append(SweepResult(scheme, var_name, var_value, None, None,
+                                _pairwise_sum(se) / len(se),
+                                _pairwise_sum([s / total for s in se]) / len(se)))
+    return _sorted_rows(rows)
 
 
 def default_l0_grid(cfg: SystemConfig) -> tuple[int, ...]:
@@ -168,19 +179,14 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     draws = check_int("num_angle_draws", num_angle_draws)
     l0_grid = check_grid("l0_grid", default_l0_grid(cfg_base)
                          if l0_grid is None else l0_grid)
+    points = []
     for l0 in l0_grid:
         if cfg_base.Nx % l0 or cfg_base.Ny % l0:
             raise ConfigError(f"l0_grid entry {l0} does not divide the "
                               f"{cfg_base.Nx}x{cfg_base.Ny} surface")
-    # The slopes depend only on the angles and d2_over_lambda, which every
-    # point shares; draw_angle_tuples checks the seed.
-    slopes = phase_slopes(cfg_base, draw_angle_tuples(seed, draws))
-    rows = []
-    for l0 in l0_grid:
         cfg = replace(cfg_base, Lx=l0, Ly=l0)
-        scheme = "element" if cfg.L == 1 else "subarray"
-        rows.append(_regional_point(cfg, scheme, "Q", float(cfg.Q), *slopes))
-    return _sorted_rows(rows)
+        points.append((cfg, "element" if l0 == 1 else "subarray", float(cfg.Q)))
+    return _regional_rows(cfg_base, "Q", points, draw_angle_tuples(seed, draws))
 
 
 def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
@@ -195,15 +201,13 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     draws = check_int("num_angle_draws", num_angle_draws)
     l0_set = check_grid("l0_set", l0_set)
     n_grid = check_grid("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
-    slopes = phase_slopes(cfg_base, draw_angle_tuples(seed, draws))
-    rows = []
+    points = []
     for n in n_grid:
         nx = math.isqrt(n)
         for l0 in [1] + [side for side in l0_set if nx % side == 0]:
-            cfg = replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0)
-            scheme = "element" if l0 == 1 else f"subarray_L{l0}"
-            rows.append(_regional_point(cfg, scheme, "N", float(n), *slopes))
-    return _sorted_rows(rows)
+            points.append((replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0),
+                           "element" if l0 == 1 else f"subarray_L{l0}", float(n)))
+    return _regional_rows(cfg_base, "N", points, draw_angle_tuples(seed, draws))
 
 
 def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:
@@ -211,13 +215,13 @@ def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:
     return 2.0 * (1.0 - math.cos(math.pi / grid_levels)) * cfg.N ** 2 * cfg.M
 
 
-def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int
-                            ) -> tuple[np.ndarray, float]:
+def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
     """Maximize the LoS cascade gain over a uniform per-subarray phase grid.
 
     Evaluates all grid_levels**Q combinations; capped at Q <= 4 and
     grid_levels <= 32. Returns the best phases, in [0, 2*pi), and their gain.
     """
+    import numpy as np
     grid_levels = check_int("grid_levels", grid_levels, 1, ORACLE_MAX_LEVELS)
     if cfg.Q > ORACLE_MAX_Q:
         raise ValueError(

@@ -5,8 +5,11 @@ grid_offsets() and offset_phases() build the origin offsets and the
 closed-form phases from it, subarray by subarray.
 philox_oracle() and oracle_angle_tuples() are numpy's own Philox stream,
 which the library's angle stream must reproduce bit for bit.
+numpy_sweep_subarray_count() and numpy_sweep_ris_size() are the regional
+sweeps computed with numpy arrays, one pass per point, whose rows the
+library's float math must reproduce bit for bit.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
-vectorized coherence factor and bound of the regional sweeps, and
+per-tuple coherence factor and bound of the regional sweeps, and
 se_upper_bound() the bound at arbitrary phases. The steering vectors and
 per-subarray offsets below build the LoS geometry element by element:
 steering_couplings() is the oracle for the slope-based subarray couplings.
@@ -26,8 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ris_subarray import (Angles, SystemConfig, energy_efficiency,
-                          los_cascade_gain, max_se_upper_bound, write_csv)
+from ris_subarray import (Angles, SweepResult, SystemConfig,
+                          energy_efficiency, los_cascade_gain,
+                          max_se_upper_bound, ris_power, write_csv)
 from ris_subarray.metrics import _gammas
 from ris_subarray.phases import phase_slopes
 
@@ -83,6 +87,58 @@ def oracle_angle_tuples(seed: int, count: int) -> np.ndarray:
     [0, 2*pi) per tuple, the first dropped."""
     rng = np.random.Generator(philox_oracle(seed))
     return rng.uniform(0.0, 2.0 * np.pi, size=(count, 5))[:, 1:]
+
+
+def _numpy_kernel(L: int, p: np.ndarray) -> np.ndarray:
+    """sin(L*p) / (L*sin(p)) elementwise, 1.0 where |sin(p)| < 1e-9, and
+    clamped to [-1, 1]."""
+    s = np.sin(p)
+    singular = np.abs(s) < 1e-9
+    ratio = np.sin(L * p) / np.where(singular, 1.0, L * s)
+    return np.where(singular, 1.0, np.clip(ratio, -1.0, 1.0))
+
+
+def numpy_regional_rows(cfg_base: SystemConfig, var_name: str, points,
+                        seed: int, draws: int) -> list:
+    """Sorted rows of (cfg, scheme, var_value) points, computed with numpy:
+    the angle tuples from numpy's Generator, the slopes of all of them in
+    one array pass, eta through np.float_power, and each mean by np.mean."""
+    theta_a1, phi_a1, theta_d2, phi_d2 = oracle_angle_tuples(seed, draws).T
+    d = cfg_base.d2_over_lambda
+    p1 = math.pi * d * (np.sin(theta_d2) - np.sin(theta_a1))
+    p2 = math.pi * d * (np.sin(phi_d2) * np.cos(theta_d2)
+                        - np.sin(phi_a1) * np.cos(theta_a1))
+    rows = []
+    for cfg, scheme, value in points:
+        eta = np.float_power(_numpy_kernel(cfg.Lx, p1) * _numpy_kernel(cfg.Ly, p2), 2)
+        gamma1, gamma2 = _gammas(cfg)
+        arg = 1.0 + cfg.P / cfg.sigma_w2 * cfg.M * (
+            gamma1 * eta * cfg.N ** 2 + gamma2 * cfg.N + 1.0)
+        # np.log2 differs from math.log2 in the last bit on a few values in 1e5
+        se = np.fromiter(map(math.log2, arg), float, len(arg))
+        ee = se / (cfg.power.p_rest + ris_power(cfg.Q, cfg.power))
+        rows.append(SweepResult(scheme, var_name, value, None, None,
+                                float(np.mean(se)), float(np.mean(ee))))
+    return sorted(rows, key=lambda r: (r.scheme, r.var_value))
+
+
+def numpy_sweep_subarray_count(cfg_base: SystemConfig, l0_grid, seed: int,
+                               draws: int) -> list:
+    cfgs = [replace(cfg_base, Lx=l0, Ly=l0) for l0 in l0_grid]
+    return numpy_regional_rows(cfg_base, "Q", [
+        (cfg, "element" if cfg.L == 1 else "subarray", float(cfg.Q))
+        for cfg in cfgs], seed, draws)
+
+
+def numpy_sweep_ris_size(cfg_base: SystemConfig, n_grid, l0_set, seed: int,
+                         draws: int) -> list:
+    points = []
+    for n in n_grid:
+        nx = math.isqrt(n)
+        for l0 in [1] + [side for side in l0_set if nx % side == 0]:
+            points.append((replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0),
+                           "element" if l0 == 1 else f"subarray_L{l0}", float(n)))
+    return numpy_regional_rows(cfg_base, "N", points, seed, draws)
 
 
 def random_angles(rng: np.random.Generator) -> Angles:

@@ -151,8 +151,8 @@ def test_criterion_09_ee_crossover():
 
 
 def test_criterion_10_csv_determinism():
-    # Each sweep is run twice; both span several chunks of their random
-    # streams (Monte Carlo samples, angle draws).
+    # Each sweep is run twice at a large size, 1.5e5 Monte Carlo samples or
+    # 2e5 angle draws, and must write the same bytes both times.
     cfg = small_config()
     mc_a = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000, seed=3)
     mc_b = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000, seed=3)

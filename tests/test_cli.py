@@ -426,17 +426,22 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["sweep-q", "--draws", "3"], False),
-    (["sweep-n", "--n-grid", "16", "--draws", "3"], False),
-    (["sweep-k", "--k-grid", "0", "--samples", "8"], True),
-], ids=["sweep-q", "sweep-n", "sweep-k"])
+    (["sweep-q", "--draws", "3", "--out"], "False False"),
+    (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], "False False"),
+    (["eta"], "False False"),
+    (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], "True True"),
+    (["oracle"], "True False"),
+], ids=["sweep-q", "sweep-n", "eta", "sweep-k", "oracle"])
 def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
-    # The library computes the regional angle stream itself; sweep-k still
-    # draws its normals, chi-squares and point seeds through numpy.random.
-    argv = [*argv, "--config", ORACLE_SMALL, "--out", str(tmp_path / "out.csv")]
+    # eta and the regional sweeps are float math and load no numpy at all;
+    # oracle searches a numpy grid, and sweep-k draws its normals,
+    # chi-squares and point seeds through numpy.random.
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "out.csv")]
+    argv = [*argv, "--config", ORACLE_SMALL]
     code = (f"import sys; from ris_subarray.cli import main; rc = main({argv!r}); "
             "print(rc, 'numpy' in sys.modules, 'numpy.random' in sys.modules)")
-    assert fresh_python(code).splitlines()[-1] == f"0 True {loaded}"
+    assert fresh_python(code).splitlines()[-1] == f"0 {loaded}"
 
 
 def test_validate_runs_without_numpy():

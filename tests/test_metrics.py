@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import stats
 
 from ris_subarray import (Angles, ConfigError, PowerConstants,
                           coherence_factor, config_from_dict,
-                          energy_efficiency, max_se_upper_bound,
+                          energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
 from ris_subarray.metrics import MC_CHUNK, _gammas, _rate_chunks
 
@@ -17,6 +18,7 @@ from helpers import (TX, element_bound, oracle_rates, random_config,
                      small_raw)
 
 SEED = 1453
+ORACLE_SMALL = Path(__file__).resolve().parents[1] / "configs" / "oracle_small.json"
 
 # Two-sided 5-sigma threshold and its tail probability: a correct sampler
 # fails one of the oracle checks with probability ~6e-7, at any seed.
@@ -118,6 +120,20 @@ def test_element_bound_equals_degenerate_subarray_path():
         assert coherence_factor(replace(cfg, Lx=1, Ly=1)) == 1.0
         assert element_bound(cfg) == pytest.approx(_element_formula(cfg),
                                                    rel=1e-14)
+
+
+@pytest.mark.parametrize("P", [1e-14, 1e-17, 1e-300])
+def test_bound_keeps_its_relative_precision_at_low_snr(P):
+    # log2(1 + x) keeps only the absolute precision of 1 + x: on
+    # oracle_small it was off by 2.4e-5 relative at P = 1e-14 and by 1% at
+    # P = 1e-17.
+    base = load_config(ORACLE_SMALL, [("P", P)])
+    for cfg in (base, replace(base, Lx=1, Ly=1)):
+        gamma1, gamma2 = _gammas(cfg)
+        x = P / cfg.sigma_w2 * cfg.M * (gamma1 * coherence_factor(cfg) * cfg.N ** 2
+                                        + gamma2 * cfg.N + 1.0)
+        assert max_se_upper_bound(cfg) == pytest.approx(
+            math.log1p(x) / math.log(2.0), rel=1e-15, abs=0.0)
 
 
 def test_specular_bounds_coincide():

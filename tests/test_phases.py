@@ -66,20 +66,6 @@ def test_optimal_phases_equal_the_offset_closed_form():
         assert np.array_equal(optimal_phases(cfg), offset_phases(cfg))
 
 
-@pytest.mark.parametrize("angles", [
-    np.full((2, 4), np.nan),            # (n, 4) but not finite
-    np.full((1, 4), np.inf),
-    np.zeros((3, 3)),                   # too few columns
-    np.zeros((3, 5)),                   # the former five-angle tuples
-    np.zeros(5),                        # one flat tuple, not a 2-D array
-    np.zeros((2, 4), dtype=bool),       # not numbers
-    [[0.0] * 5, [0.0] * 4],             # ragged
-], ids=["nan", "inf", "3x3", "3x5", "flat5", "bool", "ragged"])
-def test_malformed_angle_array_rejected_naming_angles(angles):
-    with pytest.raises(ValueError, match="^angles must be an"):
-        phase_slopes(small_config(), angles)
-
-
 def test_phase_slopes_reference_values():
     p1, p2 = phase_slopes(reference_config())
     assert p1 == pytest.approx(REF_P1, rel=1e-12)

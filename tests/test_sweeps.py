@@ -16,10 +16,12 @@ from ris_subarray import sweeps
 from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.phases import (_normalized_kernel,
                                  coherence_factor_from_slopes, phase_slopes)
-from ris_subarray.sweeps import (_regional_point, default_l0_grid,
-                                 grid_resolution_slack, point_seed)
+from ris_subarray.sweeps import (DEFAULT_N_GRID, _regional_rows,
+                                 default_l0_grid, grid_resolution_slack,
+                                 point_seed)
 
-from helpers import (normalized_kernel, oracle_angle_tuples,
+from helpers import (normalized_kernel, numpy_sweep_ris_size,
+                     numpy_sweep_subarray_count, oracle_angle_tuples,
                      philox_oracle, random_config, reference_config,
                      regional_draws, rows_to_csv, scalar_slopes, small_config)
 
@@ -41,10 +43,10 @@ def rule(name: str) -> str:
 
 
 def spy_points(monkeypatch) -> list:
-    """The arguments of every sweep point evaluated while monkeypatch is
-    active; the points themselves are not run."""
+    """The arguments of every sweep point (a Rician point, or the regional
+    rows) evaluated while monkeypatch is active; the points are not run."""
     ran = []
-    for point in ("_rician_point", "_regional_point"):
+    for point in ("_rician_point", "_regional_rows"):
         monkeypatch.setattr(sweeps, point, lambda *args: ran.append(args))
     return ran
 
@@ -53,21 +55,20 @@ HALF_PI = math.pi / 2
 # theta_a1 = -pi/2, theta_d2 = pi/2 puts p1 at pi * d2 * 2: a grating point
 # (sin p1 ~ 1e-16) at d2 = 0.5. At d2 = 0.5000000012, |sin p1| ~ 7.5e-9 is
 # past the fill threshold and the 3-element kernel rounds to 1 + 3.9e-8.
-GRATING = np.array([[-HALF_PI, 1.1, HALF_PI, 2.0],
-                    [-HALF_PI, 1.1, HALF_PI, 1.1]])
+GRATING = [(-HALF_PI, 1.1, HALF_PI, 2.0), (-HALF_PI, 1.1, HALF_PI, 1.1)]
 CLAMP_CFG = small_config(Nx=6, Lx=3, d2_over_lambda=0.5000000012)
 
 
 def _oracle_cases():
     rng = np.random.default_rng(SEED)
-    cases = [(random_config(rng), draw_angle_tuples(i, 200)) for i in range(6)]
-    null = np.array([[0.0, 1.1, HALF_PI, 2.0]])  # 2 * p1 = pi
-    cases.append((reference_config(), np.vstack([GRATING, null])))
-    specular = draw_angle_tuples(7, 20)
-    specular[:, 2:] = specular[:, :2]
+    cases = [(random_config(rng), list(draw_angle_tuples(i, 200)))
+             for i in range(6)]
+    null = (0.0, 1.1, HALF_PI, 2.0)  # 2 * p1 = pi
+    cases.append((reference_config(), GRATING + [null]))
+    specular = [t[:2] * 2 for t in draw_angle_tuples(7, 20)]
     cases.append((reference_config(), specular))
     cases.append((CLAMP_CFG, GRATING[:1]))
-    cases.append((reference_config(Lx=1, Ly=1), draw_angle_tuples(8, 200)))
+    cases.append((reference_config(Lx=1, Ly=1), list(draw_angle_tuples(8, 200))))
     return cases
 
 
@@ -82,18 +83,19 @@ def test_clamp_case_overshoots():
                          + ["grating", "specular", "clamp", "element"])
 def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     eta, se, ee = regional_draws(cfg, tuples)
-    # the sweeps' path: the slopes of every tuple at once, then eta and
-    # the bound from them
-    p1, p2 = phase_slopes(cfg, tuples)
-    vec_eta = coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
-    assert np.array_equal(vec_eta, eta)
-    assert np.array_equal(_bound_from_eta(cfg, vec_eta), se)
-    assert np.array_equal(energy_efficiency(se, cfg.Q, cfg.power), ee)
+    # the sweeps' path, one tuple at a time: the slopes, then eta and the
+    # bound from them
+    slopes = [phase_slopes(cfg, t) for t in tuples]
+    sweep_eta = [coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
+                 for p1, p2 in slopes]
+    assert sweep_eta == list(eta)
+    assert list(map(_bound_from_eta(cfg), sweep_eta)) == list(se)
+    assert [energy_efficiency(s, cfg.Q, cfg.power) for s in se] == list(ee)
     # the config's own tuple runs the same code
     assert [max_se_upper_bound(replace(cfg, angles=Angles(*t)))
             for t in tuples] == list(se)
-    # the sweeps compute the slopes once and hand them to every point
-    row = _regional_point(cfg, "s", "Q", 1.0, p1, p2)
+    # a sweep row averages the bound and EE of every tuple as np.mean does
+    (row,) = _regional_rows(cfg, "Q", [(cfg, "s", 1.0)], tuples)
     assert (row.se_ub, row.ee) == (float(np.mean(se)), float(np.mean(ee)))
     if cfg.Lx == cfg.Ly == 1:
         assert np.all(eta == 1.0)
@@ -110,6 +112,50 @@ def test_regional_sweeps_match_goldens(seed):
         cfg, num_angle_draws=draws, seed=int(seed))) == golden["sweep-n"]
 
 
+# Draw counts at every branch of numpy's pairwise mean (below 8, up to 128,
+# above) and on both sides of its thresholds, up to many passes of the angle
+# stream.
+NUMPY_ORACLE_DRAWS = (1, 7, 8, 9, 127, 128, 129, 250, 1000, 8193, 20_000)
+# Non-default grids per config, (l0_grid, n_grid, l0_set): out of order,
+# with sides that divide some surfaces and not others.
+CUSTOM_GRIDS = {"default.json": ((16, 2, 8), (4096, 4, 144), (6, 2, 3)),
+                "oracle_small.json": ((4, 2), (36, 9, 16), (3, 2))}
+
+
+def _numpy_oracle_cases():
+    # Each (config, draw count) case takes seeds of its own, more where runs
+    # are cheap: 56 seeds in all, the ends of the key range among them.
+    seeds = iter([0, 1, 2 ** 63, 2 ** 64 - 1] + [
+        int(s) for s in np.random.default_rng(SEED + 1).integers(
+            0, 2 ** 64, size=52, dtype=np.uint64)])
+    return [pytest.param(config, draws, [
+        next(seeds) for _ in range(3 if draws <= 250 else 2 if draws <= 1000 else 1)],
+        id=f"{config.partition('.')[0]}-{draws}")
+        for config in CUSTOM_GRIDS for draws in NUMPY_ORACLE_DRAWS]
+
+
+@pytest.mark.parametrize("config, draws, seeds", _numpy_oracle_cases())
+def test_regional_sweeps_equal_the_numpy_oracle(config, draws, seeds):
+    # The float-math sweeps against the former numpy computation: the same
+    # rows, every float equal, and the same CSV bytes, at the default grids
+    # (left to the library) and at other ones.
+    cfg = load_config(ROOT / "configs" / config)
+    l0_grid, n_grid, l0_set = CUSTOM_GRIDS[config]
+    for seed in seeds:
+        run = {"num_angle_draws": draws, "seed": seed}
+        for got, want in [
+                (sweep_subarray_count(cfg, **run),
+                 numpy_sweep_subarray_count(cfg, default_l0_grid(cfg), seed, draws)),
+                (sweep_subarray_count(cfg, l0_grid=l0_grid, **run),
+                 numpy_sweep_subarray_count(cfg, l0_grid, seed, draws)),
+                (sweep_ris_size(cfg, **run),
+                 numpy_sweep_ris_size(cfg, DEFAULT_N_GRID, (2, 4), seed, draws)),
+                (sweep_ris_size(cfg, n_grid=n_grid, l0_set=l0_set, **run),
+                 numpy_sweep_ris_size(cfg, n_grid, l0_set, seed, draws))]:
+            assert got == want
+            assert rows_to_csv(got) == rows_to_csv(want)
+
+
 def test_point_seed_deterministic_and_distinct():
     assert point_seed(5, 0) == point_seed(5, 0)
     seeds = {point_seed(5, i) for i in range(100)}
@@ -118,15 +164,16 @@ def test_point_seed_deterministic_and_distinct():
 
 
 def test_draw_angle_tuples():
-    a = draw_angle_tuples(3, 50)
-    b = draw_angle_tuples(3, 50)
-    np.testing.assert_array_equal(a, b)
-    assert a.shape == (50, 4)
-    assert np.all((a >= 0) & (a < 2 * np.pi))
+    a = list(draw_angle_tuples(3, 50))
+    assert a == list(draw_angle_tuples(3, 50))
+    assert len(a) == 50
+    for t in a:
+        assert len(t) == 4
+        assert all(type(x) is float and 0.0 <= x < 2 * math.pi for x in t)
 
 
 # Seeds at both ends of the key range and random ones; word counts around
-# the 4-word block, and around the kernel's chunk of counter blocks.
+# the 4-word block, and around the pass of counter blocks.
 PHILOX_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1] + [
     int(s) for s in np.random.default_rng(SEED).integers(
         0, 2 ** 64, size=4, dtype=np.uint64)]
@@ -139,28 +186,25 @@ TUPLE_COUNTS = [*range(1, 10), 11, 13, 999, 1001, CHUNK_WORDS // 5,
                 CHUNK_WORDS // 5 + 1, 2 * CHUNK_WORDS // 5 + 1]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", PHILOX_SEEDS)
 def test_angle_stream_is_numpys_philox_bit_for_bit(seed):
-    # The kernel's wrapping uint64 arithmetic must not warn either.
     for count in WORD_COUNTS:
-        assert np.array_equal(sweeps._philox_words(seed, count),
-                              philox_oracle(seed).random_raw(count)), count
+        assert (list(sweeps._philox_words(seed, count))
+                == philox_oracle(seed).random_raw(count).tolist()), count
     for count in TUPLE_COUNTS:
-        tuples = draw_angle_tuples(seed, count)
-        assert tuples.dtype == np.float64, count
-        assert np.array_equal(tuples, oracle_angle_tuples(seed, count)), count
+        oracle = map(tuple, oracle_angle_tuples(seed, count).tolist())
+        assert list(draw_angle_tuples(seed, count)) == list(oracle), count
 
 
 def test_draw_angle_tuples_use_every_seed_bit():
     # Seeds at the top of the 64-bit range must neither collide nor warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        draws = [draw_angle_tuples(s, 4) for s in (2 ** 64 - 1, 2 ** 64 - 2,
-                                                   2 ** 63 + 1, 2 ** 63)]
+        draws = [list(draw_angle_tuples(s, 4)) for s in (
+            2 ** 64 - 1, 2 ** 64 - 2, 2 ** 63 + 1, 2 ** 63)]
     for i, a in enumerate(draws):
         for b in draws[i + 1:]:
-            assert not np.array_equal(a, b)
+            assert a != b
 
 
 def test_sweep_rician_rows():
@@ -246,7 +290,7 @@ def test_sweep_subarray_count_rows():
 
 
 def test_sweep_subarray_count_deterministic_run_to_run():
-    # 1.5e5 draws span several passes of the angle-stream kernel.
+    # A large run, 1.5e5 draws, reruns byte for byte.
     cfg = reference_config()
     a = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8),
                              num_angle_draws=150_000, seed=2)
