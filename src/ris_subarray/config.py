@@ -4,7 +4,7 @@ The reconfigurable surface is an Nx-by-Ny grid of passive elements partitioned
 into Qx-by-Qy rectangular subarrays of Lx-by-Ly elements each. All elements of
 a subarray share one phase shift, and subarrays are numbered x-major. A config
 checks its fields whenever it is built: by its constructor, config_from_dict
-or dataclasses.replace.
+or its replace method.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import MISSING, astuple, dataclass, fields
 from functools import partial
 
 TWO_PI = 2.0 * math.pi
@@ -100,31 +99,75 @@ GRID_ENTRY = {"k_grid": check_rician, "l0_grid": check_int,
               "n_grid": check_square, "l0_set": partial(check_int, low=2)}
 
 
-def _check_fields(obj, check, *bounds, names=(), prefix: str = "") -> None:
-    """Set each field in names (all by default) of the frozen obj to its check."""
-    for name in names or [f.name for f in fields(obj)]:
-        object.__setattr__(obj, name, check(prefix + name, getattr(obj, name), *bounds))
+class _Record:
+    """A frozen record: its fields are the class's annotated names in order,
+    and a default is the class attribute of that name. Building one binds the
+    fields by keyword or position, then runs __post_init__, the checks."""
+
+    _prefix = ""            # how an error message names a field: "angles."
+    _fields = property(lambda self: tuple(type(self).__annotations__))
+
+    def __init__(self, *args, **kwargs):
+        fields, cls = self._fields, type(self)
+        if len(args) > len(fields):
+            raise ConfigError(f"{cls.__name__} has {len(fields)} fields, got {len(args)}")
+        for name in kwargs:
+            if name not in fields[len(args):]:
+                raise ConfigError(f"{'duplicate' if name in fields else 'unknown'} "
+                                  f"config field '{self._prefix}{name}'")
+        kwargs.update(zip(fields, args))
+        for name in fields:
+            if name not in kwargs and not hasattr(cls, name):
+                raise ConfigError(f"missing config field '{self._prefix}{name}'")
+            self.__dict__[name] = kwargs[name] if name in kwargs else getattr(cls, name)
+        self.__post_init__()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete '{name}': the record is frozen")
+
+    __delattr__ = __setattr__
+
+    def __iter__(self):
+        return iter(self.__dict__.values())
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with the fields in changes replaced, checked as it is built."""
+        return type(self)(**{**self.__dict__, **changes})
+
+    def _check_fields(self, check, *bounds, names=()) -> None:
+        """Set each field in names (all by default) to its check."""
+        for name in names or self._fields:
+            self.__dict__[name] = check(self._prefix + name, self.__dict__[name], *bounds)
 
 
-@dataclass(frozen=True)
-class Angles:
+class Angles(_Record):
     """Propagation geometry at the surface in radians: (theta_a1, phi_a1)
     are the elevation/azimuth of arrival and (theta_d2, phi_d2) those of
     departure toward the user. Under maximum ratio transmission no transmit
     angle or spacing changes an output, so the transmit array has none.
     """
 
+    _prefix = "angles."
     theta_a1: float
     phi_a1: float
     theta_d2: float
     phi_d2: float
 
     def __post_init__(self):
-        _check_fields(self, check_real, prefix="angles.")
+        self._check_fields(check_real)
 
 
-@dataclass(frozen=True)
-class PowerConstants:
+class PowerConstants(_Record):
     """Static power terms in watts.
 
     p_rest covers transmit and user-terminal circuitry, p_dynamic the
@@ -132,14 +175,15 @@ class PowerConstants:
     p_control the surface control board, p_driver one phase-shift driver.
     """
 
+    _prefix = "power."
     p_rest: float = 20.0
     p_dynamic: float = 0.0
     p_control: float = 4.8
     p_driver: float = 0.43
 
     def __post_init__(self):
-        _check_fields(self, check_real, 0.0, prefix="power.")
-        if not any(astuple(self)):
+        self._check_fields(check_real, 0.0)
+        if not any(self):
             raise ConfigError("power terms must not all be 0: the total power would be 0")
 
 
@@ -153,8 +197,7 @@ def ris_power(num_drivers: int, power: PowerConstants) -> float:
     return power.p_dynamic + power.p_control + num_drivers * power.p_driver
 
 
-@dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(_Record):
     """Immutable description of one downlink scenario.
 
     M transmit antennas, an Nx-by-Ny surface grouped into Lx-by-Ly subarrays,
@@ -177,14 +220,14 @@ class SystemConfig:
     power: PowerConstants = PowerConstants()
 
     def __post_init__(self):
-        _check_fields(self, check_int, names=("M", "Nx", "Ny", "Lx", "Ly"))
+        self._check_fields(check_int, names=("M", "Nx", "Ny", "Lx", "Ly"))
         for side, size in (("Lx", "Nx"), ("Ly", "Ny")):
             if getattr(self, size) % getattr(self, side):
                 raise ConfigError(f"{side}={_shown(getattr(self, side))} does not "
                                   f"divide {size}={_shown(getattr(self, size))}")
-        _check_fields(self, check_real, 0.0, True, names=(
+        self._check_fields(check_real, 0.0, True, names=(
             "d2_over_lambda", "P", "sigma_w2"))
-        _check_fields(self, check_rician, names=("K1", "K2"))
+        self._check_fields(check_rician, names=("K1", "K2"))
         for name, cls in _SECTIONS.items():
             if not isinstance(getattr(self, name), cls):
                 raise ConfigError(f"{name} must be {cls.__name__}, "
@@ -223,25 +266,14 @@ class SystemConfig:
     N = property(lambda self: self.Nx * self.Ny)
 
 
-def _build(cls, raw, prefix: str = ""):
-    """cls(**raw) with the sections built likewise; values are not coerced.
-    A key that is not a field of cls is an error, not a silent default."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
-    names = {f.name: f for f in fields(cls)}
-    for key in raw:
-        if key not in names:
-            raise ConfigError(f"unknown config field '{prefix}{key}'")
-    for name, f in names.items():
-        if f.default is MISSING and name not in raw:
-            raise ConfigError(f"missing config field '{prefix}{name}'")
-    return cls(**{key: _build(_SECTIONS[key], value, f"{key}.")
-                  if key in _SECTIONS else value for key, value in raw.items()})
-
-
 def config_from_dict(raw: dict) -> SystemConfig:
-    """Build a SystemConfig, which checks itself, from parsed JSON."""
-    return _build(SystemConfig, raw)
+    """Build a SystemConfig, which checks itself, from parsed JSON, with its
+    sections built likewise; values are not coerced."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return SystemConfig(**{
+        key: _SECTIONS[key](**value) if key in _SECTIONS and isinstance(value, dict)
+        else value for key, value in raw.items()})
 
 
 def _unique_keys(pairs: list) -> dict:

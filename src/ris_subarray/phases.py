@@ -11,7 +11,6 @@ the functions on phase or coupling arrays import numpy, when they run.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 
 from .config import TWO_PI, SystemConfig
 
@@ -25,8 +24,7 @@ def phase_slopes(cfg: SystemConfig, angles=None) -> tuple[float, float]:
     and arrival paths across the surface, in [-pi, pi] for spacings up to
     half a wavelength, for one unchecked tuple of finite angles in Angles
     field order; by default the config's own."""
-    theta_a1, phi_a1, theta_d2, phi_d2 = (astuple(cfg.angles) if angles is None
-                                          else angles)
+    theta_a1, phi_a1, theta_d2, phi_d2 = cfg.angles if angles is None else angles
     d = cfg.d2_over_lambda
     p1 = math.pi * d * (math.sin(theta_d2) - math.sin(theta_a1))
     p2 = math.pi * d * (math.sin(phi_d2) * math.cos(theta_d2)

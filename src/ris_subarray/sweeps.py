@@ -11,7 +11,7 @@ import csv
 import math
 import struct
 from array import array
-from dataclasses import astuple, dataclass, fields, replace
+from collections import namedtuple
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add
@@ -27,17 +27,9 @@ DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
 
 
-@dataclass
-class SweepResult:
-    """One CSV row, fields in column order; None where a sweep computes none."""
-
-    scheme: str
-    var_name: str
-    var_value: float
-    se_mc: float | None
-    se_mc_stderr: float | None
-    se_ub: float
-    ee: float | None
+# One CSV row, fields in column order; None where a sweep computes none.
+SweepResult = namedtuple("SweepResult",
+                         "scheme var_name var_value se_mc se_mc_stderr se_ub ee")
 
 
 def point_seed(master_seed: int, index: int) -> int:
@@ -54,9 +46,7 @@ def _sorted_rows(rows: list[SweepResult]) -> list[SweepResult]:
 def _rician_point(cfg: SystemConfig, scheme: str, samples: int,
                   seed: int) -> SweepResult:
     mean, stderr = monte_carlo_se(cfg, optimal_phases(cfg), samples, seed)
-    return SweepResult(scheme=scheme, var_name="K", var_value=cfg.K1,
-                       se_mc=mean, se_mc_stderr=stderr,
-                       se_ub=max_se_upper_bound(cfg), ee=None)
+    return SweepResult(scheme, "K", cfg.K1, mean, stderr, max_se_upper_bound(cfg), None)
 
 
 def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
@@ -72,9 +62,9 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     seed = check_int("seed", seed, 0, MAX_SEED)
     rows = []
     for k in check_grid("k_grid", DEFAULT_K_GRID if k_grid is None else k_grid):
-        cfg = replace(cfg_base, K1=k, K2=k)
+        cfg = cfg_base.replace(K1=k, K2=k)
         for scheme, point_cfg in (("subarray", cfg),
-                                  ("element", replace(cfg, Lx=1, Ly=1))):
+                                  ("element", cfg.replace(Lx=1, Ly=1))):
             rows.append(_rician_point(point_cfg, scheme, samples,
                                       point_seed(seed, len(rows))))
     return _sorted_rows(rows)
@@ -184,7 +174,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
         if cfg_base.Nx % l0 or cfg_base.Ny % l0:
             raise ConfigError(f"l0_grid entry {l0} does not divide the "
                               f"{cfg_base.Nx}x{cfg_base.Ny} surface")
-        cfg = replace(cfg_base, Lx=l0, Ly=l0)
+        cfg = cfg_base.replace(Lx=l0, Ly=l0)
         points.append((cfg, "element" if l0 == 1 else "subarray", float(cfg.Q)))
     return _regional_rows(cfg_base, "Q", points, draw_angle_tuples(seed, draws))
 
@@ -205,7 +195,7 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     for n in n_grid:
         nx = math.isqrt(n)
         for l0 in [1] + [side for side in l0_set if nx % side == 0]:
-            points.append((replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0),
+            points.append((cfg_base.replace(Nx=nx, Ny=nx, Lx=l0, Ly=l0),
                            "element" if l0 == 1 else f"subarray_L{l0}", float(n)))
     return _regional_rows(cfg_base, "N", points, draw_angle_tuples(seed, draws))
 
@@ -241,8 +231,8 @@ def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
 def write_csv(rows: list[SweepResult], fh) -> None:
     """Write rows (sorted by scheme, then value) in the fixed CSV schema."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(f.name for f in fields(SweepResult))
-    writer.writerows(map(_fmt, astuple(r)) for r in _sorted_rows(rows))
+    writer.writerow(SweepResult._fields)
+    writer.writerows(map(_fmt, r) for r in _sorted_rows(rows))
 
 
 def _fmt(value) -> str:

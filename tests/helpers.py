@@ -25,7 +25,7 @@ p2 = -pi*(sqrt(3)+1)/8.
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def small_raw(**extra) -> dict:
 def element_bound(cfg: SystemConfig) -> float:
     """Maximized SE bound of per-element control of the same surface: the
     subarray bound on the Lx = Ly = 1 copy of cfg."""
-    return max_se_upper_bound(replace(cfg, Lx=1, Ly=1))
+    return max_se_upper_bound(cfg.replace(Lx=1, Ly=1))
 
 
 def philox_oracle(seed: int) -> np.random.Philox:
@@ -124,7 +124,7 @@ def numpy_regional_rows(cfg_base: SystemConfig, var_name: str, points,
 
 def numpy_sweep_subarray_count(cfg_base: SystemConfig, l0_grid, seed: int,
                                draws: int) -> list:
-    cfgs = [replace(cfg_base, Lx=l0, Ly=l0) for l0 in l0_grid]
+    cfgs = [cfg_base.replace(Lx=l0, Ly=l0) for l0 in l0_grid]
     return numpy_regional_rows(cfg_base, "Q", [
         (cfg, "element" if cfg.L == 1 else "subarray", float(cfg.Q))
         for cfg in cfgs], seed, draws)
@@ -136,7 +136,7 @@ def numpy_sweep_ris_size(cfg_base: SystemConfig, n_grid, l0_set, seed: int,
     for n in n_grid:
         nx = math.isqrt(n)
         for l0 in [1] + [side for side in l0_set if nx % side == 0]:
-            points.append((replace(cfg_base, Nx=nx, Ny=nx, Lx=l0, Ly=l0),
+            points.append((cfg_base.replace(Nx=nx, Ny=nx, Lx=l0, Ly=l0),
                            "element" if l0 == 1 else f"subarray_L{l0}", float(n)))
     return numpy_regional_rows(cfg_base, "N", points, seed, draws)
 
@@ -226,11 +226,11 @@ def scalar_bound(cfg: SystemConfig) -> float:
 
 
 def regional_draws(cfg: SystemConfig, angle_tuples) -> np.ndarray:
-    """(eta, bound, EE) per angle tuple, one replace(cfg, angles=...) copy
+    """(eta, bound, EE) per angle tuple, one cfg.replace(angles=...) copy
     and one scalar evaluation per tuple: a 3-by-n array."""
     out = np.empty((3, len(angle_tuples)))
     for i, tup in enumerate(angle_tuples):
-        cfg_i = replace(cfg, angles=Angles(*map(float, tup)))
+        cfg_i = cfg.replace(angles=Angles(*map(float, tup)))
         se = scalar_bound(cfg_i)
         out[:, i] = (scalar_coherence_factor(cfg_i), se,
                      energy_efficiency(se, cfg.Q, cfg.power))

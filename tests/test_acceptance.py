@@ -10,7 +10,6 @@ overwhelming probability; it is checked at three.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ def mc_runs():
         for k in (10.0, 100.0):
             cfg = reference_config(K1=k, K2=k)
             if scheme == "element":
-                cfg = replace(cfg, Lx=1, Ly=1)
+                cfg = cfg.replace(Lx=1, Ly=1)
             for seed in MC_SEEDS:
                 mc, stderr = monte_carlo_se(cfg, optimal_phases(cfg),
                                             MC_SAMPLES, master_seed=seed)
@@ -109,15 +108,15 @@ def test_criterion_06_special_cases():
 
     # specular geometry: coherent subarrays, no grouping loss
     ang = reference_config().angles
-    specular = reference_config(angles=replace(ang, theta_d2=ang.theta_a1,
-                                               phi_d2=ang.phi_a1))
+    specular = reference_config(angles=ang.replace(theta_d2=ang.theta_a1,
+                                                   phi_d2=ang.phi_a1))
     assert coherence_factor(specular) == 1.0
     assert abs(max_se_upper_bound(specular)
                - element_bound(specular)) <= 1e-12
 
     # destructive slope (Lx*p1 a multiple of pi): LoS cascade wiped out
-    null = reference_config(angles=replace(ang, theta_d2=math.pi / 2,
-                                           theta_a1=0.0))
+    null = reference_config(angles=ang.replace(theta_d2=math.pi / 2,
+                                               theta_a1=0.0))
     assert coherence_factor(null) <= 1e-12
     gamma2 = 1.0 - (null.K1 / (null.K1 + 1.0)) * (null.K2 / (null.K2 + 1.0))
     floor = math.log2(1.0 + (null.P / null.sigma_w2) * null.M

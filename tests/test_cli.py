@@ -420,9 +420,14 @@ def test_workers_flag_is_ignored(tmp_path):
             == (tmp_path / "plain.csv").read_bytes())
 
 
+# Loaded by numpy, and by nothing that the numpy-free commands need: the
+# config records are not dataclasses, whose import pulls in inspect.
+HEAVY = "('numpy', 'dataclasses', 'inspect')"
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, ris_subarray.cli; print('numpy' in sys.modules)"
-    assert fresh_python(code) == "False"
+    code = f"import sys, ris_subarray.cli; print(*(m in sys.modules for m in {HEAVY}))"
+    assert fresh_python(code) == "False False False"
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -433,22 +438,26 @@ def test_cli_import_leaves_numpy_unloaded():
     (["oracle"], "True False"),
 ], ids=["sweep-q", "sweep-n", "eta", "sweep-k", "oracle"])
 def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
-    # eta and the regional sweeps are float math and load no numpy at all;
-    # oracle searches a numpy grid, and sweep-k draws its normals,
-    # chi-squares and point seeds through numpy.random.
+    # eta and the regional sweeps are float math and load no numpy at all,
+    # nor dataclasses or inspect; oracle searches a numpy grid, and sweep-k
+    # draws its normals, chi-squares and point seeds through numpy.random.
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "out.csv")]
     argv = [*argv, "--config", ORACLE_SMALL]
     code = (f"import sys; from ris_subarray.cli import main; rc = main({argv!r}); "
-            "print(rc, 'numpy' in sys.modules, 'numpy.random' in sys.modules)")
-    assert fresh_python(code).splitlines()[-1] == f"0 {loaded}"
+            "print(rc, 'numpy.random' in sys.modules, "
+            f"*(m in sys.modules for m in {HEAVY}))")
+    rc, numpy_random, numpy, *others = fresh_python(code).splitlines()[-1].split()
+    assert f"{rc} {numpy} {numpy_random}" == f"0 {loaded}"
+    if numpy == "False":    # numpy imports inspect itself
+        assert others == ["False", "False"]
 
 
 def test_validate_runs_without_numpy():
     code = ("import sys; from ris_subarray.cli import main; "
             "rc = main(['validate', '--config', 'configs/default.json']); "
-            "print(rc, 'numpy' in sys.modules)")
-    assert fresh_python(code).splitlines()[-1] == "0 False"
+            f"print(rc, *(m in sys.modules for m in {HEAVY}))")
+    assert fresh_python(code).splitlines()[-1] == "0 False False False"
 
 
 PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",

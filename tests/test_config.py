@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import asdict, astuple, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +66,7 @@ def test_subarray_origin_out_of_range():
 def test_validation_errors_name_field(field, value, fragment):
     cfg = SystemConfig(M=4, Nx=4, Ny=4, Lx=2, Ly=2, angles=REF_ANGLES)
     with pytest.raises(ConfigError, match=fragment):
-        replace(cfg, **{field: value})
+        cfg.replace(**{field: value})
 
 
 # Each way to build a config, given the section holding the bad values
@@ -75,12 +74,11 @@ def test_validation_errors_name_field(field, value, fragment):
 BUILDS = {
     "constructor": lambda section, bad: (
         SystemConfig(**{**vars(small_config()), **bad}) if section is None
-        else Angles(**{**asdict(REF_ANGLES), **bad}) if section == "angles"
+        else Angles(**{**vars(REF_ANGLES), **bad}) if section == "angles"
         else PowerConstants(**bad)),
     "replace": lambda section, bad: (
-        replace(small_config(), **bad) if section is None
-        else replace(REF_ANGLES if section == "angles" else PowerConstants(),
-                     **bad)),
+        small_config().replace(**bad) if section is None
+        else (REF_ANGLES if section == "angles" else PowerConstants()).replace(**bad)),
     "config_from_dict": lambda section, bad: config_from_dict(
         small_raw(**bad) if section is None
         else small_raw(**{section: {**small_raw().get(section, {}), **bad}})),
@@ -99,7 +97,7 @@ ZERO_POWER = dict.fromkeys(["p_rest", "p_dynamic", "p_control", "p_driver"], 0)
     ("sigma_w2", None, {"sigma_w2": 0}),
     ("K1", None, {"K1": -0.5}),
     ("power terms", "power", ZERO_POWER),
-    ("angles", None, {"angles": astuple(REF_ANGLES)}),
+    ("angles", None, {"angles": tuple(REF_ANGLES)}),
 ], ids=["Lx-3-Nx-4", "M-0", "M-4.5", "M-True", "angle-nan", "P-neg",
         "sigma_w2-0", "K1-neg", "power-zero", "angles-tuple"])
 def test_every_way_to_build_a_config_checks_it(build, field, section, bad):
@@ -107,6 +105,61 @@ def test_every_way_to_build_a_config_checks_it(build, field, section, bad):
     # JSON path all reject it, naming the field.
     with pytest.raises(ConfigError, match=f"^{re.escape(field)}[ =]"):
         BUILDS[build](section, bad)
+
+
+@pytest.mark.parametrize("record", [small_config(), REF_ANGLES, PowerConstants(
+    p_driver=0.5)], ids=["SystemConfig", "Angles", "PowerConstants"])
+def test_a_record_is_frozen_hashable_and_names_its_fields(record):
+    cls, fields = type(record), dict(vars(record))
+    first = next(iter(fields))
+    for change in (lambda: setattr(record, first, 1), lambda: delattr(record, first),
+                   lambda: setattr(record, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert vars(record) == fields
+    # keyword and positional binding give the same record, and equal
+    # records hash equal
+    by_position = cls(*record)
+    assert by_position == cls(**fields) == record and by_position is not record
+    assert hash(by_position) == hash(record)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()) + ")"
+    assert record.replace() == record
+
+
+def test_a_record_equals_only_a_record_of_its_type():
+    values = (0.5, 1.0, 2.0, 3.0)
+    angles, power = Angles(*values), PowerConstants(*values)
+    assert tuple(angles) == tuple(power) == values
+    assert angles != values and values != angles
+    assert angles != power and power != angles
+    assert angles.replace(phi_d2=0.0) == Angles(0.5, 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SystemConfig(M=4, Nx=4, Ny=4, Lx=2, Ly=2),
+     "missing config field 'angles'"),
+    (lambda: Angles(0.0, 0.0, 0.0), "missing config field 'angles.phi_d2'"),
+    (lambda: config_from_dict(small_raw(angles={"theta_a1": 0.0})),
+     "missing config field 'angles.phi_a1'"),
+    (lambda: small_config(Q=4), "unknown config field 'Q'"),
+    (lambda: small_config().replace(N=16), "unknown config field 'N'"),
+    (lambda: REF_ANGLES.replace(theta_d1=0.0),
+     "unknown config field 'angles.theta_d1'"),
+    (lambda: PowerConstants(p_drivr=0.43), "unknown config field 'power.p_drivr'"),
+    (lambda: SystemConfig(4, 4, 4, 2, 2, REF_ANGLES, M=8),
+     "duplicate config field 'M'"),
+    (lambda: Angles(0.0, 0.0, 0.0, 0.0, theta_a1=0.0),
+     "duplicate config field 'angles.theta_a1'"),
+    (lambda: PowerConstants(20.0, p_rest=1.0), "duplicate config field 'power.p_rest'"),
+    (lambda: Angles(0.0, 0.0, 0.0, 0.0, 0.0), "Angles has 4 fields, got 5"),
+], ids=["missing-top", "missing-angle", "missing-angle-json", "unknown-top",
+        "unknown-property", "unknown-angle", "unknown-power", "repeated-top",
+        "repeated-angle", "repeated-power", "extra-positional"])
+def test_a_missing_unknown_or_repeated_field_is_named(build, message):
+    # The constructor, replace and config_from_dict bind fields alike.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("build", [
@@ -140,17 +193,17 @@ def test_overflowing_total_power_is_rejected(terms):
             r"^the largest total power, power\.p_rest \+ power\.p_dynamic \+ "
             r"power\.p_control \+ N \* power\.p_driver, must be finite, got inf "
             r"from power\.p_rest=.*, N=16$")):
-        replace(small_config(), power=power)
+        small_config().replace(power=power)
 
 
 def test_largest_finite_total_power_is_accepted():
-    cfg = replace(small_config(), power=PowerConstants(p_driver=1e307))
+    cfg = small_config().replace(power=PowerConstants(p_driver=1e307))
     assert cfg.power.p_rest + cfg.N * cfg.power.p_driver < math.inf
 
 
 def test_nonfinite_angle_rejected():
     with pytest.raises(ConfigError, match="theta_a1"):
-        replace(small_config(), angles=Angles(math.inf, 0, 0, 0))
+        small_config().replace(angles=Angles(math.inf, 0, 0, 0))
 
 
 @pytest.mark.parametrize("field, value, plain", [
@@ -167,22 +220,22 @@ def test_nonfinite_angle_rejected():
 def test_numpy_scalars_are_accepted_as_config_values(field, value, plain):
     # Each check returns the plain int or float the value stands for, so
     # the checked config equals the one built from Python numbers.
-    cfg = replace(small_config(), **{field: value})
+    cfg = small_config().replace(**{field: value})
     assert cfg == small_config(**{field: plain})
     checked = getattr(cfg, field)
-    for v in astuple(checked) if is_dataclass(checked) else (checked,):
+    for v in checked if isinstance(checked, (Angles, PowerConstants)) else (checked,):
         assert type(v) in (int, float)
 
 
 @pytest.mark.parametrize("field", ["M", "Lx", "P", "K2", "d2_over_lambda"])
 def test_numpy_bool_is_rejected_naming_the_field(field):
     with pytest.raises(ConfigError, match=f"^{field} must be .*, got np.True_$"):
-        replace(small_config(), **{field: np.bool_(True)})
+        small_config().replace(**{field: np.bool_(True)})
 
 
 def test_numpy_bool_is_rejected_in_a_section():
     with pytest.raises(ConfigError, match="^angles.phi_d2 must be finite, got"):
-        Angles(*astuple(REF_ANGLES)[:3], np.bool_(False))
+        Angles(*tuple(REF_ANGLES)[:3], np.bool_(False))
     with pytest.raises(ConfigError, match="^power.p_driver must be finite and"):
         PowerConstants(p_driver=np.bool_(True))
 
@@ -305,8 +358,14 @@ def _configs(draw):
         P=draw(_reals), sigma_w2=draw(_reals), power=draw(_power))
 
 
+def as_raw(record) -> dict:
+    """record as the parsed JSON of a config file, its sections nested."""
+    return {name: as_raw(value) if isinstance(value, (Angles, PowerConstants))
+            else value for name, value in vars(record).items()}
+
+
 @given(_configs())
 def test_json_roundtrip_property(tmp_path_factory, cfg):
     path = tmp_path_factory.getbasetemp() / "roundtrip.json"
-    path.write_text(json.dumps(asdict(cfg)))
+    path.write_text(json.dumps(as_raw(cfg)))
     assert load_config(path) == cfg

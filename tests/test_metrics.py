@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +68,7 @@ def _var_of_sample_var(x: np.ndarray) -> float:
 
 
 def _gammas_at(k1: float, k2: float) -> tuple[float, float]:
-    return _gammas(replace(small_config(), K1=k1, K2=k2))
+    return _gammas(small_config().replace(K1=k1, K2=k2))
 
 
 def test_rician_weights_values():
@@ -117,7 +116,7 @@ def test_element_bound_equals_degenerate_subarray_path():
     rng = np.random.default_rng(SEED + 1)
     for _ in range(50):
         cfg = random_config(rng)
-        assert coherence_factor(replace(cfg, Lx=1, Ly=1)) == 1.0
+        assert coherence_factor(cfg.replace(Lx=1, Ly=1)) == 1.0
         assert element_bound(cfg) == pytest.approx(_element_formula(cfg),
                                                    rel=1e-14)
 
@@ -128,7 +127,7 @@ def test_bound_keeps_its_relative_precision_at_low_snr(P):
     # oracle_small it was off by 2.4e-5 relative at P = 1e-14 and by 1% at
     # P = 1e-17.
     base = load_config(ORACLE_SMALL, [("P", P)])
-    for cfg in (base, replace(base, Lx=1, Ly=1)):
+    for cfg in (base, base.replace(Lx=1, Ly=1)):
         gamma1, gamma2 = _gammas(cfg)
         x = P / cfg.sigma_w2 * cfg.M * (gamma1 * coherence_factor(cfg) * cfg.N ** 2
                                         + gamma2 * cfg.N + 1.0)
@@ -156,13 +155,13 @@ def test_grating_null_bound():
 
 def test_bounds_monotone_in_power_antennas_and_size():
     base = reference_config()
-    bounds = [max_se_upper_bound(replace(base, P=p)) for p in (1, 5, 10, 50)]
+    bounds = [max_se_upper_bound(base.replace(P=p)) for p in (1, 5, 10, 50)]
     assert all(a < b for a, b in zip(bounds, bounds[1:]))
-    bounds = [max_se_upper_bound(replace(base, M=m)) for m in (1, 4, 16, 64)]
+    bounds = [max_se_upper_bound(base.replace(M=m)) for m in (1, 4, 16, 64)]
     assert all(a < b for a, b in zip(bounds, bounds[1:]))
     # growing the surface with the subarray shape fixed keeps the coherence
     # factor constant while N increases
-    bounds = [max_se_upper_bound(replace(base, Nx=n, Ny=n))
+    bounds = [max_se_upper_bound(base.replace(Nx=n, Ny=n))
               for n in (4, 8, 16, 32)]
     assert all(a < b for a, b in zip(bounds, bounds[1:]))
 
@@ -215,9 +214,9 @@ def test_largest_accepted_config_gives_finite_values():
     assert math.isfinite(max_se_upper_bound(cfg))
     assert all(map(math.isfinite, monte_carlo_se(cfg, phases, 2000, 1)))
     with pytest.raises(ConfigError, match="largest SNR"):
-        replace(cfg, P=snr_cap * (1 + 1e-9))
+        cfg.replace(P=snr_cap * (1 + 1e-9))
     with pytest.raises(ConfigError, match="^d2_over_lambda=2e"):
-        replace(cfg, d2_over_lambda=2e306)
+        cfg.replace(d2_over_lambda=2e306)
 
 
 def test_monte_carlo_reproducible():

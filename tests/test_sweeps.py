@@ -1,7 +1,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +72,7 @@ def _oracle_cases():
 
 
 def test_clamp_case_overshoots():
-    p1, _ = scalar_slopes(replace(CLAMP_CFG, angles=Angles(*GRATING[0])))
+    p1, _ = scalar_slopes(CLAMP_CFG.replace(angles=Angles(*GRATING[0])))
     assert normalized_kernel(3, p1) > 1.0 + 1e-8
     assert _normalized_kernel(3, p1) == 1.0
 
@@ -92,7 +91,7 @@ def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     assert list(map(_bound_from_eta(cfg), sweep_eta)) == list(se)
     assert [energy_efficiency(s, cfg.Q, cfg.power) for s in se] == list(ee)
     # the config's own tuple runs the same code
-    assert [max_se_upper_bound(replace(cfg, angles=Angles(*t)))
+    assert [max_se_upper_bound(cfg.replace(angles=Angles(*t)))
             for t in tuples] == list(se)
     # a sweep row averages the bound and EE of every tuple as np.mean does
     (row,) = _regional_rows(cfg, "Q", [(cfg, "s", 1.0)], tuples)
