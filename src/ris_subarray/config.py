@@ -56,12 +56,15 @@ def _as_float(value) -> float:
 
 
 def check_real(name: str, value, low: float = -math.inf,
-               strict: bool = False) -> float:
-    """value as a float: a finite real number >= low, or > low if strict."""
+               strict: bool = False, high: float = math.inf) -> float:
+    """value as a float: a finite real number >= low, or > low if strict,
+    and <= high."""
     number = _as_float(value)
-    if math.isfinite(number) and (number > low if strict else number >= low):
+    if (math.isfinite(number) and (number > low if strict else number >= low)
+            and number <= high):
         return number
     bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+    bound += "" if high == math.inf else f" and <= {high:g}"
     raise ConfigError(f"{name} must be finite{bound}, got {_shown(value)}")
 
 

@@ -12,21 +12,28 @@ is Rayleigh. Scatter entries are CN(0, 1). A hop with Rician factor K is
 w_los * (LoS component) + w_sc * (scatter), where (w_los^2, w_sc^2) is
 rician_split(K). The bounds and the Monte Carlo sampler reduce the LoS
 components to closed forms, and the matrices themselves are built by the
-per-element oracle in the tests. Only the Monte Carlo code imports numpy.
+per-element oracle in the tests. Only the Monte Carlo code of runs longer
+than SMALL_RUN samples imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 
-from .config import MAX_SEED, PowerConstants, SystemConfig, check_int, ris_power
-from .phases import coherence_factor, los_cascade_gain
+from .config import (MAX_SEED, PowerConstants, SystemConfig, check_int,
+                     check_real, ris_power)
+from .phases import coherence_factor
 
 # Monte Carlo samples are drawn in chunks of this many consecutive indices,
 # chunk c from the Philox stream keyed (master_seed, c). A chunk's values do
 # not depend on how many samples a run asks for beyond it, and memory stays
 # bounded at any sample count.
 MC_CHUNK = 1 << 16
+# A run of at most this many samples draws them in Python, from the standard
+# library, and loads no numpy: below it, numpy's import costs more than the
+# draws it would speed up (README, "Start-up and exit").
+SMALL_RUN = 512
+_LN2 = math.log(2.0)
 
 
 def rician_split(K: float) -> tuple[float, float]:
@@ -68,7 +75,17 @@ def max_se_upper_bound(cfg: SystemConfig) -> float:
     return _bound_from_eta(cfg)(coherence_factor(cfg))
 
 
-def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
+def _rate_law(cfg: SystemConfig, eta: float) -> tuple:
+    """Parameters of the law of the rate under the gain fraction eta, shared
+    by both samplers: (alpha0, w2_sc^2, perp, w1_sc^2, los_gain, snr)."""
+    w1_los_sq, w1_sc_sq = rician_split(cfg.K1)
+    w2_los_sq, w2_sc_sq = rician_split(cfg.K2)
+    return (math.sqrt(w2_los_sq * eta * cfg.N), w2_sc_sq,
+            w2_los_sq * cfg.N * (1.0 - eta), w1_sc_sq,
+            2.0 * w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2)
+
+
+def _rate_chunks(cfg: SystemConfig, eta: float, num_samples: int,
                  master_seed: int):
     """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2), one array per chunk.
 
@@ -77,9 +94,11 @@ def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
     f = (per-element phase factor) * (first column of the LoS of H1), the
     rank-one LoS hop gives h2 Phi H1_los = sqrt(N) * alpha * a_tx^T where
     alpha = sum_n h2_n f_n / sqrt(N) ~ CN(alpha0, w2_sc^2). The law of
-    |alpha|^2 depends on alpha0 only through |alpha0|^2, which is
-    w2_los^2 * los_cascade_gain / (N * M). The rest of h2, orthogonal to
-    conj(f), is independent of alpha, and its squared norm is
+    |alpha|^2 depends on the phases only through
+    |alpha0|^2 = w2_los^2 * los_cascade_gain / (N * M) = w2_los^2 * eta * N,
+    where eta is the gain as a fraction of N^2 * M (coherence_factor at the
+    optimal phases). The rest of h2, orthogonal to conj(f), is independent
+    of alpha, and its squared norm is
     (w2_sc^2 / 2) * chi'^2(2(N-1), 2 * perp / w2_sc^2), where
     perp = w2_los^2 * N - |alpha0|^2 is the squared norm of the LoS part of
     that rest. Given h2, the scattered hop and g add CN(0, sigma2 I_M) with
@@ -88,56 +107,95 @@ def _rate_chunks(cfg: SystemConfig, phases, num_samples: int,
     Each sample costs one complex normal and at most two chi-square draws.
     """
     import numpy as np
-    w1_los, w1_sc = map(math.sqrt, rician_split(cfg.K1))
-    w2_los, w2_sc = map(math.sqrt, rician_split(cfg.K2))
-    alpha0_sq = w2_los ** 2 * los_cascade_gain(cfg, phases) / (cfg.N * cfg.M)
-    alpha0 = math.sqrt(alpha0_sq)
-    perp = max(0.0, w2_los ** 2 * cfg.N - alpha0_sq)
-    los_gain = 2.0 * w1_los ** 2 * cfg.N * cfg.M
-    snr = cfg.P / cfg.sigma_w2
+    alpha0, w2_sc_sq, perp, w1_sc_sq, los_gain, snr = _rate_law(cfg, eta)
     for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
         size = min(MC_CHUNK, num_samples - start)
         # A uint64 array: a list key would go through float64 from 2**63 up.
         key = np.array([master_seed, chunk], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        z = rng.standard_normal((size, 2)) * (w2_sc * math.sqrt(0.5))
+        z = rng.standard_normal((size, 2)) * math.sqrt(0.5 * w2_sc_sq)
         alpha_sq = (alpha0 + z[:, 0]) ** 2 + z[:, 1] ** 2
         if cfg.N == 1:          # nothing of h2 is orthogonal to f
             h2_sq = alpha_sq
-        elif w2_sc == 0.0:      # pure-LoS hop: the orthogonal part is fixed
+        elif w2_sc_sq == 0.0:   # pure-LoS hop: the orthogonal part is fixed
             h2_sq = alpha_sq + perp
         else:
-            h2_sq = alpha_sq + 0.5 * w2_sc ** 2 * rng.noncentral_chisquare(
-                2 * (cfg.N - 1), 2.0 * perp / w2_sc ** 2, size)
-        sigma2 = w1_sc ** 2 * h2_sq + 1.0
+            h2_sq = alpha_sq + 0.5 * w2_sc_sq * rng.noncentral_chisquare(
+                2 * (cfg.N - 1), 2.0 * perp / w2_sc_sq, size)
+        sigma2 = w1_sc_sq * h2_sq + 1.0
         v_sq = 0.5 * sigma2 * rng.noncentral_chisquare(
             2 * cfg.M, los_gain * alpha_sq / sigma2)
-        yield np.log1p(snr * v_sq) / math.log(2.0)
+        yield np.log1p(snr * v_sq) / _LN2
 
 
-def monte_carlo_se(cfg: SystemConfig, phases, num_samples: int,
+def _small_run_rates(cfg: SystemConfig, eta: float, num_samples: int,
+                     master_seed: int) -> list[float]:
+    """The rates of _rate_chunks' law, drawn by the standard library's
+    random.Random(master_seed), which needs no numpy.
+
+    A scaled noncentral chi-square s * chi'^2(k, lam) is drawn as
+    (sqrt(s) * Z + sqrt(s * lam))^2 + 2 * s * Gamma((k - 1) / 2, 1): one
+    normal coordinate carries the whole mean, the other k - 1 are central.
+    """
+    import random               # loaded by a small run, as numpy by a long one
+    alpha0, w2_sc_sq, perp, w1_sc_sq, los_gain, snr = _rate_law(cfg, eta)
+    rng = random.Random(master_seed)
+    gauss, gamma, log1p, sqrt = rng.gauss, rng.gammavariate, math.log1p, math.sqrt
+    sd, root_perp, n, m = sqrt(0.5 * w2_sc_sq), sqrt(perp), cfg.N, cfg.M
+    rates = []
+    for _ in range(num_samples):
+        alpha_sq = gauss(alpha0, sd) ** 2 + gauss(0.0, sd) ** 2
+        if n == 1:              # as in _rate_chunks
+            h2_sq = alpha_sq
+        elif w2_sc_sq == 0.0:
+            h2_sq = alpha_sq + perp
+        else:
+            h2_sq = alpha_sq + gauss(root_perp, sd) ** 2 + gamma(n - 1.5, w2_sc_sq)
+        sigma2 = w1_sc_sq * h2_sq + 1.0
+        v_sq = (gauss(sqrt(0.5 * los_gain * alpha_sq), sqrt(0.5 * sigma2)) ** 2
+                + gamma(m - 0.5, sigma2))
+        rates.append(log1p(snr * v_sq) / _LN2)
+    return rates
+
+
+def _chunk_moments(chunks):
+    """(count, mean, sum of squared deviations) of each array of rates."""
+    import numpy as np
+    for rates in chunks:
+        mean = float(np.mean(rates))
+        yield rates.size, mean, float(np.sum((rates - mean) ** 2))
+
+
+def monte_carlo_se(cfg: SystemConfig, eta: float, num_samples: int,
                    master_seed: int) -> tuple[float, float]:
-    """Sample-mean ergodic SE and its standard error, in bits, under phases,
-    a length-Q array of one shift per subarray.
+    """Sample-mean ergodic SE and its standard error, in bits, at the gain
+    fraction eta: los_cascade_gain / (N^2 * M) of the phases, which is
+    coherence_factor(cfg) at the optimal ones.
 
     Maximum-ratio transmission is folded in analytically: the rate of a
     sample is log2(1 + snr * ||h2 Phi H1 + g||^2), drawn as in _rate_chunks.
-    The result is a pure function of (cfg, phases, num_samples,
-    master_seed), independent of evaluation order. Chunk means and squared
-    deviations are merged in chunk order (Chan et al.).
-    num_samples must be an integer >= 1 and master_seed one in [0, 2**64).
+    A run of at most SMALL_RUN samples draws them from the standard library
+    (_small_run_rates), a longer one from numpy's Philox in chunks. The
+    result is a pure function of (cfg, eta, num_samples, master_seed).
+    Chunk moments are merged in chunk order (Chan et al.).
+    eta must be a finite real in [0, 1], num_samples an integer >= 1 and
+    master_seed one in [0, 2**64).
     """
-    import numpy as np
+    eta = check_real("eta", eta, 0.0, high=1.0)
     num_samples = check_int("num_samples", num_samples)
     master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
+    if num_samples <= SMALL_RUN:
+        rates = _small_run_rates(cfg, eta, num_samples, master_seed)
+        mean = math.fsum(rates) / num_samples
+        chunks = [(num_samples, mean, math.fsum([(r - mean) ** 2 for r in rates]))]
+    else:
+        chunks = _chunk_moments(_rate_chunks(cfg, eta, num_samples, master_seed))
     count, mean, sq_dev = 0, 0.0, 0.0
-    for rates in _rate_chunks(cfg, phases, num_samples, master_seed):
-        chunk_mean = float(np.mean(rates))
+    for size, chunk_mean, chunk_sq_dev in chunks:
         delta = chunk_mean - mean
-        sq_dev += (float(np.sum((rates - chunk_mean) ** 2))
-                   + delta ** 2 * count * rates.size / (count + rates.size))
-        count += rates.size
-        mean += delta * (rates.size / count)
+        sq_dev += chunk_sq_dev + delta ** 2 * count * size / (count + size)
+        count += size
+        mean += delta * (size / count)
     if num_samples < 2:
         return mean, 0.0
     return mean, math.sqrt(sq_dev / (count - 1) / count)

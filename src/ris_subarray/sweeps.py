@@ -18,10 +18,9 @@ from operator import add
 
 from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
                      ConfigError, SystemConfig, check_grid, check_int)
-from .metrics import (_bound_from_eta, max_se_upper_bound, monte_carlo_se,
-                      total_power)
-from .phases import (coherence_factor_from_slopes, los_cascade_gain,
-                     optimal_phases, phase_slopes, subarray_couplings)
+from .metrics import _bound_from_eta, monte_carlo_se, total_power
+from .phases import (coherence_factor, coherence_factor_from_slopes,
+                     los_cascade_gain, phase_slopes, subarray_couplings)
 
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
@@ -33,10 +32,9 @@ SweepResult = namedtuple("SweepResult",
 
 
 def point_seed(master_seed: int, index: int) -> int:
-    """Derived seed for sweep point number index, schedule-independent."""
-    import numpy as np
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Derived seed for sweep point number index, schedule-independent: the
+    first word of numpy's Philox(key=[master_seed, index])."""
+    return next(_philox_words(master_seed, 1, index))
 
 
 def _sorted_rows(rows: list[SweepResult]) -> list[SweepResult]:
@@ -45,8 +43,10 @@ def _sorted_rows(rows: list[SweepResult]) -> list[SweepResult]:
 
 def _rician_point(cfg: SystemConfig, scheme: str, samples: int,
                   seed: int) -> SweepResult:
-    mean, stderr = monte_carlo_se(cfg, optimal_phases(cfg), samples, seed)
-    return SweepResult(scheme, "K", cfg.K1, mean, stderr, max_se_upper_bound(cfg), None)
+    eta = coherence_factor(cfg)
+    mean, stderr = monte_carlo_se(cfg, eta, samples, seed)
+    return SweepResult(scheme, "K", cfg.K1, mean, stderr,
+                       _bound_from_eta(cfg)(eta), None)
 
 
 def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
@@ -79,8 +79,8 @@ _PHILOX_BLOCKS = 1 << 10
 _MASK64 = (1 << 64) - 1
 
 
-def _philox_words(seed: int, count: int):
-    """The first count 64-bit outputs of numpy's Philox(key=[seed, 0]), one
+def _philox_words(seed: int, count: int, key1: int = 0):
+    """The first count 64-bit outputs of numpy's Philox(key=[seed, key1]), one
     at a time: block b, counter (b + 1, 0, 0, 0), gives words 4b to 4b + 3.
     A pass runs up to _PHILOX_BLOCKS blocks at once, block i in the 128-bit
     lane i of the Python ints c0..c3: a lane times a 64-bit multiplier fits
@@ -98,7 +98,7 @@ def _philox_words(seed: int, count: int):
             x0, x2 = m0 * c0, m1 * c2
             c0, c1, c2, c3 = (
                 (x2 >> 64) & low ^ c1 ^ ((seed + r * w0) & _MASK64) * ones, x2 & low,
-                (x0 >> 64) & low ^ c3 ^ (r * w1 & _MASK64) * ones, x0 & low)
+                (x0 >> 64) & low ^ c3 ^ ((key1 + r * w1) & _MASK64) * ones, x0 & low)
         words = zip(*(lane.unpack(c.to_bytes(lane.size, "little"))
                       for c in (c0, c1, c2, c3)))
         yield from islice(chain.from_iterable(words), count - 4 * start)

@@ -9,8 +9,9 @@ numpy_sweep_subarray_count() and numpy_sweep_ris_size() are the regional
 sweeps computed with numpy arrays, one pass per point, whose rows the
 library's float math must reproduce bit for bit.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
-per-tuple coherence factor and bound of the regional sweeps, and
-se_upper_bound() the bound at arbitrary phases. The steering vectors and
+per-tuple coherence factor and bound of the regional sweeps,
+se_upper_bound() the bound at arbitrary phases, and gain_fraction() their
+gain as the eta the Monte Carlo sampler takes. The steering vectors and
 per-subarray offsets below build the LoS geometry element by element:
 steering_couplings() is the oracle for the slope-based subarray couplings.
 The per-element channel sampler at the end is the independent oracle for
@@ -246,6 +247,13 @@ def se_upper_bound(cfg: SystemConfig, phases) -> float:
     gain = los_cascade_gain(cfg, phases)
     return math.log2(1.0 + snr * (gamma1 * gain
                                   + gamma2 * cfg.M * cfg.N + cfg.M))
+
+
+def gain_fraction(cfg: SystemConfig, phases) -> float:
+    """The LoS cascade gain of length-Q phases as a fraction of N^2 * M: the
+    eta that monte_carlo_se takes, coherence_factor(cfg) at the optimum.
+    Capped at 1, which rounding can pass when every coupling is aligned."""
+    return min(1.0, los_cascade_gain(cfg, phases) / (cfg.N ** 2 * cfg.M))
 
 
 def rows_to_csv(rows) -> str:

@@ -42,7 +42,7 @@ def mc_runs():
             if scheme == "element":
                 cfg = cfg.replace(Lx=1, Ly=1)
             for seed in MC_SEEDS:
-                mc, stderr = monte_carlo_se(cfg, optimal_phases(cfg),
+                mc, stderr = monte_carlo_se(cfg, coherence_factor(cfg),
                                             MC_SAMPLES, master_seed=seed)
                 runs[(scheme, k, seed)] = (mc, stderr, max_se_upper_bound(cfg))
     return runs

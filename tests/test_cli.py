@@ -13,6 +13,7 @@ from ris_subarray import (cli, coherence_factor, exhaustive_phase_search,
                           load_config, sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
 from ris_subarray.cli import main
+from ris_subarray.metrics import SMALL_RUN
 from ris_subarray.phases import phase_slopes
 from ris_subarray.sweeps import write_csv
 
@@ -434,13 +435,19 @@ def test_cli_import_leaves_numpy_unloaded():
     (["sweep-q", "--draws", "3", "--out"], "False False"),
     (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], "False False"),
     (["eta"], "False False"),
-    (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], "True True"),
+    (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], "False False"),
+    (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN), "--out"],
+     "False False"),
+    (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN + 1), "--out"],
+     "True True"),
     (["oracle"], "True False"),
-], ids=["sweep-q", "sweep-n", "eta", "sweep-k", "oracle"])
+], ids=["sweep-q", "sweep-n", "eta", "sweep-k", "sweep-k-small-run",
+        "sweep-k-numpy", "oracle"])
 def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
-    # eta and the regional sweeps are float math and load no numpy at all,
-    # nor dataclasses or inspect; oracle searches a numpy grid, and sweep-k
-    # draws its normals, chi-squares and point seeds through numpy.random.
+    # eta, the regional sweeps and sweep-k at up to SMALL_RUN samples per
+    # point are float math and load no numpy at all, nor dataclasses or
+    # inspect; oracle searches a numpy grid, and a longer sweep-k draws its
+    # normals and chi-squares through numpy.random.
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "out.csv")]
     argv = [*argv, "--config", ORACLE_SMALL]

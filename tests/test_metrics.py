@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -10,11 +11,12 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           coherence_factor, config_from_dict,
                           energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
-from ris_subarray.metrics import MC_CHUNK, _gammas, _rate_chunks
+from ris_subarray.metrics import (MC_CHUNK, SMALL_RUN, _gammas, _rate_chunks,
+                                  _small_run_rates)
 
-from helpers import (TX, element_bound, oracle_rates, random_config,
-                     reference_config, se_upper_bound, small_config,
-                     small_raw)
+from helpers import (TX, element_bound, gain_fraction, oracle_rates,
+                     random_config, reference_config, se_upper_bound,
+                     small_config, small_raw)
 
 SEED = 1453
 ORACLE_SMALL = Path(__file__).resolve().parents[1] / "configs" / "oracle_small.json"
@@ -24,12 +26,30 @@ ORACLE_SMALL = Path(__file__).resolve().parents[1] / "configs" / "oracle_small.j
 Z_MAX = 5.0
 P_MIN = 5.7e-7
 FAST_SAMPLES = 200_000
+# The standard-library sampler costs about 7 us per sample, 20 times numpy's.
+SMALL_RUN_SAMPLES = 20_000
 ORACLE_SAMPLES = 4_000
 
 
+def numpy_rates(cfg, eta, num_samples, seed) -> np.ndarray:
+    """The rates of the chunked numpy sampler, which runs above SMALL_RUN."""
+    return np.concatenate(list(_rate_chunks(cfg, eta, num_samples, seed)))
+
+
+def small_run_rates(cfg, eta, num_samples, seed) -> np.ndarray:
+    """The rates of the standard-library sampler, which runs up to SMALL_RUN."""
+    return np.array(_small_run_rates(cfg, eta, num_samples, seed))
+
+
+# Each sampler, its sample count in the oracle checks and its case-id prefix.
+SAMPLERS = [(numpy_rates, FAST_SAMPLES, ""),
+            (small_run_rates, SMALL_RUN_SAMPLES, "small-")]
+
+
 def _oracle_cases():
-    # (config, phases, the oracle's transmit angle and spacing): the library
-    # has no transmit geometry, so its rates must match the oracle's at any.
+    # (config, phases, the oracle's transmit angle and spacing), each run
+    # against both samplers: the library has no transmit geometry, so its
+    # rates must match the oracle's at any.
     cases = []
     for scheme, side in (("subarray", 2), ("element", 1)):
         for k in (0.0, 10.0, math.inf):
@@ -58,7 +78,8 @@ def _oracle_cases():
         phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
         tx = (tx_rng.uniform(0.0, 2.0 * np.pi), tx_rng.uniform(0.1, 1.0))
         cases.append(pytest.param(cfg, phases, tx, id=f"random{i}"))
-    return cases
+    return [pytest.param(*case.values, sampler, samples, id=prefix + case.id)
+            for sampler, samples, prefix in SAMPLERS for case in cases]
 
 
 def _var_of_sample_var(x: np.ndarray) -> float:
@@ -208,11 +229,12 @@ def test_largest_accepted_config_gives_finite_values():
     # either, the config cannot be built.
     snr_cap = 2.0 ** 1000 / (4 * (16 ** 2 + 16 + 1))
     cfg = small_config(P=snr_cap * (1 - 1e-9), d2_over_lambda=1e306)
-    phases = optimal_phases(cfg)
-    assert np.isfinite(phases).all()
-    assert 0.0 <= coherence_factor(cfg) <= 1.0
+    assert np.isfinite(optimal_phases(cfg)).all()
+    eta = coherence_factor(cfg)
+    assert 0.0 <= eta <= 1.0
     assert math.isfinite(max_se_upper_bound(cfg))
-    assert all(map(math.isfinite, monte_carlo_se(cfg, phases, 2000, 1)))
+    for samples in (SMALL_RUN, 2000):       # both samplers
+        assert all(map(math.isfinite, monte_carlo_se(cfg, eta, samples, 1)))
     with pytest.raises(ConfigError, match="largest SNR"):
         cfg.replace(P=snr_cap * (1 + 1e-9))
     with pytest.raises(ConfigError, match="^d2_over_lambda=2e"):
@@ -221,96 +243,126 @@ def test_largest_accepted_config_gives_finite_values():
 
 def test_monte_carlo_reproducible():
     cfg = small_config()
-    pa = optimal_phases(cfg)
-    first = monte_carlo_se(cfg, pa, 64, master_seed=9)
-    second = monte_carlo_se(cfg, pa, 64, master_seed=9)
-    other = monte_carlo_se(cfg, pa, 64, master_seed=10)
-    assert first == second
-    assert first != other
+    eta = coherence_factor(cfg)
+    for samples in (64, SMALL_RUN + 1):     # both samplers
+        first = monte_carlo_se(cfg, eta, samples, master_seed=9)
+        second = monte_carlo_se(cfg, eta, samples, master_seed=9)
+        other = monte_carlo_se(cfg, eta, samples, master_seed=10)
+        assert first == second
+        assert first != other
 
 
 @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 2])
 def test_monte_carlo_uses_every_seed_bit(seed):
-    # Seeds from 2**63 up key Philox as they are, not rounded through float64.
+    # Seeds from 2**63 up key Philox as they are, not rounded through
+    # float64, and seed the standard library's generator with every bit.
     cfg = small_config()
-    pa = optimal_phases(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        low = monte_carlo_se(cfg, pa, 64, master_seed=seed)
-        high = monte_carlo_se(cfg, pa, 64, master_seed=seed + 1)
-    assert low != high
+    eta = coherence_factor(cfg)
+    for samples in (64, SMALL_RUN + 1):     # both samplers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low = monte_carlo_se(cfg, eta, samples, master_seed=seed)
+            high = monte_carlo_se(cfg, eta, samples, master_seed=seed + 1)
+        assert low != high
 
 
 def test_monte_carlo_single_sample():
     cfg = small_config()
-    mean, stderr = monte_carlo_se(cfg, optimal_phases(cfg), 1, master_seed=3)
+    mean, stderr = monte_carlo_se(cfg, coherence_factor(cfg), 1, master_seed=3)
     assert stderr == 0.0
     assert mean > 0.0
     with pytest.raises(ValueError):
-        monte_carlo_se(cfg, optimal_phases(cfg), 0, master_seed=3)
-
-
-def test_monte_carlo_rejects_wrong_phase_count():
-    cfg = small_config()
-    with pytest.raises(ValueError, match="phase"):
-        monte_carlo_se(cfg, np.zeros(cfg.Q + 1), 8, master_seed=3)
+        monte_carlo_se(cfg, coherence_factor(cfg), 0, master_seed=3)
 
 
 def test_monte_carlo_reproducible_across_chunk_boundary():
     cfg = small_config()
-    pa = optimal_phases(cfg)
+    eta = coherence_factor(cfg)
     n = MC_CHUNK + 100
-    assert monte_carlo_se(cfg, pa, n, 5) == monte_carlo_se(cfg, pa, n, 5)
-    chunks = list(_rate_chunks(cfg, pa, n, 5))
+    assert monte_carlo_se(cfg, eta, n, 5) == monte_carlo_se(cfg, eta, n, 5)
+    chunks = list(_rate_chunks(cfg, eta, n, 5))
     assert [c.size for c in chunks] == [MC_CHUNK, 100]
     # a full chunk does not depend on how many samples follow it
     np.testing.assert_array_equal(
-        chunks[0], next(_rate_chunks(cfg, pa, MC_CHUNK, 5)))
+        chunks[0], next(_rate_chunks(cfg, eta, MC_CHUNK, 5)))
     # the chunk-merged moments equal the moments of all rates at once
     rates = np.concatenate(chunks)
-    mean, stderr = monte_carlo_se(cfg, pa, n, 5)
+    mean, stderr = monte_carlo_se(cfg, eta, n, 5)
     assert mean == pytest.approx(np.mean(rates), rel=1e-12)
     assert stderr == pytest.approx(np.std(rates, ddof=1) / math.sqrt(n),
                                    rel=1e-9)
 
 
-@pytest.mark.parametrize("cfg, phases, tx", _oracle_cases())
-def test_sampler_matches_per_element_oracle(cfg, phases, tx):
-    # Same law of the rate as full N-by-M draws: mean, variance (with the
-    # kurtosis-aware standard error of a sample variance) and the whole
-    # distribution (two-sample KS). Distinct seeds keep the samples
-    # independent of each other.
-    fast = np.concatenate(list(_rate_chunks(cfg, phases, FAST_SAMPLES, SEED)))
-    slow = oracle_rates(cfg, phases, ORACLE_SAMPLES, SEED + 1, tx)
-    z_mean = (np.mean(fast) - np.mean(slow)) / math.sqrt(
-        np.var(fast, ddof=1) / fast.size + np.var(slow, ddof=1) / slow.size)
-    z_var = (np.var(fast, ddof=1) - np.var(slow, ddof=1)) / math.sqrt(
-        _var_of_sample_var(fast) + _var_of_sample_var(slow))
+def _assert_same_law(a: np.ndarray, b: np.ndarray) -> None:
+    """Two independent samples of one law: equal mean, equal variance (with
+    the kurtosis-aware standard error of a sample variance) and the whole
+    distribution (two-sample KS), each checked at Z_MAX / P_MIN."""
+    z_mean = (np.mean(a) - np.mean(b)) / math.sqrt(
+        np.var(a, ddof=1) / a.size + np.var(b, ddof=1) / b.size)
+    z_var = (np.var(a, ddof=1) - np.var(b, ddof=1)) / math.sqrt(
+        _var_of_sample_var(a) + _var_of_sample_var(b))
     assert abs(z_mean) < Z_MAX
     assert abs(z_var) < Z_MAX
-    assert stats.ks_2samp(fast, slow).pvalue > P_MIN
+    assert stats.ks_2samp(a, b).pvalue > P_MIN
+
+
+@functools.cache
+def _oracle_sample(cfg, phases: tuple, tx) -> np.ndarray:
+    """The per-element oracle's rates of one case, drawn once for both
+    samplers: the draw is most of the check's time."""
+    return oracle_rates(cfg, np.array(phases), ORACLE_SAMPLES, SEED + 1, tx)
+
+
+@pytest.mark.parametrize("cfg, phases, tx, sampler, samples", _oracle_cases())
+def test_sampler_matches_per_element_oracle(cfg, phases, tx, sampler, samples):
+    # Same law of the rate as full N-by-M draws. The sampler sees the
+    # phases only through their gain fraction. Distinct seeds keep the
+    # samples independent of each other.
+    fast = sampler(cfg, gain_fraction(cfg, phases), samples, SEED)
+    _assert_same_law(fast, _oracle_sample(cfg, tuple(phases), tx))
+
+
+def _sampler_pair_cases():
+    cases = [pytest.param(small_config(Nx=1, Ny=1, Lx=1, Ly=1), 1.0, id="N1"),
+             pytest.param(small_config(K1=math.inf, K2=math.inf), 0.3, id="Kinf"),
+             pytest.param(small_config(K1=0.0, K2=0.0), 0.3, id="K0")]
+    rng = np.random.default_rng(SEED + 6)
+    for i in range(6):
+        cfg = random_config(rng, max_m=8)
+        eta = gain_fraction(cfg, rng.uniform(0, 2 * np.pi, size=cfg.Q))
+        cases.append(pytest.param(cfg, eta, id=f"random{i}"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg, eta", _sampler_pair_cases())
+def test_small_run_sampler_matches_the_numpy_sampler(cfg, eta):
+    # The two samplers draw one law from independent generators, so the
+    # check holds at any seed with the power of 2e4 against 2e5 samples.
+    _assert_same_law(small_run_rates(cfg, eta, SMALL_RUN_SAMPLES, SEED),
+                     numpy_rates(cfg, eta, FAST_SAMPLES, SEED + 1))
 
 
 def test_monte_carlo_respects_jensen_bound():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(5):
         cfg = random_config(rng, max_m=8)
-        pa = optimal_phases(cfg)
-        mean, stderr = monte_carlo_se(cfg, pa, 2000, master_seed=17)
-        assert mean <= se_upper_bound(cfg, pa) + 3 * stderr
+        mean, stderr = monte_carlo_se(cfg, coherence_factor(cfg), 2000,
+                                      master_seed=17)
+        assert mean <= se_upper_bound(cfg, optimal_phases(cfg)) + 3 * stderr
 
 
 def test_pure_scatter_rate_ignores_phases():
     # With no LoS on either hop the rate distribution cannot depend on the
-    # phase assignment; the two estimates share draws, so they must agree
-    # well inside the combined error.
+    # phase assignment: the law's parameters are those of any gain
+    # fraction, so the same seed gives the same estimate.
     cfg = small_config(M=4, Nx=4, Ny=4, Lx=2, Ly=2, K1=0.0, K2=0.0)
     rng = np.random.default_rng(SEED + 3)
-    pa1 = rng.uniform(0, 2 * np.pi, size=cfg.Q)
-    pa2 = rng.uniform(0, 2 * np.pi, size=cfg.Q)
-    m1, s1 = monte_carlo_se(cfg, pa1, 100_000, master_seed=77)
-    m2, s2 = monte_carlo_se(cfg, pa2, 100_000, master_seed=77)
-    assert abs(m1 - m2) < 3 * math.hypot(s1, s2)
+    eta1, eta2 = (gain_fraction(cfg, rng.uniform(0, 2 * np.pi, size=cfg.Q))
+                  for _ in range(2))
+    assert eta1 != eta2
+    for samples in (SMALL_RUN, SMALL_RUN + 1):     # both samplers
+        assert (monte_carlo_se(cfg, eta1, samples, master_seed=77)
+                == monte_carlo_se(cfg, eta2, samples, master_seed=77))
 
 
 def test_ris_power_reference_values():

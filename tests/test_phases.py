@@ -217,6 +217,13 @@ def test_effective_cascade_dimension_errors():
         effective_cascade(cfg, np.zeros(cfg.Q + 1), real.h2, real.H1)
 
 
+def test_los_cascade_gain_rejects_wrong_phase_count():
+    cfg = small_config()
+    for phases in (np.zeros(cfg.Q + 1), np.zeros(cfg.Q - 1), np.zeros((cfg.Q, 1))):
+        with pytest.raises(ValueError, match=r"^phases must have shape \(4,\)"):
+            los_cascade_gain(cfg, phases)
+
+
 def test_bound_at_optimum_matches_closed_form():
     rng = np.random.default_rng(SEED + 8)
     for _ in range(100):

@@ -34,7 +34,8 @@ GOLDEN = json.loads((ROOT / "bench" / "reference.json").read_text())["regional"]
 # How the shared integer check words each kind of run argument.
 SEED_RULE = r"an integer in \[0, 18446744073709551615\]"
 RULES = {"seed": SEED_RULE, "master_seed": SEED_RULE,
-         "grid_levels": r"an integer in \[1, 32\]", "l0_set": "an integer >= 2"}
+         "grid_levels": r"an integer in \[1, 32\]", "l0_set": "an integer >= 2",
+         "eta": "finite and >= 0 and <= 1"}
 
 
 def rule(name: str) -> str:
@@ -160,6 +161,15 @@ def test_point_seed_deterministic_and_distinct():
     seeds = {point_seed(5, i) for i in range(100)}
     assert len(seeds) == 100
     assert point_seed(6, 0) != point_seed(5, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+def test_point_seed_is_the_first_word_of_numpys_philox(seed):
+    # key=[seed, index], so the seeds of a sweep's points need no numpy
+    for index in (0, 1, 2, 15, 16, 1000, 2 ** 32, 2 ** 64 - 1):
+        key = np.array([seed, index], dtype=np.uint64)
+        assert point_seed(seed, index) == int(
+            np.random.Philox(key=key).random_raw()), index
 
 
 def test_draw_angle_tuples():
@@ -384,7 +394,7 @@ def test_sweep_rejects_an_empty_or_repeating_grid(monkeypatch, sweep, bad,
 
 
 GOOD_RUN_ARGUMENTS = {
-    monte_carlo_se: {"cfg": small_config(), "phases": np.zeros(4),
+    monte_carlo_se: {"cfg": small_config(), "eta": 0.5,
                      "num_samples": 8, "master_seed": 0},
     draw_angle_tuples: {"seed": 0, "count": 4},
     exhaustive_phase_search: {"cfg": small_config(), "grid_levels": 4},
@@ -392,6 +402,10 @@ GOOD_RUN_ARGUMENTS = {
 
 
 @pytest.mark.parametrize("fn, name, value", [
+    (monte_carlo_se, "eta", 1.5),
+    (monte_carlo_se, "eta", -0.1),
+    (monte_carlo_se, "eta", math.nan),
+    (monte_carlo_se, "eta", True),
     (monte_carlo_se, "num_samples", 2.5),
     (monte_carlo_se, "num_samples", True),
     (monte_carlo_se, "num_samples", np.float64(8.0)),
