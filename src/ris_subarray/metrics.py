@@ -12,8 +12,8 @@ is Rayleigh. Scatter entries are CN(0, 1). A hop with Rician factor K is
 w_los * (LoS component) + w_sc * (scatter), where (w_los^2, w_sc^2) is
 rician_split(K). The bounds and the Monte Carlo sampler reduce the LoS
 components to closed forms, and the matrices themselves are built by the
-per-element oracle in the tests. Only the Monte Carlo code of runs longer
-than SMALL_RUN samples imports numpy.
+per-element oracle in the tests. Only Monte Carlo runs longer than SMALL_RUN
+samples import numpy; a shorter one draws from random.Random.random() alone.
 """
 
 from __future__ import annotations
@@ -128,32 +128,53 @@ def _rate_chunks(cfg: SystemConfig, eta: float, num_samples: int,
         yield np.log1p(snr * v_sq) / _LN2
 
 
+def _gamma_draw(uniform, shape: int):
+    """A function that draws Gamma(shape, 1), for an integer shape >= 0, from
+    the uniforms on [0, 1) that uniform() returns: Marsaglia and Tsang's
+    method with its squeeze (ACM TOMS 26(3), 2000), each normal by
+    Box-Muller on two uniforms. Gamma(0) is exactly 0 and draws nothing."""
+    if shape == 0:
+        return lambda: 0.0
+    d, log, sqrt, cos, tau = shape - 1.0 / 3.0, math.log, math.sqrt, math.cos, math.tau
+    c = 1.0 / sqrt(9.0 * d)
+    def draw() -> float:
+        while True:
+            x = sqrt(-2.0 * log(1.0 - uniform())) * cos(tau * uniform())
+            if (v := 1.0 + c * x) > 0.0:
+                v, u, x = v * v * v, 1.0 - uniform(), x * x
+                if u < 1.0 - 0.0331 * x * x or log(u) < 0.5 * x + d * (1.0 - v + log(v)):
+                    return d * v
+    return draw
+
+
 def _small_run_rates(cfg: SystemConfig, eta: float, num_samples: int,
                      master_seed: int) -> list[float]:
-    """The rates of _rate_chunks' law, drawn by the standard library's
-    random.Random(master_seed), which needs no numpy.
+    """The rates of _rate_chunks' law, drawn with no numpy from
+    random.Random(master_seed).random() alone, the one method whose stream
+    Python keeps across versions.
 
-    A scaled noncentral chi-square s * chi'^2(k, lam) is drawn as
-    (sqrt(s) * Z + sqrt(s * lam))^2 + 2 * s * Gamma((k - 1) / 2, 1): one
-    normal coordinate carries the whole mean, the other k - 1 are central.
+    A scaled noncentral chi-square (var / 2) * chi'^2(2k, 2 * mu^2 / var) is
+    |mu + CN(0, var)|^2 + var * Gamma(k - 1): one complex coordinate carries
+    the whole mean, the other k - 1 are central. The first term takes two
+    uniforms, -var * ln(1 - U) for the squared modulus r^2 and 2 * pi * U'
+    for the phase, and sums (mu + r * c)^2 + r^2 * (1 - c^2) with c its
+    cosine: the expanded mu^2 + 2 * mu * r * c + r^2 can round below zero.
     """
     import random               # loaded by a small run, as numpy by a long one
     alpha0, w2_sc_sq, perp, w1_sc_sq, los_gain, snr = _rate_law(cfg, eta)
-    rng = random.Random(master_seed)
-    gauss, gamma, log1p, sqrt = rng.gauss, rng.gammavariate, math.log1p, math.sqrt
-    sd, root_perp, n, m = sqrt(0.5 * w2_sc_sq), sqrt(perp), cfg.N, cfg.M
-    rates = []
+    uniform = random.Random(master_seed).random
+    log, log1p, sqrt, cos, tau = math.log, math.log1p, math.sqrt, math.cos, math.tau
+    def shifted(mu: float, var: float) -> float:    # |mu + CN(0, var)|^2
+        e, c = -var * log(1.0 - uniform()), cos(tau * uniform())
+        return (mu + sqrt(e) * c) ** 2 + e * (1.0 - c * c)
+    rest, v_rest = _gamma_draw(uniform, max(cfg.N - 2, 0)), _gamma_draw(uniform, cfg.M - 1)
+    root_perp, n, rates = sqrt(perp), cfg.N, []
     for _ in range(num_samples):
-        alpha_sq = gauss(alpha0, sd) ** 2 + gauss(0.0, sd) ** 2
-        if n == 1:              # as in _rate_chunks
-            h2_sq = alpha_sq
-        elif w2_sc_sq == 0.0:
-            h2_sq = alpha_sq + perp
-        else:
-            h2_sq = alpha_sq + gauss(root_perp, sd) ** 2 + gamma(n - 1.5, w2_sc_sq)
+        alpha_sq = h2_sq = shifted(alpha0, w2_sc_sq)
+        if n > 1:               # as in _rate_chunks
+            h2_sq += shifted(root_perp, w2_sc_sq) + w2_sc_sq * rest()
         sigma2 = w1_sc_sq * h2_sq + 1.0
-        v_sq = (gauss(sqrt(0.5 * los_gain * alpha_sq), sqrt(0.5 * sigma2)) ** 2
-                + gamma(m - 0.5, sigma2))
+        v_sq = shifted(sqrt(0.5 * los_gain * alpha_sq), sigma2) + sigma2 * v_rest()
         rates.append(log1p(snr * v_sq) / _LN2)
     return rates
 

@@ -204,6 +204,27 @@ def test_sweep_k_seed_determinism(tmp_path):
     assert paths[0].read_bytes() != paths[2].read_bytes()
 
 
+# The CSV of `sweep-k --config configs/oracle_small.json --k-grid 0,10
+# --samples 64 --seed 7`, recorded once. At up to SMALL_RUN samples per point
+# every variate comes from Random.random(), whose stream Python keeps across
+# versions, so these bytes must hold on every supported Python.
+SWEEP_K_SMALL_RUN_GOLDEN = """\
+scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee
+element,K,0,9.20282229055,0.105813373905,9.41151098801,
+element,K,10,13.0455308876,0.024696724453,13.0726157051,
+subarray,K,0,9.23208445966,0.114684348755,9.41151098801,
+subarray,K,10,10.7856252663,0.0599266768751,10.7815381203,
+"""
+
+
+def test_sweep_k_small_run_matches_golden(tmp_path):
+    out = tmp_path / "k.csv"
+    rc = main(["sweep-k", "--config", ORACLE_SMALL, "--k-grid", "0,10",
+               "--samples", "64", "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == SWEEP_K_SMALL_RUN_GOLDEN.encode()
+
+
 def test_sweep_q_quick(tmp_path, capsys):
     cfg_path = write_small(tmp_path)
     rc = main(["sweep-q", "--config", cfg_path, "--draws", "3",

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import warnings
 from pathlib import Path
 
@@ -11,8 +12,8 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           coherence_factor, config_from_dict,
                           energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
-from ris_subarray.metrics import (MC_CHUNK, SMALL_RUN, _gammas, _rate_chunks,
-                                  _small_run_rates)
+from ris_subarray.metrics import (MC_CHUNK, SMALL_RUN, _gamma_draw, _gammas,
+                                  _rate_chunks, _small_run_rates)
 
 from helpers import (TX, element_bound, gain_fraction, oracle_rates,
                      random_config, reference_config, se_upper_bound,
@@ -26,7 +27,7 @@ ORACLE_SMALL = Path(__file__).resolve().parents[1] / "configs" / "oracle_small.j
 Z_MAX = 5.0
 P_MIN = 5.7e-7
 FAST_SAMPLES = 200_000
-# The standard-library sampler costs about 7 us per sample, 20 times numpy's.
+# The standard-library sampler costs about 3 us per sample, 15 times numpy's.
 SMALL_RUN_SAMPLES = 20_000
 ORACLE_SAMPLES = 4_000
 
@@ -323,7 +324,11 @@ def test_sampler_matches_per_element_oracle(cfg, phases, tx, sampler, samples):
 
 
 def _sampler_pair_cases():
+    # N = 2 and M = 1 are where the standard-library sampler's central
+    # parts are Gamma(0), exactly 0
     cases = [pytest.param(small_config(Nx=1, Ny=1, Lx=1, Ly=1), 1.0, id="N1"),
+             pytest.param(small_config(Nx=2, Ny=1, Lx=1, Ly=1), 0.3, id="N2"),
+             pytest.param(small_config(M=1), 0.3, id="M1"),
              pytest.param(small_config(K1=math.inf, K2=math.inf), 0.3, id="Kinf"),
              pytest.param(small_config(K1=0.0, K2=0.0), 0.3, id="K0")]
     rng = np.random.default_rng(SEED + 6)
@@ -340,6 +345,46 @@ def test_small_run_sampler_matches_the_numpy_sampler(cfg, eta):
     # check holds at any seed with the power of 2e4 against 2e5 samples.
     _assert_same_law(small_run_rates(cfg, eta, SMALL_RUN_SAMPLES, SEED),
                      numpy_rates(cfg, eta, FAST_SAMPLES, SEED + 1))
+
+
+# Integer shapes of the standard-library sampler's central parts, N - 2 and
+# M - 1, from the smallest nonzero one up past M = 64 and N = 1024.
+@pytest.mark.parametrize("shape", [1, 2, 3, 15, 63, 1023])
+def test_gamma_draw_matches_scipy(shape):
+    draw = _gamma_draw(random.Random(SEED + shape).random, shape)
+    x = np.array([draw() for _ in range(SMALL_RUN_SAMPLES)])
+    # Gamma(k, 1) has mean and variance k, and central fourth moment
+    # 3k^2 + 6k, so the sample variance has variance (2k^2 + 6k) / n
+    z_mean = (np.mean(x) - shape) / math.sqrt(shape / x.size)
+    z_var = (np.var(x, ddof=1) - shape) / math.sqrt(
+        (2 * shape ** 2 + 6 * shape) / x.size)
+    assert abs(z_mean) < Z_MAX
+    assert abs(z_var) < Z_MAX
+    assert stats.kstest(x, stats.gamma(shape).cdf).pvalue > P_MIN
+
+
+def test_gamma_draw_of_shape_zero_is_zero_and_draws_nothing():
+    def no_uniform():
+        raise AssertionError("Gamma(0) drew a uniform")
+    assert repr(_gamma_draw(no_uniform, 0)()) == "0.0"
+
+
+def test_small_run_sampler_uses_only_random(monkeypatch):
+    # Python keeps only Random.random()'s stream across versions, so the
+    # standard-library sampler must call no other method of its generator.
+    cfg = small_config()
+    eta = coherence_factor(cfg)
+    expected = monte_carlo_se(cfg, eta, SMALL_RUN, SEED)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sampler called a method other than random()")
+    for name in dir(random.Random):
+        if (not name.startswith("_") and name not in ("random", "seed")
+                and callable(getattr(random.Random, name))):
+            monkeypatch.setattr(random.Random, name, forbidden)
+    for name in ("gauss", "gammavariate", "normalvariate", "expovariate"):
+        assert getattr(random.Random, name) is forbidden
+    assert monte_carlo_se(cfg, eta, SMALL_RUN, SEED) == expected
 
 
 def test_monte_carlo_respects_jensen_bound():
