@@ -6,6 +6,9 @@ diagnostic on stderr. Each takes only the flags it uses: the sweeps add
 --seed and --out, and write the fixed CSV schema to --out, or to stdout
 when --out is omitted. They also accept --workers, which is checked and
 then ignored: every sweep runs in the calling process.
+
+The ris-subarray script runs entry(), which skips the interpreter's
+teardown; python -m ris_subarray.cli runs main() and exits normally.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from functools import partial
 
@@ -143,6 +147,8 @@ def _dispatch(args, cfg: SystemConfig) -> int:
         return 0
 
     if args.command in SWEEPS:
+        if args.out is None and sys.stdout is None:
+            raise OSError("standard output is closed: name a CSV file with --out")
         from . import sweeps
         run = {key: value for key, value in vars(args).items()
                if key not in ("command", "config", "overrides", "out", "workers")}
@@ -174,16 +180,26 @@ def _dispatch(args, cfg: SystemConfig) -> int:
 
 
 def entry() -> None:
-    # The console script is one short run: what it allocates lives until the
-    # process ends, so the cyclic collector has nothing to free. Off during
-    # the run, and with every object frozen before the collection at exit,
-    # it no longer walks numpy's modules. main() leaves the collector alone,
-    # because tests and the benchmark's traced runs call it in-process.
+    """The console script: main() with the cyclic collector off, then its
+    output flushed and os._exit, with no interpreter teardown and no atexit
+    handlers. Nothing a run allocates needs freeing before the process ends.
+    A failed flush, such as into a closed pipe, is one error line and exit
+    code 1. main() leaves the collector and the exit alone, because tests
+    and the benchmark's traced runs call it in-process."""
     gc.disable()
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:      # None: closed when the process started
+                stream.flush()
+    except OSError as exc:
+        code = 1
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass                        # stderr is gone too: the code tells
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -7,7 +7,6 @@ emitted rows, so the CSV output is byte-identical for a fixed (config, seed).
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from array import array
@@ -230,11 +229,14 @@ def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
 
 def write_csv(rows: list[SweepResult], fh) -> None:
     """Write rows (sorted by scheme, then value) in the fixed CSV schema."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SweepResult._fields)
-    writer.writerows(map(_fmt, r) for r in _sorted_rows(rows))
+    fh.write("".join(",".join(map(_fmt, r)) + "\n"
+                     for r in [SweepResult._fields, *_sorted_rows(rows)]))
 
 
 def _fmt(value) -> str:
+    # The sweeps' own labels never need quoting; a caller's label that does
+    # is quoted as RFC 4180 asks.
+    if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
     return ("" if value is None else value if isinstance(value, str)
             else format(value, ".12g"))

@@ -150,6 +150,14 @@ def test_flag_a_command_does_not_use_is_rejected(capsys, argv):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+def test_sweep_to_a_closed_stdout_is_an_error(monkeypatch, capsys):
+    # `ris-subarray sweep-q --config ... >&-` starts with sys.stdout None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["sweep-q", "--config", ORACLE_SMALL, "--draws", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: standard output is closed: name a CSV file with --out\n")
+
+
 def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nonexistent/cfg.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -368,13 +376,16 @@ def test_negative_zero_k_is_k_zero(tmp_path):
     assert ",-0," not in paths[0].read_text()
 
 
-def fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """code run on argv in a new interpreter that sees src/ and tests/."""
+def fresh_process(code: str, *argv: str, stdout=subprocess.PIPE,
+                  **env) -> subprocess.CompletedProcess:
+    """code run on argv in a new interpreter that sees src/ and tests/, with
+    the variables in env set, or unset where None."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
                                          os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, cwd=ROOT,
-                          env={**os.environ, "PYTHONPATH": path})
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, cwd=ROOT,
+                          env={k: v for k, v in env.items() if v is not None})
 
 
 def fresh_python(code: str) -> str:
@@ -405,18 +416,44 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path):
 
 
 def test_console_entry_writes_the_csv_main_writes(tmp_path):
-    # entry() runs main() with the collector off and frozen at exit; the
-    # bytes must not change.
+    # entry() runs main() with the collector off and ends the process without
+    # the interpreter's teardown, so only its own flush gets buffered output
+    # out: the pipe is block-buffered with PYTHONUNBUFFERED unset.
     argv = ["sweep-k", "--config", ORACLE_SMALL, "--k-grid", "0,10",
-            "--samples", "64", "--out"]
-    watch = ("import atexit, gc; atexit.register(lambda: print("
-             "gc.isenabled(), gc.get_freeze_count() > 0)); ")
-    proc = fresh_process(watch + ENTRY, *argv, str(tmp_path / "entry.csv"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False True"
-    assert main([*argv, str(tmp_path / "main.csv")]) == 0
-    assert ((tmp_path / "entry.csv").read_bytes()
-            == (tmp_path / "main.csv").read_bytes())
+            "--samples", "64"]
+    entry_csv, main_csv = tmp_path / "entry.csv", tmp_path / "main.csv"
+    to_file = fresh_process(ENTRY, *argv, "--out", str(entry_csv),
+                            PYTHONUNBUFFERED=None)
+    to_stdout = fresh_process(ENTRY, *argv, PYTHONUNBUFFERED=None)
+    code = main([*argv, "--out", str(main_csv)])
+    assert to_file.returncode == to_stdout.returncode == code == 0, (
+        to_file.stderr + to_stdout.stderr)
+    assert to_file.stdout == f"wrote 4 rows to {entry_csv}\n"
+    assert entry_csv.read_bytes() == main_csv.read_bytes()
+    assert to_stdout.stdout.encode() == main_csv.read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None],
+                         ids=["PYTHONUNBUFFERED", "buffered"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["csv", "report"])
+def test_console_entry_into_a_closed_pipe_is_one_error_line(tmp_path, unbuffered,
+                                                            to_file):
+    # `ris-subarray sweep-q ... | true` with the reader gone: the write fails
+    # in main() when unbuffered, and entry()'s flush fails when buffered.
+    # Either way one error line and exit 1, no traceback, and nothing from
+    # the interpreter's teardown.
+    out = ["--out", str(tmp_path / "q.csv")] if to_file else []
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = fresh_process(ENTRY, "sweep-q", "--config", ORACLE_SMALL,
+                             "--draws", "3", *out, stdout=write,
+                             PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, (
+        proc.stderr)
 
 
 def test_cli_import_leaves_process_pool_unloaded():
@@ -443,49 +480,56 @@ def test_workers_flag_is_ignored(tmp_path):
 
 
 # Loaded by numpy, and by nothing that the numpy-free commands need: the
-# config records are not dataclasses, whose import pulls in inspect.
-HEAVY = "('numpy', 'dataclasses', 'inspect')"
+# config records are not dataclasses, whose import pulls in inspect, and
+# write_csv joins its fields without the csv module.
+HEAVY = "('numpy', 'dataclasses', 'inspect', 'csv')"
+# The Monte Carlo sampler, which only sweep-k runs.
+SAMPLER = "'ris_subarray.sampler' in sys.modules"
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    code = f"import sys, ris_subarray.cli; print(*(m in sys.modules for m in {HEAVY}))"
-    assert fresh_python(code) == "False False False"
+    code = (f"import sys, ris_subarray.cli; print({SAMPLER}, "
+            f"*(m in sys.modules for m in {HEAVY}))")
+    assert fresh_python(code) == "False False False False False"
 
 
+# (argv, whether numpy, numpy.random and the sampler are loaded)
 @pytest.mark.parametrize("argv, loaded", [
-    (["sweep-q", "--draws", "3", "--out"], "False False"),
-    (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], "False False"),
-    (["eta"], "False False"),
-    (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], "False False"),
+    (["sweep-q", "--draws", "3", "--out"], "False False False"),
+    (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], "False False False"),
+    (["eta"], "False False False"),
+    (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], "False False True"),
     (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN), "--out"],
-     "False False"),
+     "False False True"),
     (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN + 1), "--out"],
-     "True True"),
-    (["oracle"], "True False"),
+     "True True True"),
+    (["oracle"], "True False False"),
 ], ids=["sweep-q", "sweep-n", "eta", "sweep-k", "sweep-k-small-run",
         "sweep-k-numpy", "oracle"])
 def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
     # eta, the regional sweeps and sweep-k at up to SMALL_RUN samples per
-    # point are float math and load no numpy at all, nor dataclasses or
-    # inspect; oracle searches a numpy grid, and a longer sweep-k draws its
-    # normals and chi-squares through numpy.random.
+    # point are float math and load no numpy at all, nor dataclasses,
+    # inspect or csv; oracle searches a numpy grid, and a longer sweep-k
+    # draws its normals and chi-squares through numpy.random. Only sweep-k
+    # compiles the Monte Carlo sampler.
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "out.csv")]
     argv = [*argv, "--config", ORACLE_SMALL]
     code = (f"import sys; from ris_subarray.cli import main; rc = main({argv!r}); "
-            "print(rc, 'numpy.random' in sys.modules, "
+            f"print(rc, 'numpy.random' in sys.modules, {SAMPLER}, "
             f"*(m in sys.modules for m in {HEAVY}))")
-    rc, numpy_random, numpy, *others = fresh_python(code).splitlines()[-1].split()
-    assert f"{rc} {numpy} {numpy_random}" == f"0 {loaded}"
+    rc, numpy_random, sampler, numpy, *others = (
+        fresh_python(code).splitlines()[-1].split())
+    assert f"{rc} {numpy} {numpy_random} {sampler}" == f"0 {loaded}"
     if numpy == "False":    # numpy imports inspect itself
-        assert others == ["False", "False"]
+        assert others == ["False", "False", "False"]
 
 
 def test_validate_runs_without_numpy():
     code = ("import sys; from ris_subarray.cli import main; "
             "rc = main(['validate', '--config', 'configs/default.json']); "
-            f"print(rc, *(m in sys.modules for m in {HEAVY}))")
-    assert fresh_python(code).splitlines()[-1] == "0 False False False"
+            f"print(rc, {SAMPLER}, *(m in sys.modules for m in {HEAVY}))")
+    assert fresh_python(code).splitlines()[-1] == "0 False False False False False"
 
 
 PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",

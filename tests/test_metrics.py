@@ -12,8 +12,9 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           coherence_factor, config_from_dict,
                           energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
-from ris_subarray.metrics import (MC_CHUNK, SMALL_RUN, _gamma_draw, _gammas,
-                                  _rate_chunks, _small_run_rates)
+from ris_subarray.metrics import SMALL_RUN, _gammas
+from ris_subarray.sampler import (MC_CHUNK, _gamma_draw, _rate_chunks,
+                                  _small_run_rates)
 
 from helpers import (TX, element_bound, gain_fraction, oracle_rates,
                      random_config, reference_config, se_upper_bound,

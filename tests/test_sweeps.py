@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import warnings
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_subarray import (Angles, ConfigError, draw_angle_tuples,
+from ris_subarray import (Angles, ConfigError, SweepResult, draw_angle_tuples,
                           energy_efficiency, exhaustive_phase_search,
                           load_config, los_cascade_gain, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, sweep_rician_factor,
@@ -451,6 +453,19 @@ def test_csv_format():
     assert first[0] == "element"
     assert first[6] == ""  # no EE in the Rician sweep
     float(first[3]), float(first[5])  # numeric fields parse
+
+
+def test_csv_label_that_needs_quoting_reads_back():
+    # write_csv joins fields itself; a caller's label with a delimiter, a
+    # quote or a line break is quoted, and a CSV reader gets it back.
+    labels = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", "plain"]
+    rows = [SweepResult(label, "K", 1.0, None, None, 2.5, None)
+            for label in labels]
+    buf = io.StringIO()
+    sweeps.write_csv(rows, buf)
+    assert list(csv.reader(io.StringIO(buf.getvalue(), newline=""))) == (
+        [HEADER.split(",")]
+        + [[label, "K", "1", "", "", "2.5", ""] for label in sorted(labels)])
 
 
 def test_csv_rows_sorted():
