@@ -150,12 +150,93 @@ def test_flag_a_command_does_not_use_is_rejected(capsys, argv):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
-def test_sweep_to_a_closed_stdout_is_an_error(monkeypatch, capsys):
-    # `ris-subarray sweep-q --config ... >&-` starts with sys.stdout None
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["eta"], ["oracle"], ["sweep-q", "--draws", "2"],
+    ["sweep-q", "--draws", "2", "--out"], ["sweep-n", "--draws", "2", "--out"],
+    ["sweep-k", "--samples", "8", "--out"],
+], ids=" ".join)
+def test_closed_stdout_is_an_error(tmp_path, monkeypatch, capsys, argv):
+    # `ris-subarray eta --config ... >&-` starts with sys.stdout None. Every
+    # command reports there, a sweep with --out its `wrote N rows` line, so
+    # each stops before the config is read and no CSV is written.
     monkeypatch.setattr(sys, "stdout", None)
-    assert main(["sweep-q", "--config", ORACLE_SMALL, "--draws", "2"]) == 1
-    assert capsys.readouterr().err == (
-        "error: standard output is closed: name a CSV file with --out\n")
+    monkeypatch.setattr(cli, "load_config", lambda *args: pytest.fail("loaded"))
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "out.csv")]
+    assert main([*argv, "--config", ORACLE_SMALL]) == 1
+    assert capsys.readouterr().err == "error: standard output is closed\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+# A valid value of every flag in cli.COMMANDS.
+FLAG_VALUES = {"--config": ORACLE_SMALL, "--set": "M=8", "--seed": "5",
+               "--out": "out.csv", "--workers": "2", "--k-grid": "0,10",
+               "--samples": "8", "--draws": "3", "--l0-grid": "1,2",
+               "--n-grid": "16,64", "--l0-set": "2", "--levels": "8"}
+FLAGS = [(command, flag) for command, (_, flags) in cli.COMMANDS.items()
+         for flag in flags]
+
+
+@pytest.mark.parametrize("command, flag", FLAGS, ids=" ".join)
+def test_flag_equals_value_is_flag_then_value(monkeypatch, command, flag):
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args, cfg: seen.append(
+        (vars(args), cfg)) or 0)
+    value = FLAG_VALUES[flag]
+    rest = [] if flag == "--config" else ["--config", DEFAULT]
+    assert main([command, *rest, f"{flag}={value}"]) == 0
+    assert main([command, *rest, flag, value]) == 0
+    assert seen[0] == seen[1]
+    assert cli.COMMANDS[command][1][flag][0] in seen[0][0]    # the flag's dest
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], *([command, "-h"] for command in cli.COMMANDS),
+    ["sweep-k", "--config", "CFG", "--samples", "8", "--help"],
+], ids=" ".join)
+def test_help_lists_every_command_and_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([DEFAULT if arg == "CFG" else arg for arg in argv])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    sections = {section.split("\n")[0]: section.split("\n")[1:]
+                for section in out.rstrip("\n").split("\n\n")}
+    for command, (about, flags) in cli.COMMANDS.items():
+        lines = sections[f"{command}: {about}"]
+        assert len(lines) == len(flags)
+        for line, (flag, (_, _, text)) in zip(lines, flags.items()):
+            assert line.split(None, 1) == [flag, text]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: COMMAND"),
+    (["sweep-z", "--config", "CFG"], "argument COMMAND: invalid choice: 'sweep-z'"),
+    (["validate"], "the following arguments are required: --config"),
+    (["validate", "--set", "M=8"], "the following arguments are required: --config"),
+    (["sweep-q", "--config", "CFG", "--draws"],
+     "argument --draws: expected one argument"),
+    (["validate", "--config"], "argument --config: expected one argument"),
+    # a flag is spelled in full: no prefix of it is accepted
+    (["sweep-k", "--config", "CFG", "--samp", "5"], "unrecognized arguments: --samp 5"),
+    (["sweep-k", "--config", "CFG", "--samp=5"], "unrecognized arguments: --samp=5"),
+    # a flag given twice is never the last one wins; only --set repeats
+    (["sweep-k", "--config", "CFG", "--samples", "5", "--samples", "6"],
+     "argument --samples: given twice"),
+    (["sweep-q", "--config", "CFG", "--seed=1", "--seed", "1"],
+     "argument --seed: given twice"),
+    (["validate", "--config", "CFG", "--config", "CFG"],
+     "argument --config: given twice"),
+    (["validate", "--config", "CFG", "--set=P=pi"],
+     "argument --set: VALUE of 'P=pi' is not JSON"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_usage_error_exits_2(capsys, argv, message):
+    # CFG is a config file that exists
+    with pytest.raises(SystemExit) as exc:
+        main([DEFAULT if arg == "CFG" else arg for arg in argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 def test_missing_config_file(capsys):
@@ -456,6 +537,21 @@ def test_console_entry_into_a_closed_pipe_is_one_error_line(tmp_path, unbuffered
         proc.stderr)
 
 
+@pytest.mark.parametrize("argv", [["eta"], ["sweep-q", "--draws", "3", "--out"]],
+                         ids=" ".join)
+def test_console_entry_with_stdout_closed_at_start(tmp_path, argv):
+    # `ris-subarray eta --config ... >&-`: the interpreter starts without
+    # file descriptor 1, so sys.stdout is None. One error line and exit 1.
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "q.csv")]
+    code = ("import os, sys; os.close(1); os.execv(sys.executable, "
+            f"[sys.executable, '-c', {ENTRY!r}, *sys.argv[1:]])")
+    proc = fresh_process(code, *argv, "--config", ORACLE_SMALL)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output is closed\n"
+    assert not (tmp_path / "q.csv").exists()
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     code = ("import sys, ris_subarray.cli; print([m for m in ('multiprocessing',"
             " 'concurrent.futures.process') if m in sys.modules])")
@@ -481,16 +577,22 @@ def test_workers_flag_is_ignored(tmp_path):
 
 # Loaded by numpy, and by nothing that the numpy-free commands need: the
 # config records are not dataclasses, whose import pulls in inspect, and
-# write_csv joins its fields without the csv module.
-HEAVY = "('numpy', 'dataclasses', 'inspect', 'csv')"
+# write_csv joins its fields without the csv module. The last three are
+# argparse and what it loads: no command loads them, numpy or not.
+HEAVY = "('numpy', 'dataclasses', 'inspect', 'csv', 'argparse', 'gettext', 'locale')"
+PARSER = {"argparse", "gettext", "locale"}
+# Run first, so that a module a site hook loaded before the package counts
+# as not loaded by it.
+BEFORE = "import sys; before = set(sys.modules); "
+# The HEAVY modules loaded since BEFORE, comma-separated, or "-".
+LOADED = f"(','.join(m for m in {HEAVY} if m in sys.modules and m not in before) or '-')"
 # The Monte Carlo sampler, which only sweep-k runs.
 SAMPLER = "'ris_subarray.sampler' in sys.modules"
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    code = (f"import sys, ris_subarray.cli; print({SAMPLER}, "
-            f"*(m in sys.modules for m in {HEAVY}))")
-    assert fresh_python(code) == "False False False False False"
+    code = f"{BEFORE}import ris_subarray.cli; print({SAMPLER}, {LOADED})"
+    assert fresh_python(code) == "False -"
 
 
 # (argv, whether numpy, numpy.random and the sampler are loaded)
@@ -511,25 +613,25 @@ def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
     # point are float math and load no numpy at all, nor dataclasses,
     # inspect or csv; oracle searches a numpy grid, and a longer sweep-k
     # draws its normals and chi-squares through numpy.random. Only sweep-k
-    # compiles the Monte Carlo sampler.
+    # compiles the Monte Carlo sampler, and no command loads argparse.
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "out.csv")]
     argv = [*argv, "--config", ORACLE_SMALL]
-    code = (f"import sys; from ris_subarray.cli import main; rc = main({argv!r}); "
-            f"print(rc, 'numpy.random' in sys.modules, {SAMPLER}, "
-            f"*(m in sys.modules for m in {HEAVY}))")
-    rc, numpy_random, sampler, numpy, *others = (
-        fresh_python(code).splitlines()[-1].split())
-    assert f"{rc} {numpy} {numpy_random} {sampler}" == f"0 {loaded}"
-    if numpy == "False":    # numpy imports inspect itself
-        assert others == ["False", "False", "False"]
+    code = (f"{BEFORE}from ris_subarray.cli import main; rc = main({argv!r}); "
+            f"print(rc, 'numpy.random' in sys.modules, {SAMPLER}, {LOADED})")
+    rc, numpy_random, sampler, heavy = fresh_python(code).splitlines()[-1].split()
+    heavy = set(heavy.split(",")) - {"-"}
+    assert f"{rc} {'numpy' in heavy} {numpy_random} {sampler}" == f"0 {loaded}"
+    assert not heavy & PARSER
+    if "numpy" not in heavy:    # numpy imports inspect itself
+        assert heavy == set()
 
 
 def test_validate_runs_without_numpy():
-    code = ("import sys; from ris_subarray.cli import main; "
+    code = (f"{BEFORE}from ris_subarray.cli import main; "
             "rc = main(['validate', '--config', 'configs/default.json']); "
-            f"print(rc, {SAMPLER}, *(m in sys.modules for m in {HEAVY}))")
-    assert fresh_python(code).splitlines()[-1] == "0 False False False False False"
+            f"print(rc, {SAMPLER}, {LOADED})")
+    assert fresh_python(code).splitlines()[-1] == "0 False -"
 
 
 PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",
