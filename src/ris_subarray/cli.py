@@ -125,10 +125,10 @@ def parse_args(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if sys.stdout is None:      # closed at start (`>&-`)
             raise OSError("standard output is closed")
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return _dispatch(args, load_config(args.config, args.overrides))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -153,12 +153,13 @@ def test_flag_a_command_does_not_use_is_rejected(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["validate"], ["eta"], ["oracle"], ["sweep-q", "--draws", "2"],
     ["sweep-q", "--draws", "2", "--out"], ["sweep-n", "--draws", "2", "--out"],
-    ["sweep-k", "--samples", "8", "--out"],
+    ["sweep-k", "--samples", "8", "--out"], ["--help"], ["eta", "-h"],
 ], ids=" ".join)
 def test_closed_stdout_is_an_error(tmp_path, monkeypatch, capsys, argv):
     # `ris-subarray eta --config ... >&-` starts with sys.stdout None. Every
-    # command reports there, a sweep with --out its `wrote N rows` line, so
-    # each stops before the config is read and no CSV is written.
+    # command reports there, a sweep with --out its `wrote N rows` line, and
+    # so does the help, so each stops before the command line is parsed: no
+    # config is read and no CSV is written.
     monkeypatch.setattr(sys, "stdout", None)
     monkeypatch.setattr(cli, "load_config", lambda *args: pytest.fail("loaded"))
     if argv[-1] == "--out":
