@@ -53,8 +53,8 @@ RUN_FLAGS = {**CONFIG_FLAGS,
              "--out": ("out", str, "CSV output path (default: standard output)"),
              "--workers": ("workers", checked("workers"), "ignored: runs in-process")}
 DRAWS = ("num_angle_draws", checked("num_angle_draws"), "angle tuples to average")
-# command -> (help, {flag: (dest, converter, help)}). A sweep's run flags are
-# named by its library function's parameters, and every default is the library's.
+# command -> (help, {flag: (dest, converter, help)}). A sweep flag's dest is a
+# parameter of its library function; left out, the library's default holds.
 COMMANDS = {
     "validate": ("check a config and print its shape", CONFIG_FLAGS),
     "eta": ("print phase slopes and coherence factor", CONFIG_FLAGS),
