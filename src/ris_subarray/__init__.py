@@ -12,9 +12,8 @@ _MODULE_OF = {name: module for module, names in (
                " load_config ris_power"),
     ("metrics", "energy_efficiency max_se_upper_bound monte_carlo_se"),
     ("phases", "coherence_factor los_cascade_gain optimal_phases"),
-    ("sweeps", "SweepResult draw_angle_tuples exhaustive_phase_search"
-               " sweep_rician_factor sweep_ris_size sweep_subarray_count"
-               " write_csv"),
+    ("sweeps", "SweepResult draw_angle_tuples sweep_rician_factor"
+               " sweep_ris_size sweep_subarray_count write_csv"),
 ) for name in names.split()}
 
 __all__ = sorted(_MODULE_OF)

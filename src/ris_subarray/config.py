@@ -16,8 +16,6 @@ from functools import partial
 
 TWO_PI = 2.0 * math.pi
 MAX_SEED = 2 ** 64 - 1
-# Hard caps keeping the exhaustive phase search tractable (levels**Q points).
-ORACLE_MAX_Q, ORACLE_MAX_LEVELS = 4, 32
 
 
 class ConfigError(ValueError):

@@ -1,11 +1,11 @@
 """Closed-form subarray phase design and coherent-alignment analysis.
 
-Phases are a length-Q array of shifts in radians, one per subarray, each
+Phases are a length-Q sequence of shifts in radians, one per subarray, each
 scaling a length-L segment of the surface-to-user response. The LoS
 geometry enters only through two per-axis phase slopes: they give the
 subarray couplings, the closed-form design aligning them, and the coherence
-factor, the LoS array gain retained relative to per-element control. Only
-the functions on phase or coupling arrays import numpy, when they run.
+factor, the LoS array gain retained relative to per-element control. It is
+all float math on the standard library, with no numpy.
 """
 
 from __future__ import annotations
@@ -32,19 +32,18 @@ def phase_slopes(cfg: SystemConfig, angles=None) -> tuple[float, float]:
     return p1, p2
 
 
-def optimal_phases(cfg: SystemConfig):
+def optimal_phases(cfg: SystemConfig) -> tuple[float, ...]:
     """Closed-form phases in [0, 2*pi) maximizing the LoS cascade gain.
 
     Each subarray cancels the accumulated offset of its origin plus half the
     within-subarray progression, so all subarray couplings add coherently.
     The origin offsets are per axis; subarrays are numbered x-major.
     """
-    import numpy as np
     p1, p2 = phase_slopes(cfg)
-    x, y = np.arange(cfg.Qx) * float(cfg.Lx), np.arange(cfg.Qy) * float(cfg.Ly)
-    raw = -(np.add.outer(2.0 * p1 * x, 2.0 * p2 * y).ravel()
-            + p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))
-    return np.mod(raw, TWO_PI)
+    ox, oy = p1 * (cfg.Lx - 1), p2 * (cfg.Ly - 1)
+    # grouped ((x + y) + ox) + oy: a regrouped sum differs in the last bit
+    return tuple(-(((2.0 * p1 * (qx * cfg.Lx) + 2.0 * p2 * (qy * cfg.Ly)) + ox) + oy)
+                 % TWO_PI for qx in range(cfg.Qx) for qy in range(cfg.Qy))
 
 
 def _normalized_kernel(L: int, p: float) -> float:
@@ -76,16 +75,22 @@ def coherence_factor(cfg: SystemConfig) -> float:
     return coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
 
 
-def subarray_couplings(cfg: SystemConfig):
+def _axis_couplings(N: int, L: int, p: float) -> list[complex]:
+    """Sum of e^{2j*p*n} over each length-L run of the N indices n of an axis."""
+    cos, sin, fsum = math.cos, math.sin, math.fsum
+    return [complex(fsum(cos(2.0 * p * n) for n in range(s, s + L)),
+                    fsum(sin(2.0 * p * n) for n in range(s, s + L)))
+            for s in range(0, N, L)]
+
+
+def subarray_couplings(cfg: SystemConfig) -> tuple[complex, ...]:
     """Length-Q LoS coupling of each subarray before its phase is applied:
     the sum over its elements (ix, iy) of e^{2j(p1*ix + p2*iy)}, the
     departure response times the conjugated arrival response. The sum
     factorizes per axis; subarrays are numbered x-major."""
-    import numpy as np
     p1, p2 = phase_slopes(cfg)
-    ex = np.exp(2j * p1 * np.arange(cfg.Nx)).reshape(cfg.Qx, cfg.Lx).sum(axis=1)
-    ey = np.exp(2j * p2 * np.arange(cfg.Ny)).reshape(cfg.Qy, cfg.Ly).sum(axis=1)
-    return np.outer(ex, ey).ravel()
+    ey = _axis_couplings(cfg.Ny, cfg.Ly, p2)
+    return tuple(ex * e for ex in _axis_couplings(cfg.Nx, cfg.Lx, p1) for e in ey)
 
 
 def los_cascade_gain(cfg: SystemConfig, phases) -> float:
@@ -94,10 +99,21 @@ def los_cascade_gain(cfg: SystemConfig, phases) -> float:
     Equals |sum_q e^{j phi_q} w_q|^2 * M for the subarray couplings w_q; at
     the optimum this is coherence_factor * N^2 * M.
     """
-    import numpy as np
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (cfg.Q,):
-        raise ValueError(
-            f"phases must have shape ({cfg.Q},) for Q={cfg.Q}, got {phases.shape}")
-    z = np.sum(np.exp(1j * phases) * subarray_couplings(cfg))
-    return float((z * z.conjugate()).real * cfg.M)
+    try:
+        phases = [float(phi) for phi in phases]
+    except TypeError:           # not a sequence, or one of sequences
+        phases = ()
+    if len(phases) != cfg.Q:
+        raise ValueError(f"phases must have shape ({cfg.Q},) for Q={cfg.Q}: "
+                         "one real number per subarray")
+    terms = [complex(math.cos(phi), math.sin(phi)) * w
+             for phi, w in zip(phases, subarray_couplings(cfg))]
+    re, im = math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    return (re * re + im * im) * cfg.M
+
+
+def coherent_bound(cfg: SystemConfig) -> float:
+    """(sum_q |w_q|)^2 * M over the subarray couplings w_q: by the triangle
+    inequality no phases give a larger LoS cascade gain, and phases that
+    align every coupling reach it."""
+    return math.fsum(map(abs, subarray_couplings(cfg))) ** 2 * cfg.M

@@ -1,4 +1,4 @@
-"""Reproducible SE/EE sweeps and the exhaustive phase-search oracle.
+"""Reproducible SE/EE sweeps.
 
 Every sweep evaluates a deterministic list of points in the calling
 process, derives one seed per point from the master seed, and sorts the
@@ -15,11 +15,10 @@ from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add
 
-from .config import (MAX_SEED, ORACLE_MAX_LEVELS, ORACLE_MAX_Q, TWO_PI,
-                     ConfigError, SystemConfig, check_grid, check_int)
+from .config import (MAX_SEED, TWO_PI, ConfigError, SystemConfig, check_grid,
+                     check_int)
 from .metrics import _bound_from_eta, monte_carlo_se, total_power
-from .phases import (coherence_factor, coherence_factor_from_slopes,
-                     los_cascade_gain, phase_slopes, subarray_couplings)
+from .phases import coherence_factor, coherence_factor_from_slopes, phase_slopes
 
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
@@ -197,34 +196,6 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
             points.append((cfg_base.replace(Nx=nx, Ny=nx, Lx=l0, Ly=l0),
                            "element" if l0 == 1 else f"subarray_L{l0}", float(n)))
     return _regional_rows(cfg_base, "N", points, draw_angle_tuples(seed, draws))
-
-
-def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:
-    """Worst-case LoS-gain shortfall of the best grid point vs the optimum."""
-    return 2.0 * (1.0 - math.cos(math.pi / grid_levels)) * cfg.N ** 2 * cfg.M
-
-
-def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
-    """Maximize the LoS cascade gain over a uniform per-subarray phase grid.
-
-    Evaluates all grid_levels**Q combinations; capped at Q <= 4 and
-    grid_levels <= 32. Returns the best phases, in [0, 2*pi), and their gain.
-    """
-    import numpy as np
-    grid_levels = check_int("grid_levels", grid_levels, 1, ORACLE_MAX_LEVELS)
-    if cfg.Q > ORACLE_MAX_Q:
-        raise ValueError(
-            f"exhaustive search supports Q <= {ORACLE_MAX_Q}, config has Q={cfg.Q}")
-    w = subarray_couplings(cfg)
-    axis = np.exp(2j * np.pi * np.arange(grid_levels) / grid_levels)
-    # one open-mesh axis per subarray, summed into a levels**Q grid
-    total = sum(w_q * a for w_q, a in zip(w, np.ix_(*[axis] * cfg.Q)))
-    gains = (total * total.conjugate()).real * cfg.M
-    combo = np.unravel_index(int(np.argmax(gains)), gains.shape)
-    best = np.mod(TWO_PI * np.asarray(combo, dtype=float) / grid_levels, TWO_PI)
-    # Recompute through the public gain path so the reported value cannot
-    # drift from what callers would measure for the returned phases.
-    return best, los_cascade_gain(cfg, best)
 
 
 def write_csv(rows: list[SweepResult], fh) -> None:

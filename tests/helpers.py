@@ -11,7 +11,10 @@ library's float math must reproduce bit for bit.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
 per-tuple coherence factor and bound of the regional sweeps,
 se_upper_bound() the bound at arbitrary phases, and gain_fraction() their
-gain as the eta the Monte Carlo sampler takes. The steering vectors and
+gain as the eta the Monte Carlo sampler takes. exhaustive_phase_search() is
+the reference oracle for the closed-form phases: a grid search, capped at
+Q <= ORACLE_MAX_Q, that no phases on its grid may beat by more than
+grid_resolution_slack(). The steering vectors and
 per-subarray offsets below build the LoS geometry element by element:
 steering_couplings() is the oracle for the slope-based subarray couplings.
 The per-element channel sampler at the end is the independent oracle for
@@ -33,8 +36,9 @@ import numpy as np
 from ris_subarray import (Angles, SweepResult, SystemConfig,
                           energy_efficiency, los_cascade_gain,
                           max_se_upper_bound, ris_power, write_csv)
+from ris_subarray.config import TWO_PI, check_int
 from ris_subarray.metrics import _gammas
-from ris_subarray.phases import phase_slopes
+from ris_subarray.phases import phase_slopes, subarray_couplings
 
 REF_ANGLES = Angles(
     theta_a1=2 * math.pi / 3,
@@ -42,6 +46,11 @@ REF_ANGLES = Angles(
     theta_d2=5 * math.pi / 3,
     phi_d2=4 * math.pi / 3,
 )
+
+# theta_d2 = pi/2, theta_a1 = 0 puts Lx * p1 exactly at pi for 2-wide
+# subarrays, so the x-axis kernel vanishes.
+NULL_ANGLES = Angles(theta_a1=0.0, phi_a1=7 * math.pi / 6,
+                     theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3)
 
 
 def reference_config(**overrides) -> SystemConfig:
@@ -254,6 +263,37 @@ def gain_fraction(cfg: SystemConfig, phases) -> float:
     eta that monte_carlo_se takes, coherence_factor(cfg) at the optimum.
     Capped at 1, which rounding can pass when every coupling is aligned."""
     return min(1.0, los_cascade_gain(cfg, phases) / (cfg.N ** 2 * cfg.M))
+
+
+# Hard caps keeping the exhaustive phase search tractable (levels**Q points).
+ORACLE_MAX_Q, ORACLE_MAX_LEVELS = 4, 32
+
+
+def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:
+    """Worst-case LoS-gain shortfall of the best grid point vs the optimum."""
+    return 2.0 * (1.0 - math.cos(math.pi / grid_levels)) * cfg.N ** 2 * cfg.M
+
+
+def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
+    """Maximize the LoS cascade gain over a uniform per-subarray phase grid.
+
+    Evaluates all grid_levels**Q combinations; capped at Q <= 4 and
+    grid_levels <= 32. Returns the best phases, in [0, 2*pi), and their gain.
+    """
+    grid_levels = check_int("grid_levels", grid_levels, 1, ORACLE_MAX_LEVELS)
+    if cfg.Q > ORACLE_MAX_Q:
+        raise ValueError(
+            f"exhaustive search supports Q <= {ORACLE_MAX_Q}, config has Q={cfg.Q}")
+    w = subarray_couplings(cfg)
+    axis = np.exp(2j * np.pi * np.arange(grid_levels) / grid_levels)
+    # one open-mesh axis per subarray, summed into a levels**Q grid
+    total = sum(w_q * a for w_q, a in zip(w, np.ix_(*[axis] * cfg.Q)))
+    gains = (total * total.conjugate()).real * cfg.M
+    combo = np.unravel_index(int(np.argmax(gains)), gains.shape)
+    best = np.mod(TWO_PI * np.asarray(combo, dtype=float) / grid_levels, TWO_PI)
+    # Recompute through the public gain path so the reported value cannot
+    # drift from what callers would measure for the returned phases.
+    return best, los_cascade_gain(cfg, best)
 
 
 def rows_to_csv(rows) -> str:

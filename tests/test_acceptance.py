@@ -14,14 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from ris_subarray import (PowerConstants, coherence_factor,
-                          exhaustive_phase_search, los_cascade_gain,
+from ris_subarray import (PowerConstants, coherence_factor, los_cascade_gain,
                           max_se_upper_bound, monte_carlo_se, optimal_phases,
                           ris_power, sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
-from ris_subarray.sweeps import grid_resolution_slack
 
-from helpers import (element_bound, random_config, reference_config,
+from helpers import (element_bound, exhaustive_phase_search,
+                     grid_resolution_slack, random_config, reference_config,
                      rows_to_csv, se_upper_bound, small_config)
 
 MC_SEEDS = (1, 2, 3)

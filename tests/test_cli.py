@@ -7,17 +7,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ris_subarray import (cli, coherence_factor, exhaustive_phase_search,
-                          load_config, sweep_rician_factor, sweep_ris_size,
+from ris_subarray import (cli, coherence_factor, load_config,
+                          los_cascade_gain, optimal_phases, phases,
+                          sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
 from ris_subarray.cli import main
 from ris_subarray.metrics import SMALL_RUN
-from ris_subarray.phases import phase_slopes
+from ris_subarray.phases import coherent_bound, phase_slopes
 from ris_subarray.sweeps import write_csv
 
-from helpers import small_config, small_raw
+from helpers import (NULL_ANGLES, random_config, reference_config,
+                     small_config, small_raw)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -138,7 +141,7 @@ def test_set_infinite_rician_factor_is_pure_los(capsys):
     ["validate", "--samples", "5"],
     ["validate", "--seed", "3"],
     ["eta", "--out", "f.csv"],
-    ["oracle", "--workers", "2"],
+    ["eta", "--workers", "2"],
     ["sweep-q", "--samples", "5"],
     ["sweep-n", "--samples", "5"],
 ], ids=" ".join)
@@ -151,7 +154,7 @@ def test_flag_a_command_does_not_use_is_rejected(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["validate"], ["eta"], ["oracle"], ["sweep-q", "--draws", "2"],
+    ["validate"], ["eta"], ["sweep-q", "--draws", "2"],
     ["sweep-q", "--draws", "2", "--out"], ["sweep-n", "--draws", "2", "--out"],
     ["sweep-k", "--samples", "8", "--out"], ["--help"], ["eta", "-h"],
 ], ids=" ".join)
@@ -173,7 +176,7 @@ def test_closed_stdout_is_an_error(tmp_path, monkeypatch, capsys, argv):
 FLAG_VALUES = {"--config": ORACLE_SMALL, "--set": "M=8", "--seed": "5",
                "--out": "out.csv", "--workers": "2", "--k-grid": "0,10",
                "--samples": "8", "--draws": "3", "--l0-grid": "1,2",
-               "--n-grid": "16,64", "--l0-set": "2", "--levels": "8"}
+               "--n-grid": "16,64", "--l0-set": "2"}
 FLAGS = [(command, flag) for command, (_, flags) in cli.COMMANDS.items()
          for flag in flags]
 
@@ -347,12 +350,62 @@ def test_sweep_n_rejects_non_square(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_oracle_agrees(capsys):
-    rc = main(["oracle", "--config", ORACLE_SMALL, "--levels", "8"])
-    assert rc == 0
+# The first four lines of `eta` on either committed config, recorded before
+# the certificate lines were appended to them.
+ETA_HEAD = ("p1 = -2.72069904635\np2 = -1.07287384329\neta = 0.190024742888\n"
+            "-log2(eta) = 2.39574081256\n")
+
+
+def eta_lines(monkeypatch, capsys, cfg) -> tuple[int, dict, str]:
+    """eta's exit code, its `name = value` lines and its stderr on cfg."""
+    monkeypatch.setattr(cli, "load_config", lambda *args: cfg)
+    rc = main(["eta", "--config", "cfg.json"])
+    out, err = capsys.readouterr()
+    return rc, dict(line.split(" = ") for line in out.splitlines()), err
+
+
+@pytest.mark.parametrize("name", ["default.json", "oracle_small.json"])
+def test_eta_certifies_the_closed_form(capsys, name):
+    # The closed-form gain reaches the coherent bound (sum_q |w_q|)^2 * M,
+    # which no phases can beat, and both equal eta * N^2 * M.
+    assert main(["eta", "--config", str(CONFIG_DIR / name)]) == 0
     out = capsys.readouterr().out
-    assert "closed form is optimal on this grid" in out
-    assert "closed_form_gain" in out and "grid_search_gain" in out
+    cfg = load_config(CONFIG_DIR / name)
+    gain, bound = los_cascade_gain(cfg, optimal_phases(cfg)), coherent_bound(cfg)
+    shortfall = (bound - gain) / (cfg.N ** 2 * cfg.M)
+    assert out == (f"{ETA_HEAD}closed_form_gain = {gain:.12g}\n"
+                   f"coherent_bound = {bound:.12g}\nshortfall = {shortfall:.12g}\n")
+    target = coherence_factor(cfg) * cfg.N ** 2 * cfg.M
+    assert math.isclose(gain, bound, rel_tol=1e-12)
+    assert math.isclose(gain, target, rel_tol=1e-12)
+
+
+def test_eta_certificate_holds_at_any_q(monkeypatch, capsys):
+    # Random surfaces of up to 64 subarrays, and both grating-null configs,
+    # where every coupling and so the bound itself is rounding noise: the
+    # shortfall is scaled by N^2 * M, so it stays at rounding there too.
+    rng = np.random.default_rng(2201)
+    cfgs = [random_config(rng, sides=(1, 2, 3), groups=(1, 2, 5, 8))
+            for _ in range(300)]
+    cfgs += [reference_config(angles=NULL_ANGLES),
+             reference_config(Lx=4, Ly=8, angles=NULL_ANGLES)]
+    for cfg in cfgs:
+        rc, values, err = eta_lines(monkeypatch, capsys, cfg)
+        assert (rc, err) == (0, "")
+        assert float(values["shortfall"]) <= 1e-12
+
+
+def test_eta_refuses_phases_short_of_the_bound(monkeypatch, capsys):
+    # A design off the optimum by 0.1 rad on every other subarray no longer
+    # aligns the couplings (shifting all of them alike would): one error
+    # line and exit 2.
+    closed = phases.optimal_phases
+    monkeypatch.setattr(phases, "optimal_phases", lambda cfg: tuple(
+        phi + 0.1 * (q % 2) for q, phi in enumerate(closed(cfg))))
+    rc, values, err = eta_lines(monkeypatch, capsys, load_config(DEFAULT))
+    assert rc == 2
+    assert err == "error: the closed-form phases fall short of the coherent bound\n"
+    assert float(values["shortfall"]) > 1e-12
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,8 +414,6 @@ def test_oracle_agrees(capsys):
     ["sweep-n", "--draws", "-1"],
     ["sweep-k", "--workers", "-5"],
     ["sweep-q", "--workers", "0"],
-    ["oracle", "--levels", "0"],
-    ["oracle", "--levels", "33"],
     ["sweep-k", "--k-grid", ","],
     ["sweep-k", "--k-grid", "0,0"],
     ["sweep-k", "--k-grid", "1,nan"],
@@ -413,8 +464,6 @@ BAD_RUN_FLAGS = [
     ("sweep-n", "--l0-set", "2.0", sweep_ris_size, {"l0_set": ["2.0"]}),
     ("sweep-n", "--n-grid", "16,8", sweep_ris_size, {"n_grid": [16, 8]}),
     ("sweep-n", "--l0-set", "1,2", sweep_ris_size, {"l0_set": [1, 2]}),
-    ("oracle", "--levels", "0", exhaustive_phase_search, {"grid_levels": 0}),
-    ("oracle", "--levels", "33", exhaustive_phase_search, {"grid_levels": 33}),
 ]
 
 
@@ -606,15 +655,14 @@ def test_cli_import_leaves_numpy_unloaded():
      "False False True"),
     (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN + 1), "--out"],
      "True True True"),
-    (["oracle"], "True False False"),
 ], ids=["sweep-q", "sweep-n", "eta", "sweep-k", "sweep-k-small-run",
-        "sweep-k-numpy", "oracle"])
+        "sweep-k-numpy"])
 def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
     # eta, the regional sweeps and sweep-k at up to SMALL_RUN samples per
     # point are float math and load no numpy at all, nor dataclasses,
-    # inspect or csv; oracle searches a numpy grid, and a longer sweep-k
-    # draws its normals and chi-squares through numpy.random. Only sweep-k
-    # compiles the Monte Carlo sampler, and no command loads argparse.
+    # inspect or csv; a longer sweep-k draws its normals and chi-squares
+    # through numpy.random. Only sweep-k compiles the Monte Carlo sampler,
+    # and no command loads argparse.
     if argv[-1] == "--out":
         argv = [*argv, str(tmp_path / "out.csv")]
     argv = [*argv, "--config", ORACLE_SMALL]
@@ -628,6 +676,16 @@ def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
         assert heavy == set()
 
 
+def test_phase_design_runs_without_numpy():
+    # The closed-form phases, the couplings and the gain are float math.
+    code = (f"{BEFORE}from ris_subarray import load_config, phases; "
+            "cfg = load_config('configs/default.json'); "
+            "phases.subarray_couplings(cfg); "
+            "phases.los_cascade_gain(cfg, phases.optimal_phases(cfg)); "
+            f"print({LOADED})")
+    assert fresh_python(code) == "-"
+
+
 def test_validate_runs_without_numpy():
     code = (f"{BEFORE}from ris_subarray.cli import main; "
             "rc = main(['validate', '--config', 'configs/default.json']); "
@@ -637,8 +695,7 @@ def test_validate_runs_without_numpy():
 
 PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",
           "SystemConfig", "coherence_factor", "config_from_dict",
-          "draw_angle_tuples", "energy_efficiency", "exhaustive_phase_search",
-          "load_config", "los_cascade_gain", "max_se_upper_bound",
+          "draw_angle_tuples", "energy_efficiency", "load_config", "los_cascade_gain", "max_se_upper_bound",
           "monte_carlo_se", "optimal_phases", "ris_power",
           "sweep_rician_factor", "sweep_ris_size", "sweep_subarray_count",
           "write_csv"]

@@ -370,6 +370,36 @@ def test_gamma_draw_of_shape_zero_is_zero_and_draws_nothing():
     assert repr(_gamma_draw(no_uniform, 0)()) == "0.0"
 
 
+@pytest.mark.parametrize("shape", [1, 2, 15, 1023])
+def test_gamma_draw_accepts_a_proposal_exactly_under_the_exact_bound(shape):
+    # Marsaglia and Tsang accept the proposal d * v, v = (1 + c * x)^3 > 0,
+    # when log(u) < x^2 / 2 + d * (1 - v + log(v)). Their squeeze
+    # u < 1 - 0.0331 * x^4 only saves the logs, so it must never accept a
+    # proposal the exact bound rejects. Over a grid of (x, u) each proposal
+    # is scripted from its three uniforms: a draw that asks for a fourth has
+    # rejected it. A looser squeeze (0.02) accepts too much at shape 1.
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    script = []
+    draw = _gamma_draw(script.pop, shape)
+    for target in np.linspace(-4.0, 4.0, 161).tolist():
+        # Box-Muller's radius and angle (0 or pi) for this normal, and the
+        # normal x and the v that the draw computes from them
+        u1, u2 = -math.expm1(-0.5 * target * target), 0.0 if target >= 0 else 0.5
+        x = math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(math.tau * u2)
+        w = 1.0 + c * x
+        v = w * w * w
+        for u3 in np.linspace(0.005, 0.995, 125).tolist():
+            accept = w > 0.0 and (math.log(1.0 - u3)
+                                  < 0.5 * x * x + d * (1.0 - v + math.log(v)))
+            script[:] = [u3, u2, u1]
+            try:
+                value = draw()
+            except IndexError:
+                value = None
+            assert value == (d * v if accept else None), (shape, x, 1.0 - u3)
+
+
 def test_small_run_sampler_uses_only_random(monkeypatch):
     # Python keeps only Random.random()'s stream across versions, so the
     # standard-library sampler must call no other method of its generator.

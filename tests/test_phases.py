@@ -4,16 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_subarray import (Angles, coherence_factor, exhaustive_phase_search,
-                          load_config, los_cascade_gain, max_se_upper_bound,
-                          optimal_phases)
+from ris_subarray import (Angles, coherence_factor, load_config,
+                          los_cascade_gain, max_se_upper_bound, optimal_phases)
 from ris_subarray.phases import (coherence_factor_from_slopes, phase_slopes,
                                  subarray_couplings)
 
-from helpers import (dense_phase_matrix, effective_cascade, los_bs_to_ris,
-                     los_ris_to_user, offset_phases, random_config,
-                     reference_config, sample_channels, sample_stream,
-                     se_upper_bound, small_config, steering_couplings)
+from helpers import (NULL_ANGLES, dense_phase_matrix, effective_cascade,
+                     exhaustive_phase_search, los_bs_to_ris, los_ris_to_user,
+                     offset_phases, random_config, reference_config,
+                     sample_channels, sample_stream, se_upper_bound,
+                     small_config, steering_couplings)
 
 SEED = 31337
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -23,23 +23,21 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 # = -(sqrt(3) + 1)/4, each times pi * d2 = pi/2.
 REF_P1 = -math.pi * math.sqrt(3) / 2
 REF_P2 = -math.pi * (math.sqrt(3) + 1) / 8
-# theta_d2 = pi/2, theta_a1 = 0 puts Lx * p1 exactly at pi for 2-wide
-# subarrays, so the x-axis kernel vanishes.
-NULL_ANGLES = Angles(theta_a1=0.0, phi_a1=7 * math.pi / 6,
-                     theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3)
 
 
 def test_phase_assignment_normalized():
-    # Phases are a plain float array of length Q, reduced into [0, 2*pi):
-    # the closed form's raw values run far outside it on large surfaces.
+    # Phases are Q plain floats reduced into [0, 2*pi), a tuple from the
+    # closed form and an array from the search: the closed form's raw values
+    # run far outside the range on large surfaces.
     rng = np.random.default_rng(SEED + 9)
     cfgs = [reference_config()] + [random_config(rng, sides=(1, 2, 3),
                                                  groups=(1, 2)) for _ in range(20)]
     for cfg in cfgs:
+        closed = optimal_phases(cfg)
+        assert type(closed) is tuple and {type(p) for p in closed} == {float}
         searched = ([exhaustive_phase_search(cfg, grid_levels=4)[0]]
                     if cfg.Q <= 4 else [])
-        for phases in [optimal_phases(cfg)] + searched:
-            assert type(phases) is np.ndarray
+        for phases in [np.asarray(closed)] + searched:
             assert phases.dtype == float and phases.shape == (cfg.Q,)
             assert np.all((0.0 <= phases) & (phases < 2 * math.pi))
     # the reference surface's closed form is congruent to its raw phases
@@ -48,8 +46,8 @@ def test_phase_assignment_normalized():
     qx, qy = np.divmod(np.arange(cfg.Q), cfg.Qy)
     raw = -(p1 * (2 * qx * cfg.Lx + cfg.Lx - 1) + p2 * (2 * qy * cfg.Ly + cfg.Ly - 1))
     assert raw.max() > 2 * math.pi
-    np.testing.assert_allclose(np.exp(1j * optimal_phases(cfg)), np.exp(1j * raw),
-                               atol=1e-12)
+    np.testing.assert_allclose(np.exp(1j * np.asarray(optimal_phases(cfg))),
+                               np.exp(1j * raw), atol=1e-12)
 
 
 def test_optimal_phases_equal_the_offset_closed_form():
@@ -133,7 +131,7 @@ def test_subarray_couplings_match_steering_vector_product():
     cfgs += [reference_config(angles=NULL_ANGLES),
              reference_config(Lx=4, Ly=8, angles=NULL_ANGLES)]
     for cfg in cfgs:
-        got = subarray_couplings(cfg)
+        got = np.asarray(subarray_couplings(cfg))
         assert got.shape == (cfg.Q,)
         np.testing.assert_allclose(got, steering_couplings(cfg), rtol=0,
                                    atol=1e-13 * cfg.L)
@@ -145,7 +143,7 @@ def test_optimal_phases_single_subarray():
     cfg = small_config(Nx=2, Ny=2, Lx=2, Ly=2)
     p1, p2 = phase_slopes(cfg)
     expected = (-(p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))) % (2 * math.pi)
-    got = optimal_phases(cfg)
+    got = np.asarray(optimal_phases(cfg))
     assert got.shape == (1,)
     assert got[0] == pytest.approx(expected, rel=1e-12)
 
@@ -156,8 +154,8 @@ def test_optimal_phases_align_all_couplings():
     rng = np.random.default_rng(SEED + 3)
     for _ in range(100):
         cfg = random_config(rng)
-        w = subarray_couplings(cfg)
-        rotated = np.exp(1j * optimal_phases(cfg)) * w
+        w = np.asarray(subarray_couplings(cfg))
+        rotated = np.exp(1j * np.asarray(optimal_phases(cfg))) * w
         total = np.abs(np.sum(rotated))
         assert total == pytest.approx(np.sum(np.abs(w)), rel=1e-9, abs=1e-9)
 

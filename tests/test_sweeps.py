@@ -9,19 +9,19 @@ import numpy as np
 import pytest
 
 from ris_subarray import (Angles, ConfigError, SweepResult, draw_angle_tuples,
-                          energy_efficiency, exhaustive_phase_search,
-                          load_config, los_cascade_gain, max_se_upper_bound,
-                          monte_carlo_se, optimal_phases, sweep_rician_factor,
-                          sweep_ris_size, sweep_subarray_count)
+                          energy_efficiency, load_config, los_cascade_gain,
+                          max_se_upper_bound, monte_carlo_se, optimal_phases,
+                          sweep_rician_factor, sweep_ris_size,
+                          sweep_subarray_count)
 from ris_subarray import sweeps
 from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.phases import (_normalized_kernel,
                                  coherence_factor_from_slopes, phase_slopes)
 from ris_subarray.sweeps import (DEFAULT_N_GRID, _regional_rows,
-                                 default_l0_grid, grid_resolution_slack,
-                                 point_seed)
+                                 default_l0_grid, point_seed)
 
-from helpers import (normalized_kernel, numpy_sweep_ris_size,
+from helpers import (exhaustive_phase_search, grid_resolution_slack,
+                     normalized_kernel, numpy_sweep_ris_size,
                      numpy_sweep_subarray_count, oracle_angle_tuples,
                      philox_oracle, random_config, reference_config,
                      regional_draws, rows_to_csv, scalar_slopes, small_config)
@@ -399,7 +399,6 @@ GOOD_RUN_ARGUMENTS = {
     monte_carlo_se: {"cfg": small_config(), "eta": 0.5,
                      "num_samples": 8, "master_seed": 0},
     draw_angle_tuples: {"seed": 0, "count": 4},
-    exhaustive_phase_search: {"cfg": small_config(), "grid_levels": 4},
 }
 
 
@@ -422,8 +421,6 @@ GOOD_RUN_ARGUMENTS = {
     (draw_angle_tuples, "count", 2.5),
     (draw_angle_tuples, "count", True),
     (draw_angle_tuples, "count", 0),
-    (exhaustive_phase_search, "grid_levels", 2.5),
-    (exhaustive_phase_search, "grid_levels", True),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_public_run_argument_is_checked_naming_it(fn, name, value):
     # The library entry points outside the sweeps check their run arguments
@@ -479,6 +476,7 @@ def test_csv_rows_sorted():
 
 
 def test_exhaustive_search_caps():
+    # The reference oracle in the tests refuses what it cannot search.
     too_many = small_config(Nx=4, Ny=4, Lx=1, Ly=1)  # Q = 16
     with pytest.raises(ValueError, match="Q"):
         exhaustive_phase_search(too_many, grid_levels=16)
