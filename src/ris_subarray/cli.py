@@ -144,14 +144,13 @@ def _dispatch(args, cfg: SystemConfig) -> int:
               f"surface_power_subarray={ris_power(cfg.Q, cfg.power):.6g} W\nconfig ok")
         return 0
     if args.command == "eta":
-        from .phases import (coherence_factor, coherent_bound, los_cascade_gain,
-                             optimal_phases, phase_slopes)
+        from .phases import coherence_factor, phase_certificate, phase_slopes
         (p1, p2), eta = phase_slopes(cfg), coherence_factor(cfg)
         loss = math.inf if eta == 0.0 else -math.log2(eta) + 0.0
         # The closed form must reach the coherent bound to rounding. The gap
         # is scaled by N^2 * M, not by the bound: at a grating null the
         # couplings, and so the bound, are rounding noise themselves.
-        gain, bound = los_cascade_gain(cfg, optimal_phases(cfg)), coherent_bound(cfg)
+        gain, bound = phase_certificate(cfg)
         shortfall = (bound - gain) / (cfg.N ** 2 * cfg.M)
         print(f"p1 = {p1:.12g}\np2 = {p2:.12g}\neta = {eta:.12g}\n"
               f"-log2(eta) = {loss:.12g}\nclosed_form_gain = {gain:.12g}\n"

@@ -93,27 +93,37 @@ def subarray_couplings(cfg: SystemConfig) -> tuple[complex, ...]:
     return tuple(ex * e for ex in _axis_couplings(cfg.Nx, cfg.Lx, p1) for e in ey)
 
 
+def _gain(couplings, phases, M: int) -> float:
+    """|sum_q e^{j phi_q} w_q|^2 * M, summed with fsum per component."""
+    terms = [complex(math.cos(phi), math.sin(phi)) * w
+             for phi, w in zip(phases, couplings)]
+    re, im = math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+    return (re * re + im * im) * M
+
+
 def los_cascade_gain(cfg: SystemConfig, phases) -> float:
     """Squared norm of the LoS cascade row vector under length-Q phases.
 
     Equals |sum_q e^{j phi_q} w_q|^2 * M for the subarray couplings w_q; at
     the optimum this is coherence_factor * N^2 * M.
     """
+    from numbers import Real    # numpy's float and integer scalars register
     try:
-        phases = [float(phi) for phi in phases]
-    except TypeError:           # not a sequence, or one of sequences
-        phases = ()
-    if len(phases) != cfg.Q:
+        phases = list(phases)
+    except TypeError:           # a scalar
+        phases = []
+    # An element that is itself an array, as in a (Q, 1) input, is no Real.
+    if len(phases) != cfg.Q or not all(isinstance(phi, Real) for phi in phases):
         raise ValueError(f"phases must have shape ({cfg.Q},) for Q={cfg.Q}: "
                          "one real number per subarray")
-    terms = [complex(math.cos(phi), math.sin(phi)) * w
-             for phi, w in zip(phases, subarray_couplings(cfg))]
-    re, im = math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-    return (re * re + im * im) * cfg.M
+    return _gain(subarray_couplings(cfg), map(float, phases), cfg.M)
 
 
-def coherent_bound(cfg: SystemConfig) -> float:
-    """(sum_q |w_q|)^2 * M over the subarray couplings w_q: by the triangle
-    inequality no phases give a larger LoS cascade gain, and phases that
-    align every coupling reach it."""
-    return math.fsum(map(abs, subarray_couplings(cfg))) ** 2 * cfg.M
+def phase_certificate(cfg: SystemConfig) -> tuple[float, float]:
+    """The LoS cascade gain of the closed-form phases, and the coherent
+    bound (sum_q |w_q|)^2 * M over the subarray couplings w_q: by the
+    triangle inequality no phases give a larger gain, and phases that align
+    every coupling reach it. Both come from one pass over the couplings."""
+    w = subarray_couplings(cfg)
+    return (_gain(w, optimal_phases(cfg), cfg.M),
+            math.fsum(map(abs, w)) ** 2 * cfg.M)

@@ -16,7 +16,7 @@ from ris_subarray import (cli, coherence_factor, load_config,
                           sweep_subarray_count)
 from ris_subarray.cli import main
 from ris_subarray.metrics import SMALL_RUN
-from ris_subarray.phases import coherent_bound, phase_slopes
+from ris_subarray.phases import phase_slopes, subarray_couplings
 from ris_subarray.sweeps import write_csv
 
 from helpers import (NULL_ANGLES, random_config, reference_config,
@@ -371,7 +371,8 @@ def test_eta_certifies_the_closed_form(capsys, name):
     assert main(["eta", "--config", str(CONFIG_DIR / name)]) == 0
     out = capsys.readouterr().out
     cfg = load_config(CONFIG_DIR / name)
-    gain, bound = los_cascade_gain(cfg, optimal_phases(cfg)), coherent_bound(cfg)
+    gain = los_cascade_gain(cfg, optimal_phases(cfg))
+    bound = math.fsum(map(abs, subarray_couplings(cfg))) ** 2 * cfg.M
     shortfall = (bound - gain) / (cfg.N ** 2 * cfg.M)
     assert out == (f"{ETA_HEAD}closed_form_gain = {gain:.12g}\n"
                    f"coherent_bound = {bound:.12g}\nshortfall = {shortfall:.12g}\n")
@@ -406,6 +407,20 @@ def test_eta_refuses_phases_short_of_the_bound(monkeypatch, capsys):
     assert rc == 2
     assert err == "error: the closed-form phases fall short of the coherent bound\n"
     assert float(values["shortfall"]) > 1e-12
+
+
+@pytest.mark.parametrize("spacing, rc", [(1e6, 0), (1e9, 2)])
+def test_eta_certificate_limit_at_large_spacings(monkeypatch, capsys, spacing, rc):
+    # Element phases of size 4*pi*d2*Nx are rounded in both the couplings
+    # and the design, so from about 1e9 wavelengths the rounding alone puts
+    # the closed form short of the bound; reducing each term mod 2*pi before
+    # the sum would not help, as the products themselves are rounded.
+    cfg = load_config(DEFAULT).replace(d2_over_lambda=spacing)
+    got, values, err = eta_lines(monkeypatch, capsys, cfg)
+    assert got == rc
+    assert (float(values["shortfall"]) > 1e-12) == (rc == 2)
+    assert err == ("" if rc == 0 else
+                   "error: the closed-form phases fall short of the coherent bound\n")
 
 
 @pytest.mark.parametrize("argv", [

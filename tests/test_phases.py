@@ -217,7 +217,9 @@ def test_effective_cascade_dimension_errors():
 
 def test_los_cascade_gain_rejects_wrong_phase_count():
     cfg = small_config()
-    for phases in (np.zeros(cfg.Q + 1), np.zeros(cfg.Q - 1), np.zeros((cfg.Q, 1))):
+    # An element of a (Q, 1) array is an array, not a real, on every numpy.
+    for phases in (np.zeros(cfg.Q + 1), np.zeros(cfg.Q - 1), np.zeros((cfg.Q, 1)),
+                   [np.zeros(1)] * cfg.Q, ["0"] * cfg.Q, 0.0):
         with pytest.raises(ValueError, match=r"^phases must have shape \(4,\)"):
             los_cascade_gain(cfg, phases)
 
