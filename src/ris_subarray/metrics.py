@@ -12,10 +12,10 @@ is Rayleigh. Scatter entries are CN(0, 1). A hop with Rician factor K is
 w_los * (LoS component) + w_sc * (scatter), where (w_los^2, w_sc^2) is
 rician_split(K). The bounds and the Monte Carlo sampler reduce the LoS
 components to closed forms, and the matrices themselves are built by the
-per-element oracle in the tests. The sampler is ris_subarray.sampler, which
-monte_carlo_se imports when a run starts. Only Monte Carlo runs longer than
-SMALL_RUN samples import numpy; a shorter one draws from
-random.Random.random() alone.
+per-element reference model in the tests. The sampler is
+ris_subarray.sampler, which monte_carlo_se imports when a run starts. Only
+Monte Carlo runs longer than SMALL_RUN samples load numpy; a shorter one
+draws from random.Random.random() alone.
 """
 
 from __future__ import annotations
