@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 
-from .config import (MAX_SEED, PowerConstants, SystemConfig, check_int,
-                     check_real, ris_power)
+from .config import (MAX_SEED, ConfigError, PowerConstants, SystemConfig,
+                     _shown, check_int, check_real, ris_power)
 from .phases import coherence_factor
 
 # A run of at most this many samples draws them in Python, from the standard
@@ -72,40 +72,67 @@ def max_se_upper_bound(cfg: SystemConfig) -> float:
     return _bound_from_eta(cfg)(coherence_factor(cfg))
 
 
-def monte_carlo_se(cfg: SystemConfig, eta: float, num_samples: int,
-                   master_seed: int) -> tuple[float, float]:
-    """Sample-mean ergodic SE and its standard error, in bits, at the gain
-    fraction eta: los_cascade_gain / (N^2 * M) of the phases, which is
+def _check_etas(etas) -> list[float]:
+    """etas as a list of floats: a sequence of at least one gain fraction,
+    each a finite real in [0, 1]; a bare number or a string is not one."""
+    try:
+        values = None if isinstance(etas, str) else list(etas)
+    except TypeError:
+        values = None
+    if values is None:
+        raise ConfigError(f"etas must be a sequence of gain fractions, got {_shown(etas)}")
+    if not values:
+        raise ConfigError("etas needs at least one value")
+    return [check_real("etas", eta, 0.0, high=1.0) for eta in values]
+
+
+def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
+                   master_seed: int) -> list[tuple[float, float]]:
+    """Sample-mean ergodic SE and its standard error, in bits, one
+    (mean, stderr) per gain fraction in etas, all from one draw. A gain
+    fraction is los_cascade_gain / (N^2 * M) of the phases, which is
     coherence_factor(cfg) at the optimal ones.
 
     Maximum-ratio transmission is folded in analytically: the rate of a
     sample is log2(1 + snr * ||h2 Phi H1 + g||^2), drawn as in
     sampler._rate_chunks. A run of at most SMALL_RUN samples draws them from
     the standard library (sampler._small_run_rates), a longer one from
-    numpy's Philox in chunks. The result is a pure function of
-    (cfg, eta, num_samples, master_seed). Chunk moments are merged in chunk
-    order (Chan et al.).
-    eta must be a finite real in [0, 1], num_samples an integer >= 1 and
-    master_seed one in [0, 2**64).
+    numpy's Philox in chunks. The law depends on eta only through two
+    parameters, so each sample's variates are drawn once and every eta is
+    evaluated from them (common random numbers): the estimates of two etas
+    are correlated, and the variance of their difference is smaller than
+    with independent draws. Each result is a pure function of
+    (cfg, eta, num_samples, master_seed), whatever the other etas are, and
+    its stderr is its own. Chunk moments are merged in chunk order (Chan et al.).
+    etas must be a sequence of finite reals in [0, 1], num_samples an integer
+    >= 1 and master_seed one in [0, 2**64).
     """
-    eta = check_real("eta", eta, 0.0, high=1.0)
+    etas = _check_etas(etas)
     num_samples = check_int("num_samples", num_samples)
     master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
     from . import sampler       # loaded by a run, as numpy by a long one
     if num_samples <= SMALL_RUN:
-        rates = sampler._small_run_rates(cfg, eta, num_samples, master_seed)
-        mean = math.fsum(rates) / num_samples
-        chunks = [(num_samples, mean, math.fsum([(r - mean) ** 2 for r in rates]))]
+        runs = []
+        for rates in sampler._small_run_rates(cfg, etas, num_samples, master_seed):
+            mean = math.fsum(rates) / num_samples
+            runs.append([(num_samples, mean,
+                          math.fsum([(r - mean) ** 2 for r in rates]))])
     else:
-        chunks = sampler._chunk_moments(
-            sampler._rate_chunks(cfg, eta, num_samples, master_seed))
+        runs = zip(*sampler._chunk_moments(
+            sampler._rate_chunks(cfg, etas, num_samples, master_seed)))
+    return [_merged(chunks) for chunks in runs]
+
+
+def _merged(chunks) -> tuple[float, float]:
+    """(mean, stderr of the mean) of the rates whose per-chunk
+    (count, mean, sum of squared deviations) are chunks."""
     count, mean, sq_dev = 0, 0.0, 0.0
     for size, chunk_mean, chunk_sq_dev in chunks:
         delta = chunk_mean - mean
         sq_dev += chunk_sq_dev + delta ** 2 * count * size / (count + size)
         count += size
         mean += delta * (size / count)
-    if num_samples < 2:
+    if count < 2:
         return mean, 0.0
     return mean, math.sqrt(sq_dev / (count - 1) / count)
 

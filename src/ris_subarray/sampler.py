@@ -21,19 +21,22 @@ from .metrics import _LN2, rician_split
 MC_CHUNK = 1 << 16
 
 
-def _rate_law(cfg: SystemConfig, eta: float) -> tuple:
-    """Parameters of the law of the rate under the gain fraction eta, shared
-    by both samplers: (alpha0, w2_sc^2, perp, w1_sc^2, los_gain, snr)."""
+def _rate_law(cfg: SystemConfig, etas: list) -> tuple:
+    """Parameters of the law of the rate, shared by both samplers:
+    (w2_sc^2, w1_sc^2, los_gain, snr) and, for each gain fraction eta in
+    etas, (alpha0, sqrt(perp)), the only two that depend on eta."""
     w1_los_sq, w1_sc_sq = rician_split(cfg.K1)
     w2_los_sq, w2_sc_sq = rician_split(cfg.K2)
-    return (math.sqrt(w2_los_sq * eta * cfg.N), w2_sc_sq,
-            w2_los_sq * cfg.N * (1.0 - eta), w1_sc_sq,
-            2.0 * w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2)
+    return (w2_sc_sq, w1_sc_sq, 2.0 * w1_los_sq * cfg.N * cfg.M,
+            cfg.P / cfg.sigma_w2,
+            [(math.sqrt(w2_los_sq * eta * cfg.N),
+              math.sqrt(w2_los_sq * cfg.N * (1.0 - eta))) for eta in etas])
 
 
-def _rate_chunks(cfg: SystemConfig, eta: float, num_samples: int,
+def _rate_chunks(cfg: SystemConfig, etas: list, num_samples: int,
                  master_seed: int):
-    """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2), one array per chunk.
+    """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2): per chunk, one
+    array for each gain fraction in etas, all from the chunk's one draw.
 
     The rate depends on the channels only through that squared norm, which
     is drawn from its exact law instead of from the N-by-M matrices. With
@@ -50,28 +53,55 @@ def _rate_chunks(cfg: SystemConfig, eta: float, num_samples: int,
     that rest. Given h2, the scattered hop and g add CN(0, sigma2 I_M) with
     sigma2 = w1_sc^2 * ||h2||^2 + 1, so
     ||v||^2 = (sigma2 / 2) * chi'^2(2M, 2 * w1_los^2 * N * M * |alpha|^2 / sigma2).
-    Each sample costs one complex normal and at most two chi-square draws.
+
+    A scaled noncentral chi-square (var / 2) * chi'^2(2k, 2 * mu^2 / var) is
+    (mu + sqrt(var / 2) * z)^2 + var * Gamma(k - 1/2) with z standard
+    normal: one real coordinate carries the whole mean. So a sample costs
+    four standard normals and two standard gammas, none of which depends on
+    eta, and each eta reuses them.
     """
     import numpy as np
-    alpha0, w2_sc_sq, perp, w1_sc_sq, los_gain, snr = _rate_law(cfg, eta)
+    w2_sc_sq, w1_sc_sq, los_gain, snr, laws = _rate_law(cfg, etas)
+    scatter, half_los_gain = math.sqrt(0.5 * w2_sc_sq), 0.5 * los_gain
     for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
         size = min(MC_CHUNK, num_samples - start)
         # A uint64 array: a list key would go through float64 from 2**63 up.
         key = np.array([master_seed, chunk], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        z = rng.standard_normal((size, 2)) * math.sqrt(0.5 * w2_sc_sq)
-        alpha_sq = (alpha0 + z[:, 0]) ** 2 + z[:, 1] ** 2
-        if cfg.N == 1:          # nothing of h2 is orthogonal to f
-            h2_sq = alpha_sq
-        elif w2_sc_sq == 0.0:   # pure-LoS hop: the orthogonal part is fixed
-            h2_sq = alpha_sq + perp
-        else:
-            h2_sq = alpha_sq + 0.5 * w2_sc_sq * rng.noncentral_chisquare(
-                2 * (cfg.N - 1), 2.0 * perp / w2_sc_sq, size)
-        sigma2 = w1_sc_sq * h2_sq + 1.0
-        v_sq = 0.5 * sigma2 * rng.noncentral_chisquare(
-            2 * cfg.M, los_gain * alpha_sq / sigma2)
-        yield np.log1p(snr * v_sq) / _LN2
+        alpha_re, alpha_im_sq = scatter * rng.standard_normal((2, size))
+        alpha_im_sq *= alpha_im_sq
+        if cfg.N > 1:           # nothing of h2 is orthogonal to f at N = 1
+            rest_re = scatter * rng.standard_normal(size)
+            rest = w2_sc_sq * rng.standard_gamma(cfg.N - 1.5, size)
+        v_re = math.sqrt(0.5) * rng.standard_normal(size)
+        v_rest = rng.standard_gamma(cfg.M - 0.5, size)
+        rates = []
+        for alpha0, root_perp in laws:
+            # in place where it can be, so that an eta adds only a few
+            # passes over the chunk to the draws that all etas share
+            alpha_sq = alpha0 + alpha_re
+            alpha_sq *= alpha_sq
+            alpha_sq += alpha_im_sq
+            sigma2 = w1_sc_sq * alpha_sq    # w1_sc^2 * ||h2||^2 + 1
+            if cfg.N > 1:
+                orth = root_perp + rest_re
+                orth *= orth
+                orth += rest
+                orth *= w1_sc_sq
+                sigma2 += orth
+            sigma2 += 1.0
+            v = np.sqrt(sigma2)
+            v *= v_re
+            alpha_sq *= half_los_gain
+            v += np.sqrt(alpha_sq, out=alpha_sq)
+            np.square(v, out=v)
+            sigma2 *= v_rest
+            v += sigma2             # ||v||^2
+            v *= snr
+            np.log1p(v, out=v)
+            v /= _LN2
+            rates.append(v)
+        yield rates
 
 
 def _gamma_draw(uniform, shape: int):
@@ -93,11 +123,11 @@ def _gamma_draw(uniform, shape: int):
     return draw
 
 
-def _small_run_rates(cfg: SystemConfig, eta: float, num_samples: int,
-                     master_seed: int) -> list[float]:
-    """The rates of _rate_chunks' law, drawn with no numpy from
-    random.Random(master_seed).random() alone, the one method whose stream
-    Python keeps across versions.
+def _small_run_rates(cfg: SystemConfig, etas: list, num_samples: int,
+                     master_seed: int) -> list[list[float]]:
+    """The rates of _rate_chunks' law, one list for each gain fraction in
+    etas, drawn with no numpy from random.Random(master_seed).random() alone,
+    the one method whose stream Python keeps across versions.
 
     A scaled noncentral chi-square (var / 2) * chi'^2(2k, 2 * mu^2 / var) is
     |mu + CN(0, var)|^2 + var * Gamma(k - 1): one complex coordinate carries
@@ -105,29 +135,50 @@ def _small_run_rates(cfg: SystemConfig, eta: float, num_samples: int,
     uniforms, -var * ln(1 - U) for the squared modulus r^2 and 2 * pi * U'
     for the phase, and sums (mu + r * c)^2 + r^2 * (1 - c^2) with c its
     cosine: the expanded mu^2 + 2 * mu * r * c + r^2 can round below zero.
+    Each sample draws its uniforms once, in the order alpha's pair, the
+    orthogonal rest's pair and gamma, then ||v||^2's pair and gamma, and each
+    eta is evaluated from them: a run of one eta gives the same rates as the
+    same eta in a run of several.
     """
     import random               # loaded by a small run, as numpy by a long one
-    alpha0, w2_sc_sq, perp, w1_sc_sq, los_gain, snr = _rate_law(cfg, eta)
+    w2_sc_sq, w1_sc_sq, los_gain, snr, laws = _rate_law(cfg, etas)
     uniform = random.Random(master_seed).random
     log, log1p, sqrt, cos, tau = math.log, math.log1p, math.sqrt, math.cos, math.tau
-    def shifted(mu: float, var: float) -> float:    # |mu + CN(0, var)|^2
-        e, c = -var * log(1.0 - uniform()), cos(tau * uniform())
-        return (mu + sqrt(e) * c) ** 2 + e * (1.0 - c * c)
     rest, v_rest = _gamma_draw(uniform, max(cfg.N - 2, 0)), _gamma_draw(uniform, cfg.M - 1)
-    root_perp, n, rates = sqrt(perp), cfg.N, []
+    out = [[] for _ in laws]
+    per_eta = [(alpha0, root_perp, rates.append)
+               for (alpha0, root_perp), rates in zip(laws, out)]
+    n, half_los_gain = cfg.N, 0.5 * los_gain
     for _ in range(num_samples):
-        alpha_sq = h2_sq = shifted(alpha0, w2_sc_sq)
-        if n > 1:               # as in _rate_chunks
-            h2_sq += shifted(root_perp, w2_sc_sq) + w2_sc_sq * rest()
-        sigma2 = w1_sc_sq * h2_sq + 1.0
-        v_sq = shifted(sqrt(0.5 * los_gain * alpha_sq), sigma2) + sigma2 * v_rest()
-        rates.append(log1p(snr * v_sq) / _LN2)
-    return rates
+        e, c = -w2_sc_sq * log(1.0 - uniform()), cos(tau * uniform())
+        alpha_re, alpha_im_sq = sqrt(e) * c, e * (1.0 - c * c)
+        if n > 1:
+            e, c = -w2_sc_sq * log(1.0 - uniform()), cos(tau * uniform())
+            orth_re, orth_sq = sqrt(e) * c, e * (1.0 - c * c)
+            orth_rest = w2_sc_sq * rest()
+        # ||v||^2's complex normal has variance sigma2, which depends on eta:
+        # its exponential -ln(1 - U) is drawn unscaled, and sigma2 * e is
+        # -sigma2 * ln(1 - U) bit for bit
+        e, c = -log(1.0 - uniform()), cos(tau * uniform())
+        v_im, v_gamma = 1.0 - c * c, v_rest()
+        for alpha0, root_perp, append in per_eta:
+            alpha_sq = h2_sq = (alpha0 + alpha_re) ** 2 + alpha_im_sq
+            if n > 1:           # as in _rate_chunks
+                h2_sq += (root_perp + orth_re) ** 2 + orth_sq + orth_rest
+            sigma2 = w1_sc_sq * h2_sq + 1.0
+            e_v = sigma2 * e
+            v_sq = ((sqrt(half_los_gain * alpha_sq) + sqrt(e_v) * c) ** 2
+                    + e_v * v_im + sigma2 * v_gamma)
+            append(log1p(snr * v_sq) / _LN2)
+    return out
 
 
 def _chunk_moments(chunks):
-    """(count, mean, sum of squared deviations) of each array of rates."""
+    """Per chunk, (count, mean, sum of squared deviations) of each of its
+    arrays of rates."""
     import numpy as np
-    for rates in chunks:
+    def moments(rates) -> tuple:
         mean = float(np.mean(rates))
-        yield rates.size, mean, float(np.sum((rates - mean) ** 2))
+        return rates.size, mean, float(np.sum((rates - mean) ** 2))
+    for arrays in chunks:
+        yield [moments(rates) for rates in arrays]

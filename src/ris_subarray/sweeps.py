@@ -1,8 +1,10 @@
 """Reproducible SE/EE sweeps.
 
 Every sweep evaluates a deterministic list of points in the calling
-process, derives one seed per point from the master seed, and sorts the
-emitted rows, so the CSV output is byte-identical for a fixed (config, seed).
+process and sorts the emitted rows, so the CSV output is byte-identical for
+a fixed (config, grid, sample or draw count, seed). sweep-k derives one seed
+per Rician factor from the master seed; the regional sweeps draw one angle
+stream for all their points.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ SweepResult = namedtuple("SweepResult",
 
 
 def point_seed(master_seed: int, index: int) -> int:
-    """Derived seed for sweep point number index, schedule-independent: the
-    first word of numpy's Philox(key=[master_seed, index])."""
+    """Derived seed of the sweep-k Rician factor at position index of its
+    grid, schedule-independent: the first word of numpy's
+    Philox(key=[master_seed, index])."""
     return next(_philox_words(master_seed, 1, index))
 
 
@@ -39,12 +42,17 @@ def _sorted_rows(rows: list[SweepResult]) -> list[SweepResult]:
     return sorted(rows, key=lambda r: (r.scheme, r.var_value))
 
 
-def _rician_point(cfg: SystemConfig, scheme: str, samples: int,
-                  seed: int) -> SweepResult:
-    eta = coherence_factor(cfg)
-    mean, stderr = monte_carlo_se(cfg, eta, samples, seed)
-    return SweepResult(scheme, "K", cfg.K1, mean, stderr,
-                       _bound_from_eta(cfg)(eta), None)
+def _rician_points(cfg: SystemConfig, samples: int, seed: int
+                   ) -> list[SweepResult]:
+    """The subarray and element rows of one Rician factor, from one Monte
+    Carlo draw. The element scheme is the Lx = Ly = 1 copy of cfg; the law of
+    the rate and the bound depend on the scheme only through eta."""
+    points = (("subarray", cfg), ("element", cfg.replace(Lx=1, Ly=1)))
+    etas = [coherence_factor(point_cfg) for _, point_cfg in points]
+    bound = _bound_from_eta(cfg)
+    return [SweepResult(scheme, "K", cfg.K1, mean, stderr, bound(eta), None)
+            for (scheme, _), eta, (mean, stderr)
+            in zip(points, etas, monte_carlo_se(cfg, etas, samples, seed))]
 
 
 def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
@@ -54,17 +62,18 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
 
     Both hops share the swept factor (default grid DEFAULT_K_GRID).
     The element scheme is the same computation on the Lx = Ly = 1 copy of
-    the config, not a separate formula.
+    the config, not a separate formula. The two rows of the Rician factor
+    at index i of the grid share one Monte Carlo draw, seeded
+    point_seed(seed, i), so their difference carries the noise of one draw;
+    at K = 0 the law does not depend on eta and the two rows are equal.
     """
     samples = check_int("samples", samples)
     seed = check_int("seed", seed, 0, MAX_SEED)
     rows = []
-    for k in check_grid("k_grid", DEFAULT_K_GRID if k_grid is None else k_grid):
-        cfg = cfg_base.replace(K1=k, K2=k)
-        for scheme, point_cfg in (("subarray", cfg),
-                                  ("element", cfg.replace(Lx=1, Ly=1))):
-            rows.append(_rician_point(point_cfg, scheme, samples,
-                                      point_seed(seed, len(rows))))
+    for index, k in enumerate(check_grid(
+            "k_grid", DEFAULT_K_GRID if k_grid is None else k_grid)):
+        rows += _rician_points(cfg_base.replace(K1=k, K2=k), samples,
+                               point_seed(seed, index))
     return _sorted_rows(rows)
 
 

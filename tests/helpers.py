@@ -260,7 +260,7 @@ def se_upper_bound(cfg: SystemConfig, phases) -> float:
 
 def gain_fraction(cfg: SystemConfig, phases) -> float:
     """The LoS cascade gain of length-Q phases as a fraction of N^2 * M: the
-    eta that monte_carlo_se takes, coherence_factor(cfg) at the optimum.
+    eta that monte_carlo_se takes in etas, coherence_factor(cfg) at the optimum.
     Capped at 1, which rounding can pass when every coupling is aligned."""
     return min(1.0, los_cascade_gain(cfg, phases) / (cfg.N ** 2 * cfg.M))
 

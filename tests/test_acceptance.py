@@ -33,17 +33,18 @@ def _ok(num: int, name: str) -> None:
 
 @pytest.fixture(scope="module")
 def mc_runs():
-    """(scheme, K, seed) -> (mc_mean, mc_stderr, upper_bound) at full scale."""
+    """(scheme, K, seed) -> (mc_mean, mc_stderr, upper_bound) at full scale.
+    The two schemes of a (K, seed) share one draw, as in sweep-k."""
     runs = {}
-    for scheme in ("subarray", "element"):
-        for k in (10.0, 100.0):
-            cfg = reference_config(K1=k, K2=k)
-            if scheme == "element":
-                cfg = cfg.replace(Lx=1, Ly=1)
-            for seed in MC_SEEDS:
-                mc, stderr = monte_carlo_se(cfg, coherence_factor(cfg),
-                                            MC_SAMPLES, master_seed=seed)
-                runs[(scheme, k, seed)] = (mc, stderr, max_se_upper_bound(cfg))
+    for k in (10.0, 100.0):
+        cfg = reference_config(K1=k, K2=k)
+        schemes = {"subarray": cfg, "element": cfg.replace(Lx=1, Ly=1)}
+        etas = [coherence_factor(point_cfg) for point_cfg in schemes.values()]
+        for seed in MC_SEEDS:
+            pair = monte_carlo_se(cfg, etas, MC_SAMPLES, master_seed=seed)
+            for (scheme, point_cfg), (mc, stderr) in zip(schemes.items(), pair):
+                runs[(scheme, k, seed)] = (mc, stderr,
+                                           max_se_upper_bound(point_cfg))
     return runs
 
 

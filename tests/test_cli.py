@@ -298,15 +298,16 @@ def test_sweep_k_seed_determinism(tmp_path):
 
 
 # The CSV of `sweep-k --config configs/oracle_small.json --k-grid 0,10
-# --samples 64 --seed 7`, recorded once. At up to SMALL_RUN samples per point
-# every variate comes from Random.random(), whose stream Python keeps across
-# versions, so these bytes must hold on every supported Python.
+# --samples 64 --seed 7`, recorded once when the two rows of a K came to
+# share one draw. At up to SMALL_RUN samples per point every variate comes
+# from Random.random(), whose stream Python keeps across versions, so these
+# bytes must hold on every supported Python. The rows of K = 0 are equal.
 SWEEP_K_SMALL_RUN_GOLDEN = """\
 scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee
-element,K,0,9.20282229055,0.105813373905,9.41151098801,
-element,K,10,13.0455308876,0.024696724453,13.0726157051,
+element,K,0,9.23208445966,0.114684348755,9.41151098801,
+element,K,10,13.0469085066,0.0277959922036,13.0726157051,
 subarray,K,0,9.23208445966,0.114684348755,9.41151098801,
-subarray,K,10,10.7856252663,0.0599266768751,10.7815381203,
+subarray,K,10,10.6844837035,0.063565389575,10.7815381203,
 """
 
 
@@ -675,7 +676,7 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
     # eta, the regional sweeps and sweep-k at up to SMALL_RUN samples per
     # point are float math and load no numpy at all, nor dataclasses,
-    # inspect or csv; a longer sweep-k draws its normals and chi-squares
+    # inspect or csv; a longer sweep-k draws its normals and gammas
     # through numpy.random. Only sweep-k compiles the Monte Carlo sampler,
     # and no command loads argparse.
     if argv[-1] == "--out":

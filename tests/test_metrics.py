@@ -21,26 +21,31 @@ from helpers import (TX, element_bound, gain_fraction, oracle_rates,
                      small_config, small_raw)
 
 SEED = 1453
-ORACLE_SMALL = Path(__file__).resolve().parents[1] / "configs" / "oracle_small.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ORACLE_SMALL = CONFIGS / "oracle_small.json"
 
 # Two-sided 5-sigma threshold and its tail probability: a correct sampler
 # fails one of the oracle checks with probability ~6e-7, at any seed.
 Z_MAX = 5.0
 P_MIN = 5.7e-7
 FAST_SAMPLES = 200_000
-# The standard-library sampler costs about 3 us per sample, 15 times numpy's.
+# The standard-library sampler costs about 2.8 us per sample and 0.6 us per
+# further eta in the run, 18 to 40 times numpy's 0.15 us and 0.015 us.
 SMALL_RUN_SAMPLES = 20_000
 ORACLE_SAMPLES = 4_000
 
 
-def numpy_rates(cfg, eta, num_samples, seed) -> np.ndarray:
-    """The rates of the chunked numpy sampler, which runs above SMALL_RUN."""
-    return np.concatenate(list(_rate_chunks(cfg, eta, num_samples, seed)))
+def numpy_rates(cfg, etas, num_samples, seed) -> np.ndarray:
+    """The rates of the chunked numpy sampler, which runs above SMALL_RUN,
+    one row per gain fraction in etas."""
+    return np.concatenate([np.array(chunk) for chunk
+                           in _rate_chunks(cfg, etas, num_samples, seed)], axis=1)
 
 
-def small_run_rates(cfg, eta, num_samples, seed) -> np.ndarray:
-    """The rates of the standard-library sampler, which runs up to SMALL_RUN."""
-    return np.array(_small_run_rates(cfg, eta, num_samples, seed))
+def small_run_rates(cfg, etas, num_samples, seed) -> np.ndarray:
+    """The rates of the standard-library sampler, which runs up to
+    SMALL_RUN, one row per gain fraction in etas."""
+    return np.array(_small_run_rates(cfg, etas, num_samples, seed))
 
 
 # Each sampler, its sample count in the oracle checks and its case-id prefix.
@@ -236,7 +241,7 @@ def test_largest_accepted_config_gives_finite_values():
     assert 0.0 <= eta <= 1.0
     assert math.isfinite(max_se_upper_bound(cfg))
     for samples in (SMALL_RUN, 2000):       # both samplers
-        assert all(map(math.isfinite, monte_carlo_se(cfg, eta, samples, 1)))
+        assert all(map(math.isfinite, *monte_carlo_se(cfg, [eta], samples, 1)))
     with pytest.raises(ConfigError, match="largest SNR"):
         cfg.replace(P=snr_cap * (1 + 1e-9))
     with pytest.raises(ConfigError, match="^d2_over_lambda=2e"):
@@ -247,9 +252,9 @@ def test_monte_carlo_reproducible():
     cfg = small_config()
     eta = coherence_factor(cfg)
     for samples in (64, SMALL_RUN + 1):     # both samplers
-        first = monte_carlo_se(cfg, eta, samples, master_seed=9)
-        second = monte_carlo_se(cfg, eta, samples, master_seed=9)
-        other = monte_carlo_se(cfg, eta, samples, master_seed=10)
+        first = monte_carlo_se(cfg, [eta], samples, master_seed=9)
+        second = monte_carlo_se(cfg, [eta], samples, master_seed=9)
+        other = monte_carlo_se(cfg, [eta], samples, master_seed=10)
         assert first == second
         assert first != other
 
@@ -263,33 +268,33 @@ def test_monte_carlo_uses_every_seed_bit(seed):
     for samples in (64, SMALL_RUN + 1):     # both samplers
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low = monte_carlo_se(cfg, eta, samples, master_seed=seed)
-            high = monte_carlo_se(cfg, eta, samples, master_seed=seed + 1)
+            low = monte_carlo_se(cfg, [eta], samples, master_seed=seed)
+            high = monte_carlo_se(cfg, [eta], samples, master_seed=seed + 1)
         assert low != high
 
 
 def test_monte_carlo_single_sample():
     cfg = small_config()
-    mean, stderr = monte_carlo_se(cfg, coherence_factor(cfg), 1, master_seed=3)
+    [(mean, stderr)] = monte_carlo_se(cfg, [coherence_factor(cfg)], 1, master_seed=3)
     assert stderr == 0.0
     assert mean > 0.0
     with pytest.raises(ValueError):
-        monte_carlo_se(cfg, coherence_factor(cfg), 0, master_seed=3)
+        monte_carlo_se(cfg, [coherence_factor(cfg)], 0, master_seed=3)
 
 
 def test_monte_carlo_reproducible_across_chunk_boundary():
     cfg = small_config()
     eta = coherence_factor(cfg)
     n = MC_CHUNK + 100
-    assert monte_carlo_se(cfg, eta, n, 5) == monte_carlo_se(cfg, eta, n, 5)
-    chunks = list(_rate_chunks(cfg, eta, n, 5))
+    assert monte_carlo_se(cfg, [eta], n, 5) == monte_carlo_se(cfg, [eta], n, 5)
+    chunks = [rates for (rates,) in _rate_chunks(cfg, [eta], n, 5)]
     assert [c.size for c in chunks] == [MC_CHUNK, 100]
     # a full chunk does not depend on how many samples follow it
     np.testing.assert_array_equal(
-        chunks[0], next(_rate_chunks(cfg, eta, MC_CHUNK, 5)))
+        chunks[0], next(_rate_chunks(cfg, [eta], MC_CHUNK, 5))[0])
     # the chunk-merged moments equal the moments of all rates at once
     rates = np.concatenate(chunks)
-    mean, stderr = monte_carlo_se(cfg, eta, n, 5)
+    [(mean, stderr)] = monte_carlo_se(cfg, [eta], n, 5)
     assert mean == pytest.approx(np.mean(rates), rel=1e-12)
     assert stderr == pytest.approx(np.std(rates, ddof=1) / math.sqrt(n),
                                    rel=1e-9)
@@ -320,18 +325,62 @@ def test_sampler_matches_per_element_oracle(cfg, phases, tx, sampler, samples):
     # Same law of the rate as full N-by-M draws. The sampler sees the
     # phases only through their gain fraction. Distinct seeds keep the
     # samples independent of each other.
-    fast = sampler(cfg, gain_fraction(cfg, phases), samples, SEED)
+    (fast,) = sampler(cfg, [gain_fraction(cfg, phases)], samples, SEED)
     _assert_same_law(fast, _oracle_sample(cfg, tuple(phases), tx))
 
 
+@pytest.mark.parametrize("cfg, phases, tx, sampler, samples", [
+    case for case in _oracle_cases() if "K10" in case.id or "random" in case.id])
+def test_second_eta_of_a_pair_matches_per_element_oracle(cfg, phases, tx,
+                                                         sampler, samples):
+    # An eta drawn after another, from the variates they share, keeps its
+    # own law, whichever eta comes first.
+    eta = gain_fraction(cfg, phases)
+    _, fast = sampler(cfg, [1.0 if eta < 0.5 else 0.0, eta], samples, SEED + 7)
+    _assert_same_law(fast, _oracle_sample(cfg, tuple(phases), tx))
+
+
+@pytest.mark.parametrize("samples", [SMALL_RUN, SMALL_RUN + 1],
+                         ids=["small-run", "numpy"])
+def test_monte_carlo_of_several_etas_is_each_one_eta_run(samples):
+    # The etas share their draws, but each one's (mean, stderr) is that of
+    # a run of it alone, bit for bit, in any order and next to any others.
+    for cfg in (small_config(K1=10.0, K2=10.0), small_config(K1=math.inf, K2=2.0),
+                small_config(Nx=1, Ny=1, Lx=1, Ly=1), small_config(M=1),
+                load_config(ORACLE_SMALL)):
+        etas = [coherence_factor(cfg), 1.0, 0.0, 0.3]
+        alone = [run for eta in etas for run in monte_carlo_se(cfg, [eta], samples, 21)]
+        assert monte_carlo_se(cfg, etas, samples, 21) == alone
+        assert monte_carlo_se(cfg, etas[::-1], samples, 21) == alone[::-1]
+        assert monte_carlo_se(cfg, etas[1:2] * 2, samples, 21) == alone[1:2] * 2
+
+
+@pytest.mark.parametrize("k", [1.0, 10.0])
+@pytest.mark.parametrize("sampler", [numpy_rates, small_run_rates],
+                         ids=["numpy", "small-run"])
+def test_paired_etas_cut_the_variance_of_their_difference(sampler, k):
+    # sweep-k's subarray and element points share one draw, so their
+    # per-sample difference varies less than with independent draws, whose
+    # variance is the sum of the two: 3.8 to 7.3 times less on oracle_small.
+    cfg = load_config(ORACLE_SMALL).replace(K1=k, K2=k)
+    sub, element = sampler(cfg, [coherence_factor(cfg), 1.0],
+                           SMALL_RUN_SAMPLES, SEED)
+    assert np.var(sub - element, ddof=1) <= 0.5 * (
+        np.var(sub, ddof=1) + np.var(element, ddof=1))
+
+
 def _sampler_pair_cases():
+    default_k0 = load_config(CONFIGS / "default.json", [("K1", 0.0), ("K2", 0.0)])
     # N = 2 and M = 1 are where the standard-library sampler's central
     # parts are Gamma(0), exactly 0
     cases = [pytest.param(small_config(Nx=1, Ny=1, Lx=1, Ly=1), 1.0, id="N1"),
              pytest.param(small_config(Nx=2, Ny=1, Lx=1, Ly=1), 0.3, id="N2"),
              pytest.param(small_config(M=1), 0.3, id="M1"),
              pytest.param(small_config(K1=math.inf, K2=math.inf), 0.3, id="Kinf"),
-             pytest.param(small_config(K1=0.0, K2=0.0), 0.3, id="K0")]
+             pytest.param(small_config(K1=0.0, K2=0.0), 0.3, id="K0"),
+             # at N = 1024 the scattered part of sigma2 outweighs that of any
+             # small config: a 2 % error in its weight shows at z ~ 20
+             pytest.param(default_k0, coherence_factor(default_k0), id="default-K0")]
     rng = np.random.default_rng(SEED + 6)
     for i in range(6):
         cfg = random_config(rng, max_m=8)
@@ -344,8 +393,8 @@ def _sampler_pair_cases():
 def test_small_run_sampler_matches_the_numpy_sampler(cfg, eta):
     # The two samplers draw one law from independent generators, so the
     # check holds at any seed with the power of 2e4 against 2e5 samples.
-    _assert_same_law(small_run_rates(cfg, eta, SMALL_RUN_SAMPLES, SEED),
-                     numpy_rates(cfg, eta, FAST_SAMPLES, SEED + 1))
+    _assert_same_law(small_run_rates(cfg, [eta], SMALL_RUN_SAMPLES, SEED)[0],
+                     numpy_rates(cfg, [eta], FAST_SAMPLES, SEED + 1)[0])
 
 
 # Integer shapes of the standard-library sampler's central parts, N - 2 and
@@ -405,7 +454,7 @@ def test_small_run_sampler_uses_only_random(monkeypatch):
     # standard-library sampler must call no other method of its generator.
     cfg = small_config()
     eta = coherence_factor(cfg)
-    expected = monte_carlo_se(cfg, eta, SMALL_RUN, SEED)
+    expected = monte_carlo_se(cfg, [eta], SMALL_RUN, SEED)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the sampler called a method other than random()")
@@ -415,15 +464,15 @@ def test_small_run_sampler_uses_only_random(monkeypatch):
             monkeypatch.setattr(random.Random, name, forbidden)
     for name in ("gauss", "gammavariate", "normalvariate", "expovariate"):
         assert getattr(random.Random, name) is forbidden
-    assert monte_carlo_se(cfg, eta, SMALL_RUN, SEED) == expected
+    assert monte_carlo_se(cfg, [eta], SMALL_RUN, SEED) == expected
 
 
 def test_monte_carlo_respects_jensen_bound():
     rng = np.random.default_rng(SEED + 2)
     for _ in range(5):
         cfg = random_config(rng, max_m=8)
-        mean, stderr = monte_carlo_se(cfg, coherence_factor(cfg), 2000,
-                                      master_seed=17)
+        [(mean, stderr)] = monte_carlo_se(cfg, [coherence_factor(cfg)], 2000,
+                                          master_seed=17)
         assert mean <= se_upper_bound(cfg, optimal_phases(cfg)) + 3 * stderr
 
 
@@ -437,8 +486,8 @@ def test_pure_scatter_rate_ignores_phases():
                   for _ in range(2))
     assert eta1 != eta2
     for samples in (SMALL_RUN, SMALL_RUN + 1):     # both samplers
-        assert (monte_carlo_se(cfg, eta1, samples, master_seed=77)
-                == monte_carlo_se(cfg, eta2, samples, master_seed=77))
+        assert (monte_carlo_se(cfg, [eta1], samples, master_seed=77)
+                == monte_carlo_se(cfg, [eta2], samples, master_seed=77))
 
 
 def test_ris_power_reference_values():

@@ -2,19 +2,20 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ris_subarray import (Angles, ConfigError, SweepResult, draw_angle_tuples,
-                          energy_efficiency, load_config, los_cascade_gain,
-                          max_se_upper_bound, monte_carlo_se, optimal_phases,
-                          sweep_rician_factor, sweep_ris_size,
+from ris_subarray import (Angles, ConfigError, SweepResult, coherence_factor,
+                          draw_angle_tuples, energy_efficiency, load_config,
+                          los_cascade_gain, max_se_upper_bound, monte_carlo_se,
+                          optimal_phases, sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
 from ris_subarray import sweeps
-from ris_subarray.metrics import _bound_from_eta
+from ris_subarray.metrics import SMALL_RUN, _bound_from_eta
 from ris_subarray.phases import (_normalized_kernel,
                                  coherence_factor_from_slopes, phase_slopes)
 from ris_subarray.sweeps import (DEFAULT_N_GRID, _regional_rows,
@@ -37,7 +38,7 @@ GOLDEN = json.loads((ROOT / "bench" / "reference.json").read_text())["regional"]
 SEED_RULE = r"an integer in \[0, 18446744073709551615\]"
 RULES = {"seed": SEED_RULE, "master_seed": SEED_RULE,
          "grid_levels": r"an integer in \[1, 32\]", "l0_set": "an integer >= 2",
-         "eta": "finite and >= 0 and <= 1"}
+         "etas": "finite and >= 0 and <= 1"}
 
 
 def rule(name: str) -> str:
@@ -48,7 +49,7 @@ def spy_points(monkeypatch) -> list:
     """The arguments of every sweep point (a Rician point, or the regional
     rows) evaluated while monkeypatch is active; the points are not run."""
     ran = []
-    for point in ("_rician_point", "_regional_rows"):
+    for point in ("_rician_points", "_regional_rows"):
         monkeypatch.setattr(sweeps, point, lambda *args: ran.append(args))
     return ran
 
@@ -239,6 +240,33 @@ def test_sweep_rician_rows():
             > by_key[("subarray", 5.0)].se_ub)
 
 
+@pytest.mark.parametrize("samples", [SMALL_RUN, SMALL_RUN + 1],
+                         ids=["small-run", "numpy"])
+def test_sweep_rician_rows_of_one_k_share_a_draw(samples):
+    # At K = 0 the law of the rate does not depend on eta, so the element
+    # and subarray rows, drawn together, are equal; with LoS they differ.
+    cfg = load_config(ROOT / "configs" / "oracle_small.json")
+    rows = sweep_rician_factor(cfg, k_grid=(10.0, 0.0), samples=samples, seed=3)
+    by_key = {(r.scheme, r.var_value): r for r in rows}
+    assert by_key["element", 0.0][1:] == by_key["subarray", 0.0][1:]
+    assert by_key["element", 10.0].se_mc != by_key["subarray", 10.0].se_mc
+
+
+def test_sweep_rician_draws_once_per_k_seeded_by_its_grid_index(monkeypatch):
+    # One Monte Carlo run per Rician factor, for the subarray eta and the
+    # element eta of 1, seeded point_seed(seed, index in the grid).
+    calls, real = [], sweeps.monte_carlo_se
+
+    def spy(cfg, etas, samples, seed):
+        calls.append((cfg.K1, cfg.K2, etas, samples, seed))
+        return real(cfg, etas, samples, seed)
+    monkeypatch.setattr(sweeps, "monte_carlo_se", spy)
+    cfg, grid = small_config(), (5.0, 0.0, math.inf)
+    sweep_rician_factor(cfg, k_grid=grid, samples=8, seed=9)
+    assert calls == [(k, k, [coherence_factor(cfg), 1.0], 8, point_seed(9, i))
+                     for i, k in enumerate(grid)]
+
+
 def test_sweep_rician_deterministic_run_to_run():
     # 1.5e5 samples per point spans three Monte Carlo chunks.
     cfg = small_config()
@@ -396,17 +424,18 @@ def test_sweep_rejects_an_empty_or_repeating_grid(monkeypatch, sweep, bad,
 
 
 GOOD_RUN_ARGUMENTS = {
-    monte_carlo_se: {"cfg": small_config(), "eta": 0.5,
+    monte_carlo_se: {"cfg": small_config(), "etas": [0.5],
                      "num_samples": 8, "master_seed": 0},
     draw_angle_tuples: {"seed": 0, "count": 4},
 }
 
 
 @pytest.mark.parametrize("fn, name, value", [
-    (monte_carlo_se, "eta", 1.5),
-    (monte_carlo_se, "eta", -0.1),
-    (monte_carlo_se, "eta", math.nan),
-    (monte_carlo_se, "eta", True),
+    (monte_carlo_se, "etas", [1.5]),
+    (monte_carlo_se, "etas", [-0.1]),
+    (monte_carlo_se, "etas", [math.nan]),
+    (monte_carlo_se, "etas", [True]),
+    (monte_carlo_se, "etas", [0.5, 1.0, 1.5]),
     (monte_carlo_se, "num_samples", 2.5),
     (monte_carlo_se, "num_samples", True),
     (monte_carlo_se, "num_samples", np.float64(8.0)),
@@ -427,6 +456,30 @@ def test_public_run_argument_is_checked_naming_it(fn, name, value):
     # as the sweeps do, instead of truncating 1.5 to 1 or overflowing.
     with pytest.raises(ValueError, match=f"^{name} must be {rule(name)}, got"):
         fn(**{**GOOD_RUN_ARGUMENTS[fn], name: value})
+
+
+@pytest.mark.parametrize("etas, message", [
+    (0.5, "must be a sequence of gain fractions, got 0.5"),
+    (np.float64(0.5), "must be a sequence of gain fractions, got "),
+    (np.array(0.5), "must be a sequence of gain fractions, got array"),
+    ("0.5", "must be a sequence of gain fractions, got '0.5'"),
+    (None, "must be a sequence of gain fractions, got None"),
+    ([], "needs at least one value"),
+], ids=repr)
+def test_monte_carlo_etas_must_be_a_sequence(etas, message):
+    # One eta is a one-element sequence; a bare number is refused, naming
+    # etas, and is not taken as a sequence of one.
+    with pytest.raises(ConfigError, match=r"^etas " + re.escape(message)):
+        monte_carlo_se(small_config(), etas, 8, 0)
+
+
+def test_monte_carlo_accepts_any_sequence_of_etas():
+    cfg = small_config()
+    runs = monte_carlo_se(cfg, [0.25, 0.75], 8, 0)
+    assert len(runs) == 2
+    for etas in ((0.25, 0.75), np.array([0.25, 0.75]), iter([0.25, 0.75]),
+                 [np.float32(0.25), 0.75]):
+        assert monte_carlo_se(cfg, etas, 8, 0) == runs
 
 
 def test_sweep_accepts_numpy_integers():
