@@ -4,7 +4,8 @@ metrics.monte_carlo_se imports this module when a run starts, so the
 closed-form commands (validate, eta, sweep-q, sweep-n) never compile it.
 A run of at most metrics.SMALL_RUN samples draws from
 random.Random.random() alone (_small_run_rates), a longer one from numpy's
-Philox in chunks (_rate_chunks).
+Philox in chunks (_rate_chunks). Both draw each sample's variates once and
+evaluate every gain fraction of the run from them.
 """
 
 from __future__ import annotations
