@@ -75,12 +75,24 @@ def check_rician(name: str, value) -> float:
                       f"got {_shown(value)}")
 
 
+def check_sequence(name: str, values, of: str = "values") -> list:
+    """values as a list of at least one value; a bare number, None or a
+    string is not a sequence of them."""
+    try:
+        listed = None if isinstance(values, str) else list(values)
+    except TypeError:
+        listed = None
+    if listed is None:
+        raise ConfigError(f"{name} must be a sequence of {of}, got {_shown(values)}")
+    if not listed:
+        raise ConfigError(f"{name} needs at least one value")
+    return listed
+
+
 def check_grid(name: str, values) -> list:
     """values as a list, each judged by the entry check of grid `name`: at
     least one value, and none repeated once checked (-0.0 repeats 0.0)."""
-    grid = [GRID_ENTRY[name](name, value) for value in values]
-    if not grid:
-        raise ConfigError(f"{name} needs at least one value")
+    grid = [GRID_ENTRY[name](name, value) for value in check_sequence(name, values)]
     for i, value in enumerate(grid):
         if value in grid[:i]:
             raise ConfigError(f"{name} repeats the value {_shown(value)}")

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 
-from .config import (MAX_SEED, ConfigError, PowerConstants, SystemConfig,
-                     _shown, check_int, check_real, ris_power)
+from .config import (MAX_SEED, PowerConstants, SystemConfig, check_int,
+                     check_real, check_sequence, ris_power)
 from .phases import coherence_factor
 
 # A run of at most this many samples draws them in Python, from the standard
@@ -72,20 +72,6 @@ def max_se_upper_bound(cfg: SystemConfig) -> float:
     return _bound_from_eta(cfg)(coherence_factor(cfg))
 
 
-def _check_etas(etas) -> list[float]:
-    """etas as a list of floats: a sequence of at least one gain fraction,
-    each a finite real in [0, 1]; a bare number or a string is not one."""
-    try:
-        values = None if isinstance(etas, str) else list(etas)
-    except TypeError:
-        values = None
-    if values is None:
-        raise ConfigError(f"etas must be a sequence of gain fractions, got {_shown(etas)}")
-    if not values:
-        raise ConfigError("etas needs at least one value")
-    return [check_real("etas", eta, 0.0, high=1.0) for eta in values]
-
-
 def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
                    master_seed: int) -> list[tuple[float, float]]:
     """Sample-mean ergodic SE and its standard error, in bits, one
@@ -94,8 +80,8 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
     coherence_factor(cfg) at the optimal ones.
 
     Maximum-ratio transmission is folded in analytically: the rate of a
-    sample is log2(1 + snr * ||h2 Phi H1 + g||^2), drawn as in
-    sampler._rate_chunks. A run of at most SMALL_RUN samples draws them from
+    sample is log2(1 + snr * ||h2 Phi H1 + g||^2), whose law sampler._rate
+    states. A run of at most SMALL_RUN samples draws them from
     the standard library (sampler._small_run_rates), a longer one from
     numpy's Philox in chunks. The law depends on eta only through two
     parameters, so each sample's variates are drawn once and every eta is
@@ -107,7 +93,8 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
     etas must be a sequence of finite reals in [0, 1], num_samples an integer
     >= 1 and master_seed one in [0, 2**64).
     """
-    etas = _check_etas(etas)
+    etas = [check_real("etas", eta, 0.0, high=1.0)
+            for eta in check_sequence("etas", etas, "gain fractions")]
     num_samples = check_int("num_samples", num_samples)
     master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
     from . import sampler       # loaded by a run, as numpy by a long one

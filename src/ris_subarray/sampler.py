@@ -4,8 +4,8 @@ metrics.monte_carlo_se imports this module when a run starts, so the
 closed-form commands (validate, eta, sweep-q, sweep-n) never compile it.
 A run of at most metrics.SMALL_RUN samples draws from
 random.Random.random() alone (_small_run_rates), a longer one from numpy's
-Philox in chunks (_rate_chunks). Both draw each sample's variates once and
-evaluate every gain fraction of the run from them.
+Philox in chunks (_rate_chunks). Both draw each sample's six variates once
+and evaluate every gain fraction of the run from them by one formula, _rate.
 """
 
 from __future__ import annotations
@@ -23,21 +23,21 @@ MC_CHUNK = 1 << 16
 
 
 def _rate_law(cfg: SystemConfig, etas: list) -> tuple:
-    """Parameters of the law of the rate, shared by both samplers:
-    (w2_sc^2, w1_sc^2, los_gain, snr) and, for each gain fraction eta in
-    etas, (alpha0, sqrt(perp)), the only two that depend on eta."""
+    """The law's parameters: w2_sc^2, _rate's constants (w1_sc^2,
+    w1_los^2 * N * M, snr) and each eta's (alpha0, sqrt(perp))."""
     w1_los_sq, w1_sc_sq = rician_split(cfg.K1)
     w2_los_sq, w2_sc_sq = rician_split(cfg.K2)
-    return (w2_sc_sq, w1_sc_sq, 2.0 * w1_los_sq * cfg.N * cfg.M,
-            cfg.P / cfg.sigma_w2,
+    return (w2_sc_sq, (w1_sc_sq, w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2),
             [(math.sqrt(w2_los_sq * eta * cfg.N),
               math.sqrt(w2_los_sq * cfg.N * (1.0 - eta))) for eta in etas])
 
 
-def _rate_chunks(cfg: SystemConfig, etas: list, num_samples: int,
-                 master_seed: int):
-    """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2): per chunk, one
-    array for each gain fraction in etas, all from the chunk's one draw.
+def _rate(alpha0, root_perp, alpha_re, alpha_im_sq, orth_re, orth_rest, v_re,
+          v_rest, w1_sc_sq, los_gain, snr, sqrt, log1p):
+    """The rate log2(1 + snr * ||h2 Phi H1 + g||^2) of one gain fraction,
+    from one sample's six variates (floats) or a chunk's (arrays).
+    Augmented assignments rebind a float and update an array in place, and
+    sqrt and log1p may overwrite their argument, which is not used again.
 
     The rate depends on the channels only through that squared norm, which
     is drawn from its exact law instead of from the N-by-M matrices. With
@@ -57,13 +57,45 @@ def _rate_chunks(cfg: SystemConfig, etas: list, num_samples: int,
 
     A scaled noncentral chi-square (var / 2) * chi'^2(2k, 2 * mu^2 / var) is
     (mu + sqrt(var / 2) * z)^2 + var * Gamma(k - 1/2) with z standard
-    normal: one real coordinate carries the whole mean. So a sample costs
-    four standard normals and two standard gammas, none of which depends on
-    eta, and each eta reuses them.
+    normal: one real coordinate carries the whole mean. So the variates are
+    alpha - alpha0's real part and squared imaginary part, the orthogonal
+    rest's real coordinate along its LoS part (None at N = 1, where h2 has
+    no rest) and the rest of its squared norm, and ||v||^2's coordinate
+    along its mean and the rest, both per unit sigma2. None depends on eta.
     """
+    alpha_sq = alpha0 + alpha_re
+    alpha_sq *= alpha_sq
+    alpha_sq += alpha_im_sq             # |alpha|^2
+    sigma2 = w1_sc_sq * alpha_sq
+    if orth_re is not None:
+        orth = root_perp + orth_re
+        orth *= orth
+        orth += orth_rest
+        orth *= w1_sc_sq
+        sigma2 += orth
+    sigma2 += 1.0                       # w1_sc^2 * ||h2||^2 + 1
+    scaled_rest = sigma2 * v_rest
+    v = sqrt(sigma2)
+    v *= v_re
+    alpha_sq *= los_gain
+    v += sqrt(alpha_sq)
+    v *= v
+    v += scaled_rest                    # ||v||^2
+    v *= snr
+    rate = log1p(v)
+    rate /= _LN2
+    return rate
+
+
+def _rate_chunks(cfg: SystemConfig, etas: list, num_samples: int,
+                 master_seed: int):
+    """Per chunk, the _rate array of each gain fraction in etas, all from
+    the chunk's one draw of four standard normals and two standard gammas
+    per sample."""
     import numpy as np
-    w2_sc_sq, w1_sc_sq, los_gain, snr, laws = _rate_law(cfg, etas)
-    scatter, half_los_gain = math.sqrt(0.5 * w2_sc_sq), 0.5 * los_gain
+    w2_sc_sq, consts, laws = _rate_law(cfg, etas)
+    scatter = math.sqrt(0.5 * w2_sc_sq)
+    sqrt, log1p = (lambda x: np.sqrt(x, out=x)), (lambda x: np.log1p(x, out=x))
     for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
         size = min(MC_CHUNK, num_samples - start)
         # A uint64 array: a list key would go through float64 from 2**63 up.
@@ -71,38 +103,14 @@ def _rate_chunks(cfg: SystemConfig, etas: list, num_samples: int,
         rng = np.random.Generator(np.random.Philox(key=key))
         alpha_re, alpha_im_sq = scatter * rng.standard_normal((2, size))
         alpha_im_sq *= alpha_im_sq
-        if cfg.N > 1:           # nothing of h2 is orthogonal to f at N = 1
-            rest_re = scatter * rng.standard_normal(size)
-            rest = w2_sc_sq * rng.standard_gamma(cfg.N - 1.5, size)
-        v_re = math.sqrt(0.5) * rng.standard_normal(size)
-        v_rest = rng.standard_gamma(cfg.M - 0.5, size)
-        rates = []
-        for alpha0, root_perp in laws:
-            # in place where it can be, so that an eta adds only a few
-            # passes over the chunk to the draws that all etas share
-            alpha_sq = alpha0 + alpha_re
-            alpha_sq *= alpha_sq
-            alpha_sq += alpha_im_sq
-            sigma2 = w1_sc_sq * alpha_sq    # w1_sc^2 * ||h2||^2 + 1
-            if cfg.N > 1:
-                orth = root_perp + rest_re
-                orth *= orth
-                orth += rest
-                orth *= w1_sc_sq
-                sigma2 += orth
-            sigma2 += 1.0
-            v = np.sqrt(sigma2)
-            v *= v_re
-            alpha_sq *= half_los_gain
-            v += np.sqrt(alpha_sq, out=alpha_sq)
-            np.square(v, out=v)
-            sigma2 *= v_rest
-            v += sigma2             # ||v||^2
-            v *= snr
-            np.log1p(v, out=v)
-            v /= _LN2
-            rates.append(v)
-        yield rates
+        orth_re = orth_rest = None
+        if cfg.N > 1:
+            orth_re = scatter * rng.standard_normal(size)
+            orth_rest = w2_sc_sq * rng.standard_gamma(cfg.N - 1.5, size)
+        draws = (alpha_re, alpha_im_sq, orth_re, orth_rest,
+                 math.sqrt(0.5) * rng.standard_normal(size),
+                 rng.standard_gamma(cfg.M - 0.5, size))
+        yield [_rate(*law, *draws, *consts, sqrt, log1p) for law in laws]
 
 
 def _gamma_draw(uniform, shape: int):
@@ -126,51 +134,36 @@ def _gamma_draw(uniform, shape: int):
 
 def _small_run_rates(cfg: SystemConfig, etas: list, num_samples: int,
                      master_seed: int) -> list[list[float]]:
-    """The rates of _rate_chunks' law, one list for each gain fraction in
-    etas, drawn with no numpy from random.Random(master_seed).random() alone,
-    the one method whose stream Python keeps across versions.
+    """The _rate of each gain fraction in etas, one list each, drawn with no
+    numpy from random.Random(master_seed).random() alone, the one method
+    whose stream Python keeps across versions.
 
-    A scaled noncentral chi-square (var / 2) * chi'^2(2k, 2 * mu^2 / var) is
-    |mu + CN(0, var)|^2 + var * Gamma(k - 1): one complex coordinate carries
-    the whole mean, the other k - 1 are central. The first term takes two
-    uniforms, -var * ln(1 - U) for the squared modulus r^2 and 2 * pi * U'
-    for the phase, and sums (mu + r * c)^2 + r^2 * (1 - c^2) with c its
-    cosine: the expanded mu^2 + 2 * mu * r * c + r^2 can round below zero.
-    Each sample draws its uniforms once, in the order alpha's pair, the
-    orthogonal rest's pair and gamma, then ||v||^2's pair and gamma, and each
-    eta is evaluated from them: a run of one eta gives the same rates as the
-    same eta in a run of several.
+    Each complex normal is drawn in polar form from two uniforms, the
+    squared modulus e = -var * ln(1 - U) and the phase's cosine c: its real
+    part is sqrt(e) * c and its squared imaginary part e * (1 - c^2), which
+    with a Gamma(k - 1) makes the Gamma(k - 1/2) of _rate's law. A sample
+    draws alpha's pair, the orthogonal rest's pair and gamma, then
+    ||v||^2's pair and gamma, and evaluates every eta from them.
     """
     import random               # loaded by a small run, as numpy by a long one
-    w2_sc_sq, w1_sc_sq, los_gain, snr, laws = _rate_law(cfg, etas)
+    w2_sc_sq, (w1_sc_sq, los_gain, snr), laws = _rate_law(cfg, etas)
     uniform = random.Random(master_seed).random
     log, log1p, sqrt, cos, tau = math.log, math.log1p, math.sqrt, math.cos, math.tau
-    rest, v_rest = _gamma_draw(uniform, max(cfg.N - 2, 0)), _gamma_draw(uniform, cfg.M - 1)
+    rest, v_gamma = _gamma_draw(uniform, max(cfg.N - 2, 0)), _gamma_draw(uniform, cfg.M - 1)
     out = [[] for _ in laws]
-    per_eta = [(alpha0, root_perp, rates.append)
-               for (alpha0, root_perp), rates in zip(laws, out)]
-    n, half_los_gain = cfg.N, 0.5 * los_gain
+    per_eta = [(*law, rates.append) for law, rates in zip(laws, out)]
+    n, orth_re, orth_rest = cfg.N, None, None
     for _ in range(num_samples):
         e, c = -w2_sc_sq * log(1.0 - uniform()), cos(tau * uniform())
         alpha_re, alpha_im_sq = sqrt(e) * c, e * (1.0 - c * c)
         if n > 1:
             e, c = -w2_sc_sq * log(1.0 - uniform()), cos(tau * uniform())
-            orth_re, orth_sq = sqrt(e) * c, e * (1.0 - c * c)
-            orth_rest = w2_sc_sq * rest()
-        # ||v||^2's complex normal has variance sigma2, which depends on eta:
-        # its exponential -ln(1 - U) is drawn unscaled, and sigma2 * e is
-        # -sigma2 * ln(1 - U) bit for bit
+            orth_re, orth_rest = sqrt(e) * c, e * (1.0 - c * c) + w2_sc_sq * rest()
         e, c = -log(1.0 - uniform()), cos(tau * uniform())
-        v_im, v_gamma = 1.0 - c * c, v_rest()
+        v_re, v_rest = sqrt(e) * c, e * (1.0 - c * c) + v_gamma()
         for alpha0, root_perp, append in per_eta:
-            alpha_sq = h2_sq = (alpha0 + alpha_re) ** 2 + alpha_im_sq
-            if n > 1:           # as in _rate_chunks
-                h2_sq += (root_perp + orth_re) ** 2 + orth_sq + orth_rest
-            sigma2 = w1_sc_sq * h2_sq + 1.0
-            e_v = sigma2 * e
-            v_sq = ((sqrt(half_los_gain * alpha_sq) + sqrt(e_v) * c) ** 2
-                    + e_v * v_im + sigma2 * v_gamma)
-            append(log1p(snr * v_sq) / _LN2)
+            append(_rate(alpha0, root_perp, alpha_re, alpha_im_sq, orth_re, orth_rest,
+                         v_re, v_rest, w1_sc_sq, los_gain, snr, sqrt, log1p))
     return out
 
 

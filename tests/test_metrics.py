@@ -12,7 +12,8 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           coherence_factor, config_from_dict,
                           energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
-from ris_subarray.metrics import SMALL_RUN, _gammas
+from ris_subarray.metrics import (SMALL_RUN, _bound_from_eta, _gammas,
+                                  rician_split)
 from ris_subarray.sampler import (MC_CHUNK, _gamma_draw, _rate_chunks,
                                   _small_run_rates)
 
@@ -29,8 +30,9 @@ ORACLE_SMALL = CONFIGS / "oracle_small.json"
 Z_MAX = 5.0
 P_MIN = 5.7e-7
 FAST_SAMPLES = 200_000
-# The standard-library sampler costs about 2.8 us per sample and 0.6 us per
-# further eta in the run, 18 to 40 times numpy's 0.15 us and 0.015 us.
+# The standard-library sampler costs about 2.5 us per sample and 0.3 us per
+# further eta in the run, 16 to 22 times numpy's 0.16 us and 0.015 us
+# (small_config on a 2-vCPU x86 box).
 SMALL_RUN_SAMPLES = 20_000
 ORACLE_SAMPLES = 4_000
 
@@ -374,6 +376,10 @@ def _sampler_pair_cases():
     # N = 2 and M = 1 are where the standard-library sampler's central
     # parts are Gamma(0), exactly 0
     cases = [pytest.param(small_config(Nx=1, Ny=1, Lx=1, Ly=1), 1.0, id="N1"),
+             # alpha is the whole of h2, so an error in its variance shows
+             # in the exact mean: 6 % at z ~ 16
+             pytest.param(small_config(Nx=1, Ny=1, Lx=1, Ly=1, K1=0.0, K2=0.0),
+                          1.0, id="N1-K0"),
              pytest.param(small_config(Nx=2, Ny=1, Lx=1, Ly=1), 0.3, id="N2"),
              pytest.param(small_config(M=1), 0.3, id="M1"),
              pytest.param(small_config(K1=math.inf, K2=math.inf), 0.3, id="Kinf"),
@@ -389,12 +395,36 @@ def _sampler_pair_cases():
     return cases
 
 
+def _exact_mean(cfg, eta: float) -> float:
+    """E[X] of X = snr * ||h2 Phi H1 + g||^2 = 2^rate - 1: per transmit
+    antenna, the LoS-times-LoS part adds eta * N^2, each of the three parts
+    that scatter at least once N, and g one."""
+    (los1, sc1), (los2, sc2) = rician_split(cfg.K1), rician_split(cfg.K2)
+    scattered = los1 * sc2 + sc1 * los2 + sc1 * sc2
+    return cfg.P / cfg.sigma_w2 * cfg.M * (
+        los1 * los2 * eta * cfg.N ** 2 + scattered * cfg.N + 1.0)
+
+
+def _assert_exact_mean(rates: np.ndarray, cfg, eta: float) -> None:
+    """The sample mean of 2^rate - 1 is E[X] within Z_MAX stderrs."""
+    x = np.expm1(rates * math.log(2.0))
+    z = (np.mean(x) - _exact_mean(cfg, eta)) / (np.std(x, ddof=1) / math.sqrt(x.size))
+    assert abs(z) < Z_MAX, z
+
+
 @pytest.mark.parametrize("cfg, eta", _sampler_pair_cases())
 def test_small_run_sampler_matches_the_numpy_sampler(cfg, eta):
     # The two samplers draw one law from independent generators, so the
     # check holds at any seed with the power of 2e4 against 2e5 samples.
-    _assert_same_law(small_run_rates(cfg, [eta], SMALL_RUN_SAMPLES, SEED)[0],
-                     numpy_rates(cfg, [eta], FAST_SAMPLES, SEED + 1)[0])
+    # Both share _rate, so each is also checked against the exact mean,
+    # which the Jensen bound is log2(1 + E[X]) of.
+    assert _exact_mean(cfg, eta) == pytest.approx(
+        2.0 ** _bound_from_eta(cfg)(eta) - 1.0, rel=1e-12)
+    small = small_run_rates(cfg, [eta], SMALL_RUN_SAMPLES, SEED)[0]
+    fast = numpy_rates(cfg, [eta], FAST_SAMPLES, SEED + 1)[0]
+    _assert_same_law(small, fast)
+    _assert_exact_mean(small, cfg, eta)
+    _assert_exact_mean(fast, cfg, eta)
 
 
 # Integer shapes of the standard-library sampler's central parts, N - 2 and

@@ -411,11 +411,21 @@ def test_sweep_rejects_bad_run_argument_before_any_point(monkeypatch, sweep, bad
     (sweep_subarray_count, {"l0_grid": []}, "needs at least one value"),
     (sweep_ris_size, {"n_grid": []}, "needs at least one value"),
     (sweep_ris_size, {"l0_set": ()}, "needs at least one value"),
+    (sweep_rician_factor, {"k_grid": 5.0}, "must be a sequence of values, got 5.0"),
+    (sweep_rician_factor, {"k_grid": "10"}, "must be a sequence of values, got '10'"),
+    (sweep_subarray_count, {"l0_grid": 2}, "must be a sequence of values, got 2"),
+    (sweep_subarray_count, {"l0_grid": "2"}, "must be a sequence of values, got '2'"),
+    (sweep_ris_size, {"n_grid": 16}, "must be a sequence of values, got 16"),
+    (sweep_ris_size, {"n_grid": "16"}, "must be a sequence of values, got '16'"),
+    (sweep_ris_size, {"l0_set": 2}, "must be a sequence of values, got 2"),
+    (sweep_ris_size, {"l0_set": "24"}, "must be a sequence of values, got '24'"),
+    (sweep_ris_size, {"l0_set": None}, "must be a sequence of values, got None"),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_sweep_rejects_an_empty_or_repeating_grid(monkeypatch, sweep, bad,
                                                   message):
     # A repeat would write two rows with one (scheme, value) key, and an
-    # empty grid a CSV of only the header.
+    # empty grid a CSV of only the header. A bare number or None is not a
+    # grid, and a string is not split into its characters.
     ran = spy_points(monkeypatch)
     (name,) = bad
     with pytest.raises(ConfigError, match=f"^{name} {message}$"):
