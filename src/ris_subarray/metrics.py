@@ -83,11 +83,11 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
     sample is log2(1 + snr * ||h2 Phi H1 + g||^2), whose law sampler._rate
     states. A run of at most SMALL_RUN samples draws them from
     the standard library (sampler._small_run_rates), a longer one from
-    numpy's Philox in chunks. The law depends on eta only through two
-    parameters, so each sample's variates are drawn once and every eta is
-    evaluated from them (common random numbers): the estimates of two etas
-    are correlated, and the variance of their difference is smaller than
-    with independent draws. Each result is a pure function of
+    numpy's Philox in chunks. Each sample's variates are standardized, so
+    eta and the Rician factors enter only as constants of the law, and every
+    eta is evaluated from one draw (common random numbers): the estimates
+    of two etas are correlated, and the variance of their difference is
+    smaller than with independent draws. Each result is a pure function of
     (cfg, eta, num_samples, master_seed), whatever the other etas are, and
     its stderr is its own. Chunk moments are merged in chunk order (Chan et al.).
     etas must be a sequence of finite reals in [0, 1], num_samples an integer
@@ -97,16 +97,21 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
             for eta in check_sequence("etas", etas, "gain fractions")]
     num_samples = check_int("num_samples", num_samples)
     master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
+    return _monte_carlo_se([(cfg, eta) for eta in etas], num_samples, master_seed)
+
+
+def _monte_carlo_se(laws: list, num_samples: int, master_seed: int) -> list:
+    """monte_carlo_se of checked (cfg, eta) laws, which share N and M."""
     from . import sampler       # loaded by a run, as numpy by a long one
     if num_samples <= SMALL_RUN:
         runs = []
-        for rates in sampler._small_run_rates(cfg, etas, num_samples, master_seed):
+        for rates in sampler._small_run_rates(laws, num_samples, master_seed):
             mean = math.fsum(rates) / num_samples
             runs.append([(num_samples, mean,
                           math.fsum([(r - mean) ** 2 for r in rates]))])
     else:
         runs = zip(*sampler._chunk_moments(
-            sampler._rate_chunks(cfg, etas, num_samples, master_seed)))
+            sampler._rate_chunks(laws, num_samples, master_seed)))
     return [_merged(chunks) for chunks in runs]
 
 

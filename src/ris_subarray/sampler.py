@@ -2,17 +2,20 @@
 
 metrics.monte_carlo_se imports this module when a run starts, so the
 closed-form commands (validate, eta, sweep-q, sweep-n) never compile it.
-A run of at most metrics.SMALL_RUN samples draws from
-random.Random.random() alone (_small_run_rates), a longer one from numpy's
-Philox in chunks (_rate_chunks). Both draw each sample's six variates once
-and evaluate every gain fraction of the run from them by one formula, _rate.
+A run evaluates laws, each a (cfg, eta) pair, that share N and M. A run of
+at most metrics.SMALL_RUN samples draws from random.Random.random() alone
+(_small_run_rates), a longer one from numpy's Philox in chunks
+(_rate_chunks). Both draw each sample's six standardized variates once,
+since their law depends on N and M alone, and evaluate every law from them
+by one formula, _rate.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import starmap
 
-from .config import SystemConfig
 from .metrics import _LN2, rician_split
 
 # Monte Carlo samples are drawn in chunks of this many consecutive indices,
@@ -22,20 +25,23 @@ from .metrics import _LN2, rician_split
 MC_CHUNK = 1 << 16
 
 
-def _rate_law(cfg: SystemConfig, etas: list) -> tuple:
-    """The law's parameters: w2_sc^2, _rate's constants (w1_sc^2,
-    w1_los^2 * N * M, snr) and each eta's (alpha0, sqrt(perp))."""
-    w1_los_sq, w1_sc_sq = rician_split(cfg.K1)
-    w2_los_sq, w2_sc_sq = rician_split(cfg.K2)
-    return (w2_sc_sq, (w1_sc_sq, w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2),
-            [(math.sqrt(w2_los_sq * eta * cfg.N),
-              math.sqrt(w2_los_sq * cfg.N * (1.0 - eta))) for eta in etas])
+def _rate_laws(laws: list) -> list[tuple]:
+    """Per (cfg, eta) law, _rate's constants: w2_sc and w2_sc^2, which scale
+    h2's variates, alpha0, sqrt(perp), w1_sc^2, w1_los^2 * N * M and snr."""
+    consts = []
+    for cfg, eta in laws:
+        (w1_los_sq, w1_sc_sq), (w2_los_sq, w2_sc_sq) = map(rician_split, (cfg.K1, cfg.K2))
+        consts.append((math.sqrt(w2_sc_sq), w2_sc_sq,
+                       math.sqrt(w2_los_sq * eta * cfg.N),
+                       math.sqrt(w2_los_sq * cfg.N * (1.0 - eta)),
+                       w1_sc_sq, w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2))
+    return consts
 
 
-def _rate(alpha0, root_perp, alpha_re, alpha_im_sq, orth_re, orth_rest, v_re,
-          v_rest, w1_sc_sq, los_gain, snr, sqrt, log1p):
-    """The rate log2(1 + snr * ||h2 Phi H1 + g||^2) of one gain fraction,
-    from one sample's six variates (floats) or a chunk's (arrays).
+def _rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt, log1p,
+          w2_sc, w2_sc_sq, alpha0, root_perp, w1_sc_sq, los_gain, snr):
+    """The rate log2(1 + snr * ||h2 Phi H1 + g||^2) of one law, from one
+    sample's six standardized variates (floats) or a chunk's (arrays).
     Augmented assignments rebind a float and update an array in place, and
     sqrt and log1p may overwrite their argument, which is not used again.
 
@@ -60,17 +66,20 @@ def _rate(alpha0, root_perp, alpha_re, alpha_im_sq, orth_re, orth_rest, v_re,
     normal: one real coordinate carries the whole mean. So the variates are
     alpha - alpha0's real part and squared imaginary part, the orthogonal
     rest's real coordinate along its LoS part (None at N = 1, where h2 has
-    no rest) and the rest of its squared norm, and ||v||^2's coordinate
-    along its mean and the rest, both per unit sigma2. None depends on eta.
+    no rest) and the rest of its squared norm, all per unit w2_sc, and
+    ||v||^2's coordinate along its mean and the rest, per unit sigma2. None
+    depends on eta or on a Rician factor.
     """
-    alpha_sq = alpha0 + alpha_re
+    alpha_sq = alpha_re * w2_sc
+    alpha_sq += alpha0
     alpha_sq *= alpha_sq
-    alpha_sq += alpha_im_sq             # |alpha|^2
+    alpha_sq += alpha_im_sq * w2_sc_sq  # |alpha|^2
     sigma2 = w1_sc_sq * alpha_sq
     if orth_re is not None:
-        orth = root_perp + orth_re
+        orth = orth_re * w2_sc
+        orth += root_perp
         orth *= orth
-        orth += orth_rest
+        orth += orth_rest * w2_sc_sq
         orth *= w1_sc_sq
         sigma2 += orth
     sigma2 += 1.0                       # w1_sc^2 * ||h2||^2 + 1
@@ -87,30 +96,29 @@ def _rate(alpha0, root_perp, alpha_re, alpha_im_sq, orth_re, orth_rest, v_re,
     return rate
 
 
-def _rate_chunks(cfg: SystemConfig, etas: list, num_samples: int,
-                 master_seed: int):
-    """Per chunk, the _rate array of each gain fraction in etas, all from
-    the chunk's one draw of four standard normals and two standard gammas
-    per sample."""
+def _rate_chunks(laws: list, num_samples: int, master_seed: int):
+    """Per chunk, an iterator that computes the _rate array of each law in
+    turn, all from the chunk's one draw of four standard normals and two
+    standard gammas per sample."""
     import numpy as np
-    w2_sc_sq, consts, laws = _rate_law(cfg, etas)
-    scatter = math.sqrt(0.5 * w2_sc_sq)
-    sqrt, log1p = (lambda x: np.sqrt(x, out=x)), (lambda x: np.log1p(x, out=x))
+    consts, (cfg, _) = _rate_laws(laws), laws[0]
+    half = math.sqrt(0.5)
+    in_place = (lambda x: np.sqrt(x, out=x)), (lambda x: np.log1p(x, out=x))
     for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
         size = min(MC_CHUNK, num_samples - start)
         # A uint64 array: a list key would go through float64 from 2**63 up.
         key = np.array([master_seed, chunk], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        alpha_re, alpha_im_sq = scatter * rng.standard_normal((2, size))
+        alpha_re, alpha_im_sq = half * rng.standard_normal((2, size))
         alpha_im_sq *= alpha_im_sq
         orth_re = orth_rest = None
         if cfg.N > 1:
-            orth_re = scatter * rng.standard_normal(size)
-            orth_rest = w2_sc_sq * rng.standard_gamma(cfg.N - 1.5, size)
-        draws = (alpha_re, alpha_im_sq, orth_re, orth_rest,
-                 math.sqrt(0.5) * rng.standard_normal(size),
-                 rng.standard_gamma(cfg.M - 0.5, size))
-        yield [_rate(*law, *draws, *consts, sqrt, log1p) for law in laws]
+            orth_re = half * rng.standard_normal(size)
+            orth_rest = rng.standard_gamma(cfg.N - 1.5, size)
+        yield starmap(partial(_rate, alpha_re, alpha_im_sq, orth_re, orth_rest,
+                              half * rng.standard_normal(size),
+                              rng.standard_gamma(cfg.M - 0.5, size), *in_place),
+                      consts)
 
 
 def _gamma_draw(uniform, shape: int):
@@ -132,38 +140,38 @@ def _gamma_draw(uniform, shape: int):
     return draw
 
 
-def _small_run_rates(cfg: SystemConfig, etas: list, num_samples: int,
-                     master_seed: int) -> list[list[float]]:
-    """The _rate of each gain fraction in etas, one list each, drawn with no
-    numpy from random.Random(master_seed).random() alone, the one method
-    whose stream Python keeps across versions.
+def _small_run_rates(laws: list, num_samples: int, master_seed: int
+                     ) -> list[list[float]]:
+    """The _rate of each law, one list each, drawn with no numpy from
+    random.Random(master_seed).random() alone, the one method whose stream
+    Python keeps across versions.
 
-    Each complex normal is drawn in polar form from two uniforms, the
-    squared modulus e = -var * ln(1 - U) and the phase's cosine c: its real
+    Each standard complex normal is drawn in polar form from two uniforms,
+    the squared modulus e = -ln(1 - U) and the phase's cosine c: its real
     part is sqrt(e) * c and its squared imaginary part e * (1 - c^2), which
     with a Gamma(k - 1) makes the Gamma(k - 1/2) of _rate's law. A sample
     draws alpha's pair, the orthogonal rest's pair and gamma, then
-    ||v||^2's pair and gamma, and evaluates every eta from them.
+    ||v||^2's pair and gamma, and evaluates every law from them.
     """
     import random               # loaded by a small run, as numpy by a long one
-    w2_sc_sq, (w1_sc_sq, los_gain, snr), laws = _rate_law(cfg, etas)
+    consts, (cfg, _) = _rate_laws(laws), laws[0]
     uniform = random.Random(master_seed).random
     log, log1p, sqrt, cos, tau = math.log, math.log1p, math.sqrt, math.cos, math.tau
     rest, v_gamma = _gamma_draw(uniform, max(cfg.N - 2, 0)), _gamma_draw(uniform, cfg.M - 1)
     out = [[] for _ in laws]
-    per_eta = [(*law, rates.append) for law, rates in zip(laws, out)]
+    per_law = [(*law, rates.append) for law, rates in zip(consts, out)]
     n, orth_re, orth_rest = cfg.N, None, None
     for _ in range(num_samples):
-        e, c = -w2_sc_sq * log(1.0 - uniform()), cos(tau * uniform())
+        e, c = -log(1.0 - uniform()), cos(tau * uniform())
         alpha_re, alpha_im_sq = sqrt(e) * c, e * (1.0 - c * c)
         if n > 1:
-            e, c = -w2_sc_sq * log(1.0 - uniform()), cos(tau * uniform())
-            orth_re, orth_rest = sqrt(e) * c, e * (1.0 - c * c) + w2_sc_sq * rest()
+            e, c = -log(1.0 - uniform()), cos(tau * uniform())
+            orth_re, orth_rest = sqrt(e) * c, e * (1.0 - c * c) + rest()
         e, c = -log(1.0 - uniform()), cos(tau * uniform())
         v_re, v_rest = sqrt(e) * c, e * (1.0 - c * c) + v_gamma()
-        for alpha0, root_perp, append in per_eta:
-            append(_rate(alpha0, root_perp, alpha_re, alpha_im_sq, orth_re, orth_rest,
-                         v_re, v_rest, w1_sc_sq, los_gain, snr, sqrt, log1p))
+        for w2_sc, w2_sc_sq, alpha0, root_perp, w1_sc_sq, los_gain, snr, append in per_law:
+            append(_rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt,
+                         log1p, w2_sc, w2_sc_sq, alpha0, root_perp, w1_sc_sq, los_gain, snr))
     return out
 
 

@@ -2,9 +2,10 @@
 
 Every sweep evaluates a deterministic list of points in the calling
 process and sorts the emitted rows, so the CSV output is byte-identical for
-a fixed (config, grid, sample or draw count, seed). sweep-k derives one seed
-per Rician factor from the master seed; the regional sweeps draw one angle
-stream for all their points.
+a fixed (config, grid, sample or draw count, seed). sweep-k makes one Monte
+Carlo draw for all its points, so each of its rows is a function of the
+config at its Rician factor, the sample count and the seed alone; the
+regional sweeps draw one angle stream for all their points.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import add
 
 from .config import (MAX_SEED, TWO_PI, ConfigError, SystemConfig, check_grid,
                      check_int)
-from .metrics import _bound_from_eta, monte_carlo_se, total_power
+from .metrics import _bound_from_eta, _monte_carlo_se, total_power
 from .phases import coherence_factor, coherence_factor_from_slopes, phase_slopes
 
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
@@ -31,28 +32,8 @@ SweepResult = namedtuple("SweepResult",
                          "scheme var_name var_value se_mc se_mc_stderr se_ub ee")
 
 
-def point_seed(master_seed: int, index: int) -> int:
-    """Derived seed of the sweep-k Rician factor at position index of its
-    grid, schedule-independent: the first word of numpy's
-    Philox(key=[master_seed, index])."""
-    return next(_philox_words(master_seed, 1, index))
-
-
 def _sorted_rows(rows: list[SweepResult]) -> list[SweepResult]:
     return sorted(rows, key=lambda r: (r.scheme, r.var_value))
-
-
-def _rician_points(cfg: SystemConfig, samples: int, seed: int
-                   ) -> list[SweepResult]:
-    """The subarray and element rows of one Rician factor, from one Monte
-    Carlo draw. The element scheme is the Lx = Ly = 1 copy of cfg; the law of
-    the rate and the bound depend on the scheme only through eta."""
-    points = (("subarray", cfg), ("element", cfg.replace(Lx=1, Ly=1)))
-    etas = [coherence_factor(point_cfg) for _, point_cfg in points]
-    bound = _bound_from_eta(cfg)
-    return [SweepResult(scheme, "K", cfg.K1, mean, stderr, bound(eta), None)
-            for (scheme, _), eta, (mean, stderr)
-            in zip(points, etas, monte_carlo_se(cfg, etas, samples, seed))]
 
 
 def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
@@ -62,19 +43,25 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
 
     Both hops share the swept factor (default grid DEFAULT_K_GRID).
     The element scheme is the same computation on the Lx = Ly = 1 copy of
-    the config, not a separate formula. The two rows of the Rician factor
-    at index i of the grid share one Monte Carlo draw, seeded
-    point_seed(seed, i), so their difference carries the noise of one draw;
-    at K = 0 the law does not depend on eta and the two rows are equal.
+    the config, not a separate formula. Every row comes from one Monte
+    Carlo draw of standardized variates, seeded seed, which each Rician
+    factor scales: the rows of factor k are bit for bit
+    monte_carlo_se(cfg_base.replace(K1=k, K2=k), [subarray eta, element
+    eta], samples, seed), whatever the rest of the grid holds. Two rows'
+    difference carries the noise of one draw; at K = 0 the law does not
+    depend on eta and the two rows of a factor are equal.
     """
     samples = check_int("samples", samples)
     seed = check_int("seed", seed, 0, MAX_SEED)
-    rows = []
-    for index, k in enumerate(check_grid(
-            "k_grid", DEFAULT_K_GRID if k_grid is None else k_grid)):
-        rows += _rician_points(cfg_base.replace(K1=k, K2=k), samples,
-                               point_seed(seed, index))
-    return _sorted_rows(rows)
+    cfgs = [cfg_base.replace(K1=k, K2=k) for k in check_grid(
+        "k_grid", DEFAULT_K_GRID if k_grid is None else k_grid)]
+    schemes = [("subarray", coherence_factor(cfg_base)),
+               ("element", coherence_factor(cfg_base.replace(Lx=1, Ly=1)))]
+    points = [(cfg, scheme, eta) for cfg in cfgs for scheme, eta in schemes]
+    runs = _monte_carlo_se([(cfg, eta) for cfg, _, eta in points], samples, seed)
+    return _sorted_rows([SweepResult(scheme, "K", cfg.K1, mean, stderr,
+                                     _bound_from_eta(cfg)(eta), None)
+                         for (cfg, scheme, eta), (mean, stderr) in zip(points, runs)])
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -86,8 +73,8 @@ _PHILOX_BLOCKS = 1 << 10
 _MASK64 = (1 << 64) - 1
 
 
-def _philox_words(seed: int, count: int, key1: int = 0):
-    """The first count 64-bit outputs of numpy's Philox(key=[seed, key1]), one
+def _philox_words(seed: int, count: int):
+    """The first count 64-bit outputs of numpy's Philox(key=[seed, 0]), one
     at a time: block b, counter (b + 1, 0, 0, 0), gives words 4b to 4b + 3.
     A pass runs up to _PHILOX_BLOCKS blocks at once, block i in the 128-bit
     lane i of the Python ints c0..c3: a lane times a 64-bit multiplier fits
@@ -105,7 +92,7 @@ def _philox_words(seed: int, count: int, key1: int = 0):
             x0, x2 = m0 * c0, m1 * c2
             c0, c1, c2, c3 = (
                 (x2 >> 64) & low ^ c1 ^ ((seed + r * w0) & _MASK64) * ones, x2 & low,
-                (x0 >> 64) & low ^ c3 ^ ((key1 + r * w1) & _MASK64) * ones, x0 & low)
+                (x0 >> 64) & low ^ c3 ^ ((r * w1) & _MASK64) * ones, x0 & low)
         words = zip(*(lane.unpack(c.to_bytes(lane.size, "little"))
                       for c in (c0, c1, c2, c3)))
         yield from islice(chain.from_iterable(words), count - 4 * start)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from ris_subarray import (PowerConstants, coherence_factor, los_cascade_gain,
-                          max_se_upper_bound, monte_carlo_se, optimal_phases,
-                          ris_power, sweep_rician_factor, sweep_ris_size,
+                          max_se_upper_bound, optimal_phases, ris_power,
+                          sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
 
 from helpers import (element_bound, exhaustive_phase_search,
@@ -34,18 +34,12 @@ def _ok(num: int, name: str) -> None:
 @pytest.fixture(scope="module")
 def mc_runs():
     """(scheme, K, seed) -> (mc_mean, mc_stderr, upper_bound) at full scale.
-    The two schemes of a (K, seed) share one draw, as in sweep-k."""
-    runs = {}
-    for k in (10.0, 100.0):
-        cfg = reference_config(K1=k, K2=k)
-        schemes = {"subarray": cfg, "element": cfg.replace(Lx=1, Ly=1)}
-        etas = [coherence_factor(point_cfg) for point_cfg in schemes.values()]
-        for seed in MC_SEEDS:
-            pair = monte_carlo_se(cfg, etas, MC_SAMPLES, master_seed=seed)
-            for (scheme, point_cfg), (mc, stderr) in zip(schemes.items(), pair):
-                runs[(scheme, k, seed)] = (mc, stderr,
-                                           max_se_upper_bound(point_cfg))
-    return runs
+    Each seed's four points, both schemes at K = 10 and K = 100, come from
+    one sweep-k run, so from one draw."""
+    return {(r.scheme, r.var_value, seed): (r.se_mc, r.se_mc_stderr, r.se_ub)
+            for seed in MC_SEEDS
+            for r in sweep_rician_factor(reference_config(), k_grid=(10.0, 100.0),
+                                         samples=MC_SAMPLES, seed=seed)}
 
 
 def test_criterion_01_coherence_reference():

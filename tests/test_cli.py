@@ -298,16 +298,16 @@ def test_sweep_k_seed_determinism(tmp_path):
 
 
 # The CSV of `sweep-k --config configs/oracle_small.json --k-grid 0,10
-# --samples 64 --seed 7`, recorded once when the two rows of a K came to
+# --samples 64 --seed 7`, recorded once when every row of a sweep came to
 # share one draw. At up to SMALL_RUN samples per point every variate comes
 # from Random.random(), whose stream Python keeps across versions, so these
 # bytes must hold on every supported Python. The rows of K = 0 are equal.
 SWEEP_K_SMALL_RUN_GOLDEN = """\
 scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee
-element,K,0,9.23208445966,0.114684348755,9.41151098801,
-element,K,10,13.0469085066,0.0277959922036,13.0726157051,
-subarray,K,0,9.23208445966,0.114684348755,9.41151098801,
-subarray,K,10,10.6844837035,0.063565389575,10.7815381203,
+element,K,0,9.2880545378,0.0916715863089,9.41151098801,
+element,K,10,13.0864877301,0.028605555084,13.0726157051,
+subarray,K,0,9.2880545378,0.0916715863089,9.41151098801,
+subarray,K,10,10.7795320134,0.0628238653425,10.7815381203,
 """
 
 

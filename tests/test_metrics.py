@@ -37,17 +37,20 @@ SMALL_RUN_SAMPLES = 20_000
 ORACLE_SAMPLES = 4_000
 
 
-def numpy_rates(cfg, etas, num_samples, seed) -> np.ndarray:
+def numpy_rates(cfg, etas, num_samples, seed, laws=None) -> np.ndarray:
     """The rates of the chunked numpy sampler, which runs above SMALL_RUN,
-    one row per gain fraction in etas."""
-    return np.concatenate([np.array(chunk) for chunk
-                           in _rate_chunks(cfg, etas, num_samples, seed)], axis=1)
+    one row per gain fraction in etas, or per (cfg, eta) law in laws."""
+    laws = laws or [(cfg, eta) for eta in etas]
+    return np.concatenate([np.array(list(chunk)) for chunk
+                           in _rate_chunks(laws, num_samples, seed)], axis=1)
 
 
-def small_run_rates(cfg, etas, num_samples, seed) -> np.ndarray:
+def small_run_rates(cfg, etas, num_samples, seed, laws=None) -> np.ndarray:
     """The rates of the standard-library sampler, which runs up to
-    SMALL_RUN, one row per gain fraction in etas."""
-    return np.array(_small_run_rates(cfg, etas, num_samples, seed))
+    SMALL_RUN, one row per gain fraction in etas, or per (cfg, eta) law in
+    laws."""
+    laws = laws or [(cfg, eta) for eta in etas]
+    return np.array(_small_run_rates(laws, num_samples, seed))
 
 
 # Each sampler, its sample count in the oracle checks and its case-id prefix.
@@ -289,11 +292,11 @@ def test_monte_carlo_reproducible_across_chunk_boundary():
     eta = coherence_factor(cfg)
     n = MC_CHUNK + 100
     assert monte_carlo_se(cfg, [eta], n, 5) == monte_carlo_se(cfg, [eta], n, 5)
-    chunks = [rates for (rates,) in _rate_chunks(cfg, [eta], n, 5)]
+    chunks = [rates for (rates,) in _rate_chunks([(cfg, eta)], n, 5)]
     assert [c.size for c in chunks] == [MC_CHUNK, 100]
     # a full chunk does not depend on how many samples follow it
     np.testing.assert_array_equal(
-        chunks[0], next(_rate_chunks(cfg, [eta], MC_CHUNK, 5))[0])
+        chunks[0], next(next(_rate_chunks([(cfg, eta)], MC_CHUNK, 5))))
     # the chunk-merged moments equal the moments of all rates at once
     rates = np.concatenate(chunks)
     [(mean, stderr)] = monte_carlo_se(cfg, [eta], n, 5)
@@ -425,6 +428,22 @@ def test_small_run_sampler_matches_the_numpy_sampler(cfg, eta):
     _assert_same_law(small, fast)
     _assert_exact_mean(small, cfg, eta)
     _assert_exact_mean(fast, cfg, eta)
+
+
+@pytest.mark.parametrize("sampler, samples", [(numpy_rates, FAST_SAMPLES),
+                                              (small_run_rates, SMALL_RUN_SAMPLES)],
+                         ids=["numpy", "small-run"])
+def test_one_draw_scaled_per_rician_factor_keeps_each_exact_mean(sampler, samples):
+    # sweep-k evaluates every Rician factor from one draw of standardized
+    # variates, each scaled by its own w2_sc; each law, both schemes at each
+    # factor, keeps its exact mean. Scaling the orthogonal rest's gamma by
+    # w2_sc instead of w2_sc^2 shows at K = 1 at z ~ 41 (numpy) and ~ 13.
+    cfg = load_config(ORACLE_SMALL)
+    laws = [(cfg.replace(K1=k, K2=k), eta) for k in (0.0, 1.0, 10.0, 100.0, math.inf)
+            for eta in (coherence_factor(cfg), 1.0)]
+    for (law_cfg, eta), rates in zip(laws, sampler(None, None, samples, SEED + 8,
+                                                   laws=laws)):
+        _assert_exact_mean(rates, law_cfg, eta)
 
 
 # Integer shapes of the standard-library sampler's central parts, N - 2 and

@@ -18,8 +18,7 @@ from ris_subarray import sweeps
 from ris_subarray.metrics import SMALL_RUN, _bound_from_eta
 from ris_subarray.phases import (_normalized_kernel,
                                  coherence_factor_from_slopes, phase_slopes)
-from ris_subarray.sweeps import (DEFAULT_N_GRID, _regional_rows,
-                                 default_l0_grid, point_seed)
+from ris_subarray.sweeps import DEFAULT_N_GRID, _regional_rows, default_l0_grid
 
 from helpers import (exhaustive_phase_search, grid_resolution_slack,
                      normalized_kernel, numpy_sweep_ris_size,
@@ -46,10 +45,11 @@ def rule(name: str) -> str:
 
 
 def spy_points(monkeypatch) -> list:
-    """The arguments of every sweep point (a Rician point, or the regional
-    rows) evaluated while monkeypatch is active; the points are not run."""
+    """The arguments of every sweep point (sweep-k's one Monte Carlo run, or
+    the regional rows) evaluated while monkeypatch is active; the points are
+    not run."""
     ran = []
-    for point in ("_rician_points", "_regional_rows"):
+    for point in ("_monte_carlo_se", "_regional_rows"):
         monkeypatch.setattr(sweeps, point, lambda *args: ran.append(args))
     return ran
 
@@ -159,22 +159,6 @@ def test_regional_sweeps_equal_the_numpy_oracle(config, draws, seeds):
             assert rows_to_csv(got) == rows_to_csv(want)
 
 
-def test_point_seed_deterministic_and_distinct():
-    assert point_seed(5, 0) == point_seed(5, 0)
-    seeds = {point_seed(5, i) for i in range(100)}
-    assert len(seeds) == 100
-    assert point_seed(6, 0) != point_seed(5, 0)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
-def test_point_seed_is_the_first_word_of_numpys_philox(seed):
-    # key=[seed, index], so the seeds of a sweep's points need no numpy
-    for index in (0, 1, 2, 15, 16, 1000, 2 ** 32, 2 ** 64 - 1):
-        key = np.array([seed, index], dtype=np.uint64)
-        assert point_seed(seed, index) == int(
-            np.random.Philox(key=key).random_raw()), index
-
-
 def test_draw_angle_tuples():
     a = list(draw_angle_tuples(3, 50))
     assert a == list(draw_angle_tuples(3, 50))
@@ -252,19 +236,21 @@ def test_sweep_rician_rows_of_one_k_share_a_draw(samples):
     assert by_key["element", 10.0].se_mc != by_key["subarray", 10.0].se_mc
 
 
-def test_sweep_rician_draws_once_per_k_seeded_by_its_grid_index(monkeypatch):
-    # One Monte Carlo run per Rician factor, for the subarray eta and the
-    # element eta of 1, seeded point_seed(seed, index in the grid).
-    calls, real = [], sweeps.monte_carlo_se
-
-    def spy(cfg, etas, samples, seed):
-        calls.append((cfg.K1, cfg.K2, etas, samples, seed))
-        return real(cfg, etas, samples, seed)
-    monkeypatch.setattr(sweeps, "monte_carlo_se", spy)
-    cfg, grid = small_config(), (5.0, 0.0, math.inf)
-    sweep_rician_factor(cfg, k_grid=grid, samples=8, seed=9)
-    assert calls == [(k, k, [coherence_factor(cfg), 1.0], 8, point_seed(9, i))
-                     for i, k in enumerate(grid)]
+@pytest.mark.parametrize("samples", [SMALL_RUN, SMALL_RUN + 1],
+                         ids=["small-run", "numpy"])
+def test_sweep_rician_rows_are_the_monte_carlo_run_of_their_k(samples):
+    # One draw for the whole grid, seeded by the sweep's seed: the rows of
+    # each Rician factor are, bit for bit, the run of its config alone at
+    # the subarray eta and the element eta of 1, whatever else the grid holds.
+    cfg = load_config(ROOT / "configs" / "oracle_small.json")
+    alone = {k: monte_carlo_se(cfg.replace(K1=k, K2=k), [coherence_factor(cfg), 1.0],
+                               samples, 9) for k in (0.0, 10.0, math.inf)}
+    for grid in ((0.0, 10.0), (10.0,), (10.0, 0.0, math.inf)):
+        rows = sweep_rician_factor(cfg, k_grid=grid, samples=samples, seed=9)
+        assert [(r.scheme, r.var_value) for r in rows] == [
+            (scheme, k) for scheme in ("element", "subarray") for k in sorted(grid)]
+        for r in rows:
+            assert r[3:5] == alone[r.var_value][r.scheme == "element"], (grid, r)
 
 
 def test_sweep_rician_deterministic_run_to_run():
@@ -277,13 +263,13 @@ def test_sweep_rician_deterministic_run_to_run():
 
 def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
     calls = []
-    real = sweeps.monte_carlo_se
+    real = sweeps._monte_carlo_se
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(sweeps, "monte_carlo_se", counting)
+    monkeypatch.setattr(sweeps, "_monte_carlo_se", counting)
     with pytest.raises(ConfigError, match=r"^k_grid must be finite and >= 0, or inf"):
         sweep_rician_factor(small_config(), k_grid=[1.0, float("nan")],
                             samples=64)
@@ -294,7 +280,7 @@ def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
                          ids=repr)
 def test_sweep_rician_rejects_a_k_that_is_not_a_real_number(monkeypatch, entry):
     ran = []
-    monkeypatch.setattr(sweeps, "monte_carlo_se", lambda *args: ran.append(args))
+    monkeypatch.setattr(sweeps, "_monte_carlo_se", lambda *args: ran.append(args))
     with pytest.raises(ValueError, match=r"^k_grid must be finite and >= 0, or inf"):
         sweep_rician_factor(small_config(), k_grid=[1.0, entry], samples=8)
     assert ran == []
