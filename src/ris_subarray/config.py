@@ -210,6 +210,14 @@ def ris_power(num_drivers: int, power: PowerConstants) -> float:
     return power.p_dynamic + power.p_control + num_drivers * power.p_driver
 
 
+def total_power(num_drivers: int, power: PowerConstants) -> float:
+    """Total consumed power in watts with num_drivers phase-shift drivers."""
+    total = power.p_rest + ris_power(num_drivers, power)
+    if total <= 0.0:
+        raise ValueError("total power must be positive")
+    return total
+
+
 class SystemConfig(_Record):
     """Immutable description of one downlink scenario.
 
@@ -253,16 +261,15 @@ class SystemConfig(_Record):
                 f"the largest SNR, P / sigma_w2 * M * (N**2 + N + 1), must be at most "
                 f"2**1000, got {snr:g} from P={self.P!r}, sigma_w2={self.sigma_w2!r}, "
                 f"M={_shown(self.M)}, N={_shown(self.N)}")
-        # Each phase of the design is at most 4*pi*d2*(Nx + Ny) in size.
-        if not math.isfinite(2 * TWO_PI * self.d2_over_lambda * (self.Nx + self.Ny)):
+        # A phase slope is at most 2*pi*d2 in size before it is reduced mod pi.
+        if not math.isfinite(TWO_PI * self.d2_over_lambda):
             raise ConfigError(
-                f"d2_over_lambda={self.d2_over_lambda!r} overflows the phases of a "
-                f"{self.Nx}x{self.Ny} surface: 4*pi*d2_over_lambda*(Nx + Ny) must be "
-                f"finite")
-        # The energy efficiency divides by p_rest + ris_power(drivers). N
-        # drivers, per-element control, give the largest total, so once it
-        # is finite so is every other.
-        total = self.power.p_rest + ris_power(self.N, self.power)
+                f"d2_over_lambda={self.d2_over_lambda!r} overflows the phase "
+                f"slopes: 2*pi*d2_over_lambda must be finite")
+        # The energy efficiency divides by total_power(drivers). N drivers,
+        # per-element control, give the largest total, so once it is finite
+        # so is every other.
+        total = total_power(self.N, self.power)
         if not math.isfinite(total):
             p = self.power
             raise ConfigError(

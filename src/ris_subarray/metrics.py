@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .config import (MAX_SEED, PowerConstants, SystemConfig, check_int,
-                     check_real, check_sequence, ris_power)
+                     check_real, check_sequence, total_power)
 from .phases import coherence_factor
 
 # A run of at most this many samples draws them in Python, from the standard
@@ -127,14 +127,6 @@ def _merged(chunks) -> tuple[float, float]:
     if count < 2:
         return mean, 0.0
     return mean, math.sqrt(sq_dev / (count - 1) / count)
-
-
-def total_power(num_drivers: int, power: PowerConstants) -> float:
-    """Total consumed power in watts with num_drivers phase-shift drivers."""
-    total = power.p_rest + ris_power(num_drivers, power)
-    if total <= 0.0:
-        raise ValueError("total power must be positive")
-    return total
 
 
 def energy_efficiency(se: float, num_drivers: int, power: PowerConstants) -> float:

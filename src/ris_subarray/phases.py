@@ -21,15 +21,16 @@ _SING_TOL = 1e-9
 
 def phase_slopes(cfg: SystemConfig, angles=None) -> tuple[float, float]:
     """Per-axis, per-element phase progression mismatch between the departure
-    and arrival paths across the surface, in [-pi, pi] for spacings up to
-    half a wavelength, for one unchecked tuple of finite angles in Angles
-    field order; by default the config's own."""
+    and arrival paths across the surface, for one unchecked tuple of finite
+    angles in Angles field order (by default the config's own), reduced mod
+    pi into (-pi, pi): e^{2j*p*n} has period pi in p, and fmod is exact, so
+    products with element indices keep their precision at any spacing."""
     theta_a1, phi_a1, theta_d2, phi_d2 = cfg.angles if angles is None else angles
     d = cfg.d2_over_lambda
     p1 = math.pi * d * (math.sin(theta_d2) - math.sin(theta_a1))
     p2 = math.pi * d * (math.sin(phi_d2) * math.cos(theta_d2)
                         - math.sin(phi_a1) * math.cos(theta_a1))
-    return p1, p2
+    return math.fmod(p1, math.pi), math.fmod(p2, math.pi)
 
 
 def optimal_phases(cfg: SystemConfig) -> tuple[float, ...]:

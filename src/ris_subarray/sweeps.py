@@ -19,8 +19,8 @@ from itertools import chain, islice, repeat
 from operator import add
 
 from .config import (MAX_SEED, TWO_PI, ConfigError, SystemConfig, check_grid,
-                     check_int)
-from .metrics import _bound_from_eta, _monte_carlo_se, total_power
+                     check_int, total_power)
+from .metrics import _bound_from_eta, _monte_carlo_se
 from .phases import coherence_factor, coherence_factor_from_slopes, phase_slopes
 
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)

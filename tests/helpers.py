@@ -18,8 +18,10 @@ grid_resolution_slack(). The steering vectors and
 per-subarray offsets below build the LoS geometry element by element:
 steering_couplings() is the oracle for the slope-based subarray couplings.
 The per-element channel sampler at the end is the independent oracle for
-the sufficient-statistic Monte Carlo sampler in ris_subarray.metrics; it
+the sufficient-statistic Monte Carlo sampler in ris_subarray.sampler; it
 builds the channels from the LoS components defined just before it.
+The regional and bound oracles restate the phase slopes (oracle_slopes())
+and the Rician split (los_shares()) instead of taking the library's.
 
 reference_config() is the evaluation setup used throughout: 64 transmit
 antennas, a 32x32 surface in 2x2 subarrays, half-wavelength spacings, and the
@@ -37,7 +39,6 @@ from ris_subarray import (Angles, SweepResult, SystemConfig,
                           energy_efficiency, los_cascade_gain,
                           max_se_upper_bound, ris_power, write_csv)
 from ris_subarray.config import TWO_PI, check_int
-from ris_subarray.metrics import _gammas
 from ris_subarray.phases import phase_slopes, subarray_couplings
 
 REF_ANGLES = Angles(
@@ -99,6 +100,24 @@ def oracle_angle_tuples(seed: int, count: int) -> np.ndarray:
     return rng.uniform(0.0, 2.0 * np.pi, size=(count, 5))[:, 1:]
 
 
+def oracle_slopes(d: float, theta_a1, phi_a1, theta_d2, phi_d2, xp=math):
+    """The per-axis phase slopes reduced mod pi as the library reduces them,
+    by fmod, in the math module's scalar functions or numpy's (xp=np)."""
+    p1 = math.pi * d * (xp.sin(theta_d2) - xp.sin(theta_a1))
+    p2 = math.pi * d * (xp.sin(phi_d2) * xp.cos(theta_d2)
+                        - xp.sin(phi_a1) * xp.cos(theta_a1))
+    return xp.fmod(p1, math.pi), xp.fmod(p2, math.pi)
+
+
+def los_shares(cfg: SystemConfig) -> tuple[float, float]:
+    """(gamma1, gamma2): gamma1 = K1/(K1 + 1) * K2/(K2 + 1), the coherent
+    LoS-times-LoS share of the cascade, with K = inf giving 1; gamma2 the
+    rest."""
+    share = [1.0 if math.isinf(k) else k / (k + 1.0) for k in (cfg.K1, cfg.K2)]
+    gamma1 = share[0] * share[1]
+    return gamma1, 1.0 - gamma1
+
+
 def _numpy_kernel(L: int, p: np.ndarray) -> np.ndarray:
     """sin(L*p) / (L*sin(p)) elementwise, 1.0 where |sin(p)| < 1e-9, and
     clamped to [-1, 1]."""
@@ -113,15 +132,12 @@ def numpy_regional_rows(cfg_base: SystemConfig, var_name: str, points,
     """Sorted rows of (cfg, scheme, var_value) points, computed with numpy:
     the angle tuples from numpy's Generator, the slopes of all of them in
     one array pass, eta through np.float_power, and each mean by np.mean."""
-    theta_a1, phi_a1, theta_d2, phi_d2 = oracle_angle_tuples(seed, draws).T
-    d = cfg_base.d2_over_lambda
-    p1 = math.pi * d * (np.sin(theta_d2) - np.sin(theta_a1))
-    p2 = math.pi * d * (np.sin(phi_d2) * np.cos(theta_d2)
-                        - np.sin(phi_a1) * np.cos(theta_a1))
+    p1, p2 = oracle_slopes(cfg_base.d2_over_lambda,
+                           *oracle_angle_tuples(seed, draws).T, xp=np)
     rows = []
     for cfg, scheme, value in points:
         eta = np.float_power(_numpy_kernel(cfg.Lx, p1) * _numpy_kernel(cfg.Ly, p2), 2)
-        gamma1, gamma2 = _gammas(cfg)
+        gamma1, gamma2 = los_shares(cfg)
         arg = 1.0 + cfg.P / cfg.sigma_w2 * cfg.M * (
             gamma1 * eta * cfg.N ** 2 + gamma2 * cfg.N + 1.0)
         # np.log2 differs from math.log2 in the last bit on a few values in 1e5
@@ -213,11 +229,7 @@ def normalized_kernel(L: int, p: float) -> float:
 
 def scalar_slopes(cfg: SystemConfig) -> tuple[float, float]:
     """Per-axis phase slopes of the config's own angle tuple, in scalar math."""
-    a, d = cfg.angles, cfg.d2_over_lambda
-    p1 = math.pi * d * (math.sin(a.theta_d2) - math.sin(a.theta_a1))
-    p2 = math.pi * d * (math.sin(a.phi_d2) * math.cos(a.theta_d2)
-                        - math.sin(a.phi_a1) * math.cos(a.theta_a1))
-    return p1, p2
+    return oracle_slopes(cfg.d2_over_lambda, *cfg.angles)
 
 
 def scalar_coherence_factor(cfg: SystemConfig) -> float:
@@ -228,7 +240,7 @@ def scalar_coherence_factor(cfg: SystemConfig) -> float:
 
 
 def scalar_bound(cfg: SystemConfig) -> float:
-    gamma1, gamma2 = _gammas(cfg)
+    gamma1, gamma2 = los_shares(cfg)
     snr = cfg.P / cfg.sigma_w2
     eta = scalar_coherence_factor(cfg)
     return math.log2(1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2
@@ -251,7 +263,7 @@ def se_upper_bound(cfg: SystemConfig, phases) -> float:
     """Ergodic-SE upper bound for arbitrary length-Q phases, in bits: the
     Jensen bound through the LoS cascade gain instead of the coherence
     factor, which holds only at the optimum."""
-    gamma1, gamma2 = _gammas(cfg)
+    gamma1, gamma2 = los_shares(cfg)
     snr = cfg.P / cfg.sigma_w2
     gain = los_cascade_gain(cfg, phases)
     return math.log2(1.0 + snr * (gamma1 * gain

@@ -117,7 +117,8 @@ def test_malformed_set_is_a_usage_error(capsys, text):
     pytest.param(["M=1" + "0" * 400], "the largest SNR", id="M=10**400"),
     (["P=1e308"], "the largest SNR"),
     (["sigma_w2=1e-310"], "the largest SNR"),
-    (["d2_over_lambda=1e308"], "d2_over_lambda=1e+308 overflows the phases"),
+    (["d2_over_lambda=1e308"], "d2_over_lambda=1e+308 overflows the phase slopes: "
+     "2*pi*d2_over_lambda must be finite"),
     # finite power terms whose total is not, once a config ok (and inf
     # surface power) from validate and ee = 0 rows from the sweeps
     (["power.p_rest=1e308", "power.p_control=1e308"], "the largest total power"),
@@ -140,6 +141,7 @@ def test_set_infinite_rician_factor_is_pure_los(capsys):
 @pytest.mark.parametrize("argv", [
     ["validate", "--samples", "5"],
     ["validate", "--seed", "3"],
+    ["eta", "--samples", "5"],
     ["eta", "--out", "f.csv"],
     ["eta", "--workers", "2"],
     ["sweep-q", "--samples", "5"],
@@ -410,18 +412,15 @@ def test_eta_refuses_phases_short_of_the_bound(monkeypatch, capsys):
     assert float(values["shortfall"]) > 1e-12
 
 
-@pytest.mark.parametrize("spacing, rc", [(1e6, 0), (1e9, 2)])
-def test_eta_certificate_limit_at_large_spacings(monkeypatch, capsys, spacing, rc):
-    # Element phases of size 4*pi*d2*Nx are rounded in both the couplings
-    # and the design, so from about 1e9 wavelengths the rounding alone puts
-    # the closed form short of the bound; reducing each term mod 2*pi before
-    # the sum would not help, as the products themselves are rounded.
+@pytest.mark.parametrize("spacing", [1e6, 1e9, 1e12, 1e100, 1e300])
+def test_eta_certificate_holds_at_large_spacings(monkeypatch, capsys, spacing):
+    # The phase slopes are reduced mod pi, so the element phases are as
+    # small at any spacing as at half a wavelength: unreduced, their
+    # rounding put the closed form short of the bound from about 1e9.
     cfg = load_config(DEFAULT).replace(d2_over_lambda=spacing)
-    got, values, err = eta_lines(monkeypatch, capsys, cfg)
-    assert got == rc
-    assert (float(values["shortfall"]) > 1e-12) == (rc == 2)
-    assert err == ("" if rc == 0 else
-                   "error: the closed-form phases fall short of the coherent bound\n")
+    rc, values, err = eta_lines(monkeypatch, capsys, cfg)
+    assert (rc, err) == (0, "")
+    assert float(values["shortfall"]) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [
@@ -549,8 +548,9 @@ ENTRY = "from ris_subarray.cli import entry; entry()"
 @pytest.mark.parametrize("argv, code", [
     (["sweep-q", "--config", ORACLE_SMALL, "--draws", "3"], 0),
     (["validate", "--config", DEFAULT, "--set", "Lx=3"], 1),
+    (["sweep-q", "--config", DEFAULT, "--l0-grid", "3"], 1),
     (["sweep-k", "--config", DEFAULT, "--samples", "0"], 2),
-], ids=["sweep", "bad config", "usage error"])
+], ids=["sweep", "bad config", "bad grid", "usage error"])
 def test_console_entry_keeps_exit_codes(argv, code):
     assert fresh_process(ENTRY, *argv).returncode == code
 
@@ -565,19 +565,24 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path):
 def test_console_entry_writes_the_csv_main_writes(tmp_path):
     # entry() runs main() with the collector off and ends the process without
     # the interpreter's teardown, so only its own flush gets buffered output
-    # out: the pipe is block-buffered with PYTHONUNBUFFERED unset.
-    argv = ["sweep-k", "--config", ORACLE_SMALL, "--k-grid", "0,10",
-            "--samples", "64"]
-    entry_csv, main_csv = tmp_path / "entry.csv", tmp_path / "main.csv"
-    to_file = fresh_process(ENTRY, *argv, "--out", str(entry_csv),
-                            PYTHONUNBUFFERED=None)
-    to_stdout = fresh_process(ENTRY, *argv, PYTHONUNBUFFERED=None)
-    code = main([*argv, "--out", str(main_csv)])
-    assert to_file.returncode == to_stdout.returncode == code == 0, (
-        to_file.stderr + to_stdout.stderr)
-    assert to_file.stdout == f"wrote 4 rows to {entry_csv}\n"
-    assert entry_csv.read_bytes() == main_csv.read_bytes()
-    assert to_stdout.stdout.encode() == main_csv.read_bytes()
+    # out: the pipe is block-buffered with PYTHONUNBUFFERED unset. Each
+    # sampler and a regional sweep, whose angle stream is the library's own.
+    for name, rows, argv in [
+            ("stdlib", 4, ["sweep-k", "--k-grid", "0,10", "--samples", "64"]),
+            ("numpy", 4, ["sweep-k", "--k-grid", "0,10", "--samples",
+                          str(SMALL_RUN + 1)]),
+            ("regional", 3, ["sweep-q", "--draws", "50"])]:
+        argv = [*argv, "--config", ORACLE_SMALL]
+        entry_csv, main_csv = tmp_path / f"{name}-entry.csv", tmp_path / f"{name}.csv"
+        to_file = fresh_process(ENTRY, *argv, "--out", str(entry_csv),
+                                PYTHONUNBUFFERED=None)
+        to_stdout = fresh_process(ENTRY, *argv, PYTHONUNBUFFERED=None)
+        code = main([*argv, "--out", str(main_csv)])
+        assert to_file.returncode == to_stdout.returncode == code == 0, (
+            name, to_file.stderr + to_stdout.stderr)
+        assert to_file.stdout == f"wrote {rows} rows to {entry_csv}\n", name
+        assert entry_csv.read_bytes() == main_csv.read_bytes(), name
+        assert to_stdout.stdout.encode() == main_csv.read_bytes(), name
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None],
@@ -618,12 +623,6 @@ def test_console_entry_with_stdout_closed_at_start(tmp_path, argv):
     assert not (tmp_path / "q.csv").exists()
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    code = ("import sys, ris_subarray.cli; print([m for m in ('multiprocessing',"
-            " 'concurrent.futures.process') if m in sys.modules])")
-    assert fresh_python(code) == "[]"
-
-
 def test_workers_flag_is_ignored(tmp_path):
     # --workers is parsed and checked, then dropped: 4 points x 1.5e5
     # samples starts no process machinery and writes the bytes of the same
@@ -641,73 +640,69 @@ def test_workers_flag_is_ignored(tmp_path):
             == (tmp_path / "plain.csv").read_bytes())
 
 
-# Loaded by numpy, and by nothing that the numpy-free commands need: the
+# The import rule, one row per way into the package: a snippet of code, or
+# an argv that main() runs on ORACLE_SMALL. numpy, and numpy.random with it,
+# loads if and only if a Monte Carlo run exceeds SMALL_RUN samples per
+# point, and the sampler if and only if the command is sweep-k.
+NUMPY = ("numpy", "numpy.random")
+SAMPLER = "ris_subarray.sampler"
+# Loaded by numpy itself, and by nothing that the numpy-free runs need: the
 # config records are not dataclasses, whose import pulls in inspect, and
-# write_csv joins its fields without the csv module. The last three are
-# argparse and what it loads: no command loads them, numpy or not.
-HEAVY = "('numpy', 'dataclasses', 'inspect', 'csv', 'argparse', 'gettext', 'locale')"
-PARSER = {"argparse", "gettext", "locale"}
-# Run first, so that a module a site hook loaded before the package counts
-# as not loaded by it.
-BEFORE = "import sys; before = set(sys.modules); "
-# The HEAVY modules loaded since BEFORE, comma-separated, or "-".
-LOADED = f"(','.join(m for m in {HEAVY} if m in sys.modules and m not in before) or '-')"
-# The Monte Carlo sampler, which only sweep-k runs.
-SAMPLER = "'ris_subarray.sampler' in sys.modules"
+# write_csv joins its fields without the csv module.
+NUMPY_OWN = ("dataclasses", "inspect", "csv")
+# Loaded by no run: no command parses with argparse, which loads gettext and
+# locale, and every run stays in its process.
+NEVER = ("argparse", "gettext", "locale", "multiprocessing",
+         "concurrent.futures.process")
+PHASE_DESIGN = ("from ris_subarray import load_config, phases; "
+                f"cfg = load_config({DEFAULT!r}); phases.subarray_couplings(cfg); "
+                "phases.los_cascade_gain(cfg, phases.optimal_phases(cfg))")
+IMPORT_RULE = {    # id: (code or argv, numpy loads, the sampler loads)
+    "phase-design": (PHASE_DESIGN, False, False),
+    "validate": (["validate"], False, False),
+    "eta": (["eta"], False, False),
+    "sweep-q": (["sweep-q", "--draws", "3", "--out"], False, False),
+    "sweep-n": (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], False, False),
+    "sweep-k": (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], False, True),
+    "sweep-k-small-run": (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN),
+                           "--out"], False, True),
+    "sweep-k-numpy": (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN + 1),
+                       "--out"], True, True),
+}
+
+
+def modules_loaded_by(code):
+    """The watched modules that `code` loads in a fresh interpreter."""
+    # `before` is taken first, so that a module a site hook loaded before the
+    # package counts as not loaded by it.
+    watched = NEVER + NUMPY_OWN + NUMPY + (SAMPLER,)
+    proc = fresh_process(f"import sys; before = set(sys.modules); {code}; print(*["
+                         f"m for m in {watched!r} if m in sys.modules and m not in before])")
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())   # after the run's output
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    code = f"{BEFORE}import ris_subarray.cli; print({SAMPLER}, {LOADED})"
-    assert fresh_python(code) == "False -"
+    loaded = modules_loaded_by("import ris_subarray.cli")
+    assert not loaded & {*NUMPY, *NUMPY_OWN, SAMPLER}, loaded
 
 
-# (argv, whether numpy, numpy.random and the sampler are loaded)
-@pytest.mark.parametrize("argv, loaded", [
-    (["sweep-q", "--draws", "3", "--out"], "False False False"),
-    (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], "False False False"),
-    (["eta"], "False False False"),
-    (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], "False False True"),
-    (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN), "--out"],
-     "False False True"),
-    (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN + 1), "--out"],
-     "True True True"),
-], ids=["sweep-q", "sweep-n", "eta", "sweep-k", "sweep-k-small-run",
-        "sweep-k-numpy"])
-def test_only_sweep_k_imports_numpy_random(tmp_path, argv, loaded):
-    # eta, the regional sweeps and sweep-k at up to SMALL_RUN samples per
-    # point are float math and load no numpy at all, nor dataclasses,
-    # inspect or csv; a longer sweep-k draws its normals and gammas
-    # through numpy.random. Only sweep-k compiles the Monte Carlo sampler,
-    # and no command loads argparse.
-    if argv[-1] == "--out":
-        argv = [*argv, str(tmp_path / "out.csv")]
-    argv = [*argv, "--config", ORACLE_SMALL]
-    code = (f"{BEFORE}from ris_subarray.cli import main; rc = main({argv!r}); "
-            f"print(rc, 'numpy.random' in sys.modules, {SAMPLER}, {LOADED})")
-    rc, numpy_random, sampler, heavy = fresh_python(code).splitlines()[-1].split()
-    heavy = set(heavy.split(",")) - {"-"}
-    assert f"{rc} {'numpy' in heavy} {numpy_random} {sampler}" == f"0 {loaded}"
-    assert not heavy & PARSER
-    if "numpy" not in heavy:    # numpy imports inspect itself
-        assert heavy == set()
+def test_cli_import_leaves_process_pool_unloaded():
+    loaded = modules_loaded_by("import ris_subarray.cli")
+    assert not loaded & set(NEVER), loaded
 
 
-def test_phase_design_runs_without_numpy():
-    # The closed-form phases, the couplings and the gain are float math.
-    code = (f"{BEFORE}from ris_subarray import load_config, phases; "
-            "cfg = load_config('configs/default.json'); "
-            "phases.subarray_couplings(cfg); "
-            "phases.los_cascade_gain(cfg, phases.optimal_phases(cfg)); "
-            f"print({LOADED})")
-    assert fresh_python(code) == "-"
-
-
-def test_validate_runs_without_numpy():
-    code = (f"{BEFORE}from ris_subarray.cli import main; "
-            "rc = main(['validate', '--config', 'configs/default.json']); "
-            f"print(rc, {SAMPLER}, {LOADED})")
-    assert fresh_python(code).splitlines()[-1] == "0 False -"
-
+@pytest.mark.parametrize("run, numpy, sampler", IMPORT_RULE.values(),
+                         ids=IMPORT_RULE)
+def test_only_sweep_k_imports_numpy_random(tmp_path, run, numpy, sampler):
+    if isinstance(run, list):
+        out = [str(tmp_path / "out.csv")] if run[-1] == "--out" else []
+        argv = [*run, *out, "--config", ORACLE_SMALL]
+        run = f"from ris_subarray.cli import main; assert main({argv!r}) == 0"
+    loaded = modules_loaded_by(run)
+    assert loaded & set(NUMPY) == (set(NUMPY) if numpy else set())
+    assert (SAMPLER in loaded) == sampler
+    assert loaded - set(NUMPY) - {SAMPLER} <= (set(NUMPY_OWN) if numpy else set())
 
 PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",
           "SystemConfig", "coherence_factor", "config_from_dict",

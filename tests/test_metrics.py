@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           coherence_factor, config_from_dict,
                           energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
+from ris_subarray.config import TWO_PI
 from ris_subarray.metrics import (SMALL_RUN, _bound_from_eta, _gammas,
                                   rician_split)
 from ris_subarray.sampler import (MC_CHUNK, _gamma_draw, _rate_chunks,
@@ -240,7 +242,8 @@ def test_largest_accepted_config_gives_finite_values():
     # Just inside both overflow caps every output is finite; just past
     # either, the config cannot be built.
     snr_cap = 2.0 ** 1000 / (4 * (16 ** 2 + 16 + 1))
-    cfg = small_config(P=snr_cap * (1 - 1e-9), d2_over_lambda=1e306)
+    spacing_cap = sys.float_info.max / TWO_PI
+    cfg = small_config(P=snr_cap * (1 - 1e-9), d2_over_lambda=spacing_cap * (1 - 1e-9))
     assert np.isfinite(optimal_phases(cfg)).all()
     eta = coherence_factor(cfg)
     assert 0.0 <= eta <= 1.0
@@ -249,8 +252,8 @@ def test_largest_accepted_config_gives_finite_values():
         assert all(map(math.isfinite, *monte_carlo_se(cfg, [eta], samples, 1)))
     with pytest.raises(ConfigError, match="largest SNR"):
         cfg.replace(P=snr_cap * (1 + 1e-9))
-    with pytest.raises(ConfigError, match="^d2_over_lambda=2e"):
-        cfg.replace(d2_over_lambda=2e306)
+    with pytest.raises(ConfigError, match="^d2_over_lambda=.* overflows the phase slopes"):
+        cfg.replace(d2_over_lambda=spacing_cap * (1 + 1e-9))
 
 
 def test_monte_carlo_reproducible():

@@ -56,10 +56,11 @@ def spy_points(monkeypatch) -> list:
 
 HALF_PI = math.pi / 2
 # theta_a1 = -pi/2, theta_d2 = pi/2 puts p1 at pi * d2 * 2: a grating point
-# (sin p1 ~ 1e-16) at d2 = 0.5. At d2 = 0.5000000012, |sin p1| ~ 7.5e-9 is
-# past the fill threshold and the 3-element kernel rounds to 1 + 3.9e-8.
+# (sin p1 ~ 1e-16) at d2 = 0.5. At d2 = 0.4999999988, p1 is just below pi,
+# where reducing it mod pi leaves it as it is, |sin p1| ~ 7.5e-9 is past the
+# fill threshold and the 3-element kernel rounds to 1 + 3.9e-8.
 GRATING = [(-HALF_PI, 1.1, HALF_PI, 2.0), (-HALF_PI, 1.1, HALF_PI, 1.1)]
-CLAMP_CFG = small_config(Nx=6, Lx=3, d2_over_lambda=0.5000000012)
+CLAMP_CFG = small_config(Nx=6, Lx=3, d2_over_lambda=0.4999999988)
 
 
 def _oracle_cases():
@@ -253,14 +254,6 @@ def test_sweep_rician_rows_are_the_monte_carlo_run_of_their_k(samples):
             assert r[3:5] == alone[r.var_value][r.scheme == "element"], (grid, r)
 
 
-def test_sweep_rician_deterministic_run_to_run():
-    # 1.5e5 samples per point spans three Monte Carlo chunks.
-    cfg = small_config()
-    first = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000, seed=4)
-    again = sweep_rician_factor(cfg, k_grid=(0.0, 10.0), samples=150_000, seed=4)
-    assert rows_to_csv(first) == rows_to_csv(again)
-
-
 def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
     calls = []
     real = sweeps._monte_carlo_se
@@ -312,16 +305,6 @@ def test_sweep_subarray_count_rows():
     for r in rows:
         assert r.se_mc is None and r.se_mc_stderr is None
         assert r.ee > 0
-
-
-def test_sweep_subarray_count_deterministic_run_to_run():
-    # A large run, 1.5e5 draws, reruns byte for byte.
-    cfg = reference_config()
-    a = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8),
-                             num_angle_draws=150_000, seed=2)
-    b = sweep_subarray_count(cfg, l0_grid=(1, 2, 4, 8),
-                             num_angle_draws=150_000, seed=2)
-    assert rows_to_csv(a) == rows_to_csv(b)
 
 
 @pytest.mark.parametrize("l0, surface", [(3, {}), (64, {}), (4, {"Ny": 2})],
