@@ -10,10 +10,12 @@ __version__ = "0.1.0"
 _MODULE_OF = {name: module for module, names in (
     ("config", "Angles ConfigError PowerConstants SystemConfig config_from_dict"
                " load_config ris_power"),
-    ("metrics", "energy_efficiency max_se_upper_bound monte_carlo_se"),
-    ("phases", "coherence_factor los_cascade_gain optimal_phases"),
-    ("sweeps", "SweepResult draw_angle_tuples sweep_rician_factor"
-               " sweep_ris_size sweep_subarray_count write_csv"),
+    ("design", "los_cascade_gain optimal_phases"),
+    ("metrics", "energy_efficiency max_se_upper_bound"),
+    ("phases", "coherence_factor"),
+    ("regional", "draw_angle_tuples sweep_ris_size sweep_subarray_count"),
+    ("sampler", "monte_carlo_se"),
+    ("sweeps", "SweepResult sweep_rician_factor write_csv"),
 ) for name in names.split()}
 
 __all__ = sorted(_MODULE_OF)

@@ -12,8 +12,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-# The numeric modules are imported by the commands that use them, and only a
-# sweep-k of more than metrics.SMALL_RUN samples per point loads numpy.
+# Each command imports only the modules on its own path, and only a sweep-k
+# of more than sampler.SMALL_RUN samples per point loads numpy.
 from .config import (MAX_SEED, SystemConfig, _unique_keys, check_grid,
                      check_int, load_config, ris_power)
 
@@ -68,8 +68,9 @@ COMMANDS = {
         "--n-grid": ("n_grid", grid("n_grid"), "surface sizes, perfect squares"),
         "--l0-set": ("l0_set", grid("l0_set"), "subarray sides >= 2 beside elements")}),
 }
-SWEEPS = {"sweep-k": "sweep_rician_factor", "sweep-q": "sweep_subarray_count",
-          "sweep-n": "sweep_ris_size"}
+SWEEPS = {"sweep-k": ("sweeps", "sweep_rician_factor"),  # module, function
+          "sweep-q": ("regional", "sweep_subarray_count"),
+          "sweep-n": ("regional", "sweep_ris_size")}
 
 
 def _stop(error: str = ""):
@@ -144,13 +145,13 @@ def _dispatch(args, cfg: SystemConfig) -> int:
               f"surface_power_subarray={ris_power(cfg.Q, cfg.power):.6g} W\nconfig ok")
         return 0
     if args.command == "eta":
-        from .phases import coherence_factor, phase_certificate, phase_slopes
-        (p1, p2), eta = phase_slopes(cfg), coherence_factor(cfg)
+        from . import design, phases
+        (p1, p2), eta = phases.phase_slopes(cfg), phases.coherence_factor(cfg)
         loss = math.inf if eta == 0.0 else -math.log2(eta) + 0.0
         # The closed form must reach the coherent bound to rounding. The gap
         # is scaled by N^2 * M, not by the bound: at a grating null the
         # couplings, and so the bound, are rounding noise themselves.
-        gain, bound = phase_certificate(cfg)
+        gain, bound = design.phase_certificate(cfg)
         shortfall = (bound - gain) / (cfg.N ** 2 * cfg.M)
         print(f"p1 = {p1:.12g}\np2 = {p2:.12g}\neta = {eta:.12g}\n"
               f"-log2(eta) = {loss:.12g}\nclosed_form_gain = {gain:.12g}\n"
@@ -160,11 +161,13 @@ def _dispatch(args, cfg: SystemConfig) -> int:
                   file=sys.stderr)
             return 2
         return 0
-    # a sweep, the rest of COMMANDS
+    # a sweep, the rest of COMMANDS, run from the module that holds it
     from . import sweeps
+    module, name = SWEEPS[args.command]
     run = {key: value for key, value in vars(args).items()
            if key not in ("command", "config", "overrides", "out", "workers")}
-    rows = getattr(sweeps, SWEEPS[args.command])(cfg, **run)
+    # __import__ is timed by -X importtime, where importlib.import_module is not
+    rows = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)(cfg, **run)
     out = getattr(args, "out", None)
     if out is None:
         sweeps.write_csv(rows, sys.stdout)

@@ -7,8 +7,6 @@ checks its fields whenever it is built: by its constructor, config_from_dict
 or its replace method.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import numbers
@@ -246,6 +244,10 @@ class SystemConfig(_Record):
             if getattr(self, size) % getattr(self, side):
                 raise ConfigError(f"{side}={_shown(getattr(self, side))} does not "
                                   f"divide {size}={_shown(getattr(self, size))}")
+        if self.N > 2 ** 20:    # eta's certificate takes time linear in N
+            raise ConfigError(f"the surface size, Nx * Ny, must be at most 2**20, got "
+                              f"{_shown(self.N)} from Nx={_shown(self.Nx)}, "
+                              f"Ny={_shown(self.Ny)}")
         self._check_fields(check_real, 0.0, True, names=(
             "d2_over_lambda", "P", "sigma_w2"))
         self._check_fields(check_rician, names=("K1", "K2"))
@@ -266,18 +268,21 @@ class SystemConfig(_Record):
             raise ConfigError(
                 f"d2_over_lambda={self.d2_over_lambda!r} overflows the phase "
                 f"slopes: 2*pi*d2_over_lambda must be finite")
-        # The energy efficiency divides by total_power(drivers). N drivers,
-        # per-element control, give the largest total, so once it is finite
-        # so is every other.
-        total = total_power(self.N, self.power)
-        if not math.isfinite(total):
-            p = self.power
-            raise ConfigError(
-                f"the largest total power, power.p_rest + power.p_dynamic + "
-                f"power.p_control + N * power.p_driver, must be finite, got "
-                f"{total:g} from power.p_rest={p.p_rest!r}, power.p_dynamic="
-                f"{p.p_dynamic!r}, power.p_control={p.p_control!r}, "
-                f"power.p_driver={p.p_driver!r}, N={_shown(self.N)}")
+        # The energy efficiency divides an SE of at most log2(1 + 2**1000) bits,
+        # the SNR cap's, by total_power(drivers): largest at N drivers, smallest
+        # at 1. The total must be finite, and the efficiency 2**24 below a
+        # float's range, so that a regional row's sum over its draws is too.
+        p, total = self.power, ("power.p_rest + power.p_dynamic + power.p_control"
+                                " + {} * power.p_driver")
+        for value, limit, rule in (
+                (total_power(self.N, p), math.inf,
+                 f"total power, {total.format('N')}, must be finite"),
+                (1001.0 / total_power(1, p), 2.0 ** 1000, "energy efficiency, "
+                 f"1001 / ({total.format(1)}), must be below 2**1000")):
+            if not value < limit:
+                raise ConfigError(f"the largest {rule}, got {value:g} from " + ", ".join(
+                    f"power.{name}={term!r}" for name, term in vars(p).items())
+                    + f", N={_shown(self.N)}")
 
     Qx = property(lambda self: self.Nx // self.Lx)
     Qy = property(lambda self: self.Ny // self.Ly)

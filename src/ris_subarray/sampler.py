@@ -1,28 +1,23 @@
-"""The law of the Monte Carlo rate and its two samplers.
+"""The Monte Carlo estimator of the ergodic SE, the law of its rate, and
+the standard-library sampler. Of the commands, only sweep-k loads it.
 
-metrics.monte_carlo_se imports this module when a run starts, so the
-closed-form commands (validate, eta, sweep-q, sweep-n) never compile it.
 A run evaluates laws, each a (cfg, eta) pair, that share N and M. A run of
-at most metrics.SMALL_RUN samples draws from random.Random.random() alone
-(_small_run_rates), a longer one from numpy's Philox in chunks
-(_rate_chunks). Both draw each sample's six standardized variates once,
-since their law depends on N and M alone, and evaluate every law from them
-by one formula, _rate.
+at most SMALL_RUN samples draws from random.Random.random() alone
+(_small_run_rates); a longer one loads numpy and draws from its Philox in
+chunks (ris_subarray.numpy_sampler). Both draw each sample's six
+standardized variates once, since their law depends on N and M alone, and
+evaluate every law from them by one formula, _rate.
 """
 
-from __future__ import annotations
-
 import math
-from functools import partial
-from itertools import starmap
 
+from .config import MAX_SEED, SystemConfig, check_int, check_real, check_sequence
 from .metrics import _LN2, rician_split
 
-# Monte Carlo samples are drawn in chunks of this many consecutive indices,
-# chunk c from the Philox stream keyed (master_seed, c). A chunk's values do
-# not depend on how many samples a run asks for beyond it, and memory stays
-# bounded at any sample count.
-MC_CHUNK = 1 << 16
+# A run of at most this many samples draws them in Python, from the standard
+# library, and loads no numpy: below it, numpy's import costs more than the
+# draws it would speed up (README, "Start-up and exit").
+SMALL_RUN = 512
 
 
 def _rate_laws(laws: list) -> list[tuple]:
@@ -96,31 +91,6 @@ def _rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt, log1p,
     return rate
 
 
-def _rate_chunks(laws: list, num_samples: int, master_seed: int):
-    """Per chunk, an iterator that computes the _rate array of each law in
-    turn, all from the chunk's one draw of four standard normals and two
-    standard gammas per sample."""
-    import numpy as np
-    consts, (cfg, _) = _rate_laws(laws), laws[0]
-    half = math.sqrt(0.5)
-    in_place = (lambda x: np.sqrt(x, out=x)), (lambda x: np.log1p(x, out=x))
-    for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
-        size = min(MC_CHUNK, num_samples - start)
-        # A uint64 array: a list key would go through float64 from 2**63 up.
-        key = np.array([master_seed, chunk], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        alpha_re, alpha_im_sq = half * rng.standard_normal((2, size))
-        alpha_im_sq *= alpha_im_sq
-        orth_re = orth_rest = None
-        if cfg.N > 1:
-            orth_re = half * rng.standard_normal(size)
-            orth_rest = rng.standard_gamma(cfg.N - 1.5, size)
-        yield starmap(partial(_rate, alpha_re, alpha_im_sq, orth_re, orth_rest,
-                              half * rng.standard_normal(size),
-                              rng.standard_gamma(cfg.M - 0.5, size), *in_place),
-                      consts)
-
-
 def _gamma_draw(uniform, shape: int):
     """A function that draws Gamma(shape, 1), for an integer shape >= 0, from
     the uniforms on [0, 1) that uniform() returns: Marsaglia and Tsang's
@@ -175,12 +145,57 @@ def _small_run_rates(laws: list, num_samples: int, master_seed: int
     return out
 
 
-def _chunk_moments(chunks):
-    """Per chunk, (count, mean, sum of squared deviations) of each of its
-    arrays of rates."""
-    import numpy as np
-    def moments(rates) -> tuple:
-        mean = float(np.mean(rates))
-        return rates.size, mean, float(np.sum((rates - mean) ** 2))
-    for arrays in chunks:
-        yield [moments(rates) for rates in arrays]
+def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
+                   master_seed: int) -> list[tuple[float, float]]:
+    """Sample-mean ergodic SE and its standard error, in bits, one
+    (mean, stderr) per gain fraction in etas, all from one draw. A gain
+    fraction is los_cascade_gain / (N^2 * M) of the phases, which is
+    coherence_factor(cfg) at the optimal ones.
+
+    Maximum-ratio transmission is folded in analytically: the rate of a
+    sample is log2(1 + snr * ||h2 Phi H1 + g||^2), whose law _rate states.
+    A run of at most SMALL_RUN samples draws them from the standard library
+    (_small_run_rates), a longer one from numpy's Philox in chunks
+    (numpy_sampler). Each sample's variates are standardized, so eta and the
+    Rician factors enter only as constants of the law, and every eta is
+    evaluated from one draw (common random numbers): the estimates of two
+    etas are correlated, and the variance of their difference is smaller
+    than with independent draws. Each result is a pure function of (cfg, eta,
+    num_samples, master_seed), whatever the other etas are, and its stderr
+    is its own. Chunk moments are merged in chunk order (Chan et al.). etas
+    must be a sequence of finite reals in [0, 1], num_samples an integer
+    >= 1 and master_seed one in [0, 2**64).
+    """
+    etas = [check_real("etas", eta, 0.0, high=1.0)
+            for eta in check_sequence("etas", etas, "gain fractions")]
+    num_samples = check_int("num_samples", num_samples)
+    master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
+    return _monte_carlo_se([(cfg, eta) for eta in etas], num_samples, master_seed)
+
+
+def _monte_carlo_se(laws: list, num_samples: int, master_seed: int) -> list:
+    """monte_carlo_se of checked (cfg, eta) laws, which share N and M."""
+    if num_samples <= SMALL_RUN:
+        runs = []
+        for rates in _small_run_rates(laws, num_samples, master_seed):
+            mean = math.fsum(rates) / num_samples
+            runs.append([(num_samples, mean,
+                          math.fsum([(r - mean) ** 2 for r in rates]))])
+    else:
+        from .numpy_sampler import _chunk_moments, _rate_chunks
+        runs = zip(*_chunk_moments(_rate_chunks(laws, num_samples, master_seed)))
+    return [_merged(chunks) for chunks in runs]
+
+
+def _merged(chunks) -> tuple[float, float]:
+    """(mean, stderr of the mean) of the rates whose per-chunk
+    (count, mean, sum of squared deviations) are chunks."""
+    count, mean, sq_dev = 0, 0.0, 0.0
+    for size, chunk_mean, chunk_sq_dev in chunks:
+        delta = chunk_mean - mean
+        sq_dev += chunk_sq_dev + delta ** 2 * count * size / (count + size)
+        count += size
+        mean += delta * (size / count)
+    if count < 2:
+        return mean, 0.0
+    return mean, math.sqrt(sq_dev / (count - 1) / count)

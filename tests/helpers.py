@@ -39,7 +39,8 @@ from ris_subarray import (Angles, SweepResult, SystemConfig,
                           energy_efficiency, los_cascade_gain,
                           max_se_upper_bound, ris_power, write_csv)
 from ris_subarray.config import TWO_PI, check_int
-from ris_subarray.phases import phase_slopes, subarray_couplings
+from ris_subarray.design import subarray_couplings
+from ris_subarray.phases import phase_slopes
 
 REF_ANGLES = Angles(
     theta_a1=2 * math.pi / 3,

@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_subarray import (cli, coherence_factor, load_config,
-                          los_cascade_gain, optimal_phases, phases,
+from ris_subarray import (cli, coherence_factor, design, load_config,
+                          los_cascade_gain, optimal_phases,
                           sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
 from ris_subarray.cli import main
-from ris_subarray.metrics import SMALL_RUN
-from ris_subarray.phases import phase_slopes, subarray_couplings
+from ris_subarray.design import subarray_couplings
+from ris_subarray.phases import phase_slopes
+from ris_subarray.sampler import SMALL_RUN
 from ris_subarray.sweeps import write_csv
 
 from helpers import (NULL_ANGLES, random_config, reference_config,
@@ -115,6 +116,8 @@ def test_malformed_set_is_a_usage_error(capsys, text):
     # values whose rates or phases would overflow a float, once an
     # OverflowError traceback (M) or inf and nan rows written as results
     pytest.param(["M=1" + "0" * 400], "the largest SNR", id="M=10**400"),
+    # once a run that never ended, in eta's certificate
+    (["Nx=9007199254740992"], "the surface size, Nx * Ny, must be at most 2**20"),
     (["P=1e308"], "the largest SNR"),
     (["sigma_w2=1e-310"], "the largest SNR"),
     (["d2_over_lambda=1e308"], "d2_over_lambda=1e+308 overflows the phase slopes: "
@@ -131,6 +134,21 @@ def test_bad_set_field_is_rejected_naming_it(capsys, sets, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("p_rest", [1e-320, 6e-306])
+def test_tiny_total_power_is_an_error_not_an_inf_row(tmp_path, capsys, p_rest):
+    # Once exit 0 and ee = inf: on every row at 1e-320 W, and at 6e-306 W,
+    # where each draw's efficiency is finite, on the element row's mean.
+    power = json.dumps(dict(p_rest=p_rest, p_dynamic=0, p_control=0, p_driver=0))
+    out = tmp_path / "q.csv"
+    assert main(["sweep-q", "--config", ORACLE_SMALL, "--set", f"power={power}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: the largest energy efficiency, 1001 / (power.p_rest + "
+        "power.p_dynamic + power.p_control + 1 * power.p_driver), must be below "
+        "2**1000, got ")
+    assert not out.exists()
 
 
 def test_set_infinite_rician_factor_is_pure_los(capsys):
@@ -403,8 +421,8 @@ def test_eta_refuses_phases_short_of_the_bound(monkeypatch, capsys):
     # A design off the optimum by 0.1 rad on every other subarray no longer
     # aligns the couplings (shifting all of them alike would): one error
     # line and exit 2.
-    closed = phases.optimal_phases
-    monkeypatch.setattr(phases, "optimal_phases", lambda cfg: tuple(
+    closed = design.optimal_phases
+    monkeypatch.setattr(design, "optimal_phases", lambda cfg: tuple(
         phi + 0.1 * (q % 2) for q, phi in enumerate(closed(cfg))))
     rc, values, err = eta_lines(monkeypatch, capsys, load_config(DEFAULT))
     assert rc == 2
@@ -641,68 +659,83 @@ def test_workers_flag_is_ignored(tmp_path):
 
 
 # The import rule, one row per way into the package: a snippet of code, or
-# an argv that main() runs on ORACLE_SMALL. numpy, and numpy.random with it,
-# loads if and only if a Monte Carlo run exceeds SMALL_RUN samples per
-# point, and the sampler if and only if the command is sweep-k.
+# an argv that main() runs on ORACLE_SMALL, and the modules of the package
+# it loads. Each command compiles only the modules on its own path: the
+# regional sweeps neither the phase design nor the sampler, and sweep-k
+# neither the regional sweeps nor the design. numpy, and numpy.random with
+# it, loads if and only if a Monte Carlo run exceeds SMALL_RUN samples per
+# point, and numpy_sampler with them.
 NUMPY = ("numpy", "numpy.random")
-SAMPLER = "ris_subarray.sampler"
-# Loaded by numpy itself, and by nothing that the numpy-free runs need: the
-# config records are not dataclasses, whose import pulls in inspect, and
-# write_csv joins its fields without the csv module.
-NUMPY_OWN = ("dataclasses", "inspect", "csv")
+# Loaded by numpy itself, and by no numpy-free run but struct, which the
+# regional sweeps load: the config records are not dataclasses, whose import
+# pulls in inspect, and write_csv joins its fields without the csv module.
+NUMPY_OWN = ("dataclasses", "inspect", "csv", "struct")
+# The regional sweeps' Philox words and slope arrays; sweep-k loads neither.
+REGIONAL_OWN = ("struct", "array")
 # Loaded by no run: no command parses with argparse, which loads gettext and
-# locale, and every run stays in its process.
+# locale, every run stays in its process, and no module of the package
+# imports __future__.
 NEVER = ("argparse", "gettext", "locale", "multiprocessing",
-         "concurrent.futures.process")
-PHASE_DESIGN = ("from ris_subarray import load_config, phases; "
-                f"cfg = load_config({DEFAULT!r}); phases.subarray_couplings(cfg); "
-                "phases.los_cascade_gain(cfg, phases.optimal_phases(cfg))")
-IMPORT_RULE = {    # id: (code or argv, numpy loads, the sampler loads)
-    "phase-design": (PHASE_DESIGN, False, False),
-    "validate": (["validate"], False, False),
-    "eta": (["eta"], False, False),
-    "sweep-q": (["sweep-q", "--draws", "3", "--out"], False, False),
-    "sweep-n": (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], False, False),
-    "sweep-k": (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], False, True),
+         "concurrent.futures.process", "__future__")
+PHASE_DESIGN = ("from ris_subarray import design, load_config; "
+                f"cfg = load_config({DEFAULT!r}); design.subarray_couplings(cfg); "
+                "design.los_cascade_gain(cfg, design.optimal_phases(cfg))")
+REGIONAL = {"cli", "config", "sweeps", "regional", "metrics", "phases"}
+SWEEP_K = {"cli", "config", "sweeps", "metrics", "phases", "sampler"}
+IMPORT_RULE = {    # id: (code or argv, package modules loaded, numpy loads)
+    "phase-design": (PHASE_DESIGN, {"config", "phases", "design"}, False),
+    "validate": (["validate"], {"cli", "config"}, False),
+    "eta": (["eta"], {"cli", "config", "phases", "design"}, False),
+    "sweep-q": (["sweep-q", "--draws", "3", "--out"], REGIONAL, False),
+    "sweep-n": (["sweep-n", "--n-grid", "16", "--draws", "3", "--out"], REGIONAL, False),
+    "sweep-k": (["sweep-k", "--k-grid", "0", "--samples", "8", "--out"], SWEEP_K, False),
     "sweep-k-small-run": (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN),
-                           "--out"], False, True),
+                           "--out"], SWEEP_K, False),
     "sweep-k-numpy": (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN + 1),
-                       "--out"], True, True),
+                       "--out"], SWEEP_K | {"numpy_sampler"}, True),
 }
 
 
-def modules_loaded_by(code):
-    """The watched modules that `code` loads in a fresh interpreter."""
-    # `before` is taken first, so that a module a site hook loaded before the
-    # package counts as not loaded by it.
-    watched = NEVER + NUMPY_OWN + NUMPY + (SAMPLER,)
-    proc = fresh_process(f"import sys; before = set(sys.modules); {code}; print(*["
-                         f"m for m in {watched!r} if m in sys.modules and m not in before])")
+def modules_loaded_by(code) -> tuple[set, set]:
+    """The package's modules, by their names within it, and the other
+    watched modules that `code` loads in a fresh interpreter."""
+    # A site hook may load a watched standard-library module first (a .pth
+    # file can import struct). Each is dropped from sys.modules before the
+    # run, so that the run's own import of it counts.
+    stdlib = NEVER + NUMPY_OWN + REGIONAL_OWN
+    proc = fresh_process(
+        f"import sys; [sys.modules.pop(m, None) for m in {stdlib!r}]; "
+        f"before = set(sys.modules); {code}; print(*[m for m in sys.modules "
+        f"if m not in before and (m in {stdlib + NUMPY!r} or m.startswith('ris_subarray.'))])")
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())   # after the run's output
+    loaded = set(proc.stdout.splitlines()[-1].split())   # after the run's output
+    package = {m for m in loaded if m.startswith("ris_subarray.")}
+    return {m.removeprefix("ris_subarray.") for m in package}, loaded - package
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    loaded = modules_loaded_by("import ris_subarray.cli")
-    assert not loaded & {*NUMPY, *NUMPY_OWN, SAMPLER}, loaded
+    package, loaded = modules_loaded_by("import ris_subarray.cli")
+    assert package == {"cli", "config"}
+    assert not loaded & {*NUMPY, *NUMPY_OWN, *REGIONAL_OWN}, loaded
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    loaded = modules_loaded_by("import ris_subarray.cli")
+    _, loaded = modules_loaded_by("import ris_subarray.cli")
     assert not loaded & set(NEVER), loaded
 
 
-@pytest.mark.parametrize("run, numpy, sampler", IMPORT_RULE.values(),
+@pytest.mark.parametrize("run, modules, numpy", IMPORT_RULE.values(),
                          ids=IMPORT_RULE)
-def test_only_sweep_k_imports_numpy_random(tmp_path, run, numpy, sampler):
+def test_only_sweep_k_imports_numpy_random(tmp_path, run, modules, numpy):
     if isinstance(run, list):
         out = [str(tmp_path / "out.csv")] if run[-1] == "--out" else []
         argv = [*run, *out, "--config", ORACLE_SMALL]
         run = f"from ris_subarray.cli import main; assert main({argv!r}) == 0"
-    loaded = modules_loaded_by(run)
+    package, loaded = modules_loaded_by(run)
+    assert package == modules
     assert loaded & set(NUMPY) == (set(NUMPY) if numpy else set())
-    assert (SAMPLER in loaded) == sampler
-    assert loaded - set(NUMPY) - {SAMPLER} <= (set(NUMPY_OWN) if numpy else set())
+    own = set(REGIONAL_OWN) if "regional" in modules else set()
+    assert own <= loaded - set(NUMPY) <= own | (set(NUMPY_OWN) if numpy else set())
 
 PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",
           "SystemConfig", "coherence_factor", "config_from_dict",

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
@@ -13,8 +13,8 @@ from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
                           energy_efficiency, load_config, max_se_upper_bound)
 from ris_subarray.config import (MAX_SEED, check_grid, check_int, check_real,
                                  check_rician)
+from ris_subarray.design import phase_certificate
 from ris_subarray.metrics import _bound_from_eta
-from ris_subarray.phases import phase_certificate
 
 from helpers import (REF_ANGLES, reference_config, small_config, small_raw,
                      subarray_origin)
@@ -204,6 +204,33 @@ def test_largest_finite_total_power_is_accepted():
     assert cfg.power.p_rest + cfg.N * cfg.power.p_driver < math.inf
 
 
+def test_surface_size_is_capped():
+    # eta's certificate takes time linear in N, and sweep-q's default grid in
+    # a side: at a side of 2**53, neither finished.
+    assert small_config().replace(Nx=1024, Ny=1024).N == 2 ** 20
+    with pytest.raises(ConfigError, match=(
+            r"^the surface size, Nx \* Ny, must be at most 2\*\*20, got 2097152 "
+            r"from Nx=2048, Ny=1024$")):
+        small_config().replace(Nx=2048, Ny=1024)
+
+
+@pytest.mark.parametrize("p_rest", [5e-324, 1e-320, 6e-306])
+def test_tiny_total_power_is_rejected(p_rest):
+    # 1001 bits, above any SE the SNR cap allows, over one driver's total
+    # power: inf at the two subnormals, and finite at 6e-306 W, where a
+    # regional row's sum over 100 draws overflowed all the same.
+    with pytest.raises(ConfigError, match=(
+            r"^the largest energy efficiency, 1001 / \(power\.p_rest \+ "
+            r"power\.p_dynamic \+ power\.p_control \+ 1 \* power\.p_driver\), "
+            r"must be below 2\*\*1000, got .* from power\.p_rest=.*, N=16$")):
+        small_config().replace(power=PowerConstants(p_rest, 0, 0, 0))
+
+
+def test_smallest_total_power_is_accepted():
+    power = PowerConstants(1001 * 2.0 ** -999, 0, 0, 0)     # efficiency 2**999
+    assert small_config().replace(power=power).power == power
+
+
 def test_nonfinite_angle_rejected():
     with pytest.raises(ConfigError, match="theta_a1"):
         small_config().replace(angles=Angles(math.inf, 0, 0, 0))
@@ -344,7 +371,9 @@ def test_power_section_is_part_of_the_config():
 _reals = st.floats(min_value=1e-3, max_value=1e3)
 _angles = st.builds(Angles, *[st.floats(-10.0, 10.0)] * 4)
 # An all-zero power model is rejected when built: it has no energy efficiency.
-_power = st.tuples(*[st.floats(min_value=0.0, max_value=1e3)] * 4
+# Tiny and subnormal terms reach the rule on the largest energy efficiency.
+_power = st.tuples(*[st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                               st.sampled_from([5e-324, 1e-320, 1e-300]))] * 4
                    ).filter(any).map(lambda terms: PowerConstants(*terms))
 
 
@@ -352,14 +381,18 @@ _power = st.tuples(*[st.floats(min_value=0.0, max_value=1e3)] * 4
 def _configs(draw):
     # surfaces up to 64 elements a side, spacings of 10^U(-3, 300) wavelengths
     lx, ly = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    return SystemConfig(
-        M=draw(st.integers(1, 64)),
-        Nx=lx * draw(st.integers(1, 8)), Ny=ly * draw(st.integers(1, 8)),
-        Lx=lx, Ly=ly, angles=draw(_angles),
-        d2_over_lambda=10.0 ** draw(st.floats(-3.0, 300.0)),
-        K1=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
-        K2=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
-        P=draw(_reals), sigma_w2=draw(_reals), power=draw(_power))
+    try:
+        return SystemConfig(
+            M=draw(st.integers(1, 64)),
+            Nx=lx * draw(st.integers(1, 8)), Ny=ly * draw(st.integers(1, 8)),
+            Lx=lx, Ly=ly, angles=draw(_angles),
+            d2_over_lambda=10.0 ** draw(st.floats(-3.0, 300.0)),
+            K1=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
+            K2=draw(st.one_of(st.floats(0.0, 1e3), st.just(math.inf))),
+            P=draw(_reals), sigma_w2=draw(_reals), power=draw(_power))
+    except ConfigError as exc:      # outside the accepted space, as it should be
+        assert str(exc).startswith("the largest energy efficiency"), exc
+        reject()
 
 
 # Fixed examples and no example database: every run tries the same configs,
@@ -397,3 +430,5 @@ def test_closed_form_core_holds_over_the_accepted_config_space(cfg):
     assert max_se_upper_bound(cfg) == se[2]
     assert math.isfinite(energy_efficiency(se[2], cfg.Q, cfg.power))
     assert math.isfinite(energy_efficiency(se[3], cfg.N, cfg.power))
+    # a regional row sums its draws' efficiencies: 2**24 of the largest
+    assert energy_efficiency(se[3], 1, cfg.power) * 2.0 ** 24 < math.inf

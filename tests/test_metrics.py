@@ -14,10 +14,9 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
 from ris_subarray.config import TWO_PI
-from ris_subarray.metrics import (SMALL_RUN, _bound_from_eta, _gammas,
-                                  rician_split)
-from ris_subarray.sampler import (MC_CHUNK, _gamma_draw, _rate_chunks,
-                                  _small_run_rates)
+from ris_subarray.metrics import _bound_from_eta, _gammas, rician_split
+from ris_subarray.numpy_sampler import MC_CHUNK, _rate_chunks
+from ris_subarray.sampler import SMALL_RUN, _gamma_draw, _small_run_rates
 
 from helpers import (TX, element_bound, gain_fraction, oracle_rates,
                      random_config, reference_config, se_upper_bound,

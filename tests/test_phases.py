@@ -6,8 +6,8 @@ import pytest
 
 from ris_subarray import (Angles, coherence_factor, load_config,
                           los_cascade_gain, max_se_upper_bound, optimal_phases)
-from ris_subarray.phases import (coherence_factor_from_slopes, phase_slopes,
-                                 subarray_couplings)
+from ris_subarray.design import subarray_couplings
+from ris_subarray.phases import coherence_factor_from_slopes, phase_slopes
 
 from helpers import (NULL_ANGLES, dense_phase_matrix, effective_cascade,
                      exhaustive_phase_search, los_bs_to_ris, los_ris_to_user,

@@ -14,11 +14,12 @@ from ris_subarray import (Angles, ConfigError, SweepResult, coherence_factor,
                           los_cascade_gain, max_se_upper_bound, monte_carlo_se,
                           optimal_phases, sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
-from ris_subarray import sweeps
-from ris_subarray.metrics import SMALL_RUN, _bound_from_eta
+from ris_subarray import regional, sampler, sweeps
+from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.phases import (_normalized_kernel,
                                  coherence_factor_from_slopes, phase_slopes)
-from ris_subarray.sweeps import DEFAULT_N_GRID, _regional_rows, default_l0_grid
+from ris_subarray.regional import DEFAULT_N_GRID, _regional_rows, default_l0_grid
+from ris_subarray.sampler import SMALL_RUN
 
 from helpers import (exhaustive_phase_search, grid_resolution_slack,
                      normalized_kernel, numpy_sweep_ris_size,
@@ -49,8 +50,8 @@ def spy_points(monkeypatch) -> list:
     the regional rows) evaluated while monkeypatch is active; the points are
     not run."""
     ran = []
-    for point in ("_monte_carlo_se", "_regional_rows"):
-        monkeypatch.setattr(sweeps, point, lambda *args: ran.append(args))
+    for module, point in ((sampler, "_monte_carlo_se"), (regional, "_regional_rows")):
+        monkeypatch.setattr(module, point, lambda *args: ran.append(args))
     return ran
 
 
@@ -174,7 +175,7 @@ def test_draw_angle_tuples():
 PHILOX_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1] + [
     int(s) for s in np.random.default_rng(SEED).integers(
         0, 2 ** 64, size=4, dtype=np.uint64)]
-CHUNK_WORDS = 4 * sweeps._PHILOX_BLOCKS
+CHUNK_WORDS = 4 * regional._PHILOX_BLOCKS
 WORD_COUNTS = [*range(1, 10), 11, 13, 4095, 4097, CHUNK_WORDS - 1, CHUNK_WORDS,
                CHUNK_WORDS + 1, 2 * CHUNK_WORDS + 3]
 # Five words per tuple: the last three counts end one word short of a
@@ -186,7 +187,7 @@ TUPLE_COUNTS = [*range(1, 10), 11, 13, 999, 1001, CHUNK_WORDS // 5,
 @pytest.mark.parametrize("seed", PHILOX_SEEDS)
 def test_angle_stream_is_numpys_philox_bit_for_bit(seed):
     for count in WORD_COUNTS:
-        assert (list(sweeps._philox_words(seed, count))
+        assert (list(regional._philox_words(seed, count))
                 == philox_oracle(seed).random_raw(count).tolist()), count
     for count in TUPLE_COUNTS:
         oracle = map(tuple, oracle_angle_tuples(seed, count).tolist())
@@ -256,13 +257,13 @@ def test_sweep_rician_rows_are_the_monte_carlo_run_of_their_k(samples):
 
 def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
     calls = []
-    real = sweeps._monte_carlo_se
+    real = sampler._monte_carlo_se
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(sweeps, "_monte_carlo_se", counting)
+    monkeypatch.setattr(sampler, "_monte_carlo_se", counting)
     with pytest.raises(ConfigError, match=r"^k_grid must be finite and >= 0, or inf"):
         sweep_rician_factor(small_config(), k_grid=[1.0, float("nan")],
                             samples=64)
@@ -273,7 +274,7 @@ def test_sweep_rician_validates_the_grid_before_any_point(monkeypatch):
                          ids=repr)
 def test_sweep_rician_rejects_a_k_that_is_not_a_real_number(monkeypatch, entry):
     ran = []
-    monkeypatch.setattr(sweeps, "_monte_carlo_se", lambda *args: ran.append(args))
+    monkeypatch.setattr(sampler, "_monte_carlo_se", lambda *args: ran.append(args))
     with pytest.raises(ValueError, match=r"^k_grid must be finite and >= 0, or inf"):
         sweep_rician_factor(small_config(), k_grid=[1.0, entry], samples=8)
     assert ran == []
