@@ -33,7 +33,7 @@ def checked(name: str, *bounds, check=check_int, parse=int):
 def grid(name: str, parse=int):
     """`checked` for a comma-separated grid, judged by the library's check_grid."""
     return checked(name, check=check_grid, parse=lambda text: [
-        _parsed(parse, t) for t in text.split(",") if t.strip()])
+        _parsed(parse, t) for t in text.split(",")])
 
 
 def override(text: str) -> tuple[str, object]:

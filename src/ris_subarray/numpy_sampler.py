@@ -1,15 +1,13 @@
 """The Monte Carlo sampler of runs longer than sampler.SMALL_RUN: numpy's
-Philox in chunks, each chunk's rates by sampler._rate on arrays, in place.
-Only such a run imports this module, and numpy with it.
+Philox in chunks, each law's rates by its sampler._law_rate on the chunk's
+arrays, in place. Only such a run imports this module, and numpy with it.
 """
 
 import math
-from functools import partial
-from itertools import starmap
 
 import numpy as np
 
-from .sampler import _rate, _rate_laws
+from .sampler import _law_rate
 
 # Monte Carlo samples are drawn in chunks of this many consecutive indices,
 # chunk c from the Philox stream keyed (master_seed, c). A chunk's values do
@@ -19,10 +17,10 @@ MC_CHUNK = 1 << 16
 
 
 def _rate_chunks(laws: list, num_samples: int, master_seed: int):
-    """Per chunk, an iterator that computes the _rate array of each law in
+    """Per chunk, an iterator that computes the rate array of each law in
     turn, all from the chunk's one draw of four standard normals and two
     standard gammas per sample."""
-    consts, (cfg, _) = _rate_laws(laws), laws[0]
+    rates, cfg = [_law_rate(*law) for law in laws], laws[0][0]
     half = math.sqrt(0.5)
     in_place = (lambda x: np.sqrt(x, out=x)), (lambda x: np.log1p(x, out=x))
     for chunk, start in enumerate(range(0, num_samples, MC_CHUNK)):
@@ -36,10 +34,10 @@ def _rate_chunks(laws: list, num_samples: int, master_seed: int):
         if cfg.N > 1:
             orth_re = half * rng.standard_normal(size)
             orth_rest = rng.standard_gamma(cfg.N - 1.5, size)
-        yield starmap(partial(_rate, alpha_re, alpha_im_sq, orth_re, orth_rest,
-                              half * rng.standard_normal(size),
-                              rng.standard_gamma(cfg.M - 0.5, size), *in_place),
-                      consts)
+        v_re = half * rng.standard_normal(size)
+        v_rest = rng.standard_gamma(cfg.M - 0.5, size)
+        yield (rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, *in_place)
+               for rate in rates)
 
 
 def _chunk_moments(chunks):

@@ -6,7 +6,7 @@ at most SMALL_RUN samples draws from random.Random.random() alone
 (_small_run_rates); a longer one loads numpy and draws from its Philox in
 chunks (ris_subarray.numpy_sampler). Both draw each sample's six
 standardized variates once, since their law depends on N and M alone, and
-evaluate every law from them by one formula, _rate.
+evaluate every law from them by that law's rate function, _law_rate.
 """
 
 import math
@@ -20,25 +20,12 @@ from .metrics import _LN2, rician_split
 SMALL_RUN = 512
 
 
-def _rate_laws(laws: list) -> list[tuple]:
-    """Per (cfg, eta) law, _rate's constants: w2_sc and w2_sc^2, which scale
-    h2's variates, alpha0, sqrt(perp), w1_sc^2, w1_los^2 * N * M and snr."""
-    consts = []
-    for cfg, eta in laws:
-        (w1_los_sq, w1_sc_sq), (w2_los_sq, w2_sc_sq) = map(rician_split, (cfg.K1, cfg.K2))
-        consts.append((math.sqrt(w2_sc_sq), w2_sc_sq,
-                       math.sqrt(w2_los_sq * eta * cfg.N),
-                       math.sqrt(w2_los_sq * cfg.N * (1.0 - eta)),
-                       w1_sc_sq, w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2))
-    return consts
-
-
-def _rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt, log1p,
-          w2_sc, w2_sc_sq, alpha0, root_perp, w1_sc_sq, los_gain, snr):
-    """The rate log2(1 + snr * ||h2 Phi H1 + g||^2) of one law, from one
-    sample's six standardized variates (floats) or a chunk's (arrays).
-    Augmented assignments rebind a float and update an array in place, and
-    sqrt and log1p may overwrite their argument, which is not used again.
+def _law_rate(cfg: SystemConfig, eta: float):
+    """The rate log2(1 + snr * ||h2 Phi H1 + g||^2) of the law (cfg, eta): a
+    function of one sample's six standardized variates (floats) or a chunk's
+    (arrays), and the sqrt and log1p to apply. Augmented assignments rebind
+    a float and update an array in place, and sqrt and log1p may overwrite
+    their argument, which is not used again.
 
     The rate depends on the channels only through that squared norm, which
     is drawn from its exact law instead of from the N-by-M matrices. With
@@ -65,29 +52,36 @@ def _rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt, log1p,
     ||v||^2's coordinate along its mean and the rest, per unit sigma2. None
     depends on eta or on a Rician factor.
     """
-    alpha_sq = alpha_re * w2_sc
-    alpha_sq += alpha0
-    alpha_sq *= alpha_sq
-    alpha_sq += alpha_im_sq * w2_sc_sq  # |alpha|^2
-    sigma2 = w1_sc_sq * alpha_sq
-    if orth_re is not None:
-        orth = orth_re * w2_sc
-        orth += root_perp
-        orth *= orth
-        orth += orth_rest * w2_sc_sq
-        orth *= w1_sc_sq
-        sigma2 += orth
-    sigma2 += 1.0                       # w1_sc^2 * ||h2||^2 + 1
-    scaled_rest = sigma2 * v_rest
-    v = sqrt(sigma2)
-    v *= v_re
-    alpha_sq *= los_gain
-    v += sqrt(alpha_sq)
-    v *= v
-    v += scaled_rest                    # ||v||^2
-    v *= snr
-    rate = log1p(v)
-    rate /= _LN2
+    (w1_los_sq, w1_sc_sq), (w2_los_sq, w2_sc_sq) = map(rician_split, (cfg.K1, cfg.K2))
+    w2_sc, alpha0 = math.sqrt(w2_sc_sq), math.sqrt(w2_los_sq * eta * cfg.N)
+    root_perp = math.sqrt(w2_los_sq * cfg.N * (1.0 - eta))
+    los_gain, snr = w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2
+
+    def rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt, log1p):
+        alpha_sq = alpha_re * w2_sc
+        alpha_sq += alpha0
+        alpha_sq *= alpha_sq
+        alpha_sq += alpha_im_sq * w2_sc_sq  # |alpha|^2
+        sigma2 = w1_sc_sq * alpha_sq
+        if orth_re is not None:
+            orth = orth_re * w2_sc
+            orth += root_perp
+            orth *= orth
+            orth += orth_rest * w2_sc_sq
+            orth *= w1_sc_sq
+            sigma2 += orth
+        sigma2 += 1.0                       # w1_sc^2 * ||h2||^2 + 1
+        scaled_rest = sigma2 * v_rest
+        v = sqrt(sigma2)
+        v *= v_re
+        alpha_sq *= los_gain
+        v += sqrt(alpha_sq)
+        v *= v
+        v += scaled_rest                    # ||v||^2
+        v *= snr
+        v = log1p(v)
+        v /= _LN2
+        return v
     return rate
 
 
@@ -112,24 +106,24 @@ def _gamma_draw(uniform, shape: int):
 
 def _small_run_rates(laws: list, num_samples: int, master_seed: int
                      ) -> list[list[float]]:
-    """The _rate of each law, one list each, drawn with no numpy from
+    """The rates of each law, one list each, drawn with no numpy from
     random.Random(master_seed).random() alone, the one method whose stream
     Python keeps across versions.
 
     Each standard complex normal is drawn in polar form from two uniforms,
     the squared modulus e = -ln(1 - U) and the phase's cosine c: its real
     part is sqrt(e) * c and its squared imaginary part e * (1 - c^2), which
-    with a Gamma(k - 1) makes the Gamma(k - 1/2) of _rate's law. A sample
+    with a Gamma(k - 1) makes the Gamma(k - 1/2) of _law_rate's law. A sample
     draws alpha's pair, the orthogonal rest's pair and gamma, then
     ||v||^2's pair and gamma, and evaluates every law from them.
     """
     import random               # loaded by a small run, as numpy by a long one
-    consts, (cfg, _) = _rate_laws(laws), laws[0]
+    cfg = laws[0][0]
     uniform = random.Random(master_seed).random
     log, log1p, sqrt, cos, tau = math.log, math.log1p, math.sqrt, math.cos, math.tau
     rest, v_gamma = _gamma_draw(uniform, max(cfg.N - 2, 0)), _gamma_draw(uniform, cfg.M - 1)
     out = [[] for _ in laws]
-    per_law = [(*law, rates.append) for law, rates in zip(consts, out)]
+    per_law = [(_law_rate(*law), rates.append) for law, rates in zip(laws, out)]
     n, orth_re, orth_rest = cfg.N, None, None
     for _ in range(num_samples):
         e, c = -log(1.0 - uniform()), cos(tau * uniform())
@@ -139,9 +133,8 @@ def _small_run_rates(laws: list, num_samples: int, master_seed: int
             orth_re, orth_rest = sqrt(e) * c, e * (1.0 - c * c) + rest()
         e, c = -log(1.0 - uniform()), cos(tau * uniform())
         v_re, v_rest = sqrt(e) * c, e * (1.0 - c * c) + v_gamma()
-        for w2_sc, w2_sc_sq, alpha0, root_perp, w1_sc_sq, los_gain, snr, append in per_law:
-            append(_rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt,
-                         log1p, w2_sc, w2_sc_sq, alpha0, root_perp, w1_sc_sq, los_gain, snr))
+        for rate, append in per_law:
+            append(rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt, log1p))
     return out
 
 
@@ -153,7 +146,7 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
     coherence_factor(cfg) at the optimal ones.
 
     Maximum-ratio transmission is folded in analytically: the rate of a
-    sample is log2(1 + snr * ||h2 Phi H1 + g||^2), whose law _rate states.
+    sample is log2(1 + snr * ||h2 Phi H1 + g||^2), whose law _law_rate states.
     A run of at most SMALL_RUN samples draws them from the standard library
     (_small_run_rates), a longer one from numpy's Philox in chunks
     (numpy_sampler). Each sample's variates are standardized, so eta and the

@@ -455,6 +455,9 @@ def test_eta_certificate_holds_at_large_spacings(monkeypatch, capsys, spacing):
     ["sweep-q", "--l0-grid", ""],
     ["sweep-n", "--n-grid", "16,0"],
     ["sweep-n", "--l0-set", ","],
+    ["sweep-n", "--n-grid", "16,,64"],
+    ["sweep-n", "--n-grid", "16,64,"],
+    ["sweep-n", "--n-grid", ",16"],
     ["sweep-q", "--seed", "-1"],
     ["sweep-k", "--seed", "-1"],
     ["sweep-q", "--seed", str(2 ** 64)],
@@ -488,12 +491,13 @@ BAD_RUN_FLAGS = [
      {"k_grid": [1.0, math.nan]}),
     ("sweep-k", "--k-grid", "-1", sweep_rician_factor, {"k_grid": [-1.0]}),
     ("sweep-k", "--k-grid", "0,ten", sweep_rician_factor, {"k_grid": [0.0, "ten"]}),
-    ("sweep-k", "--k-grid", ",", sweep_rician_factor, {"k_grid": []}),
+    ("sweep-k", "--k-grid", ",", sweep_rician_factor, {"k_grid": ["", ""]}),
     ("sweep-k", "--k-grid", "0,0", sweep_rician_factor, {"k_grid": [0.0, 0.0]}),
     ("sweep-q", "--l0-grid", "2,0", sweep_subarray_count, {"l0_grid": [2, 0]}),
     ("sweep-q", "--draws", "0", sweep_subarray_count, {"num_angle_draws": 0}),
     ("sweep-n", "--draws", "1e3", sweep_ris_size, {"num_angle_draws": "1e3"}),
     ("sweep-n", "--n-grid", "16,-4", sweep_ris_size, {"n_grid": [16, -4]}),
+    ("sweep-n", "--n-grid", "16,,64", sweep_ris_size, {"n_grid": [16, "", 64]}),
     ("sweep-n", "--l0-set", "2.0", sweep_ris_size, {"l0_set": ["2.0"]}),
     ("sweep-n", "--n-grid", "16,8", sweep_ris_size, {"n_grid": [16, 8]}),
     ("sweep-n", "--l0-set", "1,2", sweep_ris_size, {"l0_set": [1, 2]}),
@@ -540,14 +544,15 @@ def test_negative_zero_k_is_k_zero(tmp_path):
     assert ",-0," not in paths[0].read_text()
 
 
-def fresh_process(code: str, *argv: str, stdout=subprocess.PIPE,
+def fresh_process(code: str, *argv: str, stdout=subprocess.PIPE, option="-c",
                   **env) -> subprocess.CompletedProcess:
     """code run on argv in a new interpreter that sees src/ and tests/, with
-    the variables in env set, or unset where None."""
+    the variables in env set, or unset where None; with option="-m", code
+    names the module to run as __main__."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "tests"),
                                          os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, **env}
-    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+    return subprocess.run([sys.executable, option, code, *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, cwd=ROOT,
                           env={k: v for k, v in env.items() if v is not None})
 
@@ -571,6 +576,19 @@ ENTRY = "from ris_subarray.cli import entry; entry()"
 ], ids=["sweep", "bad config", "bad grid", "usage error"])
 def test_console_entry_keeps_exit_codes(argv, code):
     assert fresh_process(ENTRY, *argv).returncode == code
+
+
+@pytest.mark.parametrize("overrides, code", [([], 0), (["--set", "Lx=3"], 1)],
+                         ids=["ok", "bad config"])
+def test_python_m_cli_runs_main(overrides, code):
+    # `python -m ris_subarray.cli` runs main() and exits through sys.exit.
+    proc = fresh_process("ris_subarray.cli", "validate", "--config", ORACLE_SMALL,
+                         *overrides, option="-m")
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stdout.endswith("config ok\n")
+    else:
+        assert [line[:6] for line in proc.stderr.splitlines()] == ["error:"]
 
 
 def test_main_leaves_the_collector_as_it_found_it(tmp_path):

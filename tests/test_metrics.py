@@ -421,7 +421,7 @@ def _assert_exact_mean(rates: np.ndarray, cfg, eta: float) -> None:
 def test_small_run_sampler_matches_the_numpy_sampler(cfg, eta):
     # The two samplers draw one law from independent generators, so the
     # check holds at any seed with the power of 2e4 against 2e5 samples.
-    # Both share _rate, so each is also checked against the exact mean,
+    # Both share _law_rate, so each is also checked against the exact mean,
     # which the Jensen bound is log2(1 + E[X]) of.
     assert _exact_mean(cfg, eta) == pytest.approx(
         2.0 ** _bound_from_eta(cfg)(eta) - 1.0, rel=1e-12)
