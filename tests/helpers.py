@@ -18,10 +18,13 @@ grid_resolution_slack(). The steering vectors and
 per-subarray offsets below build the LoS geometry element by element:
 steering_couplings() is the oracle for the slope-based subarray couplings.
 The per-element channel sampler at the end is the independent oracle for
-the sufficient-statistic Monte Carlo sampler in ris_subarray.sampler; it
-builds the channels from the LoS components defined just before it.
-The regional and bound oracles restate the phase slopes (oracle_slopes())
-and the Rician split (los_shares()) instead of taking the library's.
+the sufficient-statistic Monte Carlo sampler in ris_subarray.sampler: it
+draws every sample's full channels in one batch, builds them from the LoS
+components defined just before it, and cascades them through the dense
+block-diagonal phase matrix (dense_phase_matrix()).
+The regional and bound oracles restate the phase slopes (oracle_slopes()),
+the Rician split (los_shares()) and the energy efficiency instead of taking
+the library's.
 
 reference_config() is the evaluation setup used throughout: 64 transmit
 antennas, a 32x32 surface in 2x2 subarrays, half-wavelength spacings, and the
@@ -31,12 +34,10 @@ p2 = -pi*(sqrt(3)+1)/8.
 
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ris_subarray import (Angles, SweepResult, SystemConfig,
-                          energy_efficiency, los_cascade_gain,
+from ris_subarray import (Angles, SweepResult, SystemConfig, los_cascade_gain,
                           max_se_upper_bound, ris_power, write_csv)
 from ris_subarray.config import TWO_PI, check_int
 from ris_subarray.design import subarray_couplings
@@ -251,12 +252,14 @@ def scalar_bound(cfg: SystemConfig) -> float:
 def regional_draws(cfg: SystemConfig, angle_tuples) -> np.ndarray:
     """(eta, bound, EE) per angle tuple, one cfg.replace(angles=...) copy
     and one scalar evaluation per tuple: a 3-by-n array."""
+    p = cfg.power
     out = np.empty((3, len(angle_tuples)))
     for i, tup in enumerate(angle_tuples):
         cfg_i = cfg.replace(angles=Angles(*map(float, tup)))
         se = scalar_bound(cfg_i)
         out[:, i] = (scalar_coherence_factor(cfg_i), se,
-                     energy_efficiency(se, cfg.Q, cfg.power))
+                     se / (p.p_rest + (p.p_dynamic + p.p_control
+                                       + cfg.Q * p.p_driver)))
     return out
 
 
@@ -329,8 +332,6 @@ TX = (math.pi / 2, 0.5)
 
 def ula_steering(M: int, d_over_lambda: float, theta: float) -> np.ndarray:
     """Length-M ULA response for a planar wave at angle theta (radians)."""
-    if M < 1:
-        raise ValueError(f"array size M must be positive, got {M}")
     return np.exp(2j * np.pi * d_over_lambda * np.sin(theta) * np.arange(M))
 
 
@@ -342,8 +343,6 @@ def upa_steering(Lx: int, Ly: int, d_over_lambda: float,
     2*pi*d*(sin(theta)*lx + sin(phi)*cos(theta)*ly); the flattening is
     x-major, so the result equals kron(x_factor, y_factor).
     """
-    if Lx < 1 or Ly < 1:
-        raise ValueError(f"grid sides must be positive, got {Lx}x{Ly}")
     px = np.sin(theta) * np.arange(Lx)
     py = np.sin(phi) * np.cos(theta) * np.arange(Ly)
     return np.exp(2j * np.pi * d_over_lambda * (px[:, None] + py[None, :])).ravel()
@@ -407,24 +406,9 @@ def los_ris_to_user(cfg: SystemConfig) -> np.ndarray:
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) array of the given shape, one generator call per draw."""
+    """CN(0, 1) array of the given shape from one generator call."""
     z = rng.standard_normal(tuple(shape) + (2,))
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-
-
-def sample_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream for one oracle sample, keyed (master_seed, index)."""
-    key = np.array([master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-@dataclass
-class ChannelRealization:
-    """One random draw of the three links."""
-
-    H1: np.ndarray   # (N, M) transmitter -> surface
-    h2: np.ndarray   # (N,)  surface -> user
-    g: np.ndarray    # (M,)  transmitter -> user
 
 
 def _rician_amplitudes(K: float) -> tuple[float, float]:
@@ -434,48 +418,31 @@ def _rician_amplitudes(K: float) -> tuple[float, float]:
     return math.sqrt(K / (K + 1.0)), math.sqrt(1.0 / (K + 1.0))
 
 
-def sample_channels(cfg: SystemConfig, rng: np.random.Generator, tx=TX
-                    ) -> ChannelRealization:
-    """Draw one Rician realization of (H1, h2, g), entry by entry, with the
-    transmit geometry tx of los_bs_to_ris.
+def sample_channels(cfg: SystemConfig, rng: np.random.Generator, n: int,
+                    tx=TX) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw n Rician realizations of (H1, h2, g), entry by entry, with the
+    transmit geometry tx of los_bs_to_ris: arrays of shapes (n, N, M),
+    (n, N) and (n, M).
 
-    The draw order is fixed (H1 scatter, then h2 scatter, then g) so a stream
-    determines the realization bit-for-bit.
+    The draw order is fixed (H1 scatter, then h2 scatter, then g) so a
+    generator's state determines the realizations bit-for-bit.
     """
     w1_los, w1_sc = _rician_amplitudes(cfg.K1)
     w2_los, w2_sc = _rician_amplitudes(cfg.K2)
-    H1 = w1_los * los_bs_to_ris(cfg, tx) + w1_sc * complex_normal(rng, (cfg.N, cfg.M))
-    h2 = w2_los * los_ris_to_user(cfg) + w2_sc * complex_normal(rng, (cfg.N,))
-    g = complex_normal(rng, (cfg.M,))
-    return ChannelRealization(H1=H1, h2=h2, g=g)
-
-
-def effective_cascade(cfg: SystemConfig, phases, h2: np.ndarray,
-                      H1: np.ndarray) -> np.ndarray:
-    """Cascade h2 through the phased surface into H1 without an N-by-N matrix.
-
-    Each length-L segment of h2 is scaled by its subarray's phase factor and
-    the result is multiplied into H1, giving the length-M effective channel.
-    """
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (cfg.Q,):
-        raise ValueError(f"phases must have shape ({cfg.Q},), got {phases.shape}")
-    if h2.shape != (cfg.N,):
-        raise ValueError(f"h2 must have shape ({cfg.N},), got {h2.shape}")
-    if H1.shape != (cfg.N, cfg.M):
-        raise ValueError(f"H1 must have shape ({cfg.N}, {cfg.M}), got {H1.shape}")
-    scale = np.repeat(np.exp(1j * phases), cfg.L)
-    return (h2 * scale) @ H1
+    H1 = w1_los * los_bs_to_ris(cfg, tx) + w1_sc * complex_normal(rng, (n, cfg.N, cfg.M))
+    h2 = w2_los * los_ris_to_user(cfg) + w2_sc * complex_normal(rng, (n, cfg.N))
+    g = complex_normal(rng, (n, cfg.M))
+    return H1, h2, g
 
 
 def oracle_rates(cfg: SystemConfig, phases, num_samples: int,
                  master_seed: int, tx=TX) -> np.ndarray:
-    """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2) from full draws,
-    with the transmit geometry tx of los_bs_to_ris."""
-    snr = cfg.P / cfg.sigma_w2
-    rates = np.empty(num_samples)
-    for i in range(num_samples):
-        real = sample_channels(cfg, sample_stream(master_seed, i), tx)
-        v = effective_cascade(cfg, phases, real.h2, real.H1) + real.g
-        rates[i] = np.log2(1.0 + snr * (v * v.conjugate()).real.sum())
-    return rates
+    """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2) from full draws
+    through the dense block-diagonal Phi, with the transmit geometry tx of
+    los_bs_to_ris."""
+    H1, h2, g = sample_channels(cfg, np.random.default_rng(master_seed),
+                                num_samples, tx)
+    # h2 @ Phi first: one einsum over all three operands is an order of
+    # magnitude slower
+    v = np.einsum("sk,skm->sm", h2 @ dense_phase_matrix(cfg, phases), H1) + g
+    return np.log2(1.0 + cfg.P / cfg.sigma_w2 * (v * v.conjugate()).real.sum(axis=1))

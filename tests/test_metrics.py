@@ -322,8 +322,9 @@ def _assert_same_law(a: np.ndarray, b: np.ndarray) -> None:
 
 @functools.cache
 def _oracle_sample(cfg, phases: tuple, tx) -> np.ndarray:
-    """The per-element oracle's rates of one case, drawn once for both
-    samplers: the draw is most of the check's time."""
+    """The per-element oracle's rates of one case: one batched draw through
+    the dense block-diagonal phase matrix, shared by both samplers and both
+    tests that check the case."""
     return oracle_rates(cfg, np.array(phases), ORACLE_SAMPLES, SEED + 1, tx)
 
 

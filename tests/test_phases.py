@@ -9,10 +9,9 @@ from ris_subarray import (Angles, coherence_factor, load_config,
 from ris_subarray.design import subarray_couplings
 from ris_subarray.phases import coherence_factor_from_slopes, phase_slopes
 
-from helpers import (NULL_ANGLES, dense_phase_matrix, effective_cascade,
-                     exhaustive_phase_search, los_bs_to_ris, los_ris_to_user,
-                     offset_phases, random_config, reference_config,
-                     sample_channels, sample_stream, se_upper_bound,
+from helpers import (NULL_ANGLES, dense_phase_matrix, exhaustive_phase_search,
+                     los_bs_to_ris, los_ris_to_user, offset_phases,
+                     random_config, reference_config, se_upper_bound,
                      small_config, steering_couplings)
 
 SEED = 31337
@@ -190,29 +189,6 @@ def test_optimal_phases_dominate_random_ones():
         for _ in range(4):
             phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
             assert best >= los_cascade_gain(cfg, phases) * (1 - 1e-12)
-
-
-def test_effective_cascade_matches_dense_oracle():
-    rng = np.random.default_rng(SEED + 7)
-    for _ in range(10):
-        cfg = random_config(rng)
-        real = sample_channels(cfg, sample_stream(SEED, 0))
-        phases = rng.uniform(0, 2 * np.pi, size=cfg.Q)
-        oracle = real.h2 @ dense_phase_matrix(cfg, phases) @ real.H1
-        got = effective_cascade(cfg, phases, real.h2, real.H1)
-        np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-10)
-
-
-def test_effective_cascade_dimension_errors():
-    cfg = small_config()
-    real = sample_channels(cfg, sample_stream(SEED, 1))
-    phases = optimal_phases(cfg)
-    with pytest.raises(ValueError, match="h2"):
-        effective_cascade(cfg, phases, real.h2[:-1], real.H1)
-    with pytest.raises(ValueError, match="H1"):
-        effective_cascade(cfg, phases, real.h2, real.H1.T)
-    with pytest.raises(ValueError, match="phase"):
-        effective_cascade(cfg, np.zeros(cfg.Q + 1), real.h2, real.H1)
 
 
 def test_los_cascade_gain_rejects_wrong_phase_count():
