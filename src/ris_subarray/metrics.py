@@ -32,19 +32,14 @@ def rician_split(K: float) -> tuple[float, float]:
     return K / (K + 1.0), 1.0 / (K + 1.0)
 
 
-def _gammas(cfg: SystemConfig) -> tuple[float, float]:
-    """Power split of the cascaded two-hop link: gamma1 weighs the coherent
-    LoS-times-LoS part, gamma2 everything that scatters at least once. They
-    sum to one exactly."""
-    gamma1 = rician_split(cfg.K1)[0] * rician_split(cfg.K2)[0]
-    return gamma1, 1.0 - gamma1
-
-
 def _bound_from_eta(cfg: SystemConfig):
     """The SE upper bound under the optimal phases as a function of the
-    coherence factor eta; the regional sweeps call it once per angle draw."""
-    gamma1, gamma2 = _gammas(cfg)
-    snr_m, n_sq, scatter = cfg.P / cfg.sigma_w2 * cfg.M, cfg.N ** 2, gamma2 * cfg.N
+    coherence factor eta; the regional sweeps call it once per angle draw.
+    gamma1 weighs the cascade's coherent LoS-times-LoS part, 1 - gamma1
+    everything that scatters at least once."""
+    gamma1 = rician_split(cfg.K1)[0] * rician_split(cfg.K2)[0]
+    snr_m, n_sq = cfg.P / cfg.sigma_w2 * cfg.M, cfg.N ** 2
+    scatter = (1.0 - gamma1) * cfg.N
 
     def bound(eta: float) -> float:
         x = snr_m * (gamma1 * eta * n_sq + scatter + 1.0)

@@ -22,9 +22,11 @@ the sufficient-statistic Monte Carlo sampler in ris_subarray.sampler: it
 draws every sample's full channels in one batch, builds them from the LoS
 components defined just before it, and cascades them through the dense
 block-diagonal phase matrix (dense_phase_matrix()).
-The regional and bound oracles restate the phase slopes (oracle_slopes()),
-the Rician split (los_shares()) and the energy efficiency instead of taking
-the library's.
+The model's formulas are stated here once and taken by every oracle instead
+of the library's: the phase slopes (oracle_slopes()), a hop's Rician split
+(hop_shares()), the mean E[X] that the Jensen bound is log2(1 + E[X]) of
+(jensen_mean()), and the consumed power that the energy efficiency divides
+by (oracle_watts()).
 
 reference_config() is the evaluation setup used throughout: 64 transmit
 antennas, a 32x32 surface in 2x2 subarrays, half-wavelength spacings, and the
@@ -38,9 +40,8 @@ import math
 import numpy as np
 
 from ris_subarray import (Angles, SweepResult, SystemConfig, los_cascade_gain,
-                          max_se_upper_bound, ris_power, write_csv)
+                          max_se_upper_bound, write_csv)
 from ris_subarray.config import TWO_PI, check_int
-from ris_subarray.design import subarray_couplings
 from ris_subarray.phases import phase_slopes
 
 REF_ANGLES = Angles(
@@ -111,13 +112,32 @@ def oracle_slopes(d: float, theta_a1, phi_a1, theta_d2, phi_d2, xp=math):
     return xp.fmod(p1, math.pi), xp.fmod(p2, math.pi)
 
 
-def los_shares(cfg: SystemConfig) -> tuple[float, float]:
-    """(gamma1, gamma2): gamma1 = K1/(K1 + 1) * K2/(K2 + 1), the coherent
-    LoS-times-LoS share of the cascade, with K = inf giving 1; gamma2 the
-    rest."""
-    share = [1.0 if math.isinf(k) else k / (k + 1.0) for k in (cfg.K1, cfg.K2)]
-    gamma1 = share[0] * share[1]
-    return gamma1, 1.0 - gamma1
+def hop_shares(K: float) -> tuple[float, float]:
+    """(LoS, scatter) power shares of a hop with Rician factor K, K/(K + 1)
+    and 1/(K + 1), with K = inf giving (1, 0); the amplitude weights are
+    their square roots."""
+    if math.isinf(K):
+        return 1.0, 0.0
+    return K / (K + 1.0), 1.0 / (K + 1.0)
+
+
+def jensen_mean(cfg: SystemConfig, eta):
+    """E[X] = P/sigma^2 * M * (gamma1*eta*N^2 + gamma2*N + 1), the mean the
+    Jensen bound log2(1 + E[X]) is taken of, in the library's order of
+    operations; eta may be a numpy array. gamma1, the product of the two
+    hops' LoS shares, is the cascade's coherent LoS-times-LoS share, and
+    gamma2 = 1 - gamma1 the rest."""
+    gamma1 = hop_shares(cfg.K1)[0] * hop_shares(cfg.K2)[0]
+    return cfg.P / cfg.sigma_w2 * cfg.M * (gamma1 * eta * cfg.N ** 2
+                                           + (1.0 - gamma1) * cfg.N + 1.0)
+
+
+def oracle_watts(cfg: SystemConfig) -> float:
+    """The consumed power of cfg with one driver per subarray,
+    p_rest + (p_dynamic + p_control + Q*p_driver), in the library's order
+    of operations."""
+    p = cfg.power
+    return p.p_rest + (p.p_dynamic + p.p_control + cfg.Q * p.p_driver)
 
 
 def _numpy_kernel(L: int, p: np.ndarray) -> np.ndarray:
@@ -139,12 +159,10 @@ def numpy_regional_rows(cfg_base: SystemConfig, var_name: str, points,
     rows = []
     for cfg, scheme, value in points:
         eta = np.float_power(_numpy_kernel(cfg.Lx, p1) * _numpy_kernel(cfg.Ly, p2), 2)
-        gamma1, gamma2 = los_shares(cfg)
-        arg = 1.0 + cfg.P / cfg.sigma_w2 * cfg.M * (
-            gamma1 * eta * cfg.N ** 2 + gamma2 * cfg.N + 1.0)
+        arg = 1.0 + jensen_mean(cfg, eta)
         # np.log2 differs from math.log2 in the last bit on a few values in 1e5
         se = np.fromiter(map(math.log2, arg), float, len(arg))
-        ee = se / (cfg.power.p_rest + ris_power(cfg.Q, cfg.power))
+        ee = se / oracle_watts(cfg)
         rows.append(SweepResult(scheme, var_name, value, None, None,
                                 float(np.mean(se)), float(np.mean(ee))))
     return sorted(rows, key=lambda r: (r.scheme, r.var_value))
@@ -242,24 +260,17 @@ def scalar_coherence_factor(cfg: SystemConfig) -> float:
 
 
 def scalar_bound(cfg: SystemConfig) -> float:
-    gamma1, gamma2 = los_shares(cfg)
-    snr = cfg.P / cfg.sigma_w2
-    eta = scalar_coherence_factor(cfg)
-    return math.log2(1.0 + snr * cfg.M * (gamma1 * eta * cfg.N ** 2
-                                          + gamma2 * cfg.N + 1.0))
+    return math.log2(1.0 + jensen_mean(cfg, scalar_coherence_factor(cfg)))
 
 
 def regional_draws(cfg: SystemConfig, angle_tuples) -> np.ndarray:
     """(eta, bound, EE) per angle tuple, one cfg.replace(angles=...) copy
     and one scalar evaluation per tuple: a 3-by-n array."""
-    p = cfg.power
     out = np.empty((3, len(angle_tuples)))
     for i, tup in enumerate(angle_tuples):
         cfg_i = cfg.replace(angles=Angles(*map(float, tup)))
         se = scalar_bound(cfg_i)
-        out[:, i] = (scalar_coherence_factor(cfg_i), se,
-                     se / (p.p_rest + (p.p_dynamic + p.p_control
-                                       + cfg.Q * p.p_driver)))
+        out[:, i] = scalar_coherence_factor(cfg_i), se, se / oracle_watts(cfg)
     return out
 
 
@@ -267,11 +278,8 @@ def se_upper_bound(cfg: SystemConfig, phases) -> float:
     """Ergodic-SE upper bound for arbitrary length-Q phases, in bits: the
     Jensen bound through the LoS cascade gain instead of the coherence
     factor, which holds only at the optimum."""
-    gamma1, gamma2 = los_shares(cfg)
-    snr = cfg.P / cfg.sigma_w2
-    gain = los_cascade_gain(cfg, phases)
-    return math.log2(1.0 + snr * (gamma1 * gain
-                                  + gamma2 * cfg.M * cfg.N + cfg.M))
+    eta = los_cascade_gain(cfg, phases) / (cfg.N ** 2 * cfg.M)
+    return math.log2(1.0 + jensen_mean(cfg, eta))
 
 
 def gain_fraction(cfg: SystemConfig, phases) -> float:
@@ -291,7 +299,8 @@ def grid_resolution_slack(cfg: SystemConfig, grid_levels: int) -> float:
 
 
 def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
-    """Maximize the LoS cascade gain over a uniform per-subarray phase grid.
+    """Maximize the LoS cascade gain over a uniform per-subarray phase grid,
+    on the couplings built from the steering vectors (steering_couplings()).
 
     Evaluates all grid_levels**Q combinations; capped at Q <= 4 and
     grid_levels <= 32. Returns the best phases, in [0, 2*pi), and their gain.
@@ -300,7 +309,7 @@ def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
     if cfg.Q > ORACLE_MAX_Q:
         raise ValueError(
             f"exhaustive search supports Q <= {ORACLE_MAX_Q}, config has Q={cfg.Q}")
-    w = subarray_couplings(cfg)
+    w = steering_couplings(cfg)
     axis = np.exp(2j * np.pi * np.arange(grid_levels) / grid_levels)
     # one open-mesh axis per subarray, summed into a levels**Q grid
     total = sum(w_q * a for w_q, a in zip(w, np.ix_(*[axis] * cfg.Q)))
@@ -411,13 +420,6 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
 
 
-def _rician_amplitudes(K: float) -> tuple[float, float]:
-    """(LoS, scatter) amplitude weights of a hop; inf is pure LoS."""
-    if math.isinf(K):
-        return 1.0, 0.0
-    return math.sqrt(K / (K + 1.0)), math.sqrt(1.0 / (K + 1.0))
-
-
 def sample_channels(cfg: SystemConfig, rng: np.random.Generator, n: int,
                     tx=TX) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw n Rician realizations of (H1, h2, g), entry by entry, with the
@@ -427,8 +429,8 @@ def sample_channels(cfg: SystemConfig, rng: np.random.Generator, n: int,
     The draw order is fixed (H1 scatter, then h2 scatter, then g) so a
     generator's state determines the realizations bit-for-bit.
     """
-    w1_los, w1_sc = _rician_amplitudes(cfg.K1)
-    w2_los, w2_sc = _rician_amplitudes(cfg.K2)
+    w1_los, w1_sc = map(math.sqrt, hop_shares(cfg.K1))
+    w2_los, w2_sc = map(math.sqrt, hop_shares(cfg.K2))
     H1 = w1_los * los_bs_to_ris(cfg, tx) + w1_sc * complex_normal(rng, (n, cfg.N, cfg.M))
     h2 = w2_los * los_ris_to_user(cfg) + w2_sc * complex_normal(rng, (n, cfg.N))
     g = complex_normal(rng, (n, cfg.M))

@@ -20,8 +20,9 @@ from ris_subarray import (PowerConstants, coherence_factor, los_cascade_gain,
                           sweep_subarray_count)
 
 from helpers import (element_bound, exhaustive_phase_search,
-                     grid_resolution_slack, random_config, reference_config,
-                     rows_to_csv, se_upper_bound, small_config)
+                     grid_resolution_slack, jensen_mean, random_config,
+                     reference_config, rows_to_csv, se_upper_bound,
+                     small_config)
 
 MC_SEEDS = (1, 2, 3)
 MC_SAMPLES = 10_000_000
@@ -112,9 +113,7 @@ def test_criterion_06_special_cases():
     null = reference_config(angles=ang.replace(theta_d2=math.pi / 2,
                                                theta_a1=0.0))
     assert coherence_factor(null) <= 1e-12
-    gamma2 = 1.0 - (null.K1 / (null.K1 + 1.0)) * (null.K2 / (null.K2 + 1.0))
-    floor = math.log2(1.0 + (null.P / null.sigma_w2) * null.M
-                      * (gamma2 * null.N + 1.0))
+    floor = math.log2(1.0 + jensen_mean(null, 0.0))
     assert abs(max_se_upper_bound(null) - floor) <= 1e-12
     _ok(6, "special-cases")
 

@@ -6,7 +6,7 @@ import pytest
 from ris_subarray.metrics import rician_split
 
 from helpers import (arrival_phase_offsets, departure_phase_offsets,
-                     los_bs_to_ris, los_ris_to_user, random_config,
+                     hop_shares, los_bs_to_ris, los_ris_to_user, random_config,
                      reference_config, sample_channels, small_config,
                      ula_steering, upa_steering)
 
@@ -67,6 +67,8 @@ def test_mixing_weights():
     los, sc = rician_split(3.0)
     assert los == pytest.approx(0.75, rel=1e-15)
     assert sc == pytest.approx(0.25, rel=1e-15)
+    for k in (0.0, 5e-324, 0.5, 1.0, 3.0, 10.0, 1e308, math.inf):
+        assert rician_split(k) == hop_shares(k)
 
 
 def test_pure_los_sampling_is_exact():

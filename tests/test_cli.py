@@ -441,26 +441,11 @@ def test_eta_certificate_holds_at_large_spacings(monkeypatch, capsys, spacing):
     assert float(values["shortfall"]) <= 1e-12
 
 
+# --workers is the one run flag with no library parameter; every other run
+# flag's rules are BAD_RUN_FLAGS below.
 @pytest.mark.parametrize("argv", [
-    ["sweep-k", "--samples", "0"],
-    ["sweep-q", "--draws", "0"],
-    ["sweep-n", "--draws", "-1"],
     ["sweep-k", "--workers", "-5"],
     ["sweep-q", "--workers", "0"],
-    ["sweep-k", "--k-grid", ","],
-    ["sweep-k", "--k-grid", "0,0"],
-    ["sweep-k", "--k-grid", "1,nan"],
-    ["sweep-k", "--k-grid", "-1"],
-    ["sweep-q", "--l0-grid", "0"],
-    ["sweep-q", "--l0-grid", ""],
-    ["sweep-n", "--n-grid", "16,0"],
-    ["sweep-n", "--l0-set", ","],
-    ["sweep-n", "--n-grid", "16,,64"],
-    ["sweep-n", "--n-grid", "16,64,"],
-    ["sweep-n", "--n-grid", ",16"],
-    ["sweep-q", "--seed", "-1"],
-    ["sweep-k", "--seed", "-1"],
-    ["sweep-q", "--seed", str(2 ** 64)],
 ], ids=" ".join)
 def test_bad_run_argument_rejected_at_parse_time(tmp_path, capsys, argv):
     command, flag, value = argv
@@ -485,6 +470,7 @@ BAD_RUN_FLAGS = [
     ("sweep-k", "--samples", "0", sweep_rician_factor, {"samples": 0}),
     ("sweep-k", "--samples", "2.5", sweep_rician_factor, {"samples": "2.5"}),
     ("sweep-k", "--seed", "-1", sweep_rician_factor, {"seed": -1}),
+    ("sweep-q", "--seed", "-1", sweep_subarray_count, {"seed": -1}),
     ("sweep-q", "--seed", str(2 ** 64), sweep_subarray_count, {"seed": 2 ** 64}),
     ("sweep-n", "--seed", "x", sweep_ris_size, {"seed": "x"}),
     ("sweep-k", "--k-grid", "1,nan", sweep_rician_factor,
@@ -494,11 +480,18 @@ BAD_RUN_FLAGS = [
     ("sweep-k", "--k-grid", ",", sweep_rician_factor, {"k_grid": ["", ""]}),
     ("sweep-k", "--k-grid", "0,0", sweep_rician_factor, {"k_grid": [0.0, 0.0]}),
     ("sweep-q", "--l0-grid", "2,0", sweep_subarray_count, {"l0_grid": [2, 0]}),
+    ("sweep-q", "--l0-grid", "0", sweep_subarray_count, {"l0_grid": [0]}),
+    ("sweep-q", "--l0-grid", "", sweep_subarray_count, {"l0_grid": [""]}),
     ("sweep-q", "--draws", "0", sweep_subarray_count, {"num_angle_draws": 0}),
     ("sweep-n", "--draws", "1e3", sweep_ris_size, {"num_angle_draws": "1e3"}),
+    ("sweep-n", "--draws", "-1", sweep_ris_size, {"num_angle_draws": -1}),
     ("sweep-n", "--n-grid", "16,-4", sweep_ris_size, {"n_grid": [16, -4]}),
     ("sweep-n", "--n-grid", "16,,64", sweep_ris_size, {"n_grid": [16, "", 64]}),
+    ("sweep-n", "--n-grid", "16,0", sweep_ris_size, {"n_grid": [16, 0]}),
+    ("sweep-n", "--n-grid", "16,64,", sweep_ris_size, {"n_grid": [16, 64, ""]}),
+    ("sweep-n", "--n-grid", ",16", sweep_ris_size, {"n_grid": ["", 16]}),
     ("sweep-n", "--l0-set", "2.0", sweep_ris_size, {"l0_set": ["2.0"]}),
+    ("sweep-n", "--l0-set", ",", sweep_ris_size, {"l0_set": ["", ""]}),
     ("sweep-n", "--n-grid", "16,8", sweep_ris_size, {"n_grid": [16, 8]}),
     ("sweep-n", "--l0-set", "1,2", sweep_ris_size, {"l0_set": [1, 2]}),
 ]

@@ -14,13 +14,13 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           energy_efficiency, load_config, max_se_upper_bound,
                           monte_carlo_se, optimal_phases, ris_power)
 from ris_subarray.config import TWO_PI
-from ris_subarray.metrics import _bound_from_eta, _gammas, rician_split
+from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.numpy_sampler import MC_CHUNK, _rate_chunks
 from ris_subarray.sampler import SMALL_RUN, _gamma_draw, _small_run_rates
 
-from helpers import (TX, element_bound, gain_fraction, oracle_rates,
-                     random_config, reference_config, se_upper_bound,
-                     small_config, small_raw)
+from helpers import (TX, element_bound, gain_fraction, hop_shares, jensen_mean,
+                     oracle_rates, random_config, reference_config,
+                     se_upper_bound, small_config, small_raw)
 
 SEED = 1453
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -101,24 +101,14 @@ def _var_of_sample_var(x: np.ndarray) -> float:
     return (np.mean(dev ** 4) - np.mean(dev ** 2) ** 2) / x.size
 
 
-def _gammas_at(k1: float, k2: float) -> tuple[float, float]:
-    return _gammas(small_config().replace(K1=k1, K2=k2))
-
-
-def test_rician_weights_values():
-    assert _gammas_at(1.0, 1.0) == (0.25, 0.75)
-    assert _gammas_at(math.inf, math.inf) == (1.0, 0.0)
-    assert _gammas_at(0.0, 17.0)[0] == 0.0
-    assert _gammas_at(math.inf, 3.0)[0] == pytest.approx(0.75, rel=1e-15)
-
-
-def test_rician_weights_sum_exactly_one():
-    rng = np.random.default_rng(SEED)
-    draws = rng.uniform(0.0, 100.0, size=(10_000, 2)).tolist()
-    draws += [(0.0, 0.0), (math.inf, math.inf), (math.inf, 2.0), (0.0, math.inf)]
-    for k1, k2 in draws:
-        gamma1, gamma2 = _gammas_at(k1, k2)
-        assert gamma1 + gamma2 == 1.0
+@pytest.mark.parametrize("k1, k2", [(1.0, 1.0), (math.inf, math.inf), (0.0, 17.0),
+                                    (math.inf, 3.0), (0.0, math.inf), (2.5, 40.0)])
+def test_bound_is_log2_of_one_plus_the_jensen_mean(k1, k2):
+    # The bound's float operations are the restated E[X]'s, bit for bit.
+    cfg = small_config(K1=k1, K2=k2)
+    bound = _bound_from_eta(cfg)
+    for eta in (0.0, coherence_factor(cfg), 1.0):
+        assert bound(eta) == math.log2(1.0 + jensen_mean(cfg, eta))
 
 
 def test_se_upper_bound_pure_scatter_value():
@@ -138,12 +128,6 @@ def test_element_bound_pure_los_value():
     assert element_bound(cfg) == pytest.approx(math.log2(10881), rel=1e-15)
 
 
-def _element_formula(cfg) -> float:
-    gamma1 = (cfg.K1 / (cfg.K1 + 1.0)) * (cfg.K2 / (cfg.K2 + 1.0))
-    return math.log2(1.0 + cfg.P / cfg.sigma_w2 * cfg.M
-                     * (gamma1 * cfg.N ** 2 + (1.0 - gamma1) * cfg.N + 1.0))
-
-
 def test_element_bound_equals_degenerate_subarray_path():
     # On the Lx = Ly = 1 copy the coherence factor is exactly 1, so the
     # subarray bound is the per-element closed form.
@@ -151,8 +135,8 @@ def test_element_bound_equals_degenerate_subarray_path():
     for _ in range(50):
         cfg = random_config(rng)
         assert coherence_factor(cfg.replace(Lx=1, Ly=1)) == 1.0
-        assert element_bound(cfg) == pytest.approx(_element_formula(cfg),
-                                                   rel=1e-14)
+        assert element_bound(cfg) == pytest.approx(
+            math.log2(1.0 + jensen_mean(cfg, 1.0)), rel=1e-14)
 
 
 @pytest.mark.parametrize("P", [1e-14, 1e-17, 1e-300])
@@ -162,9 +146,7 @@ def test_bound_keeps_its_relative_precision_at_low_snr(P):
     # P = 1e-17.
     base = load_config(ORACLE_SMALL, [("P", P)])
     for cfg in (base, base.replace(Lx=1, Ly=1)):
-        gamma1, gamma2 = _gammas(cfg)
-        x = P / cfg.sigma_w2 * cfg.M * (gamma1 * coherence_factor(cfg) * cfg.N ** 2
-                                        + gamma2 * cfg.N + 1.0)
+        x = jensen_mean(cfg, coherence_factor(cfg))
         assert max_se_upper_bound(cfg) == pytest.approx(
             math.log1p(x) / math.log(2.0), rel=1e-15, abs=0.0)
 
@@ -182,8 +164,7 @@ def test_grating_null_bound():
     cfg = reference_config(angles=Angles(
         theta_a1=0.0, phi_a1=7 * math.pi / 6,
         theta_d2=math.pi / 2, phi_d2=4 * math.pi / 3))
-    gamma2 = 1.0 - (cfg.K1 / (cfg.K1 + 1.0)) * (cfg.K2 / (cfg.K2 + 1.0))
-    expected = math.log2(1 + cfg.P * cfg.M * (gamma2 * cfg.N + 1))
+    expected = math.log2(1.0 + jensen_mean(cfg, 0.0))
     assert max_se_upper_bound(cfg) == pytest.approx(expected, abs=1e-12)
 
 
@@ -404,8 +385,9 @@ def _sampler_pair_cases():
 def _exact_mean(cfg, eta: float) -> float:
     """E[X] of X = snr * ||h2 Phi H1 + g||^2 = 2^rate - 1: per transmit
     antenna, the LoS-times-LoS part adds eta * N^2, each of the three parts
-    that scatter at least once N, and g one."""
-    (los1, sc1), (los2, sc2) = rician_split(cfg.K1), rician_split(cfg.K2)
+    that scatter at least once N, and g one. Derived part by part, not by
+    jensen_mean, so the two statements check each other."""
+    (los1, sc1), (los2, sc2) = hop_shares(cfg.K1), hop_shares(cfg.K2)
     scattered = los1 * sc2 + sc1 * los2 + sc1 * sc2
     return cfg.P / cfg.sigma_w2 * cfg.M * (
         los1 * los2 * eta * cfg.N ** 2 + scattered * cfg.N + 1.0)
