@@ -441,11 +441,26 @@ def test_eta_certificate_holds_at_large_spacings(monkeypatch, capsys, spacing):
     assert float(values["shortfall"]) <= 1e-12
 
 
-# --workers is the one run flag with no library parameter; every other run
-# flag's rules are BAD_RUN_FLAGS below.
 @pytest.mark.parametrize("argv", [
+    ["sweep-k", "--samples", "0"],
+    ["sweep-q", "--draws", "0"],
+    ["sweep-n", "--draws", "-1"],
     ["sweep-k", "--workers", "-5"],
     ["sweep-q", "--workers", "0"],
+    ["sweep-k", "--k-grid", ","],
+    ["sweep-k", "--k-grid", "0,0"],
+    ["sweep-k", "--k-grid", "1,nan"],
+    ["sweep-k", "--k-grid", "-1"],
+    ["sweep-q", "--l0-grid", "0"],
+    ["sweep-q", "--l0-grid", ""],
+    ["sweep-n", "--n-grid", "16,0"],
+    ["sweep-n", "--l0-set", ","],
+    ["sweep-n", "--n-grid", "16,,64"],
+    ["sweep-n", "--n-grid", "16,64,"],
+    ["sweep-n", "--n-grid", ",16"],
+    ["sweep-q", "--seed", "-1"],
+    ["sweep-k", "--seed", "-1"],
+    ["sweep-q", "--seed", str(2 ** 64)],
 ], ids=" ".join)
 def test_bad_run_argument_rejected_at_parse_time(tmp_path, capsys, argv):
     command, flag, value = argv
