@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 _MODULE_OF = {name: module for module, names in (
     ("config", "Angles ConfigError PowerConstants SystemConfig config_from_dict"
                " load_config ris_power"),
-    ("design", "los_cascade_gain optimal_phases"),
-    ("metrics", "energy_efficiency max_se_upper_bound"),
+    ("design", "optimal_phases"),
+    ("metrics", "max_se_upper_bound"),
     ("phases", "coherence_factor"),
     ("regional", "draw_angle_tuples sweep_ris_size sweep_subarray_count"),
     ("sampler", "monte_carlo_se"),

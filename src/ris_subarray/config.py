@@ -10,10 +10,12 @@ or its replace method.
 import json
 import math
 import numbers
+import os
 from functools import partial
 
 TWO_PI = 2.0 * math.pi
 MAX_SEED = 2 ** 64 - 1
+MAX_N = 2 ** 20         # the largest surface, Nx * Ny elements
 
 
 class ConfigError(ValueError):
@@ -98,11 +100,18 @@ def check_grid(name: str, values) -> list:
 
 
 def check_square(name: str, value) -> int:
-    """value as an int: a positive perfect square, a square surface's size."""
-    number = check_int(name, value)
+    """value as an int: a perfect square in [1, MAX_N], a square surface's size."""
+    number = check_int(name, value, high=MAX_N)
     if math.isqrt(number) ** 2 == number:
         return number
     raise ConfigError(f"{name} must be a perfect square, got {_shown(value)}")
+
+
+def check_type(name: str, value, cls):
+    """value if it is a cls: the config, record or row a function takes."""
+    if isinstance(value, cls):
+        return value
+    raise ConfigError(f"{name} must be {cls.__name__}, got {_shown(value)}")
 
 
 # Each sweep grid's entry check. l0_set excludes 1: the element row is always written.
@@ -204,7 +213,8 @@ _SECTIONS = {"angles": Angles, "power": PowerConstants}
 def ris_power(num_drivers: int, power: PowerConstants) -> float:
     """Surface power draw with one driver per independently controlled phase:
     N drivers for per-element control, Q for subarrays."""
-    num_drivers = check_int("num_drivers", num_drivers, low=0)
+    num_drivers = check_int("num_drivers", num_drivers, 0, MAX_N)
+    check_type("power", power, PowerConstants)
     return power.p_dynamic + power.p_control + num_drivers * power.p_driver
 
 
@@ -244,7 +254,7 @@ class SystemConfig(_Record):
             if getattr(self, size) % getattr(self, side):
                 raise ConfigError(f"{side}={_shown(getattr(self, side))} does not "
                                   f"divide {size}={_shown(getattr(self, size))}")
-        if self.N > 2 ** 20:    # eta's certificate takes time linear in N
+        if self.N > MAX_N:      # eta's certificate takes time linear in N
             raise ConfigError(f"the surface size, Nx * Ny, must be at most 2**20, got "
                               f"{_shown(self.N)} from Nx={_shown(self.Nx)}, "
                               f"Ny={_shown(self.Ny)}")
@@ -252,9 +262,7 @@ class SystemConfig(_Record):
             "d2_over_lambda", "P", "sigma_w2"))
         self._check_fields(check_rician, names=("K1", "K2"))
         for name, cls in _SECTIONS.items():
-            if not isinstance(getattr(self, name), cls):
-                raise ConfigError(f"{name} must be {cls.__name__}, "
-                                  f"got {_shown(getattr(self, name))}")
+            check_type(name, getattr(self, name), cls)
         # The largest SNR is capped 2**24 below a float's range, so that the
         # bound and every Monte Carlo rate stay finite.
         snr = self.P / self.sigma_w2 * _as_float(self.M * (self.N ** 2 + self.N + 1))
@@ -316,9 +324,18 @@ def load_config(path, overrides=()) -> SystemConfig:
     Angles (under "angles") or PowerConstants (under "power"), given once.
     overrides, (dotted field path, value) pairs such as ("angles.phi_d2", 0.5),
     are merged in first, one per field, and checked like the file."""
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open(0) reads, then closes, stdin
+        raise ConfigError(f"path must be a file path, got {_shown(path)}")
     with open(path) as fh:
         raw = json.load(fh, object_pairs_hook=_unique_keys)
-    overrides = _unique_keys(list(overrides))
+    try:
+        pairs = [(name, value) for name, value in overrides]
+    except (TypeError, ValueError):     # not iterable, or an entry not a pair
+        pairs = [(None, None)]
+    if isinstance(overrides, (str, dict)) or not all(isinstance(n, str) for n, _ in pairs):
+        raise ConfigError("overrides must be a sequence of (field path, value) "
+                          f"pairs, got {_shown(overrides)}")
+    overrides = _unique_keys(pairs)
     for name, value in overrides.items() if isinstance(raw, dict) else ():
         parent, dot, key = name.partition(".")
         section = raw.setdefault(parent, {}) if dot else raw

@@ -1,10 +1,9 @@
-"""Spectral-efficiency bounds and power accounting.
+"""The spectral-efficiency upper bound and the Rician power split.
 
 The ergodic spectral efficiency of the maximum-ratio-transmission downlink
 has a closed-form upper bound (Jensen over the channel statistics) that the
-closed-form phase design maximizes; energy efficiency divides SE by the total
-consumed power, where the surface contributes one driver circuit per
-independently controlled phase.
+closed-form phase design maximizes. The energy efficiency divides it by the
+total consumed power, config.total_power, in the regional sweeps' rows.
 
 The two-hop link is transmitter -> surface (H1, N-by-M) and surface -> user
 (h2, length N), both Rician; the direct transmitter -> user link g (length M)
@@ -18,7 +17,7 @@ ris_subarray.sampler, which only sweep-k loads.
 
 import math
 
-from .config import PowerConstants, SystemConfig, total_power
+from .config import SystemConfig, check_type
 from .phases import coherence_factor
 
 _LN2 = math.log(2.0)
@@ -55,9 +54,4 @@ def max_se_upper_bound(cfg: SystemConfig) -> float:
     Per-element control is the same formula on the Lx = Ly = 1 copy of cfg,
     where the coherence factor is exactly 1.
     """
-    return _bound_from_eta(cfg)(coherence_factor(cfg))
-
-
-def energy_efficiency(se: float, num_drivers: int, power: PowerConstants) -> float:
-    """Spectral efficiency per watt of total consumed power."""
-    return se / total_power(num_drivers, power)
+    return _bound_from_eta(check_type("cfg", cfg, SystemConfig))(coherence_factor(cfg))

@@ -9,7 +9,7 @@ standard library, with no numpy.
 
 import math
 
-from .config import SystemConfig
+from .config import SystemConfig, check_type
 
 # Below this, sin(p) is treated as exactly at a grating point p = k*pi, where
 # the normalized kernel has a removable singularity with limit of modulus 1.
@@ -55,5 +55,5 @@ def coherence_factor(cfg: SystemConfig) -> float:
     """Fraction of the coherent LoS array gain a subarray of shared-phase
     elements retains. Equals 1 for per-element control (Lx = Ly = 1) and for
     specular geometry; equals 0 when a subarray straddles a full grating null."""
-    p1, p2 = phase_slopes(cfg)
+    p1, p2 = phase_slopes(check_type("cfg", cfg, SystemConfig))
     return coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)

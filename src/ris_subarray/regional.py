@@ -10,7 +10,7 @@ from itertools import chain, islice, repeat
 from operator import add
 
 from .config import (MAX_SEED, TWO_PI, ConfigError, SystemConfig, check_grid,
-                     check_int, total_power)
+                     check_int, check_type, total_power)
 from .metrics import _bound_from_eta
 from .phases import coherence_factor_from_slopes, phase_slopes
 from .sweeps import SweepResult, _sorted_rows
@@ -113,6 +113,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     the L0 = 1 point is the element scheme, labeled as such. Every L0 must
     divide both surface sides.
     """
+    check_type("cfg_base", cfg_base, SystemConfig)
     draws = check_int("num_angle_draws", num_angle_draws)
     l0_grid = check_grid("l0_grid", default_l0_grid(cfg_base)
                          if l0_grid is None else l0_grid)
@@ -135,6 +136,7 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     Every N gets an element row plus one row per compatible L0 >= 2 in
     l0_set; rows for an L0 that does not divide sqrt(N) are skipped.
     """
+    check_type("cfg_base", cfg_base, SystemConfig)
     draws = check_int("num_angle_draws", num_angle_draws)
     l0_set = check_grid("l0_set", l0_set)
     n_grid = check_grid("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)

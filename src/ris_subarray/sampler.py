@@ -11,7 +11,8 @@ evaluate every law from them by that law's rate function, _law_rate.
 
 import math
 
-from .config import MAX_SEED, SystemConfig, check_int, check_real, check_sequence
+from .config import (MAX_SEED, SystemConfig, check_int, check_real, check_sequence,
+                     check_type)
 from .metrics import _LN2, rician_split
 
 # A run of at most this many samples draws them in Python, from the standard
@@ -33,10 +34,11 @@ def _law_rate(cfg: SystemConfig, eta: float):
     rank-one LoS hop gives h2 Phi H1_los = sqrt(N) * alpha * a_tx^T where
     alpha = sum_n h2_n f_n / sqrt(N) ~ CN(alpha0, w2_sc^2). The law of
     |alpha|^2 depends on the phases only through
-    |alpha0|^2 = w2_los^2 * los_cascade_gain / (N * M) = w2_los^2 * eta * N,
-    where eta is the gain as a fraction of N^2 * M (coherence_factor at the
-    optimal phases). The rest of h2, orthogonal to conj(f), is independent
-    of alpha, and its squared norm is
+    |alpha0|^2 = w2_los^2 * (LoS cascade gain) / (N * M) = w2_los^2 * eta * N,
+    where eta is the gain |sum_q e^{j phi_q} w_q|^2 * M over the subarray
+    couplings w_q (design.subarray_couplings) as a fraction of N^2 * M,
+    coherence_factor at the optimal phases. The rest of h2, orthogonal to
+    conj(f), is independent of alpha, and its squared norm is
     (w2_sc^2 / 2) * chi'^2(2(N-1), 2 * perp / w2_sc^2), where
     perp = w2_los^2 * N - |alpha0|^2 is the squared norm of the LoS part of
     that rest. Given h2, the scattered hop and g add CN(0, sigma2 I_M) with
@@ -142,8 +144,8 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
                    master_seed: int) -> list[tuple[float, float]]:
     """Sample-mean ergodic SE and its standard error, in bits, one
     (mean, stderr) per gain fraction in etas, all from one draw. A gain
-    fraction is los_cascade_gain / (N^2 * M) of the phases, which is
-    coherence_factor(cfg) at the optimal ones.
+    fraction is the LoS cascade gain of the phases over N^2 * M (see
+    _law_rate), which is coherence_factor(cfg) at the optimal ones.
 
     Maximum-ratio transmission is folded in analytically: the rate of a
     sample is log2(1 + snr * ||h2 Phi H1 + g||^2), whose law _law_rate states.
@@ -159,6 +161,7 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
     must be a sequence of finite reals in [0, 1], num_samples an integer
     >= 1 and master_seed one in [0, 2**64).
     """
+    check_type("cfg", cfg, SystemConfig)
     etas = [check_real("etas", eta, 0.0, high=1.0)
             for eta in check_sequence("etas", etas, "gain fractions")]
     num_samples = check_int("num_samples", num_samples)

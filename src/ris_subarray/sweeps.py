@@ -11,7 +11,8 @@ ris_subarray.regional.
 
 from collections import namedtuple
 
-from .config import MAX_SEED, SystemConfig, check_grid, check_int
+from .config import (MAX_SEED, SystemConfig, check_grid, check_int, check_sequence,
+                     check_type)
 from .metrics import _bound_from_eta
 from .phases import coherence_factor
 
@@ -42,6 +43,7 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     difference carries the noise of one draw; at K = 0 the law does not
     depend on eta and the two rows of a factor are equal.
     """
+    check_type("cfg_base", cfg_base, SystemConfig)
     samples = check_int("samples", samples)
     seed = check_int("seed", seed, 0, MAX_SEED)
     cfgs = [cfg_base.replace(K1=k, K2=k) for k in check_grid(
@@ -57,7 +59,10 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
 
 
 def write_csv(rows: list[SweepResult], fh) -> None:
-    """Write rows (sorted by scheme, then value) in the fixed CSV schema."""
+    """Write rows, a sequence of at least one SweepResult, sorted by scheme,
+    then value, in the fixed CSV schema."""
+    rows = [check_type(f"rows[{i}]", row, SweepResult)
+            for i, row in enumerate(check_sequence("rows", rows, "SweepResult rows"))]
     fh.write("".join(",".join(map(_fmt, r)) + "\n"
                      for r in [SweepResult._fields, *_sorted_rows(rows)]))
 

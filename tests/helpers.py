@@ -9,14 +9,17 @@ numpy_sweep_subarray_count() and numpy_sweep_ris_size() are the regional
 sweeps computed with numpy arrays, one pass per point, whose rows the
 library's float math must reproduce bit for bit.
 regional_draws() is the scalar, one-config-copy-per-draw oracle for the
-per-tuple coherence factor and bound of the regional sweeps,
-se_upper_bound() the bound at arbitrary phases, and gain_fraction() their
-gain as the eta the Monte Carlo sampler takes. exhaustive_phase_search() is
+per-tuple coherence factor and bound of the regional sweeps.
+oracle_gain() is the LoS cascade gain of arbitrary phases, which the library
+states only at the optimal ones (design.phase_certificate); se_upper_bound()
+is the bound at arbitrary phases, and gain_fraction() their gain as the eta
+the Monte Carlo sampler takes. exhaustive_phase_search() is
 the reference oracle for the closed-form phases: a grid search, capped at
 Q <= ORACLE_MAX_Q, that no phases on its grid may beat by more than
 grid_resolution_slack(). The steering vectors and
 per-subarray offsets below build the LoS geometry element by element:
-steering_couplings() is the oracle for the slope-based subarray couplings.
+steering_couplings() is the oracle for the slope-based subarray couplings,
+and dense_gain() the gain through the full LoS matrices.
 The per-element channel sampler at the end is the independent oracle for
 the sufficient-statistic Monte Carlo sampler in ris_subarray.sampler: it
 draws every sample's full channels in one batch, builds them from the LoS
@@ -39,8 +42,8 @@ import math
 
 import numpy as np
 
-from ris_subarray import (Angles, SweepResult, SystemConfig, los_cascade_gain,
-                          max_se_upper_bound, write_csv)
+from ris_subarray import (Angles, SweepResult, SystemConfig, max_se_upper_bound,
+                          write_csv)
 from ris_subarray.config import TWO_PI, check_int
 from ris_subarray.phases import phase_slopes
 
@@ -274,11 +277,19 @@ def regional_draws(cfg: SystemConfig, angle_tuples) -> np.ndarray:
     return out
 
 
+def oracle_gain(cfg: SystemConfig, phases) -> float:
+    """The LoS cascade gain of length-Q phases, |sum_q e^{j phi_q} w_q|^2 * M
+    over the couplings w_q built from the steering vectors
+    (steering_couplings()); coherence_factor(cfg) * N^2 * M at the optimum."""
+    total = np.exp(1j * np.asarray(phases, dtype=float)) @ steering_couplings(cfg)
+    return float(abs(total) ** 2 * cfg.M)
+
+
 def se_upper_bound(cfg: SystemConfig, phases) -> float:
     """Ergodic-SE upper bound for arbitrary length-Q phases, in bits: the
     Jensen bound through the LoS cascade gain instead of the coherence
     factor, which holds only at the optimum."""
-    eta = los_cascade_gain(cfg, phases) / (cfg.N ** 2 * cfg.M)
+    eta = oracle_gain(cfg, phases) / (cfg.N ** 2 * cfg.M)
     return math.log2(1.0 + jensen_mean(cfg, eta))
 
 
@@ -286,7 +297,7 @@ def gain_fraction(cfg: SystemConfig, phases) -> float:
     """The LoS cascade gain of length-Q phases as a fraction of N^2 * M: the
     eta that monte_carlo_se takes in etas, coherence_factor(cfg) at the optimum.
     Capped at 1, which rounding can pass when every coupling is aligned."""
-    return min(1.0, los_cascade_gain(cfg, phases) / (cfg.N ** 2 * cfg.M))
+    return min(1.0, oracle_gain(cfg, phases) / (cfg.N ** 2 * cfg.M))
 
 
 # Hard caps keeping the exhaustive phase search tractable (levels**Q points).
@@ -316,9 +327,9 @@ def exhaustive_phase_search(cfg: SystemConfig, grid_levels: int) -> tuple:
     gains = (total * total.conjugate()).real * cfg.M
     combo = np.unravel_index(int(np.argmax(gains)), gains.shape)
     best = np.mod(TWO_PI * np.asarray(combo, dtype=float) / grid_levels, TWO_PI)
-    # Recompute through the public gain path so the reported value cannot
-    # drift from what callers would measure for the returned phases.
-    return best, los_cascade_gain(cfg, best)
+    # Recomputed from the returned phases, so the value cannot drift from
+    # their gain by the grid's indexing.
+    return best, oracle_gain(cfg, best)
 
 
 def rows_to_csv(rows) -> str:
@@ -331,6 +342,13 @@ def rows_to_csv(rows) -> str:
 def dense_phase_matrix(cfg, phases) -> np.ndarray:
     """Independent oracle: the full N-by-N block-diagonal phase matrix."""
     return np.kron(np.diag(np.exp(1j * np.asarray(phases))), np.eye(cfg.L))
+
+
+def dense_gain(cfg: SystemConfig, phases) -> float:
+    """The LoS cascade gain of phases from the full matrices: the squared
+    norm of los_ris_to_user @ Phi @ los_bs_to_ris."""
+    row = los_ris_to_user(cfg) @ dense_phase_matrix(cfg, phases) @ los_bs_to_ris(cfg)
+    return float(np.linalg.norm(row) ** 2)
 
 
 # The transmit ULA's departure angle and element spacing in wavelengths.

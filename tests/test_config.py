@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -9,10 +10,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
-                          coherence_factor, config_from_dict,
-                          energy_efficiency, load_config, max_se_upper_bound)
+                          coherence_factor, config_from_dict, load_config,
+                          max_se_upper_bound, monte_carlo_se, optimal_phases,
+                          ris_power, sweep_rician_factor, sweep_ris_size,
+                          sweep_subarray_count, write_csv)
 from ris_subarray.config import (MAX_SEED, check_grid, check_int, check_real,
-                                 check_rician)
+                                 check_rician, total_power)
 from ris_subarray.design import phase_certificate
 from ris_subarray.metrics import _bound_from_eta
 
@@ -355,6 +358,44 @@ def test_load_config_merges_overrides_from_any_iterable(tmp_path):
         small_raw(M=8, power={"p_driver": 0.5}))
 
 
+# A public function given an argument of the wrong type, and the start of
+# its error. Each once raised AttributeError or TypeError from deep inside,
+# or OverflowError for the huge driver count, naming no argument.
+WRONG_TYPES = {
+    "coherence_factor": (lambda: coherence_factor("x"),
+                         "cfg must be SystemConfig, got 'x'"),
+    "max_se_upper_bound": (lambda: max_se_upper_bound("x"), "cfg must be SystemConfig"),
+    "optimal_phases": (lambda: optimal_phases(None), "cfg must be SystemConfig, got None"),
+    "monte_carlo_se": (lambda: monte_carlo_se({}, [0.5], 10, 1),
+                       "cfg must be SystemConfig, got {}"),
+    "sweep_rician_factor": (lambda: sweep_rician_factor(None),
+                            "cfg_base must be SystemConfig"),
+    "sweep_subarray_count": (lambda: sweep_subarray_count(None),
+                             "cfg_base must be SystemConfig"),
+    "sweep_ris_size": (lambda: sweep_ris_size(3), "cfg_base must be SystemConfig, got 3"),
+    "ris_power": (lambda: ris_power(2, None), "power must be PowerConstants, got None"),
+    "ris_power-huge": (lambda: ris_power(10 ** 400, PowerConstants()),
+                       r"num_drivers must be an integer in \[0, 1048576\]"),
+    "write_csv": (lambda: write_csv([1, 2], io.StringIO()),
+                  r"rows\[0\] must be SweepResult, got 1"),
+    "write_csv-scalar": (lambda: write_csv(5, io.StringIO()), "rows must be a sequence"),
+    "load_config": (lambda: load_config(CONFIG_DIR / "default.json", 5),
+                    r"overrides must be a sequence of \(field path, value\) pairs, got 5"),
+    "load_config-names": (lambda: load_config(CONFIG_DIR / "default.json", [(1, 2)]),
+                          "overrides must be"),
+    "load_config-dict": (lambda: load_config(CONFIG_DIR / "default.json", {"M": 8}),
+                         "overrides must be"),
+    # False and 0 are standard input's descriptor, which open() would read and close
+    "load_config-path": (lambda: load_config(False), "path must be a file path, got False"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_an_argument_of_the_wrong_type_is_named(call, message):
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        call()
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
                          ids=lambda p: p.name)
 def test_committed_configs_load(path):
@@ -428,7 +469,7 @@ def test_closed_form_core_holds_over_the_accepted_config_space(cfg):
     se = [bound(x) for x in (0.0, eta / 2, eta, 1.0)]
     assert all(map(math.isfinite, se)) and se == sorted(se)
     assert max_se_upper_bound(cfg) == se[2]
-    assert math.isfinite(energy_efficiency(se[2], cfg.Q, cfg.power))
-    assert math.isfinite(energy_efficiency(se[3], cfg.N, cfg.power))
+    assert math.isfinite(se[2] / total_power(cfg.Q, cfg.power))
+    assert math.isfinite(se[3] / total_power(cfg.N, cfg.power))
     # a regional row sums its draws' efficiencies: 2**24 of the largest
-    assert energy_efficiency(se[3], 1, cfg.power) * 2.0 ** 24 < math.inf
+    assert se[3] / total_power(1, cfg.power) * 2.0 ** 24 < math.inf

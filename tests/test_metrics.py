@@ -10,10 +10,10 @@ import pytest
 from scipy import stats
 
 from ris_subarray import (Angles, ConfigError, PowerConstants,
-                          coherence_factor, config_from_dict,
-                          energy_efficiency, load_config, max_se_upper_bound,
-                          monte_carlo_se, optimal_phases, ris_power)
-from ris_subarray.config import TWO_PI
+                          coherence_factor, config_from_dict, load_config,
+                          max_se_upper_bound, monte_carlo_se, optimal_phases,
+                          ris_power)
+from ris_subarray.config import TWO_PI, total_power
 from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.numpy_sampler import MC_CHUNK, _rate_chunks
 from ris_subarray.sampler import SMALL_RUN, _gamma_draw, _small_run_rates
@@ -533,20 +533,20 @@ def test_ris_power_reference_values():
 
 
 def test_energy_efficiency_reference_values():
+    # The energy efficiency is the SE over the total consumed power.
     pc = PowerConstants()
-    assert energy_efficiency(19.32, 256, pc) == pytest.approx(19.32 / 134.88,
-                                                              rel=1e-15)
-    assert energy_efficiency(19.32, 256, pc) == pytest.approx(0.1432, abs=1e-4)
-    assert energy_efficiency(19.32, 1024, pc) == pytest.approx(0.0415, abs=1e-4)
+    assert total_power(256, pc) == pytest.approx(134.88, rel=1e-15)
+    assert 19.32 / total_power(256, pc) == pytest.approx(0.1432, abs=1e-4)
+    assert 19.32 / total_power(1024, pc) == pytest.approx(0.0415, abs=1e-4)
 
 
 def test_energy_efficiency_requires_positive_power():
     # An all-zero power model cannot be built; a model of drivers only
-    # totals 0 without drivers, which energy_efficiency rejects.
+    # totals 0 without drivers, which total_power rejects.
     with pytest.raises(ConfigError, match="^power terms must not all be 0"):
         PowerConstants(p_rest=0.0, p_dynamic=0.0, p_control=0.0, p_driver=0.0)
     with pytest.raises(ValueError):
-        energy_efficiency(1.0, 0, PowerConstants(0.0, 0.0, 0.0, 0.43))
+        total_power(0, PowerConstants(0.0, 0.0, 0.0, 0.43))
 
 
 def test_energy_efficiency_guard_is_reachable_from_a_valid_config():
@@ -555,7 +555,7 @@ def test_energy_efficiency_guard_is_reachable_from_a_valid_config():
     cfg = config_from_dict(small_raw(power={
         "p_rest": 0.0, "p_dynamic": 0.0, "p_control": 0.0, "p_driver": 0.43}))
     with pytest.raises(ValueError, match="^total power must be positive$"):
-        energy_efficiency(1.0, 0, cfg.power)
+        total_power(0, cfg.power)
 
 
 def test_power_constants_from_dict():

@@ -10,18 +10,19 @@ import numpy as np
 import pytest
 
 from ris_subarray import (Angles, ConfigError, SweepResult, coherence_factor,
-                          draw_angle_tuples, energy_efficiency, load_config,
-                          los_cascade_gain, max_se_upper_bound, monte_carlo_se,
-                          optimal_phases, sweep_rician_factor, sweep_ris_size,
+                          draw_angle_tuples, load_config, max_se_upper_bound,
+                          monte_carlo_se, sweep_rician_factor, sweep_ris_size,
                           sweep_subarray_count)
 from ris_subarray import regional, sampler, sweeps
+from ris_subarray.config import total_power
+from ris_subarray.design import phase_certificate
 from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.phases import (_normalized_kernel,
                                  coherence_factor_from_slopes, phase_slopes)
 from ris_subarray.regional import DEFAULT_N_GRID, _regional_rows, default_l0_grid
 from ris_subarray.sampler import SMALL_RUN
 
-from helpers import (exhaustive_phase_search, grid_resolution_slack,
+from helpers import (dense_gain, exhaustive_phase_search, grid_resolution_slack,
                      normalized_kernel, numpy_sweep_ris_size,
                      numpy_sweep_subarray_count, oracle_angle_tuples,
                      philox_oracle, random_config, reference_config,
@@ -38,6 +39,7 @@ GOLDEN = json.loads((ROOT / "bench" / "reference.json").read_text())["regional"]
 SEED_RULE = r"an integer in \[0, 18446744073709551615\]"
 RULES = {"seed": SEED_RULE, "master_seed": SEED_RULE,
          "grid_levels": r"an integer in \[1, 32\]", "l0_set": "an integer >= 2",
+         "n_grid": r"an integer in \[1, 1048576\]",
          "etas": "finite and >= 0 and <= 1"}
 
 
@@ -95,7 +97,7 @@ def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
                  for p1, p2 in slopes]
     assert sweep_eta == list(eta)
     assert list(map(_bound_from_eta(cfg), sweep_eta)) == list(se)
-    assert [energy_efficiency(s, cfg.Q, cfg.power) for s in se] == list(ee)
+    assert [s / total_power(cfg.Q, cfg.power) for s in se] == list(ee)
     # the config's own tuple runs the same code
     assert [max_se_upper_bound(cfg.replace(angles=Angles(*t)))
             for t in tuples] == list(se)
@@ -522,13 +524,12 @@ def test_exhaustive_search_never_beats_closed_form():
     for _ in range(20):
         cfg = random_config(rng, max_m=4, sides=(1, 2, 3), groups=(1, 2))
         best, grid_gain = exhaustive_phase_search(cfg, grid_levels=16)
-        closed = los_cascade_gain(cfg, optimal_phases(cfg))
+        closed = phase_certificate(cfg)[0]
         slack = grid_resolution_slack(cfg, 16)
         assert grid_gain <= closed * (1 + 1e-9) + 1e-12
         assert grid_gain >= closed - slack
-        # reported gain matches the returned assignment
-        assert grid_gain == pytest.approx(los_cascade_gain(cfg, best),
-                                          rel=1e-12)
+        # reported gain matches the returned assignment's, from the full matrices
+        assert grid_gain == pytest.approx(dense_gain(cfg, best), rel=1e-12)
 
 
 def test_regional_average_uses_common_draws():
