@@ -51,12 +51,12 @@ def _philox_words(seed: int, count: int):
         yield from islice(chain.from_iterable(words), count - 4 * start)
 
 
-def draw_angle_tuples(seed: int, count: int):
-    """An iterator over count i.i.d. uniform [0, 2*pi) angle tuples, drawn as
-    they are taken: Generator(Philox(key=[seed, 0])).uniform(0, 2*pi,
-    (count, 5)) of numpy without its first column, bit for bit."""
+def draw_angle_tuples(seed: int, num_angle_draws: int):
+    """An iterator over num_angle_draws i.i.d. uniform [0, 2*pi) angle tuples,
+    drawn as taken: Generator(Philox(key=[seed, 0])).uniform(0, 2*pi,
+    (num_angle_draws, 5)) of numpy without its first column, bit for bit."""
     seed = check_int("seed", seed, 0, MAX_SEED)
-    count = check_int("count", count)
+    count = check_int("num_angle_draws", num_angle_draws)
     # numpy's double, the top 53 bits times 2**-53, times the range (low is 0)
     uniforms = (TWO_PI * ((word >> 11) * 2.0 ** -53)
                 for word in _philox_words(seed, 5 * count))
@@ -114,7 +114,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     divide both surface sides.
     """
     check_type("cfg_base", cfg_base, SystemConfig)
-    draws = check_int("num_angle_draws", num_angle_draws)
+    angle_tuples = draw_angle_tuples(seed, num_angle_draws)
     l0_grid = check_grid("l0_grid", default_l0_grid(cfg_base)
                          if l0_grid is None else l0_grid)
     points = []
@@ -124,7 +124,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
                               f"{cfg_base.Nx}x{cfg_base.Ny} surface")
         cfg = cfg_base.replace(Lx=l0, Ly=l0)
         points.append((cfg, "element" if l0 == 1 else "subarray", float(cfg.Q)))
-    return _regional_rows(cfg_base, "Q", points, draw_angle_tuples(seed, draws))
+    return _regional_rows(cfg_base, "Q", points, angle_tuples)
 
 
 def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
@@ -137,7 +137,7 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     l0_set; rows for an L0 that does not divide sqrt(N) are skipped.
     """
     check_type("cfg_base", cfg_base, SystemConfig)
-    draws = check_int("num_angle_draws", num_angle_draws)
+    angle_tuples = draw_angle_tuples(seed, num_angle_draws)
     l0_set = check_grid("l0_set", l0_set)
     n_grid = check_grid("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
     points = []
@@ -146,4 +146,4 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
         for l0 in [1] + [side for side in l0_set if nx % side == 0]:
             points.append((cfg_base.replace(Nx=nx, Ny=nx, Lx=l0, Ly=l0),
                            "element" if l0 == 1 else f"subarray_L{l0}", float(n)))
-    return _regional_rows(cfg_base, "N", points, draw_angle_tuples(seed, draws))
+    return _regional_rows(cfg_base, "N", points, angle_tuples)

@@ -6,7 +6,8 @@ at most SMALL_RUN samples draws from random.Random.random() alone
 (_small_run_rates); a longer one loads numpy and draws from its Philox in
 chunks (ris_subarray.numpy_sampler). Both draw each sample's six
 standardized variates once, since their law depends on N and M alone, and
-evaluate every law from them by that law's rate function, _law_rate.
+evaluate every law from them by that law's rate function, _law_rate (at
+N = 1 the two of h2's empty orthogonal rest are 0.0, and are not drawn).
 """
 
 import math
@@ -49,10 +50,10 @@ def _law_rate(cfg: SystemConfig, eta: float):
     (mu + sqrt(var / 2) * z)^2 + var * Gamma(k - 1/2) with z standard
     normal: one real coordinate carries the whole mean. So the variates are
     alpha - alpha0's real part and squared imaginary part, the orthogonal
-    rest's real coordinate along its LoS part (None at N = 1, where h2 has
-    no rest) and the rest of its squared norm, all per unit w2_sc, and
-    ||v||^2's coordinate along its mean and the rest, per unit sigma2. None
-    depends on eta or on a Rician factor.
+    rest's real coordinate along its LoS part and the rest of its squared
+    norm (0.0 at N = 1, where only root_perp^2 is left of the rest), all
+    per unit w2_sc, and ||v||^2's coordinate along its mean and the rest,
+    per unit sigma2. None depends on eta or on a Rician factor.
     """
     (w1_los_sq, w1_sc_sq), (w2_los_sq, w2_sc_sq) = map(rician_split, (cfg.K1, cfg.K2))
     w2_sc, alpha0 = math.sqrt(w2_sc_sq), math.sqrt(w2_los_sq * eta * cfg.N)
@@ -65,13 +66,12 @@ def _law_rate(cfg: SystemConfig, eta: float):
         alpha_sq *= alpha_sq
         alpha_sq += alpha_im_sq * w2_sc_sq  # |alpha|^2
         sigma2 = w1_sc_sq * alpha_sq
-        if orth_re is not None:
-            orth = orth_re * w2_sc
-            orth += root_perp
-            orth *= orth
-            orth += orth_rest * w2_sc_sq
-            orth *= w1_sc_sq
-            sigma2 += orth
+        orth = orth_re * w2_sc
+        orth += root_perp
+        orth *= orth
+        orth += orth_rest * w2_sc_sq
+        orth *= w1_sc_sq
+        sigma2 += orth
         sigma2 += 1.0                       # w1_sc^2 * ||h2||^2 + 1
         scaled_rest = sigma2 * v_rest
         v = sqrt(sigma2)
@@ -106,28 +106,27 @@ def _gamma_draw(uniform, shape: int):
     return draw
 
 
-def _small_run_rates(laws: list, num_samples: int, master_seed: int
-                     ) -> list[list[float]]:
+def _small_run_rates(laws: list, samples: int, seed: int) -> list[list[float]]:
     """The rates of each law, one list each, drawn with no numpy from
-    random.Random(master_seed).random() alone, the one method whose stream
+    random.Random(seed).random() alone, the one method whose stream
     Python keeps across versions.
 
     Each standard complex normal is drawn in polar form from two uniforms,
     the squared modulus e = -ln(1 - U) and the phase's cosine c: its real
     part is sqrt(e) * c and its squared imaginary part e * (1 - c^2), which
     with a Gamma(k - 1) makes the Gamma(k - 1/2) of _law_rate's law. A sample
-    draws alpha's pair, the orthogonal rest's pair and gamma, then
+    draws alpha's pair, the orthogonal rest's pair and gamma (at N > 1), then
     ||v||^2's pair and gamma, and evaluates every law from them.
     """
     import random               # loaded by a small run, as numpy by a long one
     cfg = laws[0][0]
-    uniform = random.Random(master_seed).random
+    uniform = random.Random(seed).random
     log, log1p, sqrt, cos, tau = math.log, math.log1p, math.sqrt, math.cos, math.tau
     rest, v_gamma = _gamma_draw(uniform, max(cfg.N - 2, 0)), _gamma_draw(uniform, cfg.M - 1)
     out = [[] for _ in laws]
     per_law = [(_law_rate(*law), rates.append) for law, rates in zip(laws, out)]
-    n, orth_re, orth_rest = cfg.N, None, None
-    for _ in range(num_samples):
+    n, orth_re, orth_rest = cfg.N, 0.0, 0.0
+    for _ in range(samples):
         e, c = -log(1.0 - uniform()), cos(tau * uniform())
         alpha_re, alpha_im_sq = sqrt(e) * c, e * (1.0 - c * c)
         if n > 1:
@@ -140,8 +139,8 @@ def _small_run_rates(laws: list, num_samples: int, master_seed: int
     return out
 
 
-def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
-                   master_seed: int) -> list[tuple[float, float]]:
+def monte_carlo_se(cfg: SystemConfig, etas, samples: int,
+                   seed: int) -> list[tuple[float, float]]:
     """Sample-mean ergodic SE and its standard error, in bits, one
     (mean, stderr) per gain fraction in etas, all from one draw. A gain
     fraction is the LoS cascade gain of the phases over N^2 * M (see
@@ -156,30 +155,30 @@ def monte_carlo_se(cfg: SystemConfig, etas, num_samples: int,
     evaluated from one draw (common random numbers): the estimates of two
     etas are correlated, and the variance of their difference is smaller
     than with independent draws. Each result is a pure function of (cfg, eta,
-    num_samples, master_seed), whatever the other etas are, and its stderr
-    is its own. Chunk moments are merged in chunk order (Chan et al.). etas
-    must be a sequence of finite reals in [0, 1], num_samples an integer
-    >= 1 and master_seed one in [0, 2**64).
+    samples, seed), whatever the other etas are, and its stderr is its own.
+    Chunk moments are merged in chunk order (Chan et al.). etas must be a
+    sequence of finite reals in [0, 1], samples an integer >= 1 and seed one
+    in [0, 2**64).
     """
     check_type("cfg", cfg, SystemConfig)
     etas = [check_real("etas", eta, 0.0, high=1.0)
             for eta in check_sequence("etas", etas, "gain fractions")]
-    num_samples = check_int("num_samples", num_samples)
-    master_seed = check_int("master_seed", master_seed, 0, MAX_SEED)
-    return _monte_carlo_se([(cfg, eta) for eta in etas], num_samples, master_seed)
+    samples = check_int("samples", samples)
+    seed = check_int("seed", seed, 0, MAX_SEED)
+    return _monte_carlo_se([(cfg, eta) for eta in etas], samples, seed)
 
 
-def _monte_carlo_se(laws: list, num_samples: int, master_seed: int) -> list:
+def _monte_carlo_se(laws: list, samples: int, seed: int) -> list:
     """monte_carlo_se of checked (cfg, eta) laws, which share N and M."""
-    if num_samples <= SMALL_RUN:
+    if samples <= SMALL_RUN:
         runs = []
-        for rates in _small_run_rates(laws, num_samples, master_seed):
-            mean = math.fsum(rates) / num_samples
-            runs.append([(num_samples, mean,
+        for rates in _small_run_rates(laws, samples, seed):
+            mean = math.fsum(rates) / samples
+            runs.append([(samples, mean,
                           math.fsum([(r - mean) ** 2 for r in rates]))])
     else:
         from .numpy_sampler import _chunk_moments, _rate_chunks
-        runs = zip(*_chunk_moments(_rate_chunks(laws, num_samples, master_seed)))
+        runs = zip(*_chunk_moments(_rate_chunks(laws, samples, seed)))
     return [_merged(chunks) for chunks in runs]
 
 

@@ -9,10 +9,11 @@ regional sweeps, which draw one angle stream for all their points, are in
 ris_subarray.regional.
 """
 
+import math
 from collections import namedtuple
 
-from .config import (MAX_SEED, SystemConfig, check_grid, check_int, check_sequence,
-                     check_type)
+from .config import (MAX_SEED, ConfigError, SystemConfig, _as_float, _shown, check_grid,
+                     check_int, check_sequence, check_type)
 from .metrics import _bound_from_eta
 from .phases import coherence_factor
 
@@ -60,9 +61,21 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
 
 def write_csv(rows: list[SweepResult], fh) -> None:
     """Write rows, a sequence of at least one SweepResult, sorted by scheme,
-    then value, in the fixed CSV schema."""
+    then value, in the fixed CSV schema. The labels must be strings and
+    var_value, which orders the rows, a real number other than nan (inf is
+    one); each other field is such a number or None."""
     rows = [check_type(f"rows[{i}]", row, SweepResult)
             for i, row in enumerate(check_sequence("rows", rows, "SweepResult rows"))]
+    for i, row in enumerate(rows):
+        for field, value in row._asdict().items():
+            if field in ("scheme", "var_name"):
+                rule, ok = "a string", isinstance(value, str)
+            else:
+                optional = field != "var_value"
+                rule = "a real number other than nan" + optional * ", or None"
+                ok = not math.isnan(_as_float(value)) or optional and value is None
+            if not ok:
+                raise ConfigError(f"rows[{i}].{field} must be {rule}, got {_shown(value)}")
     fh.write("".join(",".join(map(_fmt, r)) + "\n"
                      for r in [SweepResult._fields, *_sorted_rows(rows)]))
 
@@ -73,4 +86,4 @@ def _fmt(value) -> str:
     if isinstance(value, str) and any(c in value for c in ',"\r\n'):
         return '"' + value.replace('"', '""') + '"'
     return ("" if value is None else value if isinstance(value, str)
-            else format(value, ".12g"))
+            else format(float(value), ".12g"))

@@ -455,13 +455,12 @@ def sample_channels(cfg: SystemConfig, rng: np.random.Generator, n: int,
     return H1, h2, g
 
 
-def oracle_rates(cfg: SystemConfig, phases, num_samples: int,
-                 master_seed: int, tx=TX) -> np.ndarray:
+def oracle_rates(cfg: SystemConfig, phases, samples: int, seed: int,
+                 tx=TX) -> np.ndarray:
     """Per-sample rates log2(1 + snr * ||h2 Phi H1 + g||^2) from full draws
     through the dense block-diagonal Phi, with the transmit geometry tx of
     los_bs_to_ris."""
-    H1, h2, g = sample_channels(cfg, np.random.default_rng(master_seed),
-                                num_samples, tx)
+    H1, h2, g = sample_channels(cfg, np.random.default_rng(seed), samples, tx)
     # h2 @ Phi first: one einsum over all three operands is an order of
     # magnitude slower
     v = np.einsum("sk,skm->sm", h2 @ dense_phase_matrix(cfg, phases), H1) + g

@@ -1,4 +1,6 @@
 import gc
+import importlib
+import inspect
 import io
 import json
 import math
@@ -10,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_subarray import (cli, coherence_factor, design, load_config,
-                          optimal_phases, sweep_rician_factor, sweep_ris_size,
-                          sweep_subarray_count)
+from ris_subarray import (cli, coherence_factor, design, draw_angle_tuples,
+                          load_config, monte_carlo_se, optimal_phases,
+                          sweep_rician_factor, sweep_ris_size, sweep_subarray_count)
 from ris_subarray.cli import main
 from ris_subarray.phases import phase_slopes
 from ris_subarray.sampler import SMALL_RUN
@@ -543,6 +545,30 @@ def test_sweep_default_grid_is_the_library_default(tmp_path, command, sweep):
     assert out.read_bytes() == library.getvalue().encode()
 
 
+# The run arguments' one vocabulary: the sweeps' parameters and flags.
+RUN_ARGUMENTS = {"seed", "samples", "num_angle_draws", "k_grid", "l0_grid",
+                 "n_grid", "l0_set"}
+
+
+@pytest.mark.parametrize("fn", [monte_carlo_se, draw_angle_tuples, sweep_rician_factor,
+                                sweep_subarray_count, sweep_ris_size],
+                         ids=lambda fn: fn.__name__)
+def test_run_entry_point_names_its_arguments_as_the_sweeps_do(fn):
+    # One name per run argument: a seed is `seed` and a sample count
+    # `samples` wherever a public function takes one.
+    params = set(inspect.signature(fn).parameters) - {"cfg", "cfg_base", "etas"}
+    assert params <= RUN_ARGUMENTS, params - RUN_ARGUMENTS
+
+
+@pytest.mark.parametrize("command", sorted(cli.SWEEPS))
+def test_sweep_flags_are_its_library_parameters(command):
+    module, name = cli.SWEEPS[command]
+    fn = getattr(importlib.import_module(f"ris_subarray.{module}"), name)
+    dests = {dest for flag, (dest, _, _) in cli.COMMANDS[command][1].items()
+             if flag not in ("--config", "--set", "--out", "--workers")}
+    assert dests == set(inspect.signature(fn).parameters) - {"cfg_base"}
+
+
 def test_negative_zero_k_is_k_zero(tmp_path):
     # -0.0 is K = 0: the rows are labelled 0, and the bytes are those of 0.
     run = ["sweep-k", "--config", write_small(tmp_path), "--samples", "8"]
@@ -571,6 +597,19 @@ def fresh_python(code: str) -> str:
     proc = fresh_process(code)
     proc.check_returncode()
     return proc.stdout.strip()
+
+
+def test_readme_quick_start_runs():
+    # The ```python block under "## Quick start", found as by the awk rule
+    # `/^## Quick start/{s=1} s&&/^```python$/{p=1;next} p&&/^```$/{exit} p`:
+    # a public name that is renamed or removed breaks the example here.
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("## Quick start"))
+    begin = lines.index("```python", start) + 1
+    code = "\n".join(lines[begin:lines.index("```", begin)])
+    assert "monte_carlo_se" in code
+    proc = fresh_process(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 # What the installed `ris-subarray` console script runs.

@@ -124,6 +124,9 @@ BAD_COUNT = BAD.filter(lambda v: not (isinstance(v, int) and v > 64))
 RAW = json.loads(Path(ORACLE_SMALL).read_text())
 SMALL = load_config(ORACLE_SMALL)
 ROW = SweepResult("element", "Q", 16.0, None, None, 1.0, 0.1)
+# A row with one field drawn bad, which write_csv must name.
+BAD_ROW = st.builds(lambda field, value: ROW._replace(**{field: value}),
+                    st.sampled_from(ROW._fields), BAD)
 
 
 def arg(valid, bad=BAD):
@@ -136,10 +139,10 @@ def fixed(valid):
     return arg(valid, arg(valid)[0])
 
 
-def grid(entries):
+def grid(entries, bad_entries=BAD):
     """(valid grids, grids with a bad entry or bad values) of a grid."""
     return arg(st.lists(entries, min_size=1, max_size=2), st.one_of(
-        st.lists(st.one_of(entries, BAD), min_size=1, max_size=2), BAD))
+        st.lists(st.one_of(entries, bad_entries), min_size=1, max_size=2), BAD))
 
 
 SEED = arg(st.integers(0, 2 ** 64 - 1))
@@ -164,7 +167,8 @@ PUBLIC_ARGS = {
                        grid(st.integers(2, 4)), arg(st.integers(1, 3), BAD_COUNT), SEED],
     "sweep_subarray_count": [arg(SMALL), grid(st.sampled_from([1, 2, 4])),
                              arg(st.integers(1, 3), BAD_COUNT), SEED],
-    "write_csv": [grid(st.just(ROW)), fixed(st.builds(io.StringIO))],
+    "write_csv": [grid(st.just(ROW), st.one_of(BAD, BAD_ROW)),
+                  fixed(st.builds(io.StringIO))],
 }
 # Beside its own parameters, what a config builder's error may name: a
 # field, a section or the config.

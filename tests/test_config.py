@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ris_subarray import (Angles, ConfigError, PowerConstants, SystemConfig,
-                          coherence_factor, config_from_dict, load_config,
-                          max_se_upper_bound, monte_carlo_se, optimal_phases,
-                          ris_power, sweep_rician_factor, sweep_ris_size,
-                          sweep_subarray_count, write_csv)
+from ris_subarray import (Angles, ConfigError, PowerConstants, SweepResult,
+                          SystemConfig, coherence_factor, config_from_dict,
+                          load_config, max_se_upper_bound, monte_carlo_se,
+                          optimal_phases, ris_power, sweep_rician_factor,
+                          sweep_ris_size, sweep_subarray_count, write_csv)
 from ris_subarray.config import (MAX_SEED, check_grid, check_int, check_real,
                                  check_rician, total_power)
 from ris_subarray.design import phase_certificate
@@ -358,6 +358,7 @@ def test_load_config_merges_overrides_from_any_iterable(tmp_path):
         small_raw(M=8, power={"p_driver": 0.5}))
 
 
+ROW = SweepResult("element", "Q", 16.0, None, None, 1.0, 0.1)
 # A public function given an argument of the wrong type, and the start of
 # its error. Each once raised AttributeError or TypeError from deep inside,
 # or OverflowError for the huge driver count, naming no argument.
@@ -379,6 +380,15 @@ WRONG_TYPES = {
     "write_csv": (lambda: write_csv([1, 2], io.StringIO()),
                   r"rows\[0\] must be SweepResult, got 1"),
     "write_csv-scalar": (lambda: write_csv(5, io.StringIO()), "rows must be a sequence"),
+    # a row's fields: once a TypeError from format or the sort, a nan or a True cell
+    "write_csv-field": (lambda: write_csv([ROW._replace(var_value=[1])], io.StringIO()),
+                        r"rows\[0\].var_value must be a real number other than nan, got \[1\]"),
+    "write_csv-label": (lambda: write_csv([ROW, ROW._replace(scheme=1)], io.StringIO()),
+                        r"rows\[1\].scheme must be a string, got 1"),
+    "write_csv-nan": (lambda: write_csv([ROW._replace(var_value=math.nan)], io.StringIO()),
+                      r"rows\[0\].var_value must be a real number other than nan, got nan"),
+    "write_csv-bool": (lambda: write_csv([ROW._replace(ee=True)], io.StringIO()),
+                       r"rows\[0\].ee must be a real number other than nan, or None, got True"),
     "load_config": (lambda: load_config(CONFIG_DIR / "default.json", 5),
                     r"overrides must be a sequence of \(field path, value\) pairs, got 5"),
     "load_config-names": (lambda: load_config(CONFIG_DIR / "default.json", [(1, 2)]),

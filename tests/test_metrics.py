@@ -38,20 +38,20 @@ SMALL_RUN_SAMPLES = 20_000
 ORACLE_SAMPLES = 4_000
 
 
-def numpy_rates(cfg, etas, num_samples, seed, laws=None) -> np.ndarray:
+def numpy_rates(cfg, etas, samples, seed, laws=None) -> np.ndarray:
     """The rates of the chunked numpy sampler, which runs above SMALL_RUN,
     one row per gain fraction in etas, or per (cfg, eta) law in laws."""
     laws = laws or [(cfg, eta) for eta in etas]
     return np.concatenate([np.array(list(chunk)) for chunk
-                           in _rate_chunks(laws, num_samples, seed)], axis=1)
+                           in _rate_chunks(laws, samples, seed)], axis=1)
 
 
-def small_run_rates(cfg, etas, num_samples, seed, laws=None) -> np.ndarray:
+def small_run_rates(cfg, etas, samples, seed, laws=None) -> np.ndarray:
     """The rates of the standard-library sampler, which runs up to
     SMALL_RUN, one row per gain fraction in etas, or per (cfg, eta) law in
     laws."""
     laws = laws or [(cfg, eta) for eta in etas]
-    return np.array(_small_run_rates(laws, num_samples, seed))
+    return np.array(_small_run_rates(laws, samples, seed))
 
 
 # Each sampler, its sample count in the oracle checks and its case-id prefix.
@@ -240,9 +240,9 @@ def test_monte_carlo_reproducible():
     cfg = small_config()
     eta = coherence_factor(cfg)
     for samples in (64, SMALL_RUN + 1):     # both samplers
-        first = monte_carlo_se(cfg, [eta], samples, master_seed=9)
-        second = monte_carlo_se(cfg, [eta], samples, master_seed=9)
-        other = monte_carlo_se(cfg, [eta], samples, master_seed=10)
+        first = monte_carlo_se(cfg, [eta], samples, seed=9)
+        second = monte_carlo_se(cfg, [eta], samples, seed=9)
+        other = monte_carlo_se(cfg, [eta], samples, seed=10)
         assert first == second
         assert first != other
 
@@ -256,18 +256,18 @@ def test_monte_carlo_uses_every_seed_bit(seed):
     for samples in (64, SMALL_RUN + 1):     # both samplers
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            low = monte_carlo_se(cfg, [eta], samples, master_seed=seed)
-            high = monte_carlo_se(cfg, [eta], samples, master_seed=seed + 1)
+            low = monte_carlo_se(cfg, [eta], samples, seed=seed)
+            high = monte_carlo_se(cfg, [eta], samples, seed=seed + 1)
         assert low != high
 
 
 def test_monte_carlo_single_sample():
     cfg = small_config()
-    [(mean, stderr)] = monte_carlo_se(cfg, [coherence_factor(cfg)], 1, master_seed=3)
+    [(mean, stderr)] = monte_carlo_se(cfg, [coherence_factor(cfg)], 1, seed=3)
     assert stderr == 0.0
     assert mean > 0.0
     with pytest.raises(ValueError):
-        monte_carlo_se(cfg, [coherence_factor(cfg)], 0, master_seed=3)
+        monte_carlo_se(cfg, [coherence_factor(cfg)], 0, seed=3)
 
 
 def test_monte_carlo_reproducible_across_chunk_boundary():
@@ -431,6 +431,23 @@ def test_one_draw_scaled_per_rician_factor_keeps_each_exact_mean(sampler, sample
         _assert_exact_mean(rates, law_cfg, eta)
 
 
+@pytest.mark.parametrize("k1, k2", [(0.0, 10.0), (3.0, 1.0), (math.inf, 2.0)])
+@pytest.mark.parametrize("sampler, samples", [(numpy_rates, FAST_SAMPLES),
+                                              (small_run_rates, SMALL_RUN_SAMPLES)],
+                         ids=["numpy", "small-run"])
+def test_one_element_law_keeps_the_exact_mean_at_every_eta(sampler, samples, k1, k2):
+    # A one-element surface has no orthogonal rest, but at eta < 1 the LoS
+    # power w2_los^2 * (1 - eta) that alpha misses is still the rest's: a
+    # law that drops it falls short of the bound's E[X], 18.2 of 80 at
+    # eta = 0.5 and (K1, K2) = (0, 10), which the Jensen clause cannot see.
+    cfg = small_config(Nx=1, Ny=1, Lx=1, Ly=1, K1=k1, K2=k2)
+    etas = [0.0, 0.5, 1.0]
+    for eta, rates in zip(etas, sampler(cfg, etas, samples, SEED + 9)):
+        _assert_exact_mean(rates, cfg, eta)
+    [(mean, _)] = monte_carlo_se(cfg, [0.5], 2000, SEED)
+    assert mean <= _bound_from_eta(cfg)(0.5)
+
+
 # Integer shapes of the standard-library sampler's central parts, N - 2 and
 # M - 1, from the smallest nonzero one up past M = 64 and N = 1024.
 @pytest.mark.parametrize("shape", [1, 2, 3, 15, 63, 1023])
@@ -506,7 +523,7 @@ def test_monte_carlo_respects_jensen_bound():
     for _ in range(5):
         cfg = random_config(rng, max_m=8)
         [(mean, stderr)] = monte_carlo_se(cfg, [coherence_factor(cfg)], 2000,
-                                          master_seed=17)
+                                          seed=17)
         assert mean <= se_upper_bound(cfg, optimal_phases(cfg)) + 3 * stderr
 
 
@@ -520,8 +537,8 @@ def test_pure_scatter_rate_ignores_phases():
                   for _ in range(2))
     assert eta1 != eta2
     for samples in (SMALL_RUN, SMALL_RUN + 1):     # both samplers
-        assert (monte_carlo_se(cfg, [eta1], samples, master_seed=77)
-                == monte_carlo_se(cfg, [eta2], samples, master_seed=77))
+        assert (monte_carlo_se(cfg, [eta1], samples, seed=77)
+                == monte_carlo_se(cfg, [eta2], samples, seed=77))
 
 
 def test_ris_power_reference_values():

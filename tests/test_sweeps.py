@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ GOLDEN = json.loads((ROOT / "bench" / "reference.json").read_text())["regional"]
 
 # How the shared integer check words each kind of run argument.
 SEED_RULE = r"an integer in \[0, 18446744073709551615\]"
-RULES = {"seed": SEED_RULE, "master_seed": SEED_RULE,
+RULES = {"seed": SEED_RULE,
          "grid_levels": r"an integer in \[1, 32\]", "l0_set": "an integer >= 2",
          "n_grid": r"an integer in \[1, 1048576\]",
          "etas": "finite and >= 0 and <= 1"}
@@ -407,8 +408,8 @@ def test_sweep_rejects_an_empty_or_repeating_grid(monkeypatch, sweep, bad,
 
 GOOD_RUN_ARGUMENTS = {
     monte_carlo_se: {"cfg": small_config(), "etas": [0.5],
-                     "num_samples": 8, "master_seed": 0},
-    draw_angle_tuples: {"seed": 0, "count": 4},
+                     "samples": 8, "seed": 0},
+    draw_angle_tuples: {"seed": 0, "num_angle_draws": 4},
 }
 
 
@@ -418,20 +419,20 @@ GOOD_RUN_ARGUMENTS = {
     (monte_carlo_se, "etas", [math.nan]),
     (monte_carlo_se, "etas", [True]),
     (monte_carlo_se, "etas", [0.5, 1.0, 1.5]),
-    (monte_carlo_se, "num_samples", 2.5),
-    (monte_carlo_se, "num_samples", True),
-    (monte_carlo_se, "num_samples", np.float64(8.0)),
-    (monte_carlo_se, "master_seed", 1.5),
-    (monte_carlo_se, "master_seed", True),
-    (monte_carlo_se, "master_seed", -1),
-    (monte_carlo_se, "master_seed", 2 ** 64),
+    (monte_carlo_se, "samples", 2.5),
+    (monte_carlo_se, "samples", True),
+    (monte_carlo_se, "samples", np.float64(8.0)),
+    (monte_carlo_se, "seed", 1.5),
+    (monte_carlo_se, "seed", True),
+    (monte_carlo_se, "seed", -1),
+    (monte_carlo_se, "seed", 2 ** 64),
     (draw_angle_tuples, "seed", 1.5),
     (draw_angle_tuples, "seed", True),
     (draw_angle_tuples, "seed", -1),
     (draw_angle_tuples, "seed", 2 ** 64),
-    (draw_angle_tuples, "count", 2.5),
-    (draw_angle_tuples, "count", True),
-    (draw_angle_tuples, "count", 0),
+    (draw_angle_tuples, "num_angle_draws", 2.5),
+    (draw_angle_tuples, "num_angle_draws", True),
+    (draw_angle_tuples, "num_angle_draws", 0),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_public_run_argument_is_checked_naming_it(fn, name, value):
     # The library entry points outside the sweeps check their run arguments
@@ -498,6 +499,16 @@ def test_csv_label_that_needs_quoting_reads_back():
     assert list(csv.reader(io.StringIO(buf.getvalue(), newline=""))) == (
         [HEADER.split(",")]
         + [[label, "K", "1", "", "", "2.5", ""] for label in sorted(labels)])
+
+
+def test_csv_writes_each_accepted_real_as_its_float():
+    # Every real number the row check accepts is written as the float it
+    # stands for: a Fraction has no "g" format of its own before Python 3.12.
+    reals = [Fraction(1, 4), np.float32(0.5), np.int64(3), 16, math.inf]
+    rows = [SweepResult("element", "Q", value, None, None, value, None)
+            for value in reals]
+    assert rows_to_csv(rows).splitlines()[1:] == [
+        f"element,Q,{text},,,{text}," for text in ("0.25", "0.5", "3", "16", "inf")]
 
 
 def test_csv_rows_sorted():
