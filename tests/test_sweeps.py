@@ -430,15 +430,20 @@ GOOD_RUN_ARGUMENTS = {
     (draw_angle_tuples, "seed", True),
     (draw_angle_tuples, "seed", -1),
     (draw_angle_tuples, "seed", 2 ** 64),
-    (draw_angle_tuples, "num_angle_draws", 2.5),
-    (draw_angle_tuples, "num_angle_draws", True),
-    (draw_angle_tuples, "num_angle_draws", 0),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_public_run_argument_is_checked_naming_it(fn, name, value):
     # The library entry points outside the sweeps check their run arguments
     # as the sweeps do, instead of truncating 1.5 to 1 or overflowing.
     with pytest.raises(ValueError, match=f"^{name} must be {rule(name)}, got"):
         fn(**{**GOOD_RUN_ARGUMENTS[fn], name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True, 0], ids=repr)
+def test_angle_draw_count_is_checked_naming_it(value):
+    # draw_angle_tuples checks its count under the sweeps' name for it,
+    # num_angle_draws, by the same rule.
+    test_public_run_argument_is_checked_naming_it(
+        draw_angle_tuples, "num_angle_draws", value)
 
 
 @pytest.mark.parametrize("etas, message", [
