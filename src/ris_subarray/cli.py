@@ -14,8 +14,8 @@ from types import SimpleNamespace
 
 # Each command imports only the modules on its own path, and only a sweep-k
 # of more than sampler.SMALL_RUN samples per point loads numpy.
-from .config import (MAX_SEED, SystemConfig, _unique_keys, check_grid,
-                     check_int, load_config, ris_power)
+from .config import (RUN_ARGUMENTS, SystemConfig, _unique_keys, check_int,
+                     check_run, load_config, ris_power)
 
 
 def _parsed(parse, text: str):
@@ -25,15 +25,15 @@ def _parsed(parse, text: str):
         return text                 # not a number: the check rejects it
 
 
-def checked(name: str, *bounds, check=check_int, parse=int):
-    """A flag's converter: the text parsed, then the library's check of it."""
-    return lambda text: check(name, _parsed(parse, text), *bounds)
+def checked(name: str, parse=int):
+    """A run flag's converter: the text parsed, then judged by the one rule of
+    run argument name, config.RUN_ARGUMENTS[name], as the library judges it."""
+    return lambda text: check_run(name, _parsed(parse, text))
 
 
 def grid(name: str, parse=int):
-    """`checked` for a comma-separated grid, judged by the library's check_grid."""
-    return checked(name, check=check_grid, parse=lambda text: [
-        _parsed(parse, t) for t in text.split(",")])
+    """`checked` for a comma-separated grid."""
+    return checked(name, parse=lambda text: [_parsed(parse, t) for t in text.split(",")])
 
 
 def override(text: str) -> tuple[str, object]:
@@ -49,12 +49,14 @@ def override(text: str) -> tuple[str, object]:
 CONFIG_FLAGS = {"--config": ("config", str, "JSON config file (required)"),
                 "--set": ("overrides", override, "NAME=VALUE: set a config field")}
 RUN_FLAGS = {**CONFIG_FLAGS,
-             "--seed": ("seed", checked("seed", 0, MAX_SEED), "master seed < 2**64"),
+             "--seed": ("seed", checked("seed"), "master seed < 2**64"),
              "--out": ("out", str, "CSV output path (default: standard output)"),
-             "--workers": ("workers", checked("workers"), "ignored: runs in-process")}
+             "--workers": ("workers", lambda text: check_int("workers", _parsed(int, text)),
+                           "ignored: runs in-process")}
 DRAWS = ("num_angle_draws", checked("num_angle_draws"), "angle tuples to average")
-# command -> (help, {flag: (dest, converter, help)}). A sweep flag's dest is a
-# parameter of its library function; left out, the library's default holds.
+# command -> (help, {flag: (dest, converter, help)}). A run flag's dest is a
+# key of config.RUN_ARGUMENTS and a parameter of its library function; left
+# out, the library's default holds.
 COMMANDS = {
     "validate": ("check a config and print its shape", CONFIG_FLAGS),
     "eta": ("print phase slopes, coherence factor and the phase certificate",
@@ -164,8 +166,7 @@ def _dispatch(args, cfg: SystemConfig) -> int:
     # a sweep, the rest of COMMANDS, run from the module that holds it
     from . import sweeps
     module, name = SWEEPS[args.command]
-    run = {key: value for key, value in vars(args).items()
-           if key not in ("command", "config", "overrides", "out", "workers")}
+    run = {key: value for key, value in vars(args).items() if key in RUN_ARGUMENTS}
     # __import__ is timed by -X importtime, where importlib.import_module is not
     rows = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)(cfg, **run)
     out = getattr(args, "out", None)

@@ -93,9 +93,11 @@ def check_grid(name: str, values) -> list:
     """values as a list, each judged by the entry check of grid `name`: at
     least one value, and none repeated once checked (-0.0 repeats 0.0)."""
     grid = [GRID_ENTRY[name](name, value) for value in check_sequence(name, values)]
-    for i, value in enumerate(grid):
-        if value in grid[:i]:
+    seen = set()
+    for value in grid:
+        if value in seen:
             raise ConfigError(f"{name} repeats the value {_shown(value)}")
+        seen.add(value)
     return grid
 
 
@@ -117,6 +119,17 @@ def check_type(name: str, value, cls):
 # Each sweep grid's entry check. l0_set excludes 1: the element row is always written.
 GRID_ENTRY = {"k_grid": check_rician, "l0_grid": check_int,
               "n_grid": check_square, "l0_set": partial(check_int, low=2)}
+
+# Each run argument's one rule, by the name that every library entry point
+# and CLI flag gives it: a library parameter and its flag's dest both read it.
+RUN_ARGUMENTS = {"seed": partial(check_int, low=0, high=MAX_SEED),
+                 "samples": check_int, "num_angle_draws": check_int,
+                 **dict.fromkeys(GRID_ENTRY, check_grid)}
+
+
+def check_run(name: str, value):
+    """value as the program uses it, judged by run argument name's rule."""
+    return RUN_ARGUMENTS[name](name, value)
 
 
 class _Record:

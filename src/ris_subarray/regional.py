@@ -9,8 +9,7 @@ from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add
 
-from .config import (MAX_SEED, TWO_PI, ConfigError, SystemConfig, check_grid,
-                     check_int, check_type, total_power)
+from .config import TWO_PI, ConfigError, SystemConfig, check_run, check_type, total_power
 from .metrics import _bound_from_eta
 from .phases import coherence_factor_from_slopes, phase_slopes
 from .sweeps import SweepResult, _sorted_rows
@@ -55,8 +54,8 @@ def draw_angle_tuples(seed: int, num_angle_draws: int):
     """An iterator over num_angle_draws i.i.d. uniform [0, 2*pi) angle tuples,
     drawn as taken: Generator(Philox(key=[seed, 0])).uniform(0, 2*pi,
     (num_angle_draws, 5)) of numpy without its first column, bit for bit."""
-    seed = check_int("seed", seed, 0, MAX_SEED)
-    count = check_int("num_angle_draws", num_angle_draws)
+    seed = check_run("seed", seed)
+    count = check_run("num_angle_draws", num_angle_draws)
     # numpy's double, the top 53 bits times 2**-53, times the range (low is 0)
     uniforms = (TWO_PI * ((word >> 11) * 2.0 ** -53)
                 for word in _philox_words(seed, 5 * count))
@@ -115,8 +114,8 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     """
     check_type("cfg_base", cfg_base, SystemConfig)
     angle_tuples = draw_angle_tuples(seed, num_angle_draws)
-    l0_grid = check_grid("l0_grid", default_l0_grid(cfg_base)
-                         if l0_grid is None else l0_grid)
+    l0_grid = check_run("l0_grid", default_l0_grid(cfg_base)
+                        if l0_grid is None else l0_grid)
     points = []
     for l0 in l0_grid:
         if cfg_base.Nx % l0 or cfg_base.Ny % l0:
@@ -138,8 +137,8 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     """
     check_type("cfg_base", cfg_base, SystemConfig)
     angle_tuples = draw_angle_tuples(seed, num_angle_draws)
-    l0_set = check_grid("l0_set", l0_set)
-    n_grid = check_grid("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
+    l0_set = check_run("l0_set", l0_set)
+    n_grid = check_run("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
     points = []
     for n in n_grid:
         nx = math.isqrt(n)

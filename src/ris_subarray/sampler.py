@@ -12,8 +12,7 @@ N = 1 the two of h2's empty orthogonal rest are 0.0, and are not drawn).
 
 import math
 
-from .config import (MAX_SEED, SystemConfig, check_int, check_real, check_sequence,
-                     check_type)
+from .config import SystemConfig, check_real, check_run, check_sequence, check_type
 from .metrics import _LN2, rician_split
 
 # A run of at most this many samples draws them in Python, from the standard
@@ -163,8 +162,8 @@ def monte_carlo_se(cfg: SystemConfig, etas, samples: int,
     check_type("cfg", cfg, SystemConfig)
     etas = [check_real("etas", eta, 0.0, high=1.0)
             for eta in check_sequence("etas", etas, "gain fractions")]
-    samples = check_int("samples", samples)
-    seed = check_int("seed", seed, 0, MAX_SEED)
+    samples = check_run("samples", samples)
+    seed = check_run("seed", seed)
     return _monte_carlo_se([(cfg, eta) for eta in etas], samples, seed)
 
 

@@ -12,8 +12,8 @@ ris_subarray.regional.
 import math
 from collections import namedtuple
 
-from .config import (MAX_SEED, ConfigError, SystemConfig, _as_float, _shown, check_grid,
-                     check_int, check_sequence, check_type)
+from .config import (ConfigError, SystemConfig, _as_float, _shown, check_run,
+                     check_sequence, check_type)
 from .metrics import _bound_from_eta
 from .phases import coherence_factor
 
@@ -45,9 +45,9 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     depend on eta and the two rows of a factor are equal.
     """
     check_type("cfg_base", cfg_base, SystemConfig)
-    samples = check_int("samples", samples)
-    seed = check_int("seed", seed, 0, MAX_SEED)
-    cfgs = [cfg_base.replace(K1=k, K2=k) for k in check_grid(
+    samples = check_run("samples", samples)
+    seed = check_run("seed", seed)
+    cfgs = [cfg_base.replace(K1=k, K2=k) for k in check_run(
         "k_grid", DEFAULT_K_GRID if k_grid is None else k_grid)]
     schemes = [("subarray", coherence_factor(cfg_base)),
                ("element", coherence_factor(cfg_base.replace(Lx=1, Ly=1)))]

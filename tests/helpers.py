@@ -45,7 +45,6 @@ import numpy as np
 from ris_subarray import (Angles, SweepResult, SystemConfig, max_se_upper_bound,
                           write_csv)
 from ris_subarray.config import TWO_PI, check_int
-from ris_subarray.phases import phase_slopes
 
 REF_ANGLES = Angles(
     theta_a1=2 * math.pi / 3,
@@ -235,7 +234,7 @@ def offset_phases(cfg: SystemConfig) -> np.ndarray:
     """The closed-form optimal phases from the origin offsets of each
     subarray: minus twice the slope-weighted offset plus the half
     within-subarray progression, reduced into [0, 2*pi)."""
-    p1, p2 = phase_slopes(cfg)
+    p1, p2 = scalar_slopes(cfg)
     x, y = grid_offsets(cfg)
     raw = -(2.0 * p1 * x + 2.0 * p2 * y
             + p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))

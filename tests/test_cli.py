@@ -5,23 +5,27 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ris_subarray import (cli, coherence_factor, design, draw_angle_tuples,
-                          load_config, monte_carlo_se, optimal_phases,
-                          sweep_rician_factor, sweep_ris_size, sweep_subarray_count)
+from ris_subarray import (ConfigError, cli, coherence_factor, config, design,
+                          draw_angle_tuples, load_config, monte_carlo_se,
+                          optimal_phases, sweep_rician_factor, sweep_ris_size,
+                          sweep_subarray_count)
 from ris_subarray.cli import main
-from ris_subarray.phases import phase_slopes
+from ris_subarray.config import check_int
 from ris_subarray.sampler import SMALL_RUN
 from ris_subarray.sweeps import write_csv
 
 from helpers import (NULL_ANGLES, oracle_gain, random_config, reference_config,
-                     small_config, small_raw, steering_couplings)
+                     scalar_slopes, small_config, small_raw, steering_couplings)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -276,7 +280,7 @@ def test_eta_matches_library(capsys):
         key, _, text = line.partition(" = ")
         values[key.strip()] = float(text)
     cfg = small_config(M=64, Nx=32, Ny=32)
-    p1, p2 = phase_slopes(cfg)
+    p1, p2 = scalar_slopes(cfg)
     eta = coherence_factor(cfg)
     assert values["p1"] == float(f"{p1:.12g}")
     assert values["p2"] == float(f"{p2:.12g}")
@@ -558,6 +562,27 @@ def test_run_entry_point_names_its_arguments_as_the_sweeps_do(fn):
     # `samples` wherever a public function takes one.
     params = set(inspect.signature(fn).parameters) - {"cfg", "cfg_base", "etas"}
     assert params <= RUN_ARGUMENTS, params - RUN_ARGUMENTS
+    assert set(config.RUN_ARGUMENTS) == RUN_ARGUMENTS
+
+
+def test_every_run_entry_point_and_flag_reads_its_rule_by_name(tmp_path, capsys,
+                                                                monkeypatch):
+    # A run argument's rule is stated once, in config.RUN_ARGUMENTS: a rule
+    # changed there changes every library entry point and the flag alike.
+    monkeypatch.setitem(config.RUN_ARGUMENTS, "seed", partial(check_int, low=0, high=10))
+    message = "seed must be an integer in [0, 10], got 11"
+    cfg = small_config()
+    for call in [lambda: monte_carlo_se(cfg, [0.5], 8, 11),
+                 lambda: draw_angle_tuples(11, 4),
+                 lambda: sweep_rician_factor(cfg, samples=8, seed=11),
+                 lambda: sweep_subarray_count(cfg, seed=11),
+                 lambda: sweep_ris_size(cfg, seed=11)]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-q", "--config", write_small(tmp_path), "--seed", "11"])
+    assert exc.value.code == 2
+    assert f"argument --seed: {message}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(cli.SWEEPS))
@@ -610,6 +635,29 @@ def test_readme_quick_start_runs():
     assert "monte_carlo_se" in code
     proc = fresh_process(code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # The ``` block after "The same through the CLI:", each `ris-subarray`
+    # line run through main() from a directory whose configs/ is the repo's:
+    # a renamed flag or command breaks the example here. Each sweep writes
+    # the CSV it reports, header first.
+    lines = (ROOT / "README.md").read_text().splitlines()
+    begin = lines.index("```", lines.index("The same through the CLI:")) + 1
+    commands = [shlex.split(line) for line in lines[begin:lines.index("```", begin)]]
+    assert [argv[1] for argv in commands] == [
+        "validate", "eta", "sweep-k", "sweep-q", "sweep-n"]
+    (tmp_path / "configs").symlink_to(CONFIG_DIR)
+    monkeypatch.chdir(tmp_path)
+    for program, *argv in commands:
+        assert program == "ris-subarray"
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            path = argv[argv.index("--out") + 1]
+            rows = (tmp_path / path).read_text().splitlines()
+            assert rows[0] == HEADER and len(rows) > 1, argv
+            assert out == f"wrote {len(rows) - 1} rows to {path}\n", argv
 
 
 # What the installed `ris-subarray` console script runs.

@@ -16,7 +16,7 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
 from ris_subarray.config import TWO_PI, total_power
 from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.numpy_sampler import MC_CHUNK, _rate_chunks
-from ris_subarray.sampler import SMALL_RUN, _gamma_draw, _small_run_rates
+from ris_subarray.sampler import SMALL_RUN, _gamma_draw, _law_rate, _small_run_rates
 
 from helpers import (TX, element_bound, gain_fraction, hop_shares, jensen_mean,
                      oracle_rates, random_config, reference_config,
@@ -398,6 +398,37 @@ def _assert_exact_mean(rates: np.ndarray, cfg, eta: float) -> None:
     x = np.expm1(rates * math.log(2.0))
     z = (np.mean(x) - _exact_mean(cfg, eta)) / (np.std(x, ddof=1) / math.sqrt(x.size))
     assert abs(z) < Z_MAX, z
+
+
+@pytest.mark.parametrize("cfg, eta", [
+    (reference_config(), 0.19),
+    (reference_config(), 1.0),
+    (reference_config(K1=0.0, K2=math.inf), 0.19),
+    (reference_config(K1=math.inf), 0.19),
+    (small_config(Nx=1, Ny=1, Lx=1, Ly=1), 0.5),
+    (reference_config(M=1), 0.19),
+], ids=["reference", "eta1", "K1zero-K2inf", "K1inf", "N1", "M1"])
+def test_law_rate_of_floats_equals_its_rate_of_arrays_in_place(cfg, eta):
+    # _law_rate serves both samplers: the small run's floats, with math's
+    # sqrt and log1p, and a chunk's arrays, updated in place by numpy's. On
+    # the same variates the two agree to rounding (numpy's log1p and libm's
+    # differ in the last bit on a few percent of values), and the in-place
+    # evaluation leaves its arguments as they were: every law of a chunk
+    # takes the same arrays. At N = 1 the orthogonal rest is 0.0 floats.
+    rng = np.random.default_rng(SEED + 13)
+    size, half = 4000, math.sqrt(0.5)
+    alpha_re, alpha_im, orth_re, v_re = half * rng.standard_normal((4, size))
+    orth = [orth_re, rng.standard_gamma(cfg.N - 1.5, size)] if cfg.N > 1 else [0.0, 0.0]
+    variates = [alpha_re, alpha_im * alpha_im, *orth, v_re,
+                rng.standard_gamma(cfg.M - 0.5, size)]
+    rate = _law_rate(cfg, eta)
+    arrays = [np.copy(v) if isinstance(v, np.ndarray) else v for v in variates]
+    in_place = rate(*arrays, lambda x: np.sqrt(x, out=x), lambda x: np.log1p(x, out=x))
+    per_sample = [rate(*[v if isinstance(v, float) else float(v[i]) for v in variates],
+                       math.sqrt, math.log1p) for i in range(size)]
+    np.testing.assert_allclose(in_place, per_sample, rtol=1e-15, atol=0.0)
+    for before, after in zip(variates, arrays):
+        np.testing.assert_array_equal(after, before)
 
 
 @pytest.mark.parametrize("cfg, eta", _sampler_pair_cases())

@@ -10,7 +10,8 @@ from ris_subarray.phases import coherence_factor_from_slopes, phase_slopes
 
 from helpers import (NULL_ANGLES, dense_gain, exhaustive_phase_search,
                      offset_phases, oracle_gain, random_config,
-                     reference_config, small_config, steering_couplings)
+                     reference_config, scalar_slopes, small_config,
+                     steering_couplings)
 
 SEED = 31337
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -39,7 +40,7 @@ def test_phase_assignment_normalized():
             assert np.all((0.0 <= phases) & (phases < 2 * math.pi))
     # the reference surface's closed form is congruent to its raw phases
     cfg = cfgs[0]
-    p1, p2 = phase_slopes(cfg)
+    p1, p2 = scalar_slopes(cfg)
     qx, qy = np.divmod(np.arange(cfg.Q), cfg.Qy)
     raw = -(p1 * (2 * qx * cfg.Lx + cfg.Lx - 1) + p2 * (2 * qy * cfg.Ly + cfg.Ly - 1))
     assert raw.max() > 2 * math.pi
@@ -138,7 +139,7 @@ def test_subarray_couplings_match_steering_vector_product():
 
 def test_optimal_phases_single_subarray():
     cfg = small_config(Nx=2, Ny=2, Lx=2, Ly=2)
-    p1, p2 = phase_slopes(cfg)
+    p1, p2 = scalar_slopes(cfg)
     expected = (-(p1 * (cfg.Lx - 1) + p2 * (cfg.Ly - 1))) % (2 * math.pi)
     got = np.asarray(optimal_phases(cfg))
     assert got.shape == (1,)
