@@ -7,7 +7,6 @@ argparse took longer to import and set up than a regional sweep's arithmetic.
 
 import gc
 import json
-import math
 import os
 import sys
 from types import SimpleNamespace
@@ -147,18 +146,11 @@ def _dispatch(args, cfg: SystemConfig) -> int:
               f"surface_power_subarray={ris_power(cfg.Q, cfg.power):.6g} W\nconfig ok")
         return 0
     if args.command == "eta":
-        from . import design, phases
-        (p1, p2), eta = phases.phase_slopes(cfg), phases.coherence_factor(cfg)
-        loss = math.inf if eta == 0.0 else -math.log2(eta) + 0.0
-        # The closed form must reach the coherent bound to rounding. The gap
-        # is scaled by N^2 * M, not by the bound: at a grating null the
-        # couplings, and so the bound, are rounding noise themselves.
-        gain, bound = design.phase_certificate(cfg)
-        shortfall = (bound - gain) / (cfg.N ** 2 * cfg.M)
-        print(f"p1 = {p1:.12g}\np2 = {p2:.12g}\neta = {eta:.12g}\n"
-              f"-log2(eta) = {loss:.12g}\nclosed_form_gain = {gain:.12g}\n"
-              f"coherent_bound = {bound:.12g}\nshortfall = {shortfall:.12g}")
-        if not shortfall <= 1e-12:
+        from .design import eta_record
+        record = eta_record(cfg)
+        print("\n".join(f"{name} = {value:.12g}" for name, value in record.items()))
+        # The closed form must reach the coherent bound to rounding.
+        if not record["shortfall"] <= 1e-12:
             print("error: the closed-form phases fall short of the coherent bound",
                   file=sys.stderr)
             return 2

@@ -9,7 +9,6 @@ or its replace method.
 
 import json
 import math
-import numbers
 import os
 from functools import partial
 
@@ -30,11 +29,28 @@ def _shown(value) -> str:
         return f"<unprintable {type(value).__name__}>"
 
 
+# (integral, real) by exact type for the types JSON and the CLI give: int
+# and float are numbers, a bool is neither. Any other type, a numpy scalar,
+# Fraction, Decimal or a subclass, is judged by the numbers ABCs, imported
+# only then, so that no run on JSON input loads them. bool has no subclass.
+_NUMBER_KIND = {int: (True, True), float: (False, True),
+                **dict.fromkeys((bool, type(None), str, list, dict), (False, False))}
+
+
+def _number_kind(value) -> tuple[bool, bool]:
+    """(value is an integer, value is a real number); a bool is neither."""
+    kind = _NUMBER_KIND.get(type(value))
+    if kind is None:
+        import numbers
+        kind = (isinstance(value, numbers.Integral), isinstance(value, numbers.Real))
+    return kind
+
+
 # The one check per kind of input. Each returns the value as the program
 # uses it, so numpy scalars are accepted; a bool (numpy's too) never is.
 def check_int(name: str, value, low: int = 1, high: int | None = None) -> int:
     """value as an int: an integer in [low, high], or >= low without high."""
-    if not isinstance(value, bool) and isinstance(value, numbers.Integral):
+    if _number_kind(value)[0]:
         number = int(value)
         if number >= low and (high is None or number <= high):
             return number
@@ -47,8 +63,7 @@ def _as_float(value) -> float:
     """value as a float, or nan, which every check rejects, for a bool, a
     non-real number and an integer too large for a float."""
     try:
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        return float(value) if real else math.nan
+        return float(value) if _number_kind(value)[1] else math.nan
     except OverflowError:
         return math.nan
 
@@ -339,8 +354,12 @@ def load_config(path, overrides=()) -> SystemConfig:
     are merged in first, one per field, and checked like the file."""
     if not isinstance(path, (str, bytes, os.PathLike)):  # open(0) reads, then closes, stdin
         raise ConfigError(f"path must be a file path, got {_shown(path)}")
-    with open(path) as fh:
-        raw = json.load(fh, object_pairs_hook=_unique_keys)
+    try:
+        with open(path, encoding="utf-8") as fh:     # JSON text is UTF-8 (RFC 8259)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        kind = "JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8"
+        raise ConfigError(f"config file {os.fsdecode(path)!r} is not {kind}: {exc}") from None
     try:
         pairs = [(name, value) for name, value in overrides]
     except (TypeError, ValueError):     # not iterable, or an entry not a pair

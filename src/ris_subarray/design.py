@@ -3,13 +3,14 @@
 Phases are a length-Q sequence of shifts in radians, one per subarray. The
 subarray couplings follow from the slopes of ris_subarray.phases; the
 closed-form phases align them, and the certificate checks that they reach
-the coherent bound. Of the commands, only eta loads this module.
+the coherent bound. Of the commands, only eta loads this module, and
+eta_record() is what it prints.
 """
 
 import math
 
 from .config import TWO_PI, SystemConfig, check_type
-from .phases import phase_slopes
+from .phases import coherence_factor, phase_slopes
 
 
 def optimal_phases(cfg: SystemConfig) -> tuple[float, ...]:
@@ -55,3 +56,17 @@ def phase_certificate(cfg: SystemConfig) -> tuple[float, float]:
              for phi, w_q in zip(optimal_phases(cfg), w)]
     re, im = math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
     return (re * re + im * im) * cfg.M, math.fsum(map(abs, w)) ** 2 * cfg.M
+
+
+def eta_record(cfg: SystemConfig) -> dict[str, float]:
+    """eta's record by name, in its print order: the phase slopes, the
+    coherence factor and its loss -log2(eta), the certificate's closed-form
+    gain and coherent bound, and the shortfall of the one below the other.
+    The shortfall is scaled by N^2 * M, not by the bound: at a grating null
+    the couplings, and so the bound, are rounding noise themselves."""
+    eta, (p1, p2) = coherence_factor(cfg), phase_slopes(cfg)
+    gain, bound = phase_certificate(cfg)
+    return {"p1": p1, "p2": p2, "eta": eta,
+            "-log2(eta)": math.inf if eta == 0.0 else -math.log2(eta) + 0.0,
+            "closed_form_gain": gain, "coherent_bound": bound,
+            "shortfall": (bound - gain) / (cfg.N ** 2 * cfg.M)}

@@ -3,10 +3,10 @@ import pytest
 
 from ris_subarray import Angles
 
-from helpers import (arrival_phase_offsets, departure_phase_offsets,
+from helpers import (SEED_OFFSET, arrival_phase_offsets, departure_phase_offsets,
                      random_angles, reference_config, ula_steering, upa_steering)
 
-SEED = 7041
+SEED = 7041 + SEED_OFFSET
 
 
 def test_ula_quarter_turn():

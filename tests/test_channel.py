@@ -5,12 +5,12 @@ import pytest
 
 from ris_subarray.metrics import rician_split
 
-from helpers import (arrival_phase_offsets, departure_phase_offsets,
+from helpers import (SEED_OFFSET, arrival_phase_offsets, departure_phase_offsets,
                      hop_shares, los_bs_to_ris, los_ris_to_user, random_config,
                      reference_config, sample_channels, small_config,
                      ula_steering, upa_steering)
 
-SEED = 90210
+SEED = 90210 + SEED_OFFSET
 
 
 def test_los_bs_to_ris_matches_kron_oracle():

@@ -272,6 +272,20 @@ def test_missing_config_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, fault", [
+    (b"", "not JSON: Expecting value"), (b"\xff{}", "not UTF-8: 'utf-8' codec")],
+    ids=["not-json", "not-utf8"])
+def test_a_config_that_does_not_decode_exits_1_naming_the_file(tmp_path, capsys,
+                                                               data, fault):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    assert main(["validate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: config file {str(path)!r} is {fault}")
+    assert err.count("\n") == 1
+
+
 def test_eta_matches_library(capsys):
     assert main(["eta", "--config", DEFAULT]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -375,10 +389,17 @@ def test_sweep_n_rejects_non_square(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-# The first four lines of `eta` on either committed config, recorded before
-# the certificate lines were appended to them.
+# The standard output of `eta` on each committed config, recorded before its
+# record moved from cli to design.eta_record. The first four lines, which the
+# two configs share, were recorded before the certificate lines were appended.
 ETA_HEAD = ("p1 = -2.72069904635\np2 = -1.07287384329\neta = 0.190024742888\n"
             "-log2(eta) = 2.39574081256\n")
+ETA_GOLDEN = {
+    "default.json": ETA_HEAD + "closed_form_gain = 12752344.6271\n"
+                               "coherent_bound = 12752344.6271\nshortfall = 0\n",
+    "oracle_small.json": ETA_HEAD + "closed_form_gain = 194.585336717\n"
+                                    "coherent_bound = 194.585336717\nshortfall = 0\n",
+}
 
 
 def eta_lines(monkeypatch, capsys, cfg) -> tuple[int, dict, str]:
@@ -397,7 +418,7 @@ def test_eta_certifies_the_closed_form(capsys, name):
     # steering vectors, not the library's, to within the 12 printed digits.
     assert main(["eta", "--config", str(CONFIG_DIR / name)]) == 0
     out = capsys.readouterr().out
-    assert out.startswith(ETA_HEAD)
+    assert out == ETA_GOLDEN[name]
     values = dict(line.split(" = ") for line in out.splitlines())
     assert list(values)[4:] == ["closed_form_gain", "coherent_bound", "shortfall"]
     gain, bound, shortfall = map(float, list(values.values())[4:])
@@ -782,8 +803,9 @@ def test_workers_flag_is_ignored(tmp_path):
 NUMPY = ("numpy", "numpy.random")
 # Loaded by numpy itself, and by no numpy-free run but struct, which the
 # regional sweeps load: the config records are not dataclasses, whose import
-# pulls in inspect, and write_csv joins its fields without the csv module.
-NUMPY_OWN = ("dataclasses", "inspect", "csv", "struct")
+# pulls in inspect, write_csv joins its fields without the csv module, and
+# the number checks consult the numbers ABCs only for a type JSON never gives.
+NUMPY_OWN = ("dataclasses", "inspect", "csv", "struct", "numbers")
 # The regional sweeps' Philox words and slope arrays; sweep-k loads neither.
 REGIONAL_OWN = ("struct", "array")
 # Loaded by no run: no command parses with argparse, which loads gettext and

@@ -1,7 +1,11 @@
+import enum
 import io
 import json
 import math
+import numbers
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +18,8 @@ from ris_subarray import (Angles, ConfigError, PowerConstants, SweepResult,
                           load_config, max_se_upper_bound, monte_carlo_se,
                           optimal_phases, ris_power, sweep_rician_factor,
                           sweep_ris_size, sweep_subarray_count, write_csv)
-from ris_subarray.config import (MAX_SEED, check_grid, check_int, check_real,
-                                 check_rician, total_power)
+from ris_subarray.config import (MAX_SEED, _as_float, check_grid, check_int,
+                                 check_real, check_rician, total_power)
 from ris_subarray.design import phase_certificate
 from ris_subarray.metrics import _bound_from_eta
 
@@ -260,6 +264,59 @@ def test_numpy_scalars_are_accepted_as_config_values(field, value, plain):
         assert type(v) in (int, float)
 
 
+class _Level(enum.IntEnum):
+    THREE = 3
+
+
+class _Float(float):
+    pass
+
+
+# Every kind of value a number check may meet: from JSON and the command
+# line, from numpy, and from the standard library. The checks decide the
+# types JSON gives by exact type, and any other by the numbers ABCs.
+NUMBER_KINDS = {
+    "int": 5, "float": 2.5, "bool": True, "None": None, "str": "5", "list": [5],
+    "complex": 1 + 0j, "int-huge": 10 ** 400, "IntEnum": _Level.THREE,
+    "float-subclass": _Float(2.5), "Fraction": Fraction(5, 2),
+    "Decimal": Decimal("2.5"), "np.int64": np.int64(5), "np.float32": np.float32(2.5),
+    "np.float64": np.float64(2.5), "np.bool_": np.bool_(True),
+    "np.complex128": np.complex128(1)}
+
+
+def abc_float(value) -> float:
+    """value as a float by the numbers ABCs alone: a Real that is not a
+    bool, or else nan, as is an integer too large for a float."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        return float(value) if real else math.nan
+    except OverflowError:
+        return math.nan
+
+
+# check -> what it returns by the ABCs' rule, or None where it must reject
+ABC_RULE = {
+    check_int: lambda v: int(v) if (isinstance(v, numbers.Integral)
+                                    and not isinstance(v, bool) and v >= 1) else None,
+    check_real: lambda v: x if math.isfinite(x := abc_float(v)) else None,
+    check_rician: lambda v: x if (x := abc_float(v) + 0.0) >= 0 else None,
+}
+
+
+@pytest.mark.parametrize("value", NUMBER_KINDS.values(), ids=NUMBER_KINDS)
+def test_number_checks_keep_the_abc_rule(value):
+    # repr tells nan from nan's absence, -0.0 from 0.0 and an int from a float
+    assert repr(_as_float(value)) == repr(abc_float(value))
+    for check, rule in ABC_RULE.items():
+        expected = rule(value)
+        if expected is None:
+            with pytest.raises(ConfigError, match="^x must be "):
+                check("x", value)
+        else:
+            got = check("x", value)
+            assert (repr(got), type(got)) == (repr(expected), type(expected))
+
+
 @pytest.mark.parametrize("field", ["M", "Lx", "P", "K2", "d2_over_lambda"])
 def test_numpy_bool_is_rejected_naming_the_field(field):
     with pytest.raises(ConfigError, match=f"^{field} must be .*, got np.True_$"):
@@ -348,6 +405,24 @@ def test_malformed_input_rejected_naming_field(tmp_path, raw, field):
     path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     with pytest.raises(ConfigError, match=field):
         load_config(path)
+
+
+@pytest.mark.parametrize("data, fault", [
+    (b"", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (b'{"M": 4,}', "not JSON: Expecting property name enclosed in double quotes: "
+                   "line 1 column 9 (char 8)"),
+    (b"\xff{}", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"),
+    # Latin-1 text, read as UTF-8 whatever the locale's encoding
+    (b'{"\xe9": 1}', "not UTF-8: 'utf-8' codec can't decode byte 0xe9 in position 2: "
+                     "invalid continuation byte"),
+], ids=["empty", "trailing-comma", "not-utf8", "latin-1"])
+def test_a_config_that_does_not_decode_names_the_file(tmp_path, data, fault):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"config file {str(path)!r} is {fault}"
 
 
 def test_load_config_merges_overrides_from_any_iterable(tmp_path):

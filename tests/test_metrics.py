@@ -18,11 +18,11 @@ from ris_subarray.metrics import _bound_from_eta
 from ris_subarray.numpy_sampler import MC_CHUNK, _rate_chunks
 from ris_subarray.sampler import SMALL_RUN, _gamma_draw, _law_rate, _small_run_rates
 
-from helpers import (TX, element_bound, gain_fraction, hop_shares, jensen_mean,
-                     oracle_rates, random_config, reference_config,
+from helpers import (SEED_OFFSET, TX, element_bound, gain_fraction, hop_shares,
+                     jensen_mean, oracle_rates, random_config, reference_config,
                      se_upper_bound, small_config, small_raw)
 
-SEED = 1453
+SEED = 1453 + SEED_OFFSET
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 ORACLE_SMALL = CONFIGS / "oracle_small.json"
 

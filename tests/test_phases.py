@@ -8,12 +8,12 @@ from ris_subarray import Angles, coherence_factor, load_config, optimal_phases
 from ris_subarray.design import phase_certificate, subarray_couplings
 from ris_subarray.phases import coherence_factor_from_slopes, phase_slopes
 
-from helpers import (NULL_ANGLES, dense_gain, exhaustive_phase_search,
-                     offset_phases, oracle_gain, random_config,
-                     reference_config, scalar_slopes, small_config,
-                     steering_couplings)
+from helpers import (NULL_ANGLES, SEED_OFFSET, dense_gain,
+                     exhaustive_phase_search, offset_phases, oracle_gain,
+                     random_config, reference_config, scalar_slopes,
+                     small_config, steering_couplings)
 
-SEED = 31337
+SEED = 31337 + SEED_OFFSET
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Hand-derived slopes for the reference angles: sin(5pi/3) - sin(2pi/3)
