@@ -31,21 +31,18 @@ def rician_split(K: float) -> tuple[float, float]:
     return K / (K + 1.0), 1.0 / (K + 1.0)
 
 
-def _bound_from_eta(cfg: SystemConfig):
-    """The SE upper bound under the optimal phases as a function of the
-    coherence factor eta; the regional sweeps call it once per angle draw.
-    gamma1 weighs the cascade's coherent LoS-times-LoS part, 1 - gamma1
-    everything that scatters at least once."""
+def _bounds_from_etas(cfg: SystemConfig, etas) -> list:
+    """The SE upper bound under the optimal phases of each coherence factor
+    eta in a column, as a list. gamma1 weighs the cascade's coherent
+    LoS-times-LoS part, 1 - gamma1 everything that scatters at least once."""
     gamma1 = rician_split(cfg.K1)[0] * rician_split(cfg.K2)[0]
     snr_m, n_sq = cfg.P / cfg.sigma_w2 * cfg.M, cfg.N ** 2
     scatter = (1.0 - gamma1) * cfg.N
-
-    def bound(eta: float) -> float:
-        x = snr_m * (gamma1 * eta * n_sq + scatter + 1.0)
-        # log2(1 + x) loses the relative precision of a small x. Every committed
-        # config has x >= snr * M >= 40, so the regional CSVs take log2.
-        return math.log2(1.0 + x) if x >= 1.0 else math.log1p(x) / _LN2
-    return bound
+    # log2(1 + x) loses the relative precision of a small x. Every committed
+    # config has x >= snr * M >= 40, so the regional CSVs take log2.
+    return [math.log2(1.0 + x)
+            if (x := snr_m * (gamma1 * eta * n_sq + scatter + 1.0)) >= 1.0
+            else math.log1p(x) / _LN2 for eta in etas]
 
 
 def max_se_upper_bound(cfg: SystemConfig) -> float:
@@ -54,4 +51,4 @@ def max_se_upper_bound(cfg: SystemConfig) -> float:
     Per-element control is the same formula on the Lx = Ly = 1 copy of cfg,
     where the coherence factor is exactly 1.
     """
-    return _bound_from_eta(check_type("cfg", cfg, SystemConfig))(coherence_factor(cfg))
+    return _bounds_from_etas(check_type("cfg", cfg, SystemConfig), [coherence_factor(cfg)])[0]

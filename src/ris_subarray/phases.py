@@ -8,6 +8,8 @@ standard library, with no numpy.
 """
 
 import math
+from itertools import repeat
+from operator import mul
 
 from .config import SystemConfig, check_type
 
@@ -30,25 +32,21 @@ def phase_slopes(cfg: SystemConfig, angles=None) -> tuple[float, float]:
     return math.fmod(p1, math.pi), math.fmod(p2, math.pi)
 
 
-def _normalized_kernel(L: int, p: float) -> float:
-    """sin(L*p) / (L*sin(p)), with its removable singularities filled in and
-    clamped to [-1, 1]; exactly 1 for L = 1, as the ratio s / s is.
-
-    At p = k*pi both sines vanish at matching order and the ratio tends to
-    +-1; the factor is squared downstream, so 1.0 is filled in. Just past
-    the fill threshold rounding can leave the ratio beyond +-1.
-    """
-    if L == 1 or abs(s := math.sin(p)) < _SING_TOL:
-        return 1.0
-    ratio = math.sin(L * p) / (L * s)
-    return 1.0 if ratio > 1.0 else -1.0 if ratio < -1.0 else ratio
+def _normalized_kernels(L: int, slopes, sines) -> list:
+    """sin(L*p) / (L*s) for each slope p and its sine s, clamped to [-1, 1];
+    exactly 1 for L = 1, as s / s is. At a grating point p = k*pi both sines
+    vanish at matching order and the ratio tends to +-1; the factor is
+    squared downstream, so 1.0 is filled in. Just past the fill threshold
+    rounding can leave the ratio beyond +-1."""
+    return [1.0 if -_SING_TOL < s < _SING_TOL
+            else 1.0 if (r := math.sin(L * p) / (L * s)) > 1.0 else -1.0 if r < -1.0 else r
+            for p, s in zip(slopes, sines)]
 
 
-def coherence_factor_from_slopes(Lx: int, p1: float, Ly: int, p2: float) -> float:
-    """Squared product of the per-axis normalized kernels, in [0, 1]."""
-    # x * x differs from pow(x, 2) in the last bit on about 0.1% of values,
-    # and the regional CSVs are pinned to pow's.
-    return math.pow(_normalized_kernel(Lx, p1) * _normalized_kernel(Ly, p2), 2)
+def coherence_factors(kx, ky):
+    """Squared products of two per-axis kernel columns, in [0, 1], lazily, by
+    pow: x * x differs in the last bit on 0.1% of values, and the CSVs pin pow."""
+    return map(math.pow, map(mul, kx, ky), repeat(2))
 
 
 def coherence_factor(cfg: SystemConfig) -> float:
@@ -56,4 +54,5 @@ def coherence_factor(cfg: SystemConfig) -> float:
     elements retains. Equals 1 for per-element control (Lx = Ly = 1) and for
     specular geometry; equals 0 when a subarray straddles a full grating null."""
     p1, p2 = phase_slopes(check_type("cfg", cfg, SystemConfig))
-    return coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
+    return next(coherence_factors(_normalized_kernels(cfg.Lx, [p1], [math.sin(p1)]),
+                                  _normalized_kernels(cfg.Ly, [p2], [math.sin(p2)])))

@@ -7,11 +7,11 @@ import struct
 from array import array
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import add
+from operator import add, mul, truediv
 
 from .config import TWO_PI, ConfigError, SystemConfig, check_run, check_type, total_power
-from .metrics import _bound_from_eta
-from .phases import coherence_factor_from_slopes, phase_slopes
+from .metrics import _bounds_from_etas
+from .phases import _normalized_kernels, coherence_factors, phase_slopes
 from .sweeps import SweepResult, _sorted_rows
 
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
@@ -25,29 +25,29 @@ _PHILOX_BLOCKS = 1 << 10
 _MASK64 = (1 << 64) - 1
 
 
-def _philox_words(seed: int, count: int):
-    """The first count 64-bit outputs of numpy's Philox(key=[seed, 0]), one
-    at a time: block b, counter (b + 1, 0, 0, 0), gives words 4b to 4b + 3.
-    A pass runs up to _PHILOX_BLOCKS blocks at once, block i in the 128-bit
-    lane i of the Python ints c0..c3: a lane times a 64-bit multiplier fits
-    in the lane, and one mask splits all products into high and low words."""
+def _philox_passes(seed: int, count: int):
+    """The top 53 bits of the first count 64-bit outputs of numpy's
+    Philox(key=[seed, 0]), an iterator per pass: block b, counter
+    (b + 1, 0, 0, 0), gives words 4b to 4b + 3. A pass runs up to
+    _PHILOX_BLOCKS blocks at once, block i in the 128-bit lane i of the ints
+    c0..c3; masks split each lane's 128-bit product and drop key carries."""
     (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
     blocks = -(-count // 4)
     for start in range(0, blocks, _PHILOX_BLOCKS):
         lanes = min(_PHILOX_BLOCKS, blocks - start)
         lane = struct.Struct("<" + "Q8x" * lanes)   # one word per lane
         ones = int.from_bytes(lane.pack(*[1] * lanes), "little")
-        low = ones * _MASK64
+        low, k0, k1, w0s, w1s = ones * _MASK64, seed * ones, 0, w0 * ones, w1 * ones
         c0 = int.from_bytes(lane.pack(*range(start + 1, start + lanes + 1)), "little")
         c1 = c2 = c3 = 0
-        for r in range(10):
+        for _ in range(10):
             x0, x2 = m0 * c0, m1 * c2
-            c0, c1, c2, c3 = (
-                (x2 >> 64) & low ^ c1 ^ ((seed + r * w0) & _MASK64) * ones, x2 & low,
-                (x0 >> 64) & low ^ c3 ^ ((r * w1) & _MASK64) * ones, x0 & low)
-        words = zip(*(lane.unpack(c.to_bytes(lane.size, "little"))
+            c0, c1, c2, c3 = ((x2 >> 64) & low ^ c1 ^ k0, x2 & low,
+                              (x0 >> 64) & low ^ c3 ^ k1, x0 & low)
+            k0, k1 = (k0 + w0s) & low, (k1 + w1s) & low
+        words = zip(*(lane.unpack((c >> 11).to_bytes(lane.size, "little"))  # top bits
                       for c in (c0, c1, c2, c3)))
-        yield from islice(chain.from_iterable(words), count - 4 * start)
+        yield islice(chain.from_iterable(words), count - 4 * start)
 
 
 def draw_angle_tuples(seed: int, num_angle_draws: int):
@@ -56,21 +56,22 @@ def draw_angle_tuples(seed: int, num_angle_draws: int):
     (num_angle_draws, 5)) of numpy without its first column, bit for bit."""
     seed = check_run("seed", seed)
     count = check_run("num_angle_draws", num_angle_draws)
-    # numpy's double, the top 53 bits times 2**-53, times the range (low is 0)
-    uniforms = (TWO_PI * ((word >> 11) * 2.0 ** -53)
-                for word in _philox_words(seed, 5 * count))
+    # numpy's double, top 53 bits * 2**-53 * TWO_PI: the exact scale rounds once
+    uniforms = map(mul, chain.from_iterable(_philox_passes(seed, 5 * count)),
+                   repeat(2.0 ** -53 * TWO_PI))
     return (five[1:] for five in zip(*[uniforms] * 5))
 
 
 def _pairwise_sum(x) -> float:
-    """numpy's pairwise sum of the float64 values x, bit for bit."""
+    """numpy's pairwise sum of the float64 values x, bit for bit, 8 lanes a leaf."""
     n = len(x)
     if n < 8:
         return reduce(add, x, -0.0)
     if n <= 128:
-        r = [reduce(add, x[j + 8:n - n % 8:8], x[j]) for j in range(8)]
-        return reduce(add, x[n - n % 8:], ((r[0] + r[1]) + (r[2] + r[3]))
-                      + ((r[4] + r[5]) + (r[6] + r[7])))
+        r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
+        for a0, a1, a2, a3, a4, a5, a6, a7 in zip(*[iter(x[8:n - n % 8])] * 8):
+            r0 += a0; r1 += a1; r2 += a2; r3 += a3; r4 += a4; r5 += a5; r6 += a6; r7 += a7
+        return reduce(add, x[n - n % 8:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
     half = n // 2 - n // 2 % 8
     return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
@@ -78,21 +79,30 @@ def _pairwise_sum(x) -> float:
 def _regional_rows(cfg_base: SystemConfig, var_name: str, points: list,
                    angle_tuples) -> list[SweepResult]:
     """One row per point, a (cfg, scheme, var_value) triple: the bound and EE
-    averaged over the angle tuples. The points share d2_over_lambda, so the
-    slopes are computed once per tuple, and eta once per tuple and side."""
+    averaged over the angle tuples, a column of draws at a time. Each axis's
+    slopes and sines are computed once, as the points share d2_over_lambda;
+    each side (Lx, Ly) maps the kernel over both into one eta column once,
+    and per-element control, eta exactly 1, has one bound for a column."""
     slopes = array("d", chain.from_iterable(
         phase_slopes(cfg_base, angles) for angles in angle_tuples))
-    etas, rows = {}, []
-    for cfg, scheme, var_value in points:
-        side = cfg.Lx, cfg.Ly
-        if side not in etas:
-            etas[side] = array("d", map(coherence_factor_from_slopes, repeat(cfg.Lx),
-                                        slopes[::2], repeat(cfg.Ly), slopes[1::2]))
-        se = list(map(_bound_from_eta(cfg), etas[side]))
-        total = total_power(cfg.Q, cfg.power)
-        rows.append(SweepResult(scheme, var_name, var_value, None, None,
-                                _pairwise_sum(se) / len(se),
-                                _pairwise_sum([s / total for s in se]) / len(se)))
+    p1, p2 = slopes[::2], slopes[1::2]
+    del slopes   # at many draws, the columns held at once set the peak memory
+    x, y = (p1, array("d", map(math.sin, p1))), (p2, array("d", map(math.sin, p2)))
+    sides, rows, n = {}, [], len(p1)
+    for point in points:
+        sides.setdefault((point[0].Lx, point[0].Ly), []).append(point)
+    for (lx, ly), group in sides.items():
+        element = lx == ly == 1
+        etas = [1.0] if element else array("d", coherence_factors(
+            _normalized_kernels(lx, *x), _normalized_kernels(ly, *y)))
+        for cfg, scheme, var_value in group:
+            se = _bounds_from_etas(cfg, etas)
+            if element:   # one bound, for the whole column
+                se *= n
+            ee = list(map(truediv, se, repeat(total_power(cfg.Q, cfg.power))))
+            rows.append(SweepResult(scheme, var_name, var_value, None, None,
+                                    _pairwise_sum(se) / n, _pairwise_sum(ee) / n))
+            del se, ee   # so neither is held while the next side's kernels are built
     return _sorted_rows(rows)
 
 

@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .config import (ConfigError, SystemConfig, _as_float, _shown, check_run,
                      check_sequence, check_type)
-from .metrics import _bound_from_eta
+from .metrics import _bounds_from_etas
 from .phases import coherence_factor
 
 DEFAULT_K_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
@@ -55,7 +55,7 @@ def sweep_rician_factor(cfg_base: SystemConfig, k_grid=None,
     from .sampler import _monte_carlo_se    # only sweep-k compiles the sampler
     runs = _monte_carlo_se([(cfg, eta) for cfg, _, eta in points], samples, seed)
     return _sorted_rows([SweepResult(scheme, "K", cfg.K1, mean, stderr,
-                                     _bound_from_eta(cfg)(eta), None)
+                                     _bounds_from_etas(cfg, [eta])[0], None)
                          for (cfg, scheme, eta), (mean, stderr) in zip(points, runs)])
 
 

@@ -21,7 +21,7 @@ from ris_subarray import (Angles, ConfigError, PowerConstants, SweepResult,
 from ris_subarray.config import (MAX_SEED, _as_float, check_grid, check_int,
                                  check_real, check_rician, total_power)
 from ris_subarray.design import phase_certificate
-from ris_subarray.metrics import _bound_from_eta
+from ris_subarray.metrics import _bounds_from_etas
 
 from helpers import (REF_ANGLES, reference_config, small_config, small_raw,
                      subarray_origin)
@@ -550,8 +550,7 @@ def test_closed_form_core_holds_over_the_accepted_config_space(cfg):
     gain, coherent = phase_certificate(cfg)
     assert abs(gain / scale - eta) <= 1e-9
     assert (coherent - gain) / scale <= 1e-12
-    bound = _bound_from_eta(cfg)
-    se = [bound(x) for x in (0.0, eta / 2, eta, 1.0)]
+    se = _bounds_from_etas(cfg, [0.0, eta / 2, eta, 1.0])
     assert all(map(math.isfinite, se)) and se == sorted(se)
     assert max_se_upper_bound(cfg) == se[2]
     assert math.isfinite(se[2] / total_power(cfg.Q, cfg.power))

@@ -4,7 +4,9 @@ import json
 import math
 import re
 import warnings
+from array import array
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +19,18 @@ from ris_subarray import (Angles, ConfigError, SweepResult, coherence_factor,
 from ris_subarray import regional, sampler, sweeps
 from ris_subarray.config import total_power
 from ris_subarray.design import phase_certificate
-from ris_subarray.metrics import _bound_from_eta
-from ris_subarray.phases import (_normalized_kernel,
-                                 coherence_factor_from_slopes, phase_slopes)
+from ris_subarray.metrics import _bounds_from_etas
+from ris_subarray.phases import _normalized_kernels, coherence_factors, phase_slopes
 from ris_subarray.regional import DEFAULT_N_GRID, _regional_rows, default_l0_grid
 from ris_subarray.sampler import SMALL_RUN
 
-from helpers import (dense_gain, exhaustive_phase_search, grid_resolution_slack,
-                     normalized_kernel, numpy_sweep_ris_size,
-                     numpy_sweep_subarray_count, oracle_angle_tuples,
+from helpers import (SEED_OFFSET, dense_gain, exhaustive_phase_search,
+                     grid_resolution_slack, normalized_kernel, numpy_regional_rows,
+                     numpy_sweep_ris_size, numpy_sweep_subarray_count, oracle_angle_tuples,
                      philox_oracle, random_config, reference_config,
                      regional_draws, rows_to_csv, scalar_slopes, small_config)
 
-SEED = 60601
+SEED = 60601 + SEED_OFFSET
 HEADER = "scheme,var_name,var_value,se_mc,se_mc_stderr,se_ub,ee"
 ROOT = Path(__file__).resolve().parents[1]
 # Golden sweep-q/sweep-n CSVs of configs/default.json at the CLI defaults,
@@ -83,7 +84,7 @@ def _oracle_cases():
 def test_clamp_case_overshoots():
     p1, _ = scalar_slopes(CLAMP_CFG.replace(angles=Angles(*GRATING[0])))
     assert normalized_kernel(3, p1) > 1.0 + 1e-8
-    assert _normalized_kernel(3, p1) == 1.0
+    assert _normalized_kernels(3, [p1], [math.sin(p1)]) == [1.0]
 
 
 @pytest.mark.parametrize("cfg,tuples", _oracle_cases(),
@@ -91,15 +92,16 @@ def test_clamp_case_overshoots():
                          + ["grating", "specular", "clamp", "element"])
 def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     eta, se, ee = regional_draws(cfg, tuples)
-    # the sweeps' path, one tuple at a time: the slopes, then eta and the
-    # bound from them
-    slopes = [phase_slopes(cfg, t) for t in tuples]
-    sweep_eta = [coherence_factor_from_slopes(cfg.Lx, p1, cfg.Ly, p2)
-                 for p1, p2 in slopes]
+    # the sweeps' path, a column of tuples at a time: each axis's slopes and
+    # their sines, the kernel columns, then eta and the bound from them
+    p1, p2 = zip(*(phase_slopes(cfg, t) for t in tuples))
+    sweep_eta = list(coherence_factors(*(_normalized_kernels(L, p, list(map(math.sin, p)))
+                                         for L, p in ((cfg.Lx, p1), (cfg.Ly, p2)))))
     assert sweep_eta == list(eta)
-    assert list(map(_bound_from_eta(cfg), sweep_eta)) == list(se)
+    assert _bounds_from_etas(cfg, sweep_eta) == list(se)
     assert [s / total_power(cfg.Q, cfg.power) for s in se] == list(ee)
-    # the config's own tuple runs the same code
+    # the config's own tuple runs the same code on one-element columns
+    assert [coherence_factor(cfg.replace(angles=Angles(*t))) for t in tuples] == list(eta)
     assert [max_se_upper_bound(cfg.replace(angles=Angles(*t)))
             for t in tuples] == list(se)
     # a sweep row averages the bound and EE of every tuple as np.mean does
@@ -107,6 +109,37 @@ def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     assert (row.se_ub, row.ee) == (float(np.mean(se)), float(np.mean(ee)))
     if cfg.Lx == cfg.Ly == 1:
         assert np.all(eta == 1.0)
+
+
+def test_regional_rows_of_mixed_sides_equal_each_sides_own():
+    # Sides of both orientations in one call, the element side among them:
+    # each axis's kernel must follow its own side, which the sweeps' square
+    # sides cannot show.
+    cfg = reference_config()
+    tuples = list(draw_angle_tuples(SEED + 3, 300))
+    points = [(cfg.replace(Lx=lx, Ly=ly), f"L{lx}x{ly}", float(lx))
+              for lx, ly in ((1, 1), (2, 4), (4, 2), (4, 4))]
+    rows = _regional_rows(cfg, "Q", points, iter(tuples))
+    assert [row.scheme for row in rows] == ["L1x1", "L2x4", "L4x2", "L4x4"]
+    assert rows == numpy_regional_rows(cfg, "Q", points, SEED + 3, 300)
+    for point, row in zip(points, rows):
+        assert _regional_rows(cfg, "Q", [point], iter(tuples)) == [row]
+        se = np.array([max_se_upper_bound(point[0].replace(angles=Angles(*t)))
+                       for t in tuples])
+        ee = se / total_power(point[0].Q, point[0].power)
+        assert (row.se_ub, row.ee) == (float(np.mean(se)), float(np.mean(ee)))
+    assert rows[1].se_ub != rows[2].se_ub
+
+
+def test_pairwise_sum_is_numpys_bit_for_bit():
+    # Every leaf, split and remainder length up to 1100 values, on values of
+    # mixed sign and magnitude, where the order of the additions shows.
+    rng = np.random.default_rng(SEED + 4)
+    for n in range(1, 1101):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 13, n)
+        want = float(np.add.reduce(x)).hex()
+        assert regional._pairwise_sum(x.tolist()).hex() == want, n
+        assert regional._pairwise_sum(array("d", x)).hex() == want, n
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN["seeds"], key=int))
@@ -190,8 +223,8 @@ TUPLE_COUNTS = [*range(1, 10), 11, 13, 999, 1001, CHUNK_WORDS // 5,
 @pytest.mark.parametrize("seed", PHILOX_SEEDS)
 def test_angle_stream_is_numpys_philox_bit_for_bit(seed):
     for count in WORD_COUNTS:
-        assert (list(regional._philox_words(seed, count))
-                == philox_oracle(seed).random_raw(count).tolist()), count
+        assert (list(chain.from_iterable(regional._philox_passes(seed, count)))
+                == (philox_oracle(seed).random_raw(count) >> 11).tolist()), count
     for count in TUPLE_COUNTS:
         oracle = map(tuple, oracle_angle_tuples(seed, count).tolist())
         assert list(draw_angle_tuples(seed, count)) == list(oracle), count
