@@ -13,7 +13,7 @@ _MODULE_OF = {name: module for module, names in (
     ("design", "optimal_phases"),
     ("metrics", "max_se_upper_bound"),
     ("phases", "coherence_factor"),
-    ("regional", "draw_angle_tuples sweep_ris_size sweep_subarray_count"),
+    ("regional", "sweep_ris_size sweep_subarray_count"),
     ("sampler", "monte_carlo_se"),
     ("sweeps", "SweepResult sweep_rician_factor write_csv"),
 ) for name in names.split()}

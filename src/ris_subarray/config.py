@@ -308,17 +308,17 @@ class SystemConfig(_Record):
         # the SNR cap's, by total_power(drivers): largest at N drivers, smallest
         # at 1. The total must be finite, and the efficiency 2**24 below a
         # float's range, so that a regional row's sum over its draws is too.
-        p, total = self.power, ("power.p_rest + power.p_dynamic + power.p_control"
-                                " + {} * power.p_driver")
+        # Each rule is formatted only when its limit is broken.
+        p, total = self.power, "power.p_rest + power.p_dynamic + power.p_control"
         for value, limit, rule in (
                 (total_power(self.N, p), math.inf,
-                 f"total power, {total.format('N')}, must be finite"),
+                 "total power, {} + N * power.p_driver, must be finite"),
                 (1001.0 / total_power(1, p), 2.0 ** 1000, "energy efficiency, "
-                 f"1001 / ({total.format(1)}), must be below 2**1000")):
+                 "1001 / ({} + 1 * power.p_driver), must be below 2**1000")):
             if not value < limit:
-                raise ConfigError(f"the largest {rule}, got {value:g} from " + ", ".join(
-                    f"power.{name}={term!r}" for name, term in vars(p).items())
-                    + f", N={_shown(self.N)}")
+                raise ConfigError(f"the largest {rule.format(total)}, got {value:g} from "
+                                  + ", ".join(f"power.{k}={v!r}" for k, v in vars(p).items())
+                                  + f", N={_shown(self.N)}")
 
     Qx = property(lambda self: self.Nx // self.Lx)
     Qy = property(lambda self: self.Ny // self.Ly)

@@ -9,7 +9,7 @@ standard library, with no numpy.
 
 import math
 from itertools import repeat
-from operator import mul
+from operator import mul, sub
 
 from .config import SystemConfig, check_type
 
@@ -18,18 +18,24 @@ from .config import SystemConfig, check_type
 _SING_TOL = 1e-9
 
 
-def phase_slopes(cfg: SystemConfig, angles=None) -> tuple[float, float]:
+def slope_columns(cfg: SystemConfig, theta_a1, phi_a1, theta_d2, phi_d2):
     """Per-axis, per-element phase progression mismatch between the departure
-    and arrival paths across the surface, for one unchecked tuple of finite
-    angles in Angles field order (by default the config's own), reduced mod
-    pi into (-pi, pi): e^{2j*p*n} has period pi in p, and fmod is exact, so
-    products with element indices keep their precision at any spacing."""
-    theta_a1, phi_a1, theta_d2, phi_d2 = cfg.angles if angles is None else angles
-    d = cfg.d2_over_lambda
-    p1 = math.pi * d * (math.sin(theta_d2) - math.sin(theta_a1))
-    p2 = math.pi * d * (math.sin(phi_d2) * math.cos(theta_d2)
-                        - math.sin(phi_a1) * math.cos(theta_a1))
-    return math.fmod(p1, math.pi), math.fmod(p2, math.pi)
+    and arrival paths across cfg's surface, as two lazy columns (p1, p2) over
+    four columns of finite angles in Angles field order, each reduced mod pi
+    into (-pi, pi): e^{2j*p*n} has period pi in p, and fmod is exact, so
+    products with element indices keep their precision at any spacing. The
+    theta columns are read twice, so they must be sequences."""
+    scale, pis = repeat(math.pi * cfg.d2_over_lambda), repeat(math.pi)
+    p1 = map(mul, map(sub, map(math.sin, theta_d2), map(math.sin, theta_a1)), scale)
+    p2 = map(mul, map(sub, map(mul, map(math.sin, phi_d2), map(math.cos, theta_d2)),
+                      map(mul, map(math.sin, phi_a1), map(math.cos, theta_a1))), scale)
+    return map(math.fmod, p1, pis), map(math.fmod, p2, pis)
+
+
+def phase_slopes(cfg: SystemConfig) -> tuple[float, float]:
+    """The slopes of the config's own angle tuple: one-element columns."""
+    (p1,), (p2,) = slope_columns(cfg, *zip(cfg.angles))
+    return p1, p2
 
 
 def _normalized_kernels(L: int, slopes, sines) -> list:

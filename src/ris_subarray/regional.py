@@ -6,28 +6,29 @@ import math
 import struct
 from array import array
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add, mul, truediv
 
 from .config import TWO_PI, ConfigError, SystemConfig, check_run, check_type, total_power
 from .metrics import _bounds_from_etas
-from .phases import _normalized_kernels, coherence_factors, phase_slopes
+from .phases import _normalized_kernels, coherence_factors, slope_columns
 from .sweeps import SweepResult, _sorted_rows
 
 DEFAULT_N_GRID = (16, 64, 256, 1024, 4096)
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 # SC 2011), the generator behind numpy's Philox: its round multipliers and
-# key increments, and the counter blocks computed per pass.
+# key increments, and the counter blocks computed per pass: 4080 words, a
+# whole number of five-word angle tuples.
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_BLOCKS = 1 << 10
+_PHILOX_BLOCKS = 1020
 _MASK64 = (1 << 64) - 1
 
 
 def _philox_passes(seed: int, count: int):
     """The top 53 bits of the first count 64-bit outputs of numpy's
-    Philox(key=[seed, 0]), an iterator per pass: block b, counter
+    Philox(key=[seed, 0]), a list per pass: block b, counter
     (b + 1, 0, 0, 0), gives words 4b to 4b + 3. A pass runs up to
     _PHILOX_BLOCKS blocks at once, block i in the 128-bit lane i of the ints
     c0..c3; masks split each lane's 128-bit product and drop key carries."""
@@ -45,21 +46,27 @@ def _philox_passes(seed: int, count: int):
             c0, c1, c2, c3 = ((x2 >> 64) & low ^ c1 ^ k0, x2 & low,
                               (x0 >> 64) & low ^ c3 ^ k1, x0 & low)
             k0, k1 = (k0 + w0s) & low, (k1 + w1s) & low
-        words = zip(*(lane.unpack((c >> 11).to_bytes(lane.size, "little"))  # top bits
-                      for c in (c0, c1, c2, c3)))
-        yield islice(chain.from_iterable(words), count - 4 * start)
+        words = list(chain.from_iterable(zip(*(
+            lane.unpack((c >> 11).to_bytes(lane.size, "little"))  # top bits
+            for c in (c0, c1, c2, c3)))))
+        del words[count - 4 * start:]
+        yield words
 
 
-def draw_angle_tuples(seed: int, num_angle_draws: int):
-    """An iterator over num_angle_draws i.i.d. uniform [0, 2*pi) angle tuples,
-    drawn as taken: Generator(Philox(key=[seed, 0])).uniform(0, 2*pi,
-    (num_angle_draws, 5)) of numpy without its first column, bit for bit."""
-    seed = check_run("seed", seed)
-    count = check_run("num_angle_draws", num_angle_draws)
+def _drawn_slopes(cfg: SystemConfig, seed: int, num_angle_draws: int):
+    """The slope columns (p1, p2) of cfg's surface over num_angle_draws
+    i.i.d. uniform [0, 2*pi) angle tuples, Generator(Philox(key=[seed,
+    0])).uniform(0, 2*pi, (num_angle_draws, 5)) of numpy without its first
+    column, bit for bit: each pass's words, of whole tuples, split into the
+    four angle columns."""
     # numpy's double, top 53 bits * 2**-53 * TWO_PI: the exact scale rounds once
-    uniforms = map(mul, chain.from_iterable(_philox_passes(seed, 5 * count)),
-                   repeat(2.0 ** -53 * TWO_PI))
-    return (five[1:] for five in zip(*[uniforms] * 5))
+    p1, p2, scale = array("d"), array("d"), repeat(2.0 ** -53 * TWO_PI)
+    for words in _philox_passes(seed, 5 * num_angle_draws):
+        # arrays, not lists: a pass's floats, boxed, would fragment the heap
+        x, y = slope_columns(cfg, *[array("d", map(mul, words[k::5], scale))
+                                    for k in range(1, 5)])
+        p1.extend(x); p2.extend(y)
+    return p1[:], p2[:]   # exact copies: a grown array keeps up to 1/16 spare
 
 
 def _pairwise_sum(x) -> float:
@@ -76,17 +83,13 @@ def _pairwise_sum(x) -> float:
     return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
 
 
-def _regional_rows(cfg_base: SystemConfig, var_name: str, points: list,
-                   angle_tuples) -> list[SweepResult]:
+def _regional_rows(var_name: str, points: list, p1, p2) -> list[SweepResult]:
     """One row per point, a (cfg, scheme, var_value) triple: the bound and EE
-    averaged over the angle tuples, a column of draws at a time. Each axis's
-    slopes and sines are computed once, as the points share d2_over_lambda;
-    each side (Lx, Ly) maps the kernel over both into one eta column once,
-    and per-element control, eta exactly 1, has one bound for a column."""
-    slopes = array("d", chain.from_iterable(
-        phase_slopes(cfg_base, angles) for angles in angle_tuples))
-    p1, p2 = slopes[::2], slopes[1::2]
-    del slopes   # at many draws, the columns held at once set the peak memory
+    averaged over the draws of the slope sequences p1 and p2, which the
+    points share, as they share d2_over_lambda, a column at a time. Each
+    axis's sines are computed once; each side (Lx, Ly) maps the kernel over
+    both into one eta column once, and per-element control, eta exactly 1,
+    has one bound for a column."""
     x, y = (p1, array("d", map(math.sin, p1))), (p2, array("d", map(math.sin, p2)))
     sides, rows, n = {}, [], len(p1)
     for point in points:
@@ -103,6 +106,7 @@ def _regional_rows(cfg_base: SystemConfig, var_name: str, points: list,
             rows.append(SweepResult(scheme, var_name, var_value, None, None,
                                     _pairwise_sum(se) / n, _pairwise_sum(ee) / n))
             del se, ee   # so neither is held while the next side's kernels are built
+        del etas         # nor this side's eta column
     return _sorted_rows(rows)
 
 
@@ -123,7 +127,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
     divide both surface sides.
     """
     check_type("cfg_base", cfg_base, SystemConfig)
-    angle_tuples = draw_angle_tuples(seed, num_angle_draws)
+    stream = check_run("seed", seed), check_run("num_angle_draws", num_angle_draws)
     l0_grid = check_run("l0_grid", default_l0_grid(cfg_base)
                         if l0_grid is None else l0_grid)
     points = []
@@ -133,7 +137,7 @@ def sweep_subarray_count(cfg_base: SystemConfig, l0_grid=None,
                               f"{cfg_base.Nx}x{cfg_base.Ny} surface")
         cfg = cfg_base.replace(Lx=l0, Ly=l0)
         points.append((cfg, "element" if l0 == 1 else "subarray", float(cfg.Q)))
-    return _regional_rows(cfg_base, "Q", points, angle_tuples)
+    return _regional_rows("Q", points, *_drawn_slopes(cfg_base, *stream))
 
 
 def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
@@ -146,7 +150,7 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
     l0_set; rows for an L0 that does not divide sqrt(N) are skipped.
     """
     check_type("cfg_base", cfg_base, SystemConfig)
-    angle_tuples = draw_angle_tuples(seed, num_angle_draws)
+    stream = check_run("seed", seed), check_run("num_angle_draws", num_angle_draws)
     l0_set = check_run("l0_set", l0_set)
     n_grid = check_run("n_grid", DEFAULT_N_GRID if n_grid is None else n_grid)
     points = []
@@ -155,4 +159,4 @@ def sweep_ris_size(cfg_base: SystemConfig, n_grid=None,
         for l0 in [1] + [side for side in l0_set if nx % side == 0]:
             points.append((cfg_base.replace(Nx=nx, Ny=nx, Lx=l0, Ly=l0),
                            "element" if l0 == 1 else f"subarray_L{l0}", float(n)))
-    return _regional_rows(cfg_base, "N", points, angle_tuples)
+    return _regional_rows("N", points, *_drawn_slopes(cfg_base, *stream))

@@ -197,8 +197,9 @@ def numpy_sweep_ris_size(cfg_base: SystemConfig, n_grid, l0_set, seed: int,
 
 
 def random_angles(rng: np.random.Generator) -> Angles:
-    # Five draws, the first dropped, as draw_angle_tuples does: the random
-    # inputs of every test stay those of the former five-angle tuple.
+    # Five draws, the first dropped, as the regional sweeps' angle stream
+    # does: the random inputs of every test stay those of the former
+    # five-angle tuple.
     return Angles(*rng.uniform(0.0, 2.0 * np.pi, size=5)[1:])
 
 

@@ -10,15 +10,15 @@ import shlex
 import subprocess
 import sys
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ris_subarray import (ConfigError, cli, coherence_factor, config, design,
-                          draw_angle_tuples, load_config, monte_carlo_se,
-                          optimal_phases, sweep_rician_factor, sweep_ris_size,
-                          sweep_subarray_count)
+                          load_config, monte_carlo_se, optimal_phases,
+                          sweep_rician_factor, sweep_ris_size, sweep_subarray_count)
 from ris_subarray.cli import main
 from ris_subarray.config import check_int
 from ris_subarray.sampler import SMALL_RUN
@@ -575,7 +575,7 @@ RUN_ARGUMENTS = {"seed", "samples", "num_angle_draws", "k_grid", "l0_grid",
                  "n_grid", "l0_set"}
 
 
-@pytest.mark.parametrize("fn", [monte_carlo_se, draw_angle_tuples, sweep_rician_factor,
+@pytest.mark.parametrize("fn", [monte_carlo_se, sweep_rician_factor,
                                 sweep_subarray_count, sweep_ris_size],
                          ids=lambda fn: fn.__name__)
 def test_run_entry_point_names_its_arguments_as_the_sweeps_do(fn):
@@ -594,7 +594,6 @@ def test_every_run_entry_point_and_flag_reads_its_rule_by_name(tmp_path, capsys,
     message = "seed must be an integer in [0, 10], got 11"
     cfg = small_config()
     for call in [lambda: monte_carlo_se(cfg, [0.5], 8, 11),
-                 lambda: draw_angle_tuples(11, 4),
                  lambda: sweep_rician_factor(cfg, samples=8, seed=11),
                  lambda: sweep_subarray_count(cfg, seed=11),
                  lambda: sweep_ris_size(cfg, seed=11)]:
@@ -679,6 +678,26 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
             rows = (tmp_path / path).read_text().splitlines()
             assert rows[0] == HEADER and len(rows) > 1, argv
             assert out == f"wrote {len(rows) - 1} rows to {path}\n", argv
+
+
+def test_readme_run_argument_table_is_the_rule_table():
+    # The rows of the README's "Input (CLI flag)" table that name a flag are
+    # config.RUN_ARGUMENTS, each with the flag the CLI reads it from and its
+    # entry as the rule, plus --workers: a renamed or removed run argument
+    # leaves no stale row, and a new one no missing row.
+    lines = (ROOT / "README.md").read_text().splitlines()
+    begin = lines.index("| Input (CLI flag) | Rule | Default |") + 2
+    rows = [line.strip("| ").split(" | ")
+            for line in takewhile(lambda line: line.startswith("|"), lines[begin:])]
+    flagged = [(row[0], row[1]) for row in rows if row[0].endswith(")")]
+    want = {f"`{dest}` (`{flag}`)": f'`RUN_ARGUMENTS["{dest}"]`:'
+            for _, flags in cli.COMMANDS.values()
+            for flag, (dest, *_) in flags.items() if dest in config.RUN_ARGUMENTS}
+    assert len(want) == len(config.RUN_ARGUMENTS)
+    want["`--workers` (CLI only)"] = ""
+    assert sorted(first for first, _ in flagged) == sorted(want)
+    for first, rule in flagged:
+        assert rule.startswith(want[first]), first
 
 
 # What the installed `ris-subarray` console script runs.
@@ -874,7 +893,7 @@ def test_only_sweep_k_imports_numpy_random(tmp_path, run, modules, numpy):
 
 PUBLIC = ["Angles", "ConfigError", "PowerConstants", "SweepResult",
           "SystemConfig", "coherence_factor", "config_from_dict",
-          "draw_angle_tuples", "load_config", "max_se_upper_bound",
+          "load_config", "max_se_upper_bound",
           "monte_carlo_se", "optimal_phases", "ris_power",
           "sweep_rician_factor", "sweep_ris_size", "sweep_subarray_count",
           "write_csv"]

@@ -19,7 +19,6 @@ import json
 import math
 import re
 import signal
-import types
 from pathlib import Path
 
 import pytest
@@ -153,7 +152,6 @@ PUBLIC_ARGS = {
     "coherence_factor": [arg(SMALL)],
     "config_from_dict": [arg(RAW, st.one_of(BAD, st.builds(
         lambda field, value: {**RAW, field: value}, st.sampled_from(FIELDS), BAD)))],
-    "draw_angle_tuples": [SEED, arg(st.integers(1, 3), BAD_COUNT)],
     "load_config": [fixed(ORACLE_SMALL),
                     arg(st.lists(st.tuples(st.sampled_from(FIELDS), VALUES), max_size=2))],
     "max_se_upper_bound": [arg(SMALL)],
@@ -184,7 +182,7 @@ def finite(value) -> bool:
         value = [v for k, v in vars(value).items() if k not in ("K1", "K2")]
     if isinstance(value, SweepResult) and value.var_name == "K":
         value = value._replace(var_value=0.0)
-    if isinstance(value, (tuple, list, Angles, PowerConstants, types.GeneratorType)):
+    if isinstance(value, (tuple, list, Angles, PowerConstants)):
         return all(map(finite, value))
     return True                     # an int, a label or None
 

@@ -13,21 +13,21 @@ import numpy as np
 import pytest
 
 from ris_subarray import (Angles, ConfigError, SweepResult, coherence_factor,
-                          draw_angle_tuples, load_config, max_se_upper_bound,
-                          monte_carlo_se, sweep_rician_factor, sweep_ris_size,
-                          sweep_subarray_count)
+                          load_config, max_se_upper_bound, monte_carlo_se,
+                          sweep_rician_factor, sweep_ris_size, sweep_subarray_count)
 from ris_subarray import regional, sampler, sweeps
 from ris_subarray.config import total_power
 from ris_subarray.design import phase_certificate
 from ris_subarray.metrics import _bounds_from_etas
-from ris_subarray.phases import _normalized_kernels, coherence_factors, phase_slopes
-from ris_subarray.regional import DEFAULT_N_GRID, _regional_rows, default_l0_grid
+from ris_subarray.phases import _normalized_kernels, coherence_factors, slope_columns
+from ris_subarray.regional import (DEFAULT_N_GRID, _drawn_slopes, _regional_rows,
+                                   default_l0_grid)
 from ris_subarray.sampler import SMALL_RUN
 
 from helpers import (SEED_OFFSET, dense_gain, exhaustive_phase_search,
                      grid_resolution_slack, normalized_kernel, numpy_regional_rows,
                      numpy_sweep_ris_size, numpy_sweep_subarray_count, oracle_angle_tuples,
-                     philox_oracle, random_config, reference_config,
+                     oracle_slopes, philox_oracle, random_config, reference_config,
                      regional_draws, rows_to_csv, scalar_slopes, small_config)
 
 SEED = 60601 + SEED_OFFSET
@@ -68,16 +68,25 @@ GRATING = [(-HALF_PI, 1.1, HALF_PI, 2.0), (-HALF_PI, 1.1, HALF_PI, 1.1)]
 CLAMP_CFG = small_config(Nx=6, Lx=3, d2_over_lambda=0.4999999988)
 
 
+def tuples_of(seed: int, count: int) -> list:
+    """The angle tuples of the regional sweeps' stream, from numpy's own Philox."""
+    return list(map(tuple, oracle_angle_tuples(seed, count).tolist()))
+
+
+def slopes_of(cfg, tuples) -> list:
+    """The slope columns [p1, p2] of cfg's surface over hand-picked tuples."""
+    return list(map(list, slope_columns(cfg, *zip(*tuples))))
+
+
 def _oracle_cases():
     rng = np.random.default_rng(SEED)
-    cases = [(random_config(rng), list(draw_angle_tuples(i, 200)))
-             for i in range(6)]
+    cases = [(random_config(rng), tuples_of(i, 200)) for i in range(6)]
     null = (0.0, 1.1, HALF_PI, 2.0)  # 2 * p1 = pi
     cases.append((reference_config(), GRATING + [null]))
-    specular = [t[:2] * 2 for t in draw_angle_tuples(7, 20)]
+    specular = [t[:2] * 2 for t in tuples_of(7, 20)]
     cases.append((reference_config(), specular))
     cases.append((CLAMP_CFG, GRATING[:1]))
-    cases.append((reference_config(Lx=1, Ly=1), list(draw_angle_tuples(8, 200))))
+    cases.append((reference_config(Lx=1, Ly=1), tuples_of(8, 200)))
     return cases
 
 
@@ -94,7 +103,7 @@ def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     eta, se, ee = regional_draws(cfg, tuples)
     # the sweeps' path, a column of tuples at a time: each axis's slopes and
     # their sines, the kernel columns, then eta and the bound from them
-    p1, p2 = zip(*(phase_slopes(cfg, t) for t in tuples))
+    p1, p2 = slopes_of(cfg, tuples)
     sweep_eta = list(coherence_factors(*(_normalized_kernels(L, p, list(map(math.sin, p)))
                                          for L, p in ((cfg.Lx, p1), (cfg.Ly, p2)))))
     assert sweep_eta == list(eta)
@@ -105,7 +114,7 @@ def test_vectorized_bound_equals_per_tuple_oracle(cfg, tuples):
     assert [max_se_upper_bound(cfg.replace(angles=Angles(*t)))
             for t in tuples] == list(se)
     # a sweep row averages the bound and EE of every tuple as np.mean does
-    (row,) = _regional_rows(cfg, "Q", [(cfg, "s", 1.0)], tuples)
+    (row,) = _regional_rows("Q", [(cfg, "s", 1.0)], p1, p2)
     assert (row.se_ub, row.ee) == (float(np.mean(se)), float(np.mean(ee)))
     if cfg.Lx == cfg.Ly == 1:
         assert np.all(eta == 1.0)
@@ -116,14 +125,15 @@ def test_regional_rows_of_mixed_sides_equal_each_sides_own():
     # each axis's kernel must follow its own side, which the sweeps' square
     # sides cannot show.
     cfg = reference_config()
-    tuples = list(draw_angle_tuples(SEED + 3, 300))
+    tuples = tuples_of(SEED + 3, 300)
+    slopes = slopes_of(cfg, tuples)
     points = [(cfg.replace(Lx=lx, Ly=ly), f"L{lx}x{ly}", float(lx))
               for lx, ly in ((1, 1), (2, 4), (4, 2), (4, 4))]
-    rows = _regional_rows(cfg, "Q", points, iter(tuples))
+    rows = _regional_rows("Q", points, *slopes)
     assert [row.scheme for row in rows] == ["L1x1", "L2x4", "L4x2", "L4x4"]
     assert rows == numpy_regional_rows(cfg, "Q", points, SEED + 3, 300)
     for point, row in zip(points, rows):
-        assert _regional_rows(cfg, "Q", [point], iter(tuples)) == [row]
+        assert _regional_rows("Q", [point], *slopes) == [row]
         se = np.array([max_se_upper_bound(point[0].replace(angles=Angles(*t)))
                        for t in tuples])
         ee = se / total_power(point[0].Q, point[0].power)
@@ -197,15 +207,6 @@ def test_regional_sweeps_equal_the_numpy_oracle(config, draws, seeds):
             assert rows_to_csv(got) == rows_to_csv(want)
 
 
-def test_draw_angle_tuples():
-    a = list(draw_angle_tuples(3, 50))
-    assert a == list(draw_angle_tuples(3, 50))
-    assert len(a) == 50
-    for t in a:
-        assert len(t) == 4
-        assert all(type(x) is float and 0.0 <= x < 2 * math.pi for x in t)
-
-
 # Seeds at both ends of the key range and random ones; word counts around
 # the 4-word block, and around the pass of counter blocks.
 PHILOX_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1] + [
@@ -214,10 +215,14 @@ PHILOX_SEEDS = [0, 1, 2 ** 63, 2 ** 64 - 1] + [
 CHUNK_WORDS = 4 * regional._PHILOX_BLOCKS
 WORD_COUNTS = [*range(1, 10), 11, 13, 4095, 4097, CHUNK_WORDS - 1, CHUNK_WORDS,
                CHUNK_WORDS + 1, 2 * CHUNK_WORDS + 3]
-# Five words per tuple: the last three counts end one word short of a
-# chunk boundary and just past the first and the second.
-TUPLE_COUNTS = [*range(1, 10), 11, 13, 999, 1001, CHUNK_WORDS // 5,
-                CHUNK_WORDS // 5 + 1, 2 * CHUNK_WORDS // 5 + 1]
+# Five words per tuple, and a pass holds whole tuples: the last four counts
+# end one tuple short of a pass boundary, on it, and just past the first and
+# the second.
+TUPLE_COUNTS = [*range(1, 10), 11, 13, 999, 1001, CHUNK_WORDS // 5 - 1,
+                CHUNK_WORDS // 5, CHUNK_WORDS // 5 + 1, 2 * CHUNK_WORDS // 5 + 1]
+# A spacing whose pi * d rounds and whose slopes reach past pi, so that the
+# order of the slope products and the reduction mod pi both show.
+STREAM_CFG = reference_config(d2_over_lambda=0.87)
 
 
 @pytest.mark.parametrize("seed", PHILOX_SEEDS)
@@ -225,16 +230,20 @@ def test_angle_stream_is_numpys_philox_bit_for_bit(seed):
     for count in WORD_COUNTS:
         assert (list(chain.from_iterable(regional._philox_passes(seed, count)))
                 == (philox_oracle(seed).random_raw(count) >> 11).tolist()), count
+    # The sweeps' slope columns against the scalar slopes of numpy's tuples,
+    # at counts where the passes meet.
     for count in TUPLE_COUNTS:
-        oracle = map(tuple, oracle_angle_tuples(seed, count).tolist())
-        assert list(draw_angle_tuples(seed, count)) == list(oracle), count
+        oracle = [oracle_slopes(STREAM_CFG.d2_over_lambda, *t)
+                  for t in oracle_angle_tuples(seed, count).tolist()]
+        assert list(map(list, _drawn_slopes(STREAM_CFG, seed, count))) == [
+            [p1 for p1, _ in oracle], [p2 for _, p2 in oracle]], count
 
 
-def test_draw_angle_tuples_use_every_seed_bit():
+def test_angle_slopes_use_every_seed_bit():
     # Seeds at the top of the 64-bit range must neither collide nor warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        draws = [list(draw_angle_tuples(s, 4)) for s in (
+        draws = [list(map(list, _drawn_slopes(STREAM_CFG, s, 4))) for s in (
             2 ** 64 - 1, 2 ** 64 - 2, 2 ** 63 + 1, 2 ** 63)]
     for i, a in enumerate(draws):
         for b in draws[i + 1:]:
@@ -389,7 +398,9 @@ def test_sweep_ris_size_rejects_non_square():
     (sweep_subarray_count, {"num_angle_draws": 0}),
     (sweep_ris_size, {"num_angle_draws": True}),
     (sweep_subarray_count, {"seed": -1}),
+    (sweep_subarray_count, {"seed": 1.5}),
     (sweep_ris_size, {"seed": 2 ** 64}),
+    (sweep_ris_size, {"seed": True}),
     (sweep_rician_factor, {"seed": -1}),
     (sweep_rician_factor, {"seed": 2 ** 64}),
     (sweep_rician_factor, {"seed": 1.5}),
@@ -442,7 +453,6 @@ def test_sweep_rejects_an_empty_or_repeating_grid(monkeypatch, sweep, bad,
 GOOD_RUN_ARGUMENTS = {
     monte_carlo_se: {"cfg": small_config(), "etas": [0.5],
                      "samples": 8, "seed": 0},
-    draw_angle_tuples: {"seed": 0, "num_angle_draws": 4},
 }
 
 
@@ -459,10 +469,6 @@ GOOD_RUN_ARGUMENTS = {
     (monte_carlo_se, "seed", True),
     (monte_carlo_se, "seed", -1),
     (monte_carlo_se, "seed", 2 ** 64),
-    (draw_angle_tuples, "seed", 1.5),
-    (draw_angle_tuples, "seed", True),
-    (draw_angle_tuples, "seed", -1),
-    (draw_angle_tuples, "seed", 2 ** 64),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v))
 def test_public_run_argument_is_checked_naming_it(fn, name, value):
     # The library entry points outside the sweeps check their run arguments
@@ -472,11 +478,12 @@ def test_public_run_argument_is_checked_naming_it(fn, name, value):
 
 
 @pytest.mark.parametrize("value", [2.5, True, 0], ids=repr)
-def test_angle_draw_count_is_checked_naming_it(value):
-    # draw_angle_tuples checks its count under the sweeps' name for it,
-    # num_angle_draws, by the same rule.
-    test_public_run_argument_is_checked_naming_it(
-        draw_angle_tuples, "num_angle_draws", value)
+def test_angle_draw_count_is_checked_naming_it(monkeypatch, value):
+    # Both regional sweeps check their count, num_angle_draws, by its one
+    # rule before they draw.
+    for sweep in (sweep_subarray_count, sweep_ris_size):
+        test_sweep_rejects_bad_run_argument_before_any_point(
+            monkeypatch, sweep, {"num_angle_draws": value})
 
 
 @pytest.mark.parametrize("etas, message", [
