@@ -40,7 +40,7 @@ def override(text: str) -> tuple[str, object]:
     try:
         if eq and name:
             return name, json.loads(value, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"VALUE of {text!r} is not JSON: {exc}") from None
     raise ValueError(f"expected NAME=VALUE, got {text!r}")
 

@@ -10,6 +10,7 @@ or its replace method.
 import json
 import math
 import os
+from bisect import bisect_left
 from functools import partial
 
 TWO_PI = 2.0 * math.pi
@@ -338,11 +339,13 @@ def config_from_dict(raw: dict) -> SystemConfig:
 
 
 def _unique_keys(pairs: list) -> dict:
-    """JSON object hook: a repeated key is an error, not the last one wins.
-    An override path such as "angles.phi_d2" repeats "angles" too."""
-    keys = [key for key, _ in pairs]
-    for key in keys:
-        if sum(k == key or k.startswith(key + ".") for k in keys) > 1:
+    r"""JSON object hook: a repeated key is an error, not the last one wins.
+    An override path such as "angles.phi_d2" repeats "angles" too: sorted,
+    key's repeats lie in [key, key + "\0") and its paths in [key + ".", key + "/")."""
+    ordered = sorted(key for key, _ in pairs)
+    for key, _ in pairs:
+        if sum(bisect_left(ordered, high) - bisect_left(ordered, low) for low, high
+               in ((key, key + "\0"), (key + ".", key + "/"))) > 1:
             raise ConfigError(f"duplicate config field '{key}'")
     return dict(pairs)
 
@@ -357,8 +360,8 @@ def load_config(path, overrides=()) -> SystemConfig:
     try:
         with open(path, encoding="utf-8") as fh:     # JSON text is UTF-8 (RFC 8259)
             raw = json.load(fh, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        kind = "JSON" if isinstance(exc, json.JSONDecodeError) else "UTF-8"
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        kind = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "JSON"
         raise ConfigError(f"config file {os.fsdecode(path)!r} is not {kind}: {exc}") from None
     try:
         pairs = [(name, value) for name, value in overrides]

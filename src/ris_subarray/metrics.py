@@ -31,18 +31,27 @@ def rician_split(K: float) -> tuple[float, float]:
     return K / (K + 1.0), 1.0 / (K + 1.0)
 
 
-def _bounds_from_etas(cfg: SystemConfig, etas) -> list:
-    """The SE upper bound under the optimal phases of each coherence factor
-    eta in a column, as a list. gamma1 weighs the cascade's coherent
+def _law_constants(cfg: SystemConfig):
+    """cfg's hop splits ((w1_los^2, w1_sc^2), (w2_los^2, w2_sc^2)) and SNR P / sigma_w2."""
+    return rician_split(cfg.K1), rician_split(cfg.K2), cfg.P / cfg.sigma_w2
+
+
+def _jensen_means(cfg: SystemConfig, etas):
+    """E[X] = snr * M * (gamma1 * eta * N^2 + (1 - gamma1) * N + 1), lazily, for
+    each coherence factor eta in a column. gamma1 weighs the cascade's coherent
     LoS-times-LoS part, 1 - gamma1 everything that scatters at least once."""
-    gamma1 = rician_split(cfg.K1)[0] * rician_split(cfg.K2)[0]
-    snr_m, n_sq = cfg.P / cfg.sigma_w2 * cfg.M, cfg.N ** 2
-    scatter = (1.0 - gamma1) * cfg.N
+    (w1_los_sq, _), (w2_los_sq, _), snr = _law_constants(cfg)
+    gamma1 = w1_los_sq * w2_los_sq
+    snr_m, n_sq, scatter = snr * cfg.M, cfg.N ** 2, (1.0 - gamma1) * cfg.N
+    return (snr_m * (gamma1 * eta * n_sq + scatter + 1.0) for eta in etas)
+
+
+def _bounds_from_etas(cfg: SystemConfig, etas) -> list:
+    """The SE upper bound under the optimal phases, log2(1 + E[X]), of each eta, as a list."""
     # log2(1 + x) loses the relative precision of a small x. Every committed
     # config has x >= snr * M >= 40, so the regional CSVs take log2.
-    return [math.log2(1.0 + x)
-            if (x := snr_m * (gamma1 * eta * n_sq + scatter + 1.0)) >= 1.0
-            else math.log1p(x) / _LN2 for eta in etas]
+    return [math.log2(1.0 + x) if x >= 1.0 else math.log1p(x) / _LN2
+            for x in _jensen_means(cfg, etas)]
 
 
 def max_se_upper_bound(cfg: SystemConfig) -> float:

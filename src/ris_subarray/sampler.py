@@ -13,7 +13,7 @@ N = 1 the two of h2's empty orthogonal rest are 0.0, and are not drawn).
 import math
 
 from .config import SystemConfig, check_real, check_run, check_sequence, check_type
-from .metrics import _LN2, rician_split
+from .metrics import _LN2, _law_constants
 
 # A run of at most this many samples draws them in Python, from the standard
 # library, and loads no numpy: below it, numpy's import costs more than the
@@ -54,10 +54,10 @@ def _law_rate(cfg: SystemConfig, eta: float):
     per unit w2_sc, and ||v||^2's coordinate along its mean and the rest,
     per unit sigma2. None depends on eta or on a Rician factor.
     """
-    (w1_los_sq, w1_sc_sq), (w2_los_sq, w2_sc_sq) = map(rician_split, (cfg.K1, cfg.K2))
+    (w1_los_sq, w1_sc_sq), (w2_los_sq, w2_sc_sq), snr = _law_constants(cfg)
     w2_sc, alpha0 = math.sqrt(w2_sc_sq), math.sqrt(w2_los_sq * eta * cfg.N)
     root_perp = math.sqrt(w2_los_sq * cfg.N * (1.0 - eta))
-    los_gain, snr = w1_los_sq * cfg.N * cfg.M, cfg.P / cfg.sigma_w2
+    los_gain = w1_los_sq * cfg.N * cfg.M
 
     def rate(alpha_re, alpha_im_sq, orth_re, orth_rest, v_re, v_rest, sqrt, log1p):
         alpha_sq = alpha_re * w2_sc

@@ -32,8 +32,9 @@ of the library's: the phase slopes (oracle_slopes()), a hop's Rician split
 by (oracle_watts()).
 
 SEED_OFFSET, read once from RIS_TEST_SEED_OFFSET (default 0), is added to
-the module SEED of the seeded test modules, so that a seed sweep reruns
-them at fresh seeds; offset 0 gives the seeds the suite has always used.
+the module SEED of the seeded test modules, and sets the acceptance
+module's Monte Carlo and crossover seeds, so that a seed sweep reruns them
+at fresh seeds; offset 0 gives the seeds the suite has always used.
 
 reference_config() is the evaluation setup used throughout: 64 transmit
 antennas, a 32x32 surface in 2x2 subarrays, half-wavelength spacings, and the

@@ -95,6 +95,17 @@ def test_malformed_set_is_a_usage_error(capsys, text):
     assert "argument --set:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["[" * 100_000, '{"a": ' * 100_000],
+                         ids=["array", "object"])
+def test_set_nested_past_the_recursion_limit_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", DEFAULT, "--set", f"M={value}"])
+    assert exc.value.code == 2
+    _, error = capsys.readouterr().err.splitlines()   # the usage line, then this
+    assert error.startswith(f"ris-subarray: error: argument --set: VALUE of 'M={value[:9]}")
+    assert "is not JSON: maximum recursion depth exceeded" in error
+
+
 @pytest.mark.parametrize("sets, field", [
     (["Q=4"], "unknown config field 'Q'"),
     (["angles.theta_d3=0"], "unknown config field 'angles.theta_d3'"),
@@ -273,8 +284,9 @@ def test_missing_config_file(capsys):
 
 
 @pytest.mark.parametrize("data, fault", [
-    (b"", "not JSON: Expecting value"), (b"\xff{}", "not UTF-8: 'utf-8' codec")],
-    ids=["not-json", "not-utf8"])
+    (b"", "not JSON: Expecting value"), (b"\xff{}", "not UTF-8: 'utf-8' codec"),
+    (b"[" * 100_000, "not JSON: maximum recursion depth exceeded")],
+    ids=["not-json", "not-utf8", "too-deep"])
 def test_a_config_that_does_not_decode_exits_1_naming_the_file(tmp_path, capsys,
                                                                data, fault):
     path = tmp_path / "cfg.json"
@@ -680,15 +692,30 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
             assert out == f"wrote {len(rows) - 1} rows to {path}\n", argv
 
 
+def readme_table(header: str) -> list[list[str]]:
+    """The cells of each row of the README table under the line header."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    begin = lines.index(header) + 2
+    return [line.strip("| ").split(" | ")
+            for line in takewhile(lambda line: line.startswith("|"), lines[begin:])]
+
+
+def test_readme_command_table_is_the_flag_table():
+    # Each row of the README's "Command | Flags" table names commands and
+    # the flags of each in cli.COMMANDS, in their order: a renamed, added,
+    # removed or reordered flag or command leaves the table wrong here.
+    table = {command: re.findall(r"`(--[\w-]+)`", flags)
+             for commands, flags in readme_table("| Command | Flags |")
+             for command in re.findall(r"`([\w-]+)`", commands)}
+    assert table == {command: list(flags) for command, (_, flags) in cli.COMMANDS.items()}
+
+
 def test_readme_run_argument_table_is_the_rule_table():
     # The rows of the README's "Input (CLI flag)" table that name a flag are
     # config.RUN_ARGUMENTS, each with the flag the CLI reads it from and its
     # entry as the rule, plus --workers: a renamed or removed run argument
     # leaves no stale row, and a new one no missing row.
-    lines = (ROOT / "README.md").read_text().splitlines()
-    begin = lines.index("| Input (CLI flag) | Rule | Default |") + 2
-    rows = [line.strip("| ").split(" | ")
-            for line in takewhile(lambda line: line.startswith("|"), lines[begin:])]
+    rows = readme_table("| Input (CLI flag) | Rule | Default |")
     flagged = [(row[0], row[1]) for row in rows if row[0].endswith(")")]
     want = {f"`{dest}` (`{flag}`)": f'`RUN_ARGUMENTS["{dest}"]`:'
             for _, flags in cli.COMMANDS.values()
@@ -848,6 +875,19 @@ IMPORT_RULE = {    # id: (code or argv, package modules loaded, numpy loads)
     "sweep-k-numpy": (["sweep-k", "--k-grid", "0", "--samples", str(SMALL_RUN + 1),
                        "--out"], SWEEP_K | {"numpy_sampler"}, True),
 }
+
+
+def test_readme_module_table_is_the_import_rule():
+    # Each row of the README's module table lists the package modules, and
+    # numpy where it loads, of the command runs of IMPORT_RULE: one row per
+    # distinct rule, in IMPORT_RULE's order.
+    rules = []
+    for run, modules, numpy in IMPORT_RULE.values():
+        if isinstance(run, list) and (modules, numpy) not in rules:
+            rules.append((modules, numpy))
+    rows = [(set(re.findall(r"`(\w+)`", cell)), "numpy" in re.sub(r"`\w+`", "", cell))
+            for _, cell in readme_table("| Command | Modules of `ris_subarray` it loads |")]
+    assert rows == rules
 
 
 def modules_loaded_by(code) -> tuple[set, set]:

@@ -18,8 +18,8 @@ from ris_subarray import (Angles, ConfigError, PowerConstants, SweepResult,
                           load_config, max_se_upper_bound, monte_carlo_se,
                           optimal_phases, ris_power, sweep_rician_factor,
                           sweep_ris_size, sweep_subarray_count, write_csv)
-from ris_subarray.config import (MAX_SEED, _as_float, check_grid, check_int,
-                                 check_real, check_rician, total_power)
+from ris_subarray.config import (MAX_SEED, _as_float, _unique_keys, check_grid,
+                                 check_int, check_real, check_rician, total_power)
 from ris_subarray.design import phase_certificate
 from ris_subarray.metrics import _bounds_from_etas
 
@@ -425,6 +425,49 @@ def test_a_config_that_does_not_decode_names_the_file(tmp_path, data, fault):
     assert str(exc.value) == f"config file {str(path)!r} is {fault}"
 
 
+@pytest.mark.parametrize("data", [b"[" * 100_000, b'{"M": ' * 100_000],
+                         ids=["array", "object"])
+def test_a_config_nested_past_the_recursion_limit_is_not_json(tmp_path, data):
+    # json gives up on it with a RecursionError, which names no file
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value).startswith(f"config file {str(path)!r} is not JSON: "
+                                      "maximum recursion depth exceeded")
+
+
+def _counted(method):
+    def counted(self, *args):
+        _CountedKey.calls += 1
+        return method(self, *args)
+    return counted
+
+
+class _CountedKey(str):
+    """A config key that counts the comparisons and prefix tests made on it."""
+    calls = 0
+    __hash__ = str.__hash__
+    __eq__, __lt__, __le__, __gt__, __ge__, startswith = map(_counted, (
+        str.__eq__, str.__lt__, str.__le__, str.__gt__, str.__ge__, str.startswith))
+
+
+def test_key_check_compares_each_key_with_log_n_others(tmp_path):
+    # 1 024 distinct keys, half of them paths under sections: the check of a
+    # repeated key takes O(n log n) comparisons, not one per pair of keys.
+    keys = [f"k{i}" for i in range(512)] + [f"s{i}.k" for i in range(512)]
+    pairs = [(_CountedKey(key), i) for i, key in enumerate(keys)]
+    _CountedKey.calls = 0
+    checked = _unique_keys(pairs)
+    assert _CountedKey.calls <= 8 * len(keys) * math.log2(len(keys))
+    assert checked == dict(pairs)
+    # and a file of 20 000 unknown fields is rejected by its first
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({f"k{i}": 0 for i in range(20_000)}))
+    with pytest.raises(ConfigError, match="^unknown config field 'k0'$"):
+        load_config(path)
+
+
 def test_load_config_merges_overrides_from_any_iterable(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(small_raw()))
@@ -557,3 +600,24 @@ def test_closed_form_core_holds_over_the_accepted_config_space(cfg):
     assert math.isfinite(se[3] / total_power(cfg.N, cfg.power))
     # a regional row sums its draws' efficiencies: 2**24 of the largest
     assert se[3] / total_power(1, cfg.power) * 2.0 ** 24 < math.inf
+
+
+def _first_repeated(keys: list):
+    """The key that the JSON object hook names, stated key by key: the first
+    that another key equals or extends by "." and a path."""
+    return next((key for key in keys
+                 if sum(k == key or k.startswith(key + ".") for k in keys) > 1), None)
+
+
+@settings(FIXED, max_examples=300)
+@given(st.lists(st.text("ab.!/\0", max_size=4), max_size=8))
+def test_object_hook_names_the_first_repeated_key(keys):
+    # "\0" and "!" sort before ".", and "/" right after it
+    pairs = [(key, i) for i, key in enumerate(keys)]
+    named = _first_repeated(keys)
+    if named is None:
+        assert _unique_keys(pairs) == dict(pairs)
+    else:
+        with pytest.raises(ConfigError) as exc:
+            _unique_keys(pairs)
+        assert str(exc.value) == f"duplicate config field '{named}'"

@@ -14,7 +14,7 @@ from ris_subarray import (Angles, ConfigError, PowerConstants,
                           max_se_upper_bound, monte_carlo_se, optimal_phases,
                           ris_power)
 from ris_subarray.config import TWO_PI, total_power
-from ris_subarray.metrics import _bounds_from_etas
+from ris_subarray.metrics import _bounds_from_etas, _jensen_means
 from ris_subarray.numpy_sampler import MC_CHUNK, _rate_chunks
 from ris_subarray.sampler import SMALL_RUN, _gamma_draw, _law_rate, _small_run_rates
 
@@ -104,9 +104,11 @@ def _var_of_sample_var(x: np.ndarray) -> float:
 @pytest.mark.parametrize("k1, k2", [(1.0, 1.0), (math.inf, math.inf), (0.0, 17.0),
                                     (math.inf, 3.0), (0.0, math.inf), (2.5, 40.0)])
 def test_bound_is_log2_of_one_plus_the_jensen_mean(k1, k2):
-    # The bound's float operations are the restated E[X]'s, bit for bit.
+    # The library's E[X] and the bound's float operations are the restated
+    # E[X]'s, bit for bit.
     cfg = small_config(K1=k1, K2=k2)
     etas = (0.0, coherence_factor(cfg), 1.0)
+    assert list(_jensen_means(cfg, etas)) == [jensen_mean(cfg, eta) for eta in etas]
     assert _bounds_from_etas(cfg, etas) == [math.log2(1.0 + jensen_mean(cfg, eta))
                                            for eta in etas]
 
@@ -436,9 +438,11 @@ def test_small_run_sampler_matches_the_numpy_sampler(cfg, eta):
     # The two samplers draw one law from independent generators, so the
     # check holds at any seed with the power of 2e4 against 2e5 samples.
     # Both share _law_rate, so each is also checked against the exact mean,
-    # which the Jensen bound is log2(1 + E[X]) of.
-    assert _exact_mean(cfg, eta) == pytest.approx(
-        2.0 ** _bounds_from_etas(cfg, [eta])[0] - 1.0, rel=1e-12)
+    # which the Jensen bound is log2(1 + E[X]) of: the library's E[X] and
+    # _exact_mean's part-by-part sum differ by rounding alone, at most 3.3
+    # ulps over 20 000 random configs and gain fractions.
+    assert _exact_mean(cfg, eta) == pytest.approx(next(_jensen_means(cfg, [eta])),
+                                                  rel=2e-15)
     small = small_run_rates(cfg, [eta], SMALL_RUN_SAMPLES, SEED)[0]
     fast = numpy_rates(cfg, [eta], FAST_SAMPLES, SEED + 1)[0]
     _assert_same_law(small, fast)
