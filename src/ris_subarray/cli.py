@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 # Each command imports only the modules on its own path, and only a sweep-k
 # of more than sampler.SMALL_RUN samples per point loads numpy.
-from .config import (RUN_ARGUMENTS, SystemConfig, _unique_keys, check_int,
+from .config import (RUN_ARGUMENTS, SystemConfig, _parse_json, _shown, check_int,
                      check_run, load_config, ris_power)
 
 
@@ -39,10 +39,10 @@ def override(text: str) -> tuple[str, object]:
     name, eq, value = text.partition("=")
     try:
         if eq and name:
-            return name, json.loads(value, object_pairs_hook=_unique_keys)
+            return name, _parse_json(json.loads, value, name)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"VALUE of {text!r} is not JSON: {exc}") from None
-    raise ValueError(f"expected NAME=VALUE, got {text!r}")
+        raise ValueError(f"VALUE of {_shown(text)} is not JSON: {exc}") from None
+    raise ValueError(f"expected NAME=VALUE, got {_shown(text)}")
 
 
 CONFIG_FLAGS = {"--config": ("config", str, "JSON config file (required)"),

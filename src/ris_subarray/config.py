@@ -22,12 +22,17 @@ class ConfigError(ValueError):
     """A config field or run argument was rejected. The message names it."""
 
 
+SHOWN_MAX = 100     # the characters of a rejected input that a message echoes
+
+
 def _shown(value) -> str:
-    """repr(value) for a message, which cannot fail as repr of a huge int does."""
+    """repr(value) for a message, which cannot fail as repr of a huge int does,
+    cut to its first SHOWN_MAX characters and its length."""
     try:
-        return repr(value)
+        text = repr(value)
     except Exception:
         return f"<unprintable {type(value).__name__}>"
+    return text if len(text) <= SHOWN_MAX else f"{text[:SHOWN_MAX]}... ({len(text)} characters)"
 
 
 # (integral, real) by exact type for the types JSON and the CLI give: int
@@ -339,15 +344,36 @@ def config_from_dict(raw: dict) -> SystemConfig:
 
 
 def _unique_keys(pairs: list) -> dict:
-    r"""JSON object hook: a repeated key is an error, not the last one wins.
-    An override path such as "angles.phi_d2" repeats "angles" too: sorted,
-    key's repeats lie in [key, key + "\0") and its paths in [key + ".", key + "/")."""
+    r"""pairs of field names as a dict: a repeated key is an error, not the last
+    one wins. An override path such as "angles.phi_d2" repeats "angles" too:
+    sorted, key's repeats lie in [key, key + "\0") and its paths in [key + ".", key + "/")."""
     ordered = sorted(key for key, _ in pairs)
     for key, _ in pairs:
         if sum(bisect_left(ordered, high) - bisect_left(ordered, low) for low, high
                in ((key, key + "\0"), (key + ".", key + "/"))) > 1:
             raise ConfigError(f"duplicate config field '{key}'")
     return dict(pairs)
+
+
+def _parse_json(load, source, path: str = ""):
+    """source parsed by load, json.load or json.loads, as the value of field
+    path ("" for the whole config). Only the config object and its sections
+    have field names for keys, so only there is a repeated key an error; any
+    other object keeps its last value for its field's own check to judge."""
+    objects = []    # each object parsed, with its pairs
+
+    def hook(pairs):
+        objects.append((dict(pairs), pairs))
+        return objects[-1][0]
+
+    value = load(source, object_pairs_hook=hook)
+    named = [value] if path in ("", *_SECTIONS) else []
+    if path == "" and isinstance(value, dict):
+        named += [value.get(section) for section in _SECTIONS]
+    for parsed, pairs in objects:
+        if any(parsed is section for section in named):
+            _unique_keys(pairs)
+    return value
 
 
 def load_config(path, overrides=()) -> SystemConfig:
@@ -359,7 +385,7 @@ def load_config(path, overrides=()) -> SystemConfig:
         raise ConfigError(f"path must be a file path, got {_shown(path)}")
     try:
         with open(path, encoding="utf-8") as fh:     # JSON text is UTF-8 (RFC 8259)
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
+            raw = _parse_json(json.load, fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         kind = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "JSON"
         raise ConfigError(f"config file {os.fsdecode(path)!r} is not {kind}: {exc}") from None

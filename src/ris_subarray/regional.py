@@ -70,12 +70,15 @@ def _drawn_slopes(cfg: SystemConfig, seed: int, num_angle_draws: int):
 
 
 def _pairwise_sum(x) -> float:
-    """numpy's pairwise sum of the float64 values x, bit for bit, 8 lanes a leaf."""
+    """numpy's pairwise sum of the float64 values x, bit for bit, 8 lanes a leaf.
+    numpy's sum starts from its identity, 0.0, so no sum is -0.0: each leaf
+    starts from 0.0 too, which changes no other bit."""
     n = len(x)
     if n < 8:
-        return reduce(add, x, -0.0)
+        return reduce(add, x, 0.0)
     if n <= 128:
         r0, r1, r2, r3, r4, r5, r6, r7 = x[:8]
+        r0 += 0.0
         for a0, a1, a2, a3, a4, a5, a6, a7 in zip(*[iter(x[8:n - n % 8])] * 8):
             r0 += a0; r1 += a1; r2 += a2; r3 += a3; r4 += a4; r5 += a5; r6 += a6; r7 += a7
         return reduce(add, x[n - n % 8:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))

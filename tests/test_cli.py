@@ -16,13 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ris_subarray
 from ris_subarray import (ConfigError, cli, coherence_factor, config, design,
-                          load_config, monte_carlo_se, optimal_phases,
-                          sweep_rician_factor, sweep_ris_size, sweep_subarray_count)
+                          load_config, monte_carlo_se, optimal_phases, regional,
+                          sweep_rician_factor, sweep_ris_size, sweep_subarray_count,
+                          sweeps)
 from ris_subarray.cli import main
-from ris_subarray.config import check_int
+from ris_subarray.config import MAX_N, MAX_SEED, SHOWN_MAX, PowerConstants, check_int
+from ris_subarray.numpy_sampler import MC_CHUNK
+from ris_subarray.regional import DEFAULT_N_GRID
 from ris_subarray.sampler import SMALL_RUN
-from ris_subarray.sweeps import write_csv
+from ris_subarray.sweeps import SweepResult, write_csv
 
 from helpers import (NULL_ANGLES, oracle_gain, random_config, reference_config,
                      scalar_slopes, small_config, small_raw, steering_couplings)
@@ -87,7 +91,9 @@ def test_set_is_an_edit_of_the_file(tmp_path, monkeypatch, name, text, value):
     assert seen[0] != small_config()
 
 
-@pytest.mark.parametrize("text", ["M", "=8", "P=pi", "M=8,", "K1=nan"])
+@pytest.mark.parametrize("text", ["M", "=8", "P=pi", "M=8,", "K1=nan",
+                                  # a section's keys are field names
+                                  'angles={"phi_d2": 1, "phi_d2": 2}'])
 def test_malformed_set_is_a_usage_error(capsys, text):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--config", DEFAULT, "--set", text])
@@ -104,6 +110,21 @@ def test_set_nested_past_the_recursion_limit_is_a_usage_error(capsys, value):
     _, error = capsys.readouterr().err.splitlines()   # the usage line, then this
     assert error.startswith(f"ris-subarray: error: argument --set: VALUE of 'M={value[:9]}")
     assert "is not JSON: maximum recursion depth exceeded" in error
+
+
+@pytest.mark.parametrize("value, line", [
+    ("[" * 900 + "]" * 900, "error: M must be a positive integer, got "
+     + "[" * 100 + "... (1800 characters)"),
+    ("[" * 900, "ris-subarray: error: argument --set: VALUE of 'M="
+     + "[" * 97 + "... (904 characters) is not JSON: Expecting value: line 1 "
+     "column 901 (char 900)"),
+], ids=["config error", "usage error"])
+def test_an_error_line_shows_at_most_100_characters_of_the_input(capsys, value, line):
+    try:
+        main(["validate", "--config", DEFAULT, "--set", f"M={value}"])
+    except SystemExit:
+        pass
+    assert capsys.readouterr().err.splitlines()[-1] == line
 
 
 @pytest.mark.parametrize("sets, field", [
@@ -141,6 +162,9 @@ def test_set_nested_past_the_recursion_limit_is_a_usage_error(capsys, value):
     # surface power) from validate and ee = 0 rows from the sweeps
     (["power.p_rest=1e308", "power.p_control=1e308"], "the largest total power"),
     (["power.p_dynamic=1e308", "power.p_control=1e308"], "the largest total power"),
+    # a repeated key inside a field's value is left to the field's check
+    (['M={"x": 1, "x": 2}'], "M must be a positive integer, got {'x': 2}\n"),
+    (['angles.phi_d2={"x": 1, "x": 2}'], "angles.phi_d2 must be finite"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_bad_set_field_is_rejected_naming_it(capsys, sets, field):
     argv = ["validate", "--config", DEFAULT]
@@ -725,6 +749,143 @@ def test_readme_run_argument_table_is_the_rule_table():
     assert sorted(first for first, _ in flagged) == sorted(want)
     for first, rule in flagged:
         assert rule.startswith(want[first]), first
+
+
+def readme_text() -> str:
+    """README.md with each run of whitespace, line breaks too, as one space."""
+    return " ".join((ROOT / "README.md").read_text().split())
+
+
+def readme_block(after: str, fence: str = "```") -> str:
+    """The fenced block that opens with the line fence after the line after."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    begin = lines.index(fence, lines.index(after)) + 1
+    return "\n".join(lines[begin:lines.index("```", begin)])
+
+
+def power_of_two(number: int) -> str:
+    """number as the README writes a power of two: 2**20 is 2²⁰."""
+    exponent = number.bit_length() - 1
+    assert number == 1 << exponent
+    return "2" + str(exponent).translate(str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹"))
+
+
+def spaced(number: int) -> str:
+    """number as the README writes it: 65536 is 65 536."""
+    return f"{number:,}".replace(",", " ")
+
+
+def test_readme_quotes_each_value_as_the_code_holds_it():
+    # Each value the README states outside the blocks and tables read above,
+    # formatted from the name that holds it in the code, the run-argument
+    # table's defaults and limits included: a changed constant, default or
+    # limit leaves its sentence stale here.
+    cfg = load_config(DEFAULT)
+    defaults = {}       # each parameter's defaults, over the functions that take it
+    for function in (sweep_rician_factor, sweep_subarray_count, sweep_ris_size,
+                     load_config):
+        for name, parameter in inspect.signature(function).parameters.items():
+            defaults.setdefault(name, set()).add(parameter.default)
+    [samples], [draws], [seed], [l0_set], [overrides], [l0_grid] = (
+        defaults[name] for name in ("samples", "num_angle_draws", "seed", "l0_set",
+                                    "overrides", "l0_grid"))
+    assert l0_grid is None      # the table's default_l0_grid(cfg)
+    python = re.search(r'requires-python = ">=([\d.]+)"',
+                       (ROOT / "pyproject.toml").read_text()).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    versions = re.findall(r'"([\d.]+)"', re.search(r"python-version: \[(.*)\]",
+                                                   workflow).group(1))
+    offsets = [int(k) for k in re.search(r"offset: \[(.*)\]", workflow).group(1).split(",")]
+    assert offsets == list(range(1, max(offsets) + 1))
+    quoted = [
+        f"# {cfg.M} antennas, {cfg.Nx}x{cfg.Ny} surface, {cfg.Lx}x{cfg.Ly} subarrays",
+        f"# {coherence_factor(cfg):.3f} for the default geometry",
+        f"Requires Python >= {python} and numpy",
+        f"--n-grid {','.join(map(str, DEFAULT_N_GRID))} --out",
+        f"| {spaced(samples)}, `sweep_rician_factor`; none,",
+        f"| {draws}, `sweep_subarray_count`, `sweep_ris_size` |",
+        f"| {seed}, each sweep; none,",
+        f"integer in [0, {power_of_two(MAX_SEED + 1)}) |",
+        f"each an integer in [1, {power_of_two(MAX_N)}], a perfect square |",
+        f"integer in [0, {power_of_two(MAX_N)}], the largest surface |",
+        f"| {l0_set}, `sweep_ris_size` |",
+        f"| `{overrides}`, none |",
+        f"up to `sampler.SMALL_RUN` = {SMALL_RUN} samples per point |",
+        f"| `sweep-k`, more than {SMALL_RUN} samples per point |",
+        f"**`SMALL_RUN` is {SMALL_RUN}.**",
+        f"between {SMALL_RUN + 1} samples and itself",
+        f"n ≤ `sampler.SMALL_RUN` = {SMALL_RUN}:",
+        f"n > {SMALL_RUN}: numpy's Philox, in fixed chunks of {spaced(MC_CHUNK)} ",
+        f"{SMALL_RUN} and {SMALL_RUN + 1} samples at one seed share no draws",
+        f"must be at most 2**{MAX_N.bit_length() - 1}` (`config.MAX_N`)",
+        f"the first {SHOWN_MAX} characters of the value it rejects",
+        f"on Python {' and '.join(versions)} against",
+        f"at offsets 1 to {max(offsets)}.",
+    ]
+    text = readme_text()
+    assert [phrase for phrase in quoted if phrase not in text] == []
+    # the table's default names are the library's
+    for *_, cell in readme_table("| Input (CLI flag) | Rule | Default |"):
+        for name in re.findall(r"`(\w+)", cell):
+            assert any(hasattr(module, name) for module in (
+                ris_subarray, sweeps, regional)), name
+
+
+def test_readme_quotes_the_library_s_messages(tmp_path, monkeypatch, capsys):
+    # Each error message the README quotes, or the rule it quotes from one,
+    # is the text the library writes.
+    small, zero = small_config(), dict(p_dynamic=0.0, p_control=0.0, p_driver=0.0)
+    messages = []
+    for change in [dict(P=1e308), dict(d2_over_lambda=1e308),
+                   dict(power=PowerConstants(p_rest=1e308, p_control=1e308)),
+                   dict(power=PowerConstants(p_rest=1e-320, **zero)),
+                   dict(Nx=2 * MAX_N, Ny=1, Lx=1, Ly=1)]:
+        with pytest.raises(ConfigError) as exc:
+            small.replace(**change)
+        messages.append(str(exc.value).partition(", got")[0].rpartition("slopes: ")[2])
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("")
+    with pytest.raises(ConfigError) as exc:
+        load_config("cfg.json")
+    messages.append(str(exc.value))
+    with pytest.raises(SystemExit):
+        main(["sweep-q", "--config", DEFAULT, "--draws", "0"])
+    messages.append(capsys.readouterr().err.splitlines()[-1].partition("error: ")[2])
+    text = readme_text()
+    assert all(messages) and [message for message in messages if message not in text] == []
+
+
+def test_readme_config_example_is_the_default_config():
+    # the example is configs/default.json, its keys the records' fields and
+    # its power section PowerConstants' defaults
+    example = json.loads(readme_block("## Config files", "```json"))
+    cfg = load_config(DEFAULT)
+    assert example == json.loads(Path(DEFAULT).read_text())
+    assert sorted(example) == sorted(cfg._fields)
+    assert sorted(example["angles"]) == sorted(cfg.angles._fields)
+    assert example["power"] == dict(zip(PowerConstants()._fields, PowerConstants()))
+
+
+def test_readme_csv_header_is_the_row_s_fields():
+    assert readme_block("## CSV output") == ",".join(SweepResult._fields) == HEADER
+    fh = io.StringIO()
+    write_csv([SweepResult("element", "K", 1 / 3, 2 / 3, 1e-20, math.pi, None)], fh)
+    assert fh.getvalue().splitlines()[-1] == "element,K,%.12g,%.12g,%.12g,%.12g," % (
+        1 / 3, 2 / 3, 1e-20, math.pi)
+    assert "floats are printed with `%.12g`" in readme_text()
+
+
+# A number with a unit of time or memory: 62 ms, 13.1 MB, 0.2 µs, 1.5 s.
+FIGURE = re.compile(r"\d[\d.,·⁰¹²³⁴⁵⁶⁷⁸⁹ ]*(?:[nµu]s|ms|s|min|seconds?|minutes?"
+                    r"|(?:[kKMGT]i?)?B|bytes?)\b")
+
+
+def test_readme_states_no_timing_or_memory_figure():
+    # Figures drift with the machine and the session that measured them;
+    # they live in CHANGES.md, which the README's trade-offs point to.
+    assert FIGURE.findall(readme_text()) == []
+    for figure in ["62 ms", "13.1 MB", "0.2 µs", "1.56 s", "2·10⁵ B", "34.7 MiB"]:
+        assert FIGURE.search(f"took {figure} here"), figure
 
 
 # What the installed `ris-subarray` console script runs.

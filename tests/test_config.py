@@ -18,8 +18,9 @@ from ris_subarray import (Angles, ConfigError, PowerConstants, SweepResult,
                           load_config, max_se_upper_bound, monte_carlo_se,
                           optimal_phases, ris_power, sweep_rician_factor,
                           sweep_ris_size, sweep_subarray_count, write_csv)
-from ris_subarray.config import (MAX_SEED, _as_float, _unique_keys, check_grid,
-                                 check_int, check_real, check_rician, total_power)
+from ris_subarray.config import (MAX_SEED, SHOWN_MAX, _as_float, _shown, _unique_keys,
+                                 check_grid, check_int, check_real, check_rician,
+                                 total_power)
 from ris_subarray.design import phase_certificate
 from ris_subarray.metrics import _bounds_from_etas
 
@@ -395,10 +396,18 @@ def test_load_config_rejects_non_object(tmp_path):
     (json.dumps(small_raw(power={"p_rest": 20.0})).replace(
         '"power": {', '"power": {"p_rest": 1.0, '),
      "duplicate config field 'p_rest'"),
+    # a repeated key inside a field's value names no field: the field's check
+    # judges the last value
+    (json.dumps(small_raw()).replace('"M": 4', '"M": {"x": 1, "x": 2}'),
+     r"^M must be a positive integer, got \{'x': 2\}$"),
+    (json.dumps(small_raw(angles={**small_raw()["angles"], "theta_a1": 0})).replace(
+        '"theta_a1": 0', '"theta_a1": {"x": 1, "x": 2}'),
+     r"^angles.theta_a1 must be finite, got \{'x': 2\}$"),
 ], ids=["M-float", "M-bool", "K1-string", "unknown-top", "unknown-power",
         "power-nan", "power-inf", "power-zero", "unknown-angle", "removed-d1",
         "removed-theta_d1", "duplicate-top",
-        "duplicate-angle", "duplicate-power"])
+        "duplicate-angle", "duplicate-power", "repeat-in-value",
+        "repeat-in-section-value"])
 def test_malformed_input_rejected_naming_field(tmp_path, raw, field):
     path = tmp_path / "cfg.json"
     # NaN and Infinity as Python's json writes them
@@ -435,6 +444,15 @@ def test_a_config_nested_past_the_recursion_limit_is_not_json(tmp_path, data):
         load_config(path)
     assert str(exc.value).startswith(f"config file {str(path)!r} is not JSON: "
                                       "maximum recursion depth exceeded")
+
+
+def test_a_message_shows_at_most_shown_max_characters_of_a_value():
+    # an input of any size gives an error line of bounded size: the first
+    # SHOWN_MAX characters of its repr, then the repr's length
+    fits, over = "x" * (SHOWN_MAX - 2), "x" * (SHOWN_MAX - 1)   # reprs of 100, 101
+    assert SHOWN_MAX == 100
+    assert _shown(fits) == repr(fits)
+    assert _shown(over) == f"{repr(over)[:SHOWN_MAX]}... (101 characters)"
 
 
 def _counted(method):

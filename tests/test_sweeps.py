@@ -150,6 +150,13 @@ def test_pairwise_sum_is_numpys_bit_for_bit():
         want = float(np.add.reduce(x)).hex()
         assert regional._pairwise_sum(x.tolist()).hex() == want, n
         assert regional._pairwise_sum(array("d", x)).hex() == want, n
+    # and signed zeros, where numpy's sum starts from 0.0: at a leaf below 8
+    # values, one of 8 lanes, and one split in two
+    for n in (1, 7, 9, 128, 200):
+        x = np.full(n, -0.0)
+        want = float(np.add.reduce(x)).hex()
+        assert regional._pairwise_sum(x.tolist()).hex() == want, n
+        assert regional._pairwise_sum(array("d", x)).hex() == want, n
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN["seeds"], key=int))
